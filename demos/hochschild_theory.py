@@ -12,7 +12,7 @@ commutativity, hence vanish over Q), while the product of the degree
 one and degree two generators spans degree three.
 """
 
-from hopfhomology.bialgebroid import galois_map, unit_left_iso
+from hopfhomology.bialgebroid import galois_map, unit_iso
 from hopfhomology.homology import ext, tor
 from hopfhomology.instances import (
     bimodule_a,
@@ -45,12 +45,12 @@ def main():
     v = groups[2].basis_cocycles()[0]
 
     sq, tm = pr.cup(1, 1, u, u, M, M)
-    iso = unit_left_iso(env, M, tm)
+    iso = unit_iso(env, M, tm)
     sq_cls = groups[2].class_of(transport_cochain(bar.rank(2), iso, sq, tm.space.dim))
     print("square of the degree 1 generator:", sq_cls, "(zero over Q)")
 
     uv, tm2 = pr.cup(1, 2, u, v, M, M)
-    iso2 = unit_left_iso(env, M, tm2)
+    iso2 = unit_iso(env, M, tm2)
     uv_cls = groups[3].class_of(transport_cochain(bar.rank(3), iso2, uv, tm2.space.dim))
     print("degree 1 times degree 2:", uv_cls, "(spans degree 3)")
 

@@ -19,8 +19,8 @@ from .bialgebroid import (
     tensor_flip,
     galois_module,
 )
-from .complexes import ChainComplex, DoubleComplex, totalize
-from .resolutions import bar_resolution, tensor_resolution, lift_to_bar
+from .complexes import ChainComplex, DoubleComplex
+from .resolutions import bar_resolution, lift_to_bar
 from .homology import ext, tor, ext_dims, tor_dims, resolution_independence
 from .products import BarProducts, CEProducts
 from .duality import (
@@ -56,9 +56,7 @@ __all__ = [
     "galois_module",
     "ChainComplex",
     "DoubleComplex",
-    "totalize",
     "bar_resolution",
-    "tensor_resolution",
     "lift_to_bar",
     "ext",
     "tor",

@@ -17,6 +17,7 @@ from .linalg import (
     frac,
     frac_str,
     induced_map,
+    lincomb,
     unit_vec,
     vec_is_zero,
     zero_vec,
@@ -84,11 +85,7 @@ class FinDimAlgebra:
                 Matrix.from_cols([self.mult[i][j] for j in range(self.dim)], nrows=self.dim)
                 for i in range(self.dim)
             ]
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, a in enumerate(u):
-            if a:
-                out = out + self._left_mult[i].scale(a)
-        return out
+        return lincomb(zip(u, self._left_mult), self.dim, self.dim)
 
     def right_mult_matrix(self, u):
         """Matrix of v -> v u."""
@@ -97,18 +94,7 @@ class FinDimAlgebra:
                 Matrix.from_cols([self.mult[i][j] for i in range(self.dim)], nrows=self.dim)
                 for j in range(self.dim)
             ]
-        out = Matrix.zeros(self.dim, self.dim)
-        for j, a in enumerate(u):
-            if a:
-                out = out + self._right_mult[j].scale(a)
-        return out
-
-    def is_commutative(self):
-        return all(
-            self.mult[i][j] == self.mult[j][i]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        return lincomb(zip(u, self._right_mult), self.dim, self.dim)
 
     def opposite(self):
         """Same space, product reversed."""
@@ -207,11 +193,7 @@ class ModuleRep:
                     )
 
     def act(self, u):
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, a in enumerate(u):
-            if a:
-                out = out + self.action[i].scale(a)
-        return out
+        return lincomb(zip(u, self.action), self.dim, self.dim)
 
     @classmethod
     def regular_left(cls, algebra):
@@ -231,20 +213,6 @@ class ModuleRep:
             "right",
             [algebra.right_mult_matrix(unit_vec(algebra.dim, i)) for i in range(algebra.dim)],
             validate=False,
-        )
-
-    def restrict_along(self, target_algebra, images):
-        """Module over target_algebra pulled back along b_i -> images[i].
-
-        images are coordinate vectors in self.algebra; the caller
-        asserts the assignment is an algebra map (validation sweeps
-        will catch violations).
-        """
-        return ModuleRep(
-            target_algebra,
-            self.dim,
-            self.side,
-            [self.act(img) for img in images],
         )
 
     def to_json(self):
@@ -282,6 +250,31 @@ class BimoduleRep:
                         raise ValidationError("left and right actions do not commute")
 
 
+def balanced_tensor(pairs, left_dim, right_dim) -> QuotientSpace:
+    """Plain tensor product modulo the balancing relations of pairs.
+
+    Ambient basis is (i, j) -> i * right_dim + j.  Each pair (L, R) of
+    matrices, L acting on the left factor and R on the right one,
+    contributes the relations { L x (x) y  -  x (x) R y }.
+    """
+    ambient = left_dim * right_dim
+    relations = []
+    for L, R in pairs:
+        for i in range(left_dim):
+            li = L.col(i)
+            for j in range(right_dim):
+                rel = zero_vec(ambient)
+                for p, c in enumerate(li):
+                    if c:
+                        rel[p * right_dim + j] += c
+                for q, c in enumerate(R.col(j)):
+                    if c:
+                        rel[i * right_dim + q] -= c
+                if not vec_is_zero(rel):
+                    relations.append(rel)
+    return QuotientSpace.from_relation_vectors(ambient, relations)
+
+
 def tensor_over(algebra, m_right: ModuleRep, n_left: ModuleRep) -> QuotientSpace:
     """m (x)_algebra n as a quotient of the plain tensor product.
 
@@ -290,26 +283,7 @@ def tensor_over(algebra, m_right: ModuleRep, n_left: ModuleRep) -> QuotientSpace
     """
     if m_right.side != "right" or n_left.side != "left":
         raise ValidationError("tensor_over needs a right and a left module")
-    dm, dn = m_right.dim, n_left.dim
-    ambient = dm * dn
-    relations = []
-    for a_idx in range(algebra.dim):
-        ra = m_right.action[a_idx]
-        la = n_left.action[a_idx]
-        for i in range(dm):
-            ma = ra.col(i)
-            for j in range(dn):
-                an = la.col(j)
-                rel = zero_vec(ambient)
-                for p, c in enumerate(ma):
-                    if c:
-                        rel[p * dn + j] += c
-                for q, c in enumerate(an):
-                    if c:
-                        rel[i * dn + q] -= c
-                if not vec_is_zero(rel):
-                    relations.append(rel)
-    return QuotientSpace.from_relation_vectors(ambient, relations)
+    return balanced_tensor(zip(m_right.action, n_left.action), m_right.dim, n_left.dim)
 
 
 def descend_outer_action(space: QuotientSpace, ambient_matrices) -> list:

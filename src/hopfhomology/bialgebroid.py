@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebras import FinDimAlgebra, ModuleRep, tensor_over
+from .algebras import FinDimAlgebra, ModuleRep, balanced_tensor, tensor_over
 from .errors import (
     NotInvertibleError,
     NotWellDefinedError,
@@ -40,20 +40,11 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     induced_map,
+    lincomb,
+    sparse_add,
     unit_vec,
-    vec_is_zero,
     zero_vec,
 )
-
-
-def _sadd(target, key, c):
-    if not c:
-        return
-    s = target.get(key, 0) + c
-    if s:
-        target[key] = s
-    else:
-        del target[key]
 
 
 def _expand_table(U: FinDimAlgebra, mats, candidates):
@@ -152,7 +143,7 @@ class GluedTensorSpace:
                     new[tgt] = q
                     sub = self._normalize(slot + 1, tuple(new), coef * c * d)
                     for w, cc in sub.items():
-                        _sadd(out, w, cc)
+                        sparse_add(out, w, cc)
         return out
 
     def project_sparse(self, elem):
@@ -160,7 +151,7 @@ class GluedTensorSpace:
         acc = {}
         for idxs, c in elem.items():
             for w, d in self.project_pure(idxs).items():
-                _sadd(acc, w, c * d)
+                sparse_add(acc, w, c * d)
         v = zero_vec(self.dim)
         for w, c in acc.items():
             v[self.index[w]] += c
@@ -173,7 +164,7 @@ class GluedTensorSpace:
 
         def rec(k, idxs, coef):
             if k == self.nslots - 1:
-                _sadd(out, tuple(idxs) + (word[-1],), coef)
+                sparse_add(out, tuple(idxs) + (word[-1],), coef)
                 return
             for p, c in enumerate(vecs[k]):
                 if c:
@@ -187,7 +178,7 @@ class GluedTensorSpace:
         for k, c in enumerate(coords):
             if c:
                 for idxs, d in self.lift_word(self.words[k]).items():
-                    _sadd(out, idxs, c * d)
+                    sparse_add(out, idxs, c * d)
         return out
 
 
@@ -384,10 +375,10 @@ class BialgebroidData:
                 for (p, q), c in amb.items():
                     for p2, d in enumerate(f.col(p)):
                         if d:
-                            _sadd(diff, (p2, q), c * d)
+                            sparse_add(diff, (p2, q), c * d)
                     for q2, d in enumerate(s.col(q)):
                         if d:
-                            _sadd(diff, (p, q2), -c * d)
+                            sparse_add(diff, (p, q2), -c * d)
                 cols.append(space.project_sparse(diff))
             blocks.append(Matrix.from_cols(cols, nrows=space.dim))
         stacked = blocks[0]
@@ -400,7 +391,7 @@ class BialgebroidData:
         for i, c in enumerate(u):
             if c:
                 for pq, d in self.delta_pure(i).items():
-                    _sadd(out, pq, c * d)
+                    sparse_add(out, pq, c * d)
         return out
 
     def counit(self, u):
@@ -468,7 +459,7 @@ def _pairs_mul_second(data, elem, j):
         prod = U.mult[q][j]
         for k, d in enumerate(prod):
             if d:
-                _sadd(out, (p, k), c * d)
+                sparse_add(out, (p, k), c * d)
     return out
 
 
@@ -526,11 +517,7 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
     witness = None
     for i in range(na):
         for j in range(na):
-            img = data._eta_img[(i, j)]
-            m = Matrix.zeros(na, na)
-            for k, c in enumerate(img):
-                if c:
-                    m = m + data.eps_hat[k].scale(c)
+            m = lincomb(zip(data._eta_img[(i, j)], data.eps_hat), na, na)
             expect = A.left_mult_matrix(unit_vec(na, i)) @ A.right_mult_matrix(unit_vec(na, j))
             if m != expect:
                 ok = False
@@ -593,9 +580,9 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
         rhs = {}
         for (p, q), c in data.delta_pure(i).items():
             for (x, y), d in data.delta_pure(p).items():
-                _sadd(lhs, (x, y, q), c * d)
+                sparse_add(lhs, (x, y, q), c * d)
             for (x, y), d in data.delta_pure(q).items():
-                _sadd(rhs, (p, x, y), c * d)
+                sparse_add(rhs, (p, x, y), c * d)
         if triple.project_sparse(lhs) != triple.project_sparse(rhs):
             ok = False
             witness = f"coassociativity fails on u_{i}"
@@ -629,7 +616,7 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
                 if c:
                     for q, d in enumerate(t):
                         if d:
-                            _sadd(pure, (p, q), c * d)
+                            sparse_add(pure, (p, q), c * d)
             if lhs != data.uau.project_sparse(pure):
                 ok = False
                 witness = f"Delta(eta) fails at ({A.labels[i]},{A.labels[j]})"
@@ -649,7 +636,7 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
                             continue
                         for k2, e2 in enumerate(qy):
                             if e2:
-                                _sadd(prod, (k1, k2), c * d * e1 * e2)
+                                sparse_add(prod, (k1, k2), c * d * e1 * e2)
             lhs = uau.project_sparse(prod)
             rhs = data.delta.apply(U.mult[i][j])
             if lhs != rhs:
@@ -665,7 +652,7 @@ def _left_act_first(data, elem, m):
     for (p, q), c in elem.items():
         for k, d in enumerate(m.col(p)):
             if d:
-                _sadd(out, (k, q), c * d)
+                sparse_add(out, (k, q), c * d)
     return out
 
 
@@ -674,7 +661,7 @@ def _left_act_second(data, elem, m):
     for (p, q), c in elem.items():
         for k, d in enumerate(m.col(q)):
             if d:
-                _sadd(out, (p, k), c * d)
+                sparse_add(out, (p, k), c * d)
     return out
 
 
@@ -710,7 +697,7 @@ class HopfStructure:
         for i, c in enumerate(u):
             if c:
                 for pq, d in self.translation_pure(i).items():
-                    _sadd(out, pq, c * d)
+                    sparse_add(out, pq, c * d)
         return out
 
 
@@ -775,7 +762,7 @@ def galois_map(data: BialgebroidData) -> HopfStructure:
             if c:
                 for q, d in enumerate(U.unit):
                     if d:
-                        _sadd(pure, (p, q), c * d)
+                        sparse_add(pure, (p, q), c * d)
         tau_cols.append(beta_inv.apply(uau.project_sparse(pure)))
     translation = Matrix.from_cols(tau_cols, nrows=uaopu.dim)
     return HopfStructure(data, beta, beta_inv, translation)
@@ -793,7 +780,7 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
         pure = {}
         for q, d in enumerate(U.unit):
             if d:
-                _sadd(pure, (i, q), d)
+                sparse_add(pure, (i, q), d)
         return pure
 
     # identity 1: u_{+(1)} (x)_A u_{+(2)} u_- = u (x)_A 1
@@ -806,7 +793,7 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
                 yq = U.mult[y][q]
                 for k, e in enumerate(yq):
                     if e:
-                        _sadd(acc, (x, k), c * d * e)
+                        sparse_add(acc, (x, k), c * d * e)
         if uau.project_sparse(acc) != uau.project_sparse(unit_pair(i)):
             ok = False
             witness = f"translation identity 1 fails on u_{i}"
@@ -822,7 +809,7 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
                 yq = U.mult[y][q]
                 for k, e in enumerate(yq):
                     if e:
-                        _sadd(acc, (x, k), c * d * e)
+                        sparse_add(acc, (x, k), c * d * e)
         if uaopu.project_sparse(acc) != uaopu.project_sparse(unit_pair(i)):
             ok = False
             witness = f"translation identity 2 fails on u_{i}"
@@ -847,11 +834,11 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
         lhs = {}
         for (p, q), c in h.translation_pure(i).items():
             for (x, y), d in data.delta_pure(q).items():
-                _sadd(lhs, (p, x, y), c * d)
+                sparse_add(lhs, (p, x, y), c * d)
         rhs = {}
         for (p, q), c in h.translation_pure(i).items():
             for (x, y), d in h.translation_pure(p).items():
-                _sadd(rhs, (x, q, y), c * d)
+                sparse_add(rhs, (x, q, y), c * d)
         if triple.project_sparse(lhs) != triple.project_sparse(rhs):
             ok = False
             witness = f"translation coproduct identity fails on u_{i}"
@@ -872,7 +859,7 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
                             continue
                         for k2, e2 in enumerate(yq):
                             if e2:
-                                _sadd(acc, (k1, k2), c * d * e1 * e2)
+                                sparse_add(acc, (k1, k2), c * d * e1 * e2)
             direct = h.translation_of_vec(U.mult[i][j])
             if uaopu.project_sparse(acc) != uaopu.project_sparse(direct):
                 ok = False
@@ -893,7 +880,7 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
                 if c:
                     for q, d in enumerate(t):
                         if d:
-                            _sadd(pure, (p, q), c * d)
+                            sparse_add(pure, (p, q), c * d)
             if uaopu.project_sparse(lhs) != uaopu.project_sparse(pure):
                 ok = False
                 witness = f"translation on eta fails at ({data.A.labels[i]},{data.A.labels[j]})"
@@ -928,24 +915,15 @@ def module_tensor_left(data: BialgebroidData, M: ModuleRep, N: ModuleRep) -> Ten
     na = data.A.dim
     dm, dn = M.dim, N.dim
     ambient = dm * dn
-    relations = []
-    for r in range(na):
-        mr = M.act(data.eta_target(unit_vec(na, r)))  # m <| a
-        nr = N.act(data.eta_source(unit_vec(na, r)))  # a |> n
-        for i in range(dm):
-            ci = mr.col(i)
-            for j in range(dn):
-                cj = nr.col(j)
-                rel = zero_vec(ambient)
-                for p, c in enumerate(ci):
-                    if c:
-                        rel[p * dn + j] += c
-                for q, c in enumerate(cj):
-                    if c:
-                        rel[i * dn + q] -= c
-                if not vec_is_zero(rel):
-                    relations.append(rel)
-    space = QuotientSpace.from_relation_vectors(ambient, relations)
+    # m <| a (x) n  ~  m (x) a |> n
+    space = balanced_tensor(
+        (
+            (M.act(data.eta_target(unit_vec(na, r))), N.act(data.eta_source(unit_vec(na, r))))
+            for r in range(na)
+        ),
+        dm,
+        dn,
+    )
     action = []
     for u in range(data.U.dim):
         amb = Matrix.zeros(ambient, ambient)
@@ -984,24 +962,15 @@ def module_tensor_right(h: HopfStructure, M: ModuleRep, P: ModuleRep) -> TensorM
     na = data.A.dim
     dm, dp = M.dim, P.dim
     ambient = dm * dp
-    relations = []
-    for r in range(na):
-        mr = M.act(data.eta_target(unit_vec(na, r)))  # m <| a
-        pr = P.act(data.eta_target(unit_vec(na, r)))  # a |>> p
-        for i in range(dm):
-            ci = mr.col(i)
-            for j in range(dp):
-                cj = pr.col(j)
-                rel = zero_vec(ambient)
-                for p_, c in enumerate(ci):
-                    if c:
-                        rel[p_ * dp + j] += c
-                for q, c in enumerate(cj):
-                    if c:
-                        rel[i * dp + q] -= c
-                if not vec_is_zero(rel):
-                    relations.append(rel)
-    space = QuotientSpace.from_relation_vectors(ambient, relations)
+    # m <| a (x) p  ~  m (x) a |>> p
+    space = balanced_tensor(
+        (
+            (M.act(data.eta_target(unit_vec(na, r))), P.act(data.eta_target(unit_vec(na, r))))
+            for r in range(na)
+        ),
+        dm,
+        dp,
+    )
     action = []
     for u in range(data.U.dim):
         amb = Matrix.zeros(ambient, ambient)
@@ -1013,62 +982,27 @@ def module_tensor_right(h: HopfStructure, M: ModuleRep, P: ModuleRep) -> TensorM
     return TensorModule(module, space, dm, dp)
 
 
-def unit_left_iso(data: BialgebroidData, M: ModuleRep, tm: TensorModule) -> Matrix:
-    """A (x) M -> M, a (x) m -> eta(a (x) 1) m; exact inverse exists."""
-    na = data.A.dim
-    amb = Matrix.zeros(M.dim, na * M.dim)
-    for i in range(na):
-        act = M.act(data.eta_source(unit_vec(na, i)))
-        for j in range(M.dim):
-            col = act.col(j)
-            for k, c in enumerate(col):
-                amb.rows[k][i * M.dim + j] = c
-    out = Matrix.from_cols(
-        [amb.apply(tm.space.lift(unit_vec(tm.space.dim, k))) for k in range(tm.space.dim)],
-        nrows=M.dim,
-    )
-    return out
+def unit_iso(data: BialgebroidData, M: ModuleRep, tm: TensorModule, a_first=True) -> Matrix:
+    """The unit isomorphism of the monoidal product onto M, exact.
 
-
-def unit_right_iso(data: BialgebroidData, M: ModuleRep, tm: TensorModule) -> Matrix:
-    """M (x) A -> M, m (x) a -> eta(1 (x) a) m (left) or m eta(1 (x) a) (right)."""
-    na = data.A.dim
-    amb = Matrix.zeros(M.dim, M.dim * na)
-    for i in range(na):
-        act = M.act(data.eta_target(unit_vec(na, i)))
-        for j in range(M.dim):
-            col = act.col(j)
-            for k, c in enumerate(col):
-                amb.rows[k][j * na + i] = c
-    return Matrix.from_cols(
-        [amb.apply(tm.space.lift(unit_vec(tm.space.dim, k))) for k in range(tm.space.dim)],
-        nrows=M.dim,
-    )
-
-
-def unit_right_module_iso(data: BialgebroidData, P: ModuleRep, tm: TensorModule) -> Matrix:
-    """A (x) P -> P for a right module P: a (x) p -> p eta(1 (x) a).
-
-    This is the counit-side unit law of the right-module product; it is
-    U-linear by the translation identities and bijective.
+    With a_first, tm is A (x) M and a (x) m -> eta(a (x) 1) m for a left
+    module M, a (x) p -> p eta(1 (x) a) for a right module P (the
+    counit-side unit law, U-linear by the translation identities).
+    Otherwise tm is M (x) A and m (x) a -> eta(1 (x) a) m.
     """
-    na = data.A.dim
-    amb = Matrix.zeros(P.dim, na * P.dim)
+    na, dm = data.A.dim, M.dim
+    eta = data.eta_source if a_first and M.side == "left" else data.eta_target
+    amb = Matrix.zeros(dm, na * dm)
     for i in range(na):
-        act = P.act(data.eta_target(unit_vec(na, i)))
-        for j in range(P.dim):
-            col = act.col(j)
-            for k, c in enumerate(col):
-                amb.rows[k][i * P.dim + j] = c
+        act = M.act(eta(unit_vec(na, i)))
+        for j in range(dm):
+            col = i * dm + j if a_first else j * na + i
+            for k, c in enumerate(act.col(j)):
+                amb.rows[k][col] = c
     return Matrix.from_cols(
         [amb.apply(tm.space.lift(unit_vec(tm.space.dim, k))) for k in range(tm.space.dim)],
-        nrows=P.dim,
+        nrows=dm,
     )
-
-
-def tensor_over_u(U: FinDimAlgebra, X: ModuleRep, Y: ModuleRep) -> QuotientSpace:
-    """X (x)_U Y for a right module X and a left module Y."""
-    return tensor_over(U, X, Y)
 
 
 @dataclass
@@ -1083,19 +1017,10 @@ def tensor_flip(h: HopfStructure, M: ModuleRep, P: ModuleRep, N: ModuleRep) -> F
     """(M (x) P) (x)_U N  ->  P (x)_U (N (x) M), m (x) p (x) n -> p (x) n (x) m."""
     data = h.data
     mp = module_tensor_right(h, M, P)
-    lhs = tensor_over_u(data.U, mp.module, N)
+    lhs = tensor_over(data.U, mp.module, N)
     nm = module_tensor_left(data, N, M)
-    rhs = tensor_over_u(data.U, P, nm.module)
+    rhs = tensor_over(data.U, P, nm.module)
     dm, dp, dn = M.dim, P.dim, N.dim
-
-    # ambient chain: (i,j,k) in M x P x N -> pair (mp-coord, k) -> lhs coord
-    def lhs_coord(i, j, k):
-        pair = mp.project_pair(i, j)
-        v = zero_vec(mp.space.dim * dn)
-        for z, c in enumerate(pair):
-            if c:
-                v[z * dn + k] += c
-        return lhs.project(v)
 
     def rhs_coord(i, j, k):
         pair = nm.project_pair(k, i)
@@ -1105,7 +1030,6 @@ def tensor_flip(h: HopfStructure, M: ModuleRep, P: ModuleRep, N: ModuleRep) -> F
                 v[j * nm.space.dim + z] += c
         return rhs.project(v)
 
-    fwd_on_full = {}
     cols = []
     for idx in range(lhs.dim):
         amb = lhs.lift(unit_vec(lhs.dim, idx))
@@ -1144,24 +1068,9 @@ def galois_module(h: HopfStructure, M: ModuleRep):
     nu, na, dm = U.dim, data.A.dim, M.dim
     # source: U (x) M / span{ a |>> u (x) m - u (x) m <| a }
     ambient = nu * dm
-    relations = []
-    for r in range(na):
-        ur = data.bl_l[r]
-        mr = M.act(data.eta_target(unit_vec(na, r)))
-        for i in range(nu):
-            ci = ur.col(i)
-            for j in range(dm):
-                cj = mr.col(j)
-                rel = zero_vec(ambient)
-                for p, c in enumerate(ci):
-                    if c:
-                        rel[p * dm + j] += c
-                for q, c in enumerate(cj):
-                    if c:
-                        rel[i * dm + q] -= c
-                if not vec_is_zero(rel):
-                    relations.append(rel)
-    source = QuotientSpace.from_relation_vectors(ambient, relations)
+    source = balanced_tensor(
+        ((data.bl_l[r], M.act(data.eta_target(unit_vec(na, r)))) for r in range(na)), nu, dm
+    )
     # the source is a left U-module by multiplication on the first leg
     src_action = [
         induced_map(U.left_mult_matrix(unit_vec(nu, u)).kron(Matrix.identity(dm)), source, source)

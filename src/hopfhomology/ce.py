@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import Matrix, Q, zero_vec
+from .linalg import Matrix, Q, sparse_add, zero_vec
 from .pbw import (
     LieAlgebraData,
     LieModule,
@@ -36,16 +36,6 @@ from .pbw import (
     monomials_upto,
     pbw_multiply,
 )
-
-
-def _merge(d, k, c):
-    if not c:
-        return
-    s = d.get(k, 0) + c
-    if s:
-        d[k] = s
-    else:
-        del d[k]
 
 
 def _insert_sign(z, rest):
@@ -104,7 +94,7 @@ class CEResolution:
                 k = self._gen_index[n - 1][rest]
                 gen_mono = tuple(1 if t == xi else 0 for t in range(g.dim))
                 entry = col.setdefault(k, {})
-                _merge(entry, gen_mono, sign)
+                sparse_add(entry, gen_mono, sign)
             for p in range(n):
                 for q in range(p + 1, n):
                     rest = tuple(x for t, x in enumerate(I) if t not in (p, q))
@@ -115,7 +105,7 @@ class CEResolution:
                         ins, merged = _insert_sign(z, rest)
                         k = self._gen_index[n - 1][merged]
                         entry = col.setdefault(k, {})
-                        _merge(entry, mono_one(g.dim), base_sign * c * ins)
+                        sparse_add(entry, mono_one(g.dim), base_sign * c * ins)
             cols.append({k: e for k, e in col.items() if e})
         self._diff_cols[n] = cols
         return cols
@@ -135,7 +125,7 @@ class CEResolution:
                     for i2, entry2 in outer[i].items():
                         prod = pbw_multiply(g, entry, entry2)
                         for m, c in prod.items():
-                            _merge(acc, (i2, m), c)
+                            sparse_add(acc, (i2, m), c)
                 if acc:
                     raise ValidationError(f"d d != 0 at degree {n}, generator {j}")
 
@@ -176,7 +166,7 @@ class CEResolution:
                         for k, entry in self.diff_cols(i)[self.gen_index(i, I)].items():
                             I2 = self._gens[i - 1][k]
                             for m, c in entry.items():
-                                _merge(lhs, (I2, J, m, mono_one(g.dim)), sgn * c)
+                                sparse_add(lhs, (I2, J, m, mono_one(g.dim)), sgn * c)
                     # d on the second leg with the Koszul sign
                     j = len(J)
                     if j >= 1:
@@ -184,7 +174,7 @@ class CEResolution:
                         for k, entry in self.diff_cols(j)[self.gen_index(j, J)].items():
                             J2 = self._gens[j - 1][k]
                             for m, c in entry.items():
-                                _merge(lhs, (I, J2, mono_one(g.dim), m), sgn * sign2 * c)
+                                sparse_add(lhs, (I, J2, mono_one(g.dim), m), sgn * sign2 * c)
                 rhs = {}
                 for k, entry in self.diff_cols(n)[self.gen_index(n, K)].items():
                     K2 = self._gens[n - 1][k]
@@ -192,7 +182,7 @@ class CEResolution:
                         # diagonal action of the PBW element m on diag(e_K2)
                         for I, J, sgn in self.diagonal(K2):
                             for (m1, m2), c2 in delta_elt(g, {m: c}).items():
-                                _merge(rhs, (I, J, m1, m2), sgn * c2)
+                                sparse_add(rhs, (I, J, m1, m2), sgn * c2)
                 for key in set(lhs) | set(rhs):
                     if lhs.get(key, 0) != rhs.get(key, 0):
                         raise ValidationError(
@@ -301,9 +291,6 @@ class UgBarComplex:
         self._tuples[n] = (out, idx)
         return self._tuples[n]
 
-    def cochain_dim(self, n, M):
-        return len(self.tuples(n)[0]) * M.dim
-
     def cochain_matrix(self, n, M: LieModule) -> Matrix:
         """delta : C^n(M) -> C^{n+1}(M) from the bar faces."""
         g = self.g
@@ -372,7 +359,7 @@ def ce_to_bar_words(ce: CEResolution, upto: int):
             for m, cm in u_elt.items():
                 prod = mono_mul(g, m, w[0])
                 for m2, c2 in prod.items():
-                    _merge(out, (m2,) + w[1:], c * cm * c2)
+                    sparse_add(out, (m2,) + w[1:], c * cm * c2)
         return out
 
     for n in range(1, upto + 1):
@@ -384,11 +371,11 @@ def ce_to_bar_words(ce: CEResolution, upto: int):
                 K2 = ce.generators(n - 1)[k]
                 img = prev[K2]
                 for w, c in bar_mul_left(entry, img).items():
-                    _merge(acc, w, c)
+                    sparse_add(acc, w, c)
             # contraction: prepend a unit slot
             lifted = {}
             for w, c in acc.items():
-                _merge(lifted, (unit,) + w, c)
+                sparse_add(lifted, (unit,) + w, c)
             cur[K] = lifted
         images.append(cur)
     return images
@@ -404,10 +391,10 @@ def bar_boundary_word_ug(g, w):
         sign = Q(-1) ** i
         prod = mono_mul(g, w[i], w[i + 1])
         for m, c in prod.items():
-            _merge(out, w[:i] + (m,) + w[i + 2 :], sign * c)
+            sparse_add(out, w[:i] + (m,) + w[i + 2 :], sign * c)
     if mono_deg(w[n]) == 0:
         sign = Q(-1) ** n
-        _merge(out, w[:-1], sign)
+        sparse_add(out, w[:-1], sign)
     return out
 
 
@@ -437,14 +424,14 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
             bd = {}
             for w, c in img.items():
                 for w2, d in bar_boundary_word_ug(g, w).items():
-                    _merge(bd, w2, c * d)
+                    sparse_add(bd, w2, c * d)
             direct = {}
             for k, entry in ce.diff_cols(n)[ce.gen_index(n, K)].items():
                 K2 = ce.generators(n - 1)[k]
                 for w, c in images[n - 1][K2].items():
                     for m, cm in entry.items():
                         for m2, c2 in mono_mul(g, m, w[0]).items():
-                            _merge(direct, (m2,) + w[1:], c * cm * c2)
+                            sparse_add(direct, (m2,) + w[1:], c * cm * c2)
             if bd != direct:
                 raise LiftFailedError(f"comparison map fails at degree {n}")
     bijective = []

@@ -5,7 +5,8 @@ oracle hochschild.  Reports go to standard output as JSON with sorted
 keys and rationals rendered as strings, so identical inputs produce
 byte-identical output.  Exit codes: 0 success, 1 a verification check
 failed (the report carries the witness), 2 usage or input errors, 3 a
-certified window was exceeded.
+certified window was exceeded; run() maps the package's exceptions to
+them, so no input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .duality import (
     dual_bases,
     duality_isomorphism_ug,
 )
-from .errors import NotInvertibleError, WindowExceededError
+from .errors import NotInvertibleError, NotProjectiveError, ValidationError, WindowExceededError
 from .homology import ext, tor
 from .instances import builtin_instances, dual_numbers, q_times_q, upper_triangular2
 from .linalg import frac_str
@@ -57,7 +58,7 @@ def _get_instance(name):
             with open(name) as fh:
                 blob = json.load(fh)
             data = BialgebroidData.from_json(blob, name=os.path.basename(name))
-        except (KeyError, ValueError) as e:
+        except (KeyError, IndexError, TypeError, ValueError) as e:
             sys.stderr.write(f"could not load instance file {name!r}: {e}\n")
             return None
         modules = {"A": data.a_module(), "U": ModuleRep.regular_left(data.U)}
@@ -138,14 +139,6 @@ def cmd_verify_hopf(args):
     return 0 if ok else 1
 
 
-def _resolve(inst, resolution, depth):
-    if inst.kind == "lie":
-        if resolution == "bar":
-            return None
-        return ce_resolution(inst.data, validate=False)
-    return bar_resolution(inst.data, depth)
-
-
 def cmd_ext_tor(args, which):
     inst = _get_instance(args.instance)
     if inst is None:
@@ -180,7 +173,7 @@ def cmd_ext_tor(args, which):
         mods = _lie_modules(inst) if which == "ext" else _lie_right_modules(inst)
         window = None  # a complete resolution certifies every degree
     else:
-        depth = args.depth or args.max_degree + 1
+        depth = args.depth if args.depth is not None else args.max_degree + 1
         res = bar_resolution(inst.data, depth)
         mods = inst.modules if which == "ext" else inst.right_modules
         window = depth
@@ -221,15 +214,12 @@ def cmd_cup(args):
                         table.append(row)
                     tables.append({"op": "cup", "m": m, "n": n, "table": table})
         else:
-            if "A" in inst.modules:
-                M = inst.modules["A"]
-            else:
-                M = inst.modules["trivial"]
             data = inst.data
             h = galois_map(data)
+            M = inst.modules.get("A") or inst.modules["trivial"]
             bar = bar_resolution(data, args.max_total + 1)
             pr = BarProducts(h, bar, args.max_total)
-            from .bialgebroid import unit_left_iso
+            from .bialgebroid import unit_iso
             from .products import transport_cochain
 
             groups = {n: ext(bar, M, n) for n in range(args.max_total + 1)}
@@ -240,7 +230,7 @@ def cmd_cup(args):
                         row = []
                         for psi in groups[n].basis_cocycles():
                             c, tm = pr.cup(m, n, phi, psi, M, M)
-                            iso = unit_left_iso(data, M, tm)
+                            iso = unit_iso(data, M, tm)
                             moved = transport_cochain(bar.rank(m + n), iso, c, tm.space.dim)
                             row.append([frac_str(x) for x in groups[m + n].class_of(moved)])
                         table.append(row)
@@ -369,7 +359,23 @@ def cmd_oracle(args):
     return 0
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser():
+    natural = _int_at_least(0)
     p = argparse.ArgumentParser(prog="hopfhomology")
     sub = p.add_subparsers(dest="cmd")
 
@@ -379,34 +385,34 @@ def build_parser():
 
     pv = sub.add_parser("verify-hopf")
     pv.add_argument("instance")
-    pv.add_argument("--pbw-bound", type=int, default=3)
+    pv.add_argument("--pbw-bound", type=natural, default=3)
 
     for name in ("ext", "tor"):
         pe = sub.add_parser(name)
         pe.add_argument("instance")
         pe.add_argument("--module", default="trivial")
-        pe.add_argument("--max-degree", type=int, default=2)
+        pe.add_argument("--max-degree", type=natural, default=2)
         pe.add_argument("--resolution", choices=["bar", "ce"], default=None)
-        pe.add_argument("--depth", type=int, default=None)
-        pe.add_argument("--pbw-bound", type=int, default=4)
+        pe.add_argument("--depth", type=_int_at_least(1), default=None)
+        pe.add_argument("--pbw-bound", type=natural, default=4)
 
     pc = sub.add_parser("cup")
     pc.add_argument("instance")
-    pc.add_argument("--max-total", type=int, default=2)
+    pc.add_argument("--max-total", type=natural, default=2)
 
     pk = sub.add_parser("cap")
     pk.add_argument("instance")
-    pk.add_argument("--max-degree", type=int, default=2)
+    pk.add_argument("--max-degree", type=natural, default=2)
 
     pd = sub.add_parser("duality")
     pd.add_argument("instance")
     pd.add_argument("--module", default="trivial")
-    pd.add_argument("--pbw-bound", type=int, default=4)
+    pd.add_argument("--pbw-bound", type=natural, default=4)
 
     po = sub.add_parser("oracle")
     po.add_argument("kind", choices=["hochschild"])
     po.add_argument("algebra")
-    po.add_argument("--max-degree", type=int, default=3)
+    po.add_argument("--max-degree", type=natural, default=3)
     return p
 
 
@@ -439,6 +445,20 @@ def run(argv) -> int:
     except WindowExceededError as e:
         sys.stderr.write(str(e) + "\n")
         return 3
+    except (NotInvertibleError, NotProjectiveError, ValidationError) as e:
+        # a structural check failed on valid input: report its witness
+        witness = str(e)
+        if isinstance(e, NotInvertibleError):
+            witness += f": rank {e.rank} of {e.dims}"
+        _emit(
+            {
+                "command": args.cmd,
+                "instance": getattr(args, "instance", None),
+                "failure": type(e).__name__,
+                "witnesses": [witness],
+            }
+        )
+        return 1
     return 2
 
 

@@ -227,10 +227,6 @@ class DoubleComplex:
         return total, offsets
 
 
-def totalize(dc: DoubleComplex):
-    return dc.totalize()
-
-
 def shuffle_transpose_iso(dc: DoubleComplex):
     """Chain isomorphism Tot(dc) -> Tot(dc^T) given by (-1)^{ij} on blocks.
 

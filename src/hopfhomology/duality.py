@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .homology import TorGroup, chain_matrix, ext, tor
-from .linalg import Matrix, Q, Subspace, unit_vec, vec_is_zero, zero_vec
+from .linalg import Matrix, Q, Subspace, lincomb, unit_vec, vec_is_zero, zero_vec
 from .pbw import LieModule, mono_one, monomials_upto
 
 
@@ -55,9 +55,6 @@ class DualBases:
     astar_module: ModuleRep
     omega_space: object
     omega: list
-
-    def evaluate_dual(self, i, a_vec):
-        return self.duals[i].apply(a_vec)
 
 
 def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> DualBases:
@@ -92,14 +89,8 @@ def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> Dual
     sol = Matrix(rows, ncols=unknowns).solve(rhs)
     if sol is None:
         raise NotProjectiveError("no U-linear splitting of the free cover exists")
-    duals = []
-    for i in range(n):
-        m = Matrix.zeros(U.dim, A_mod.dim)
-        for k, hm in enumerate(hom_mats):
-            c = sol[i * len(hom_mats) + k]
-            if c:
-                m = m + hm.scale(c)
-        duals.append(m)
+    nh = len(hom_mats)
+    duals = [lincomb(zip(sol[i * nh : (i + 1) * nh], hom_mats), U.dim, A_mod.dim) for i in range(n)]
     # A* as a right U-module on the hom subspace coordinates
     astar_dim = homs.dim
     action = []

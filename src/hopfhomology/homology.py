@@ -17,25 +17,12 @@ from dataclasses import dataclass
 
 from .complexes import HomologySpace
 from .errors import LiftFailedError, WindowExceededError
-from .linalg import Matrix, SparseReducer
+from .linalg import Matrix, SparseReducer, sparse_add
 
 
 def cochain_matrix(res, M, n) -> Matrix:
     """delta^n : Hom(P_n, M) -> Hom(P_{n+1}, M) on generator coordinates."""
-    dm = M.dim
-    rows = res.rank(n + 1) * dm
-    cols = res.rank(n) * dm
-    out = Matrix.zeros(rows, cols)
-    for k, col in enumerate(res.diff_cols(n + 1)):
-        for j, entry in col.items():
-            act = res.act_left(entry, M)
-            for a in range(dm):
-                row = out.rows[k * dm + a]
-                arow = act.rows[a]
-                for b in range(dm):
-                    if arow[b]:
-                        row[j * dm + b] += arow[b]
-    return out
+    return Matrix.from_sparse_rows(cochain_rows_sparse(res, M, n), res.rank(n) * M.dim)
 
 
 def cochain_rows_sparse(res, M, n):
@@ -50,31 +37,13 @@ def cochain_rows_sparse(res, M, n):
                 target = rows[k * dm + a]
                 for b in range(dm):
                     if arow[b]:
-                        key = j * dm + b
-                        s = target.get(key, 0) + arow[b]
-                        if s:
-                            target[key] = s
-                        else:
-                            target.pop(key, None)
+                        sparse_add(target, j * dm + b, arow[b])
     return rows
 
 
 def chain_matrix(res, N, n) -> Matrix:
     """boundary_n : N^{rank(n)} -> N^{rank(n-1)} on generator coordinates."""
-    dn = N.dim
-    rows = res.rank(n - 1) * dn
-    cols = res.rank(n) * dn
-    out = Matrix.zeros(rows, cols)
-    for k, col in enumerate(res.diff_cols(n)):
-        for j, entry in col.items():
-            act = res.act_right(entry, N)
-            for a in range(dn):
-                row = out.rows[j * dn + a]
-                arow = act.rows[a]
-                for b in range(dn):
-                    if arow[b]:
-                        row[k * dn + b] += arow[b]
-    return out
+    return Matrix.from_sparse_rows(chain_rows_sparse(res, N, n), res.rank(n) * N.dim)
 
 
 def chain_rows_sparse(res, N, n):
@@ -88,12 +57,7 @@ def chain_rows_sparse(res, N, n):
                 target = rows[j * dn + a]
                 for b in range(dn):
                     if arow[b]:
-                        key = k * dn + b
-                        s = target.get(key, 0) + arow[b]
-                        if s:
-                            target[key] = s
-                        else:
-                            target.pop(key, None)
+                        sparse_add(target, k * dn + b, arow[b])
     return rows
 
 

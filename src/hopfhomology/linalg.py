@@ -93,6 +93,15 @@ class Matrix:
         return cls([zero_vec(ncols) for _ in range(nrows)], ncols=ncols)
 
     @classmethod
+    def from_sparse_rows(cls, rows, ncols):
+        """Dense matrix from rows given as dicts {column: entry}."""
+        out = cls.zeros(len(rows), ncols)
+        for dense, sparse in zip(out.rows, rows):
+            for j, c in sparse.items():
+                dense[j] = c
+        return out
+
+    @classmethod
     def from_cols(cls, cols, nrows=None):
         if not cols:
             if nrows is None:
@@ -100,9 +109,6 @@ class Matrix:
             return cls.zeros(nrows, 0)
         n = len(cols[0])
         return cls([[frac(col[i]) for col in cols] for i in range(n)], ncols=len(cols))
-
-    def copy(self):
-        return Matrix([row[:] for row in self.rows], ncols=self.ncols)
 
     def col(self, j):
         return [row[j] for row in self.rows]
@@ -321,6 +327,15 @@ class Matrix:
         return cls([[frac(x) for x in row] for row in data], ncols=ncols)
 
 
+def lincomb(terms, nrows, ncols) -> Matrix:
+    """The matrix sum of c * m over the pairs (c, m) in terms."""
+    out = Matrix.zeros(nrows, ncols)
+    for c, m in terms:
+        if c:
+            out = out + m.scale(c)
+    return out
+
+
 class Subspace:
     """Row space with canonical rref basis."""
 
@@ -422,18 +437,6 @@ class QuotientSpace:
             v[j] = c
         return v
 
-    def project_matrix(self):
-        return Matrix.from_cols(
-            [self.project(unit_vec(self.ambient_dim, i)) for i in range(self.ambient_dim)],
-            nrows=self.dim,
-        )
-
-    def lift_matrix(self):
-        return Matrix.from_cols(
-            [self.lift(unit_vec(self.dim, k)) for k in range(self.dim)],
-            nrows=self.ambient_dim,
-        )
-
     def __repr__(self):
         return f"QuotientSpace(dim {self.dim} = {self.ambient_dim} ambient mod {self.relations.dim})"
 
@@ -460,18 +463,25 @@ def induced_map(f: Matrix, source: QuotientSpace, target: QuotientSpace) -> Matr
 
 
 # ---------------------------------------------------------------------------
-# sparse rows: dict {column: Fraction}.  Used where ambient dimensions are
-# too large for dense elimination (bar complexes of group algebras).
+# sparse vectors: dict {key: Fraction} holding no zero values.  Every
+# sparse accumulation in the package goes through sparse_add; sparse rows
+# are eliminated where ambient dimensions are too large for dense
+# elimination (bar complexes of group algebras).
+
+
+def sparse_add(target, key, c):
+    """target[key] += c on a sparse dict, dropping the key when it cancels."""
+    s = target.get(key, 0) + c
+    if s:
+        target[key] = s
+    else:
+        target.pop(key, None)
 
 
 def sparse_axpy(target, c, source):
     """target += c * source, dropping zeros; mutates and returns target."""
     for j, a in source.items():
-        s = target.get(j, 0) + c * a
-        if s:
-            target[j] = s
-        else:
-            target.pop(j, None)
+        sparse_add(target, j, c * a)
     return target
 
 

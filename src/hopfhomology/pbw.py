@@ -18,7 +18,7 @@ from fractions import Fraction as Q
 from math import comb
 
 from .errors import DegreeOverflowError, ValidationError
-from .linalg import Matrix, zero_vec
+from .linalg import Matrix, lincomb, sparse_add, sparse_axpy, zero_vec
 
 
 class LieAlgebraData:
@@ -53,19 +53,6 @@ class LieAlgebraData:
                                         total[n] += cm * cn
                     if any(total):
                         raise ValidationError(f"Jacobi fails at ({i},{j},{k})")
-
-    def bracket_vec(self, u, v):
-        d = self.dim
-        out = zero_vec(d)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b:
-                    for k, c in enumerate(self.bracket[i][j]):
-                        if c:
-                            out[k] += a * b * c
-        return out
 
     def adjoint_matrix(self, i):
         """ad x_i as a matrix on g."""
@@ -112,28 +99,6 @@ def monomials_upto(d, bound):
     return out
 
 
-def elt_scale(c, u):
-    if not c:
-        return {}
-    return {m: c * a for m, a in u.items()}
-
-
-def elt_add(*elts):
-    out = {}
-    for e in elts:
-        for m, c in e.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def elt_deg(u):
-    return max((mono_deg(m) for m in u), default=0)
-
-
 def _xmul(g: LieAlgebraData, i, m):
     """x_i times the monomial m, straightened; dict of monomials."""
     key = (i, m)
@@ -154,19 +119,11 @@ def _xmul(g: LieAlgebraData, i, m):
         out = {}
         for mm, c in _xmul(g, i, mp).items():
             for m2, c2 in _xmul(g, j, mm).items():
-                s = out.get(m2, 0) + c * c2
-                if s:
-                    out[m2] = s
-                else:
-                    out.pop(m2, None)
+                sparse_add(out, m2, c * c2)
         for k, ck in enumerate(g.bracket[i][j]):
             if ck:
                 for mm, c in _xmul(g, k, mp).items():
-                    s = out.get(mm, 0) + ck * c
-                    if s:
-                        out[mm] = s
-                    else:
-                        out.pop(mm, None)
+                    sparse_add(out, mm, ck * c)
     g._xmul_cache[key] = out
     return out
 
@@ -181,11 +138,7 @@ def mono_mul(g: LieAlgebraData, m1, m2):
         nxt = {}
         for m, c in result.items():
             for mm, d in _xmul(g, i, m).items():
-                s = nxt.get(mm, 0) + c * d
-                if s:
-                    nxt[mm] = s
-                else:
-                    nxt.pop(mm, None)
+                sparse_add(nxt, mm, c * d)
         result = nxt
     return result
 
@@ -196,11 +149,7 @@ def pbw_multiply(g: LieAlgebraData, u, v, bound=None):
     for m1, c1 in u.items():
         for m2, c2 in v.items():
             for m, c in mono_mul(g, m1, m2).items():
-                s = out.get(m, 0) + c1 * c2 * c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                sparse_add(out, m, c1 * c2 * c)
     if bound is not None:
         worst = max((mono_deg(m) for m in out), default=0)
         if worst > bound:
@@ -208,24 +157,10 @@ def pbw_multiply(g: LieAlgebraData, u, v, bound=None):
     return out
 
 
-def elt_counit(u):
-    d = None
-    for m in u:
-        d = len(m)
-        break
-    if d is None:
-        return Q(0)
-    return u.get(mono_one(d), Q(0))
-
-
 def generator(g: LieAlgebraData, i):
     m = [0] * g.dim
     m[i] = 1
     return {tuple(m): Q(1)}
-
-
-def one(g: LieAlgebraData):
-    return {mono_one(g.dim): Q(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +174,7 @@ def delta_mono(g: LieAlgebraData, m):
 
     def rec(i, left, right, coef):
         if i == d:
-            key = (tuple(left), tuple(right))
-            s = out.get(key, 0) + coef
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            sparse_add(out, (tuple(left), tuple(right)), coef)
             return
         for k in range(m[i] + 1):
             left[i] = k
@@ -259,11 +189,7 @@ def delta_elt(g, u):
     out = {}
     for m, c in u.items():
         for key, d_ in delta_mono(g, m).items():
-            s = out.get(key, 0) + c * d_
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            sparse_add(out, key, c * d_)
     return out
 
 
@@ -286,34 +212,12 @@ def translation_mono(g: LieAlgebraData, m):
         for (p, q), c in result.items():
             # term x_i (x) 1: p x_i (x) q
             for mm, cc in mono_mul(g, p, gmono).items():
-                key = (mm, q)
-                s = step.get(key, 0) + c * cc
-                if s:
-                    step[key] = s
-                else:
-                    step.pop(key, None)
+                sparse_add(step, (mm, q), c * cc)
             # term -1 (x) x_i: p (x) x_i q  (new factor multiplies from the left)
             for mm, cc in _xmul(g, i, q).items():
-                key = (p, mm)
-                s = step.get(key, 0) - c * cc
-                if s:
-                    step[key] = s
-                else:
-                    step.pop(key, None)
+                sparse_add(step, (p, mm), -(c * cc))
         result = step
     return result
-
-
-def translation_elt(g, u):
-    out = {}
-    for m, c in u.items():
-        for key, d_ in translation_mono(g, m).items():
-            s = out.get(key, 0) + c * d_
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +251,7 @@ class LieModule:
         for i in range(d):
             for j in range(d):
                 comm = self.gen[i] @ self.gen[j] - self.gen[j] @ self.gen[i]
-                expect = Matrix.zeros(self.dim, self.dim)
-                for k, c in enumerate(self.g.bracket[i][j]):
-                    if c:
-                        expect = expect + self.gen[k].scale(c)
+                expect = lincomb(zip(self.g.bracket[i][j], self.gen), self.dim, self.dim)
                 if self.side == "right":
                     expect = -expect
                 if comm != expect:
@@ -372,11 +273,7 @@ class LieModule:
         return out
 
     def act(self, elt):
-        out = Matrix.zeros(self.dim, self.dim)
-        for m, c in elt.items():
-            if c:
-                out = out + self.act_mono(m).scale(c)
-        return out
+        return lincomb(((c, self.act_mono(m)) for m, c in elt.items() if c), self.dim, self.dim)
 
     @classmethod
     def trivial(cls, g, side="left"):
@@ -419,11 +316,6 @@ def tensor_right_lie(g, M: LieModule, P: LieModule) -> LieModule:
     return LieModule(g, M.dim * P.dim, "right", mats, name=f"{M.name}(x){P.name}")
 
 
-def right_from_left(g, M: LieModule) -> LieModule:
-    """Flip a left module to a right module through x -> -x."""
-    return LieModule(g, M.dim, "right", [-m for m in M.gen], name=M.name + "-r")
-
-
 def ug_hopf_report(g: LieAlgebraData, bound=3) -> dict:
     """Translation-map identities on all PBW monomials of degree <= bound.
 
@@ -436,42 +328,20 @@ def ug_hopf_report(g: LieAlgebraData, bound=3) -> dict:
     monos = monomials_upto(g.dim, bound)
     unit = mono_one(g.dim)
 
-    def pair_mul_second(pairs, q):
-        out = {}
-        for (x, y), c in pairs.items():
-            for y2, c2 in mono_mul(g, y, q).items():
-                k = (x, y2)
-                s = out.get(k, 0) + c * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
-
     ok1 = ok2 = True
     for m in monos:
         acc1 = {}
         for (p, q), c in translation_mono(g, m).items():
             for (x, y), c2 in delta_mono(g, p).items():
                 for y2, c3 in mono_mul(g, y, q).items():
-                    k = (x, y2)
-                    s = acc1.get(k, 0) + c * c2 * c3
-                    if s:
-                        acc1[k] = s
-                    else:
-                        acc1.pop(k, None)
+                    sparse_add(acc1, (x, y2), c * c2 * c3)
         if acc1 != {(m, unit): Q(1)}:
             ok1 = False
         acc2 = {}
         for (p, q), c in delta_mono(g, m).items():
             for (x, y), c2 in translation_mono(g, p).items():
                 for y2, c3 in mono_mul(g, y, q).items():
-                    k = (x, y2)
-                    s = acc2.get(k, 0) + c * c2 * c3
-                    if s:
-                        acc2[k] = s
-                    else:
-                        acc2.pop(k, None)
+                    sparse_add(acc2, (x, y2), c * c2 * c3)
         if acc2 != {(m, unit): Q(1)}:
             ok2 = False
     checks["translation_1"] = ok1
@@ -482,21 +352,13 @@ def ug_hopf_report(g: LieAlgebraData, bound=3) -> dict:
         lhs = {}
         for (p, q), c in delta_mono(g, m).items():
             if q == unit:
-                s = lhs.get(p, 0) + c
-                if s:
-                    lhs[p] = s
-                else:
-                    lhs.pop(p, None)
+                sparse_add(lhs, p, c)
         if lhs != {m: Q(1)}:
             ok = False
         rhs = {}
         for (p, q), c in delta_mono(g, m).items():
             if p == unit:
-                s = rhs.get(q, 0) + c
-                if s:
-                    rhs[q] = s
-                else:
-                    rhs.pop(q, None)
+                sparse_add(rhs, q, c)
         if rhs != {m: Q(1)}:
             ok = False
     checks["counit_laws"] = ok
@@ -507,19 +369,9 @@ def ug_hopf_report(g: LieAlgebraData, bound=3) -> dict:
         rhs = {}
         for (p, q), c in delta_mono(g, m).items():
             for (x, y), c2 in delta_mono(g, p).items():
-                k = (x, y, q)
-                s = lhs.get(k, 0) + c * c2
-                if s:
-                    lhs[k] = s
-                else:
-                    lhs.pop(k, None)
+                sparse_add(lhs, (x, y, q), c * c2)
             for (x, y), c2 in delta_mono(g, q).items():
-                k = (p, x, y)
-                s = rhs.get(k, 0) + c * c2
-                if s:
-                    rhs[k] = s
-                else:
-                    rhs.pop(k, None)
+                sparse_add(rhs, (p, x, y), c * c2)
         if lhs != rhs:
             ok = False
     checks["coassociative"] = ok
@@ -535,12 +387,7 @@ def ug_hopf_report(g: LieAlgebraData, bound=3) -> dict:
                 for (x, y), c2 in delta_mono(g, m2).items():
                     for px, c3 in mono_mul(g, p, x).items():
                         for qy, c4 in mono_mul(g, q, y).items():
-                            k = (px, qy)
-                            s = composed.get(k, 0) + c * c2 * c3 * c4
-                            if s:
-                                composed[k] = s
-                            else:
-                                composed.pop(k, None)
+                            sparse_add(composed, (px, qy), c * c2 * c3 * c4)
             if direct != composed:
                 ok = False
     checks["delta_multiplicative"] = ok
@@ -552,22 +399,13 @@ def ug_hopf_report(g: LieAlgebraData, bound=3) -> dict:
             direct = {}
             for mm, c in prod.items():
                 for k, c2 in translation_mono(g, mm).items():
-                    s = direct.get(k, 0) + c * c2
-                    if s:
-                        direct[k] = s
-                    else:
-                        direct.pop(k, None)
+                    sparse_add(direct, k, c * c2)
             composed = {}
             for (p, q), c in translation_mono(g, m1).items():
                 for (x, y), c2 in translation_mono(g, m2).items():
                     for px, c3 in mono_mul(g, p, x).items():
                         for yq, c4 in mono_mul(g, y, q).items():
-                            k = (px, yq)
-                            s = composed.get(k, 0) + c * c2 * c3 * c4
-                            if s:
-                                composed[k] = s
-                            else:
-                                composed.pop(k, None)
+                            sparse_add(composed, (px, yq), c * c2 * c3 * c4)
             if direct != composed:
                 ok = False
     checks["translation_multiplicative"] = ok
@@ -590,16 +428,7 @@ def transport_to_opposite(g: LieAlgebraData, gop: LieAlgebraData, elt):
             nxt = {}
             for mm, cc in acc.items():
                 for m2, d in _xmul(gop, i, mm).items():
-                    s = nxt.get(m2, 0) + cc * d
-                    if s:
-                        nxt[m2] = s
-                    else:
-                        nxt.pop(m2, None)
+                    sparse_add(nxt, m2, cc * d)
             acc = nxt
-        for mm, cc in acc.items():
-            s = out.get(mm, 0) + c * cc
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
+        sparse_axpy(out, c, acc)
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .bialgebroid import module_tensor_left, module_tensor_right
 from .errors import LiftFailedError, WindowExceededError
 from .homology import cochain_concrete_matrix
-from .linalg import Matrix, Q, zero_vec
+from .linalg import Matrix, Q, sparse_add, sparse_axpy, zero_vec
 from .pbw import LieModule, mono_one, pbw_multiply, tensor_left_lie, tensor_right_lie
 from .resolutions import BarResolution, TotalTensorComplex, lift_into_total
 from .ce import BoundedBasis, CEResolution, bounded_free_map
@@ -30,10 +30,6 @@ def transport_cochain(rank, iso: Matrix, cochain, src_dim):
         vals = [cochain[k * src_dim + a] for a in range(src_dim)]
         out.extend(iso.apply(vals))
     return out
-
-
-def transport_cycle(rank, iso: Matrix, cycle, src_dim):
-    return transport_cochain(rank, iso, cycle, src_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +129,10 @@ class BarProducts:
                 for k, c in enumerate(target):
                     if c:
                         for w3, d in bar.homotopy_word(bar.words(j - 1)[k]).items():
-                            img[w3] = img.get(w3, 0) + c * d
+                            sparse_add(img, w3, c * d)
                 v = zero_vec(bar.concrete_dim(j))
                 for w3, c in img.items():
-                    if c:
-                        v[bar.word_index(j, w3)] += sign * c
+                    v[bar.word_index(j, w3)] += sign * c
                 gen_vals[g] = v
             cols = []
             for w in bar.words(m + j):
@@ -294,12 +289,7 @@ class CEProducts:
                     for k, u in prev[G2].items():
                         prod = pbw_multiply(g, entry, u)
                         tgt = rhs_by_gen.setdefault(k, {})
-                        for mo, c in prod.items():
-                            s = tgt.get(mo, 0) + sign * c
-                            if s:
-                                tgt[mo] = s
-                            else:
-                                tgt.pop(mo, None)
+                        sparse_axpy(tgt, sign, prod)
                 sol = self._solve_boundary(j, rhs_by_gen)
                 cur[G] = sol
             lifts.append(cur)

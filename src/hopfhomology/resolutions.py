@@ -28,17 +28,7 @@ from .algebras import ModuleRep
 from .bialgebroid import BialgebroidData, module_tensor_left
 from .complexes import DoubleComplex
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import Matrix, Q, induced_map, unit_vec, zero_vec
-
-
-def _merge(target, key, c):
-    if not c:
-        return
-    s = target.get(key, 0) + c
-    if s:
-        target[key] = s
-    else:
-        del target[key]
+from .linalg import Matrix, Q, induced_map, sparse_add, unit_vec, zero_vec
 
 
 class BarResolution:
@@ -123,11 +113,11 @@ class BarResolution:
         out = {}
         if k == 0:
             for b, c in vec.items():
-                _merge(out, (b,) + word[1:], c)
+                sparse_add(out, (b,) + word[1:], c)
             return out
         if self.trivial_base:
             for b, c in vec.items():
-                _merge(out, word[:k] + (b,) + word[k + 1 :], c)
+                sparse_add(out, word[:k] + (b,) + word[k + 1 :], c)
             return out
         for b, cb in vec.items():
             for t, r, c in self.expand[b]:
@@ -139,7 +129,7 @@ class BarResolution:
                 else:
                     pushed = self._pushed_tail(r, word[k - 1])
                 for w3, c3 in self._renorm(w2, k - 1, pushed).items():
-                    _merge(out, w3, coef * c3)
+                    sparse_add(out, w3, coef * c3)
         return out
 
     def _mul_basis_tail(self, u, t):
@@ -171,14 +161,14 @@ class BarResolution:
         out = {}
         # face 0 merges the free slot with the first tail
         for p, c in self._mul_basis_tail(w[0], w[1]).items():
-            _merge(out, (p,) + w[2:], c)
+            sparse_add(out, (p,) + w[2:], c)
         # middle faces merge adjacent tails
         for i in range(1, n):
             sign = Q(-1) ** i
             vec = self._tail_product(w[i], w[i + 1])
             shell = w[: i + 1] + w[i + 2 :]
             for w2, c in self._renorm(shell, i, vec).items():
-                _merge(out, w2, sign * c)
+                sparse_add(out, w2, sign * c)
         # counit face
         sign = Q(-1) ** n
         eps_last = self.data.counit(self.tails[w[n]])
@@ -186,12 +176,12 @@ class BarResolution:
             acted = self.data.U.right_mult_matrix(self.data.eta_target(eps_last)).col(w[0])
             for p, c in enumerate(acted):
                 if c:
-                    _merge(out, (p,), sign * c)
+                    sparse_add(out, (p,), sign * c)
         else:
             target = self.push_vector(eps_last, self.tails[w[n - 1]])
             shell = w[: n]
             for w2, c in self._renorm(shell, n - 1, target).items():
-                _merge(out, w2, sign * c)
+                sparse_add(out, w2, sign * c)
         return out
 
     def push_vector(self, a_vec, u_vec):
@@ -203,7 +193,7 @@ class BarResolution:
         out = {}
         for w, c in elt.items():
             for w2, d in self.boundary_word(w).items():
-                _merge(out, w2, c * d)
+                sparse_add(out, w2, c * d)
         return out
 
     def homotopy_word(self, w):
@@ -213,14 +203,14 @@ class BarResolution:
             if c:
                 shell = (p, 0) + w[1:]
                 for w2, d in self._renorm(shell, 1, {w[0]: Q(1)}).items():
-                    _merge(out, w2, c * d)
+                    sparse_add(out, w2, c * d)
         return out
 
     def homotopy_elt(self, elt):
         out = {}
         for w, c in elt.items():
             for w2, d in self.homotopy_word(w).items():
-                _merge(out, w2, c * d)
+                sparse_add(out, w2, c * d)
         return out
 
     def homotopy_bottom(self, a_vec):
@@ -230,14 +220,6 @@ class BarResolution:
 
     def augmentation_word(self, w):
         return self.data.counit(unit_vec(self.U.dim, w[0]))
-
-    def augmentation_elt(self, elt):
-        out = zero_vec(self.data.A.dim)
-        for w, c in elt.items():
-            if len(w) == 1:
-                for k, d in enumerate(self.augmentation_word(w)):
-                    out[k] += c * d
-        return out
 
     # -- free generator differential -------------------------------------
 
@@ -255,7 +237,7 @@ class BarResolution:
                 if not c:
                     continue
                 for w2, d in self.boundary_word((p,) + g).items():
-                    _merge(acc, w2, c * d)
+                    sparse_add(acc, w2, c * d)
             col = {}
             for w2, c in acc.items():
                 gi = self._gen_index[n - 1][w2[1:]]
@@ -407,13 +389,6 @@ class TotalTensorComplex:
             cols.append(acc)
         self.aug = Matrix.from_cols(cols, nrows=na)
 
-    def act(self, n, uvec):
-        out = Matrix.zeros(self.complex.dim(n), self.complex.dim(n))
-        for i, c in enumerate(uvec):
-            if c:
-                out = out + self.action[n][i].scale(c)
-        return out
-
     def check_resolution(self, through_degree=None):
         """Exactness of the augmented total complex in checked degrees."""
         top = self.upto if through_degree is None else through_degree
@@ -427,10 +402,6 @@ class TotalTensorComplex:
         if not (self.aug @ self.complex.d(1)).is_zero():
             report["aug"] = False
         return report
-
-
-def tensor_resolution(bar: BarResolution, upto: int) -> TotalTensorComplex:
-    return TotalTensorComplex(bar, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +438,7 @@ def lift_to_bar(src: BarResolution, dst: BarResolution, upto: int):
             for j, c in enumerate(gv):
                 if c:
                     for w2, d in src.boundary_word(src.words(n)[j]).items():
-                        _merge(dg, w2, c * d)
+                        sparse_add(dg, w2, c * d)
             prev_img = zero_vec(dst.concrete_dim(n - 1))
             for w2, c in dg.items():
                 col = prev.col(src.word_index(n - 1, w2))
@@ -478,7 +449,7 @@ def lift_to_bar(src: BarResolution, dst: BarResolution, upto: int):
             for k, c in enumerate(prev_img):
                 if c:
                     for w3, d in dst.homotopy_word(dst.words(n - 1)[k]).items():
-                        _merge(img, w3, c * d)
+                        sparse_add(img, w3, c * d)
             gen_imgs[g] = img
         acts = dst.action_matrices(n)
         for w in src.words(n):

@@ -15,7 +15,7 @@ from hopfhomology.bialgebroid import (
     check_schauenburg,
     check_takeuchi,
     galois_map,
-    unit_left_iso,
+    unit_iso,
 )
 from hopfhomology.ce import ce_resolution, ce_vs_bar_ext
 from hopfhomology.cli import run as cli_run
@@ -127,7 +127,7 @@ def test_criterion_04_composition_cup_sign_rule(env_qeps, env_qeps_bar, env_qeps
                     y = pr.yoneda(m, n, phi, psi, A)
                     c1, tm1 = pr.cup(m, n, phi, psi, A, A)
                     c2, tm2 = pr.cup(n, m, psi, phi, A, A)
-                    iso = unit_left_iso(data, A, tm1)
+                    iso = unit_iso(data, A, tm1)
                     target = groups[m + n]
                     cy = target.class_of(y)
                     c1c = target.class_of(

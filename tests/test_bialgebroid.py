@@ -12,8 +12,7 @@ from hopfhomology.bialgebroid import (
     module_tensor_left,
     module_tensor_right,
     tensor_flip,
-    unit_left_iso,
-    unit_right_module_iso,
+    unit_iso,
 )
 from hopfhomology.errors import NotInvertibleError
 from hopfhomology.instances import (
@@ -159,7 +158,7 @@ def test_module_tensor_left_unit_isomorphisms(sweedler):
     M = mods["regular"]
     a_mod = data.a_module()
     tm = module_tensor_left(data, a_mod, M)
-    iso = unit_left_iso(data, M, tm)
+    iso = unit_iso(data, M, tm)
     assert iso.nrows == iso.ncols == M.dim
     assert iso.rank() == M.dim
     for u in range(data.U.dim):
@@ -167,14 +166,12 @@ def test_module_tensor_left_unit_isomorphisms(sweedler):
 
 
 def test_module_tensor_left_right_unit_law(sweedler):
-    from hopfhomology.bialgebroid import unit_right_iso
-
     data = sweedler.data
     mods = sweedler_modules(data)
     M = mods["regular"]
     a_mod = data.a_module()
     tm = module_tensor_left(data, M, a_mod)
-    iso = unit_right_iso(data, M, tm)
+    iso = unit_iso(data, M, tm, a_first=False)
     assert iso.nrows == iso.ncols == M.dim
     assert iso.rank() == M.dim
     for u in range(data.U.dim):
@@ -248,7 +245,7 @@ def test_module_tensor_right_unit_case(env_qeps, env_qeps_hopf):
     P = bimodule_a_right(data)
     a_mod = data.a_module()
     tm = module_tensor_right(env_qeps_hopf, a_mod, P)
-    iso = unit_right_module_iso(data, P, tm)
+    iso = unit_iso(data, P, tm)
     assert iso.rank() == P.dim
     for u in range(data.U.dim):
         assert iso @ tm.module.action[u] == P.action[u] @ iso
@@ -348,19 +345,17 @@ def test_galois_module_recovers_galois_map(qs3):
 def test_unit_laws_noncommutative_base(catalog):
     # unit object laws over the upper triangular base, where left and
     # right base multiplications genuinely differ
-    from hopfhomology.bialgebroid import unit_right_iso
-
     inst = catalog["env-upper2"]
     data = inst.data
     a_mod = data.a_module()
     M = inst.modules["A"]
     tm = module_tensor_left(data, a_mod, M)
-    iso = unit_left_iso(data, M, tm)
+    iso = unit_iso(data, M, tm)
     assert iso.rank() == M.dim
     for u in range(data.U.dim):
         assert iso @ tm.module.action[u] == M.action[u] @ iso
     tm2 = module_tensor_left(data, M, a_mod)
-    iso2 = unit_right_iso(data, M, tm2)
+    iso2 = unit_iso(data, M, tm2, a_first=False)
     assert iso2.rank() == M.dim
     for u in range(data.U.dim):
         assert iso2 @ tm2.module.action[u] == M.action[u] @ iso2

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hopfhomology.cli import run
 
 
@@ -140,3 +142,72 @@ def test_entry_point_subprocess_determinism():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ext", "qs3", "--max-degree", "-1"],
+        ["tor", "qs3", "--max-degree", "-1"],
+        ["cap", "lie-nonabelian2", "--max-degree", "-1"],
+        ["oracle", "hochschild", "qeps", "--max-degree", "-1"],
+        ["cup", "kz3", "--max-total", "-1"],
+        ["verify-hopf", "lie-sl2", "--pbw-bound", "-1"],
+        ["duality", "lie-sl2", "--pbw-bound", "-1"],
+        ["ext", "qs3", "--depth", "0"],
+        ["ext", "qs3", "--max-degree", "two"],
+    ],
+)
+def test_invalid_numeric_argument_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+def _run_failure(argv, capsys):
+    """Run a command that must fail cleanly; return (code, stdout, stderr)."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured.out, captured.err
+
+
+def test_cup_on_non_hopf_instance_reports_witness(capsys):
+    code, out, _ = _run_failure(["cup", "monoid01", "--max-total", "1"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["failure"] == "NotInvertibleError"
+    assert "not bijective" in data["witnesses"][0]
+
+
+def test_duality_non_projective_reports_witness(capsys):
+    code, out, _ = _run_failure(["duality", "env-qeps", "--module", "A"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["failure"] == "NotProjectiveError"
+    assert data["witnesses"]
+
+
+def test_duality_failed_cap_check_reports_witness(monkeypatch, capsys):
+    from hopfhomology import cli
+    from hopfhomology.errors import ValidationError
+
+    def failing_cap(*args):
+        raise ValidationError("cap with the degree zero class is not bijective")
+
+    monkeypatch.setattr(cli, "cap_omega_underived", failing_cap)
+    code, out, _ = _run_failure(["duality", "qs3", "--module", "trivial"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["failure"] == "ValidationError"
+    assert data["witnesses"] == ["cap with the degree zero class is not bijective"]
+
+
+def test_malformed_instance_file_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"U": [1, 2]}')
+    code, out, err = _run_failure(["verify-hopf", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "could not load instance file" in err

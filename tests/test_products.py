@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hopfhomology.bialgebroid import unit_left_iso
+from hopfhomology.bialgebroid import unit_iso
 from hopfhomology.ce import ce_resolution
 from hopfhomology.homology import TorGroup, ext, tor
 from hopfhomology.instances import (
@@ -13,7 +13,7 @@ from hopfhomology.instances import (
 )
 from hopfhomology.linalg import Matrix
 from hopfhomology.pbw import LieModule
-from hopfhomology.products import CEProducts, transport_cochain, transport_cycle
+from hopfhomology.products import CEProducts, transport_cochain
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +238,7 @@ def test_suarez_and_suarez2_on_hochschild_instance(env_qeps, env_qeps_hopf, env_
                     y = pr.yoneda(m, n, phi, psi, A)
                     c1, tm1 = pr.cup(m, n, phi, psi, A, A)
                     c2, tm2 = pr.cup(n, m, psi, phi, A, A)
-                    iso = unit_left_iso(data, A, tm1)
+                    iso = unit_iso(data, A, tm1)
                     target = groups[m + n]
                     cls_y = target.class_of(y)
                     cls_1 = target.class_of(
@@ -257,8 +257,8 @@ def test_suarez_and_suarez2_on_hochschild_instance(env_qeps, env_qeps_hopf, env_
                     b = pr.bullet(m, phi, z, n, Ar)
                     cp, tm = pr.cap(m, phi, z, n, A, Ar)
                     tout = tor(bar, Ar, n - m)
-                    iso = unit_left_iso(data, Ar, tm)
-                    moved = transport_cycle(bar.rank(n - m), iso, cp, tm.space.dim)
+                    iso = unit_iso(data, Ar, tm)
+                    moved = transport_cochain(bar.rank(n - m), iso, cp, tm.space.dim)
                     assert tout.class_of(moved) == tout.class_of(b)
 
 
@@ -272,7 +272,7 @@ def test_odd_square_vanishes_rationally(env_qeps, env_qeps_bar, env_qeps_product
     groups = {n: ext(bar, A, n) for n in range(3)}
     gen = groups[1].basis_cocycles()[0]
     sq, tm = env_qeps_products.cup(1, 1, gen, gen, A, A)
-    iso = unit_left_iso(data, A, tm)
+    iso = unit_iso(data, A, tm)
     moved = transport_cochain(bar.rank(2), iso, sq, tm.space.dim)
     assert groups[2].class_of(moved) == [Q(0)]
 
@@ -285,6 +285,6 @@ def test_even_times_odd_product_is_nonzero(env_qeps, env_qeps_bar, env_qeps_prod
     odd = groups[1].basis_cocycles()[0]
     even = groups[2].basis_cocycles()[0]
     c, tm = env_qeps_products.cup(1, 2, odd, even, A, A)
-    iso = unit_left_iso(data, A, tm)
+    iso = unit_iso(data, A, tm)
     moved = transport_cochain(bar.rank(3), iso, c, tm.space.dim)
     assert any(groups[3].class_of(moved))

@@ -451,15 +451,21 @@ class BialgebroidData:
 # axioms
 
 
-def _pairs_mul_second(data, elem, j):
-    """(p, q) parts times e_j on the second leg."""
-    U = data.U
+def _outer(s, t):
+    """The pure tensor s (x) t of two dense vectors as a sparse pair vector."""
+    return {(p, q): c * d for p, c in enumerate(s) if c for q, d in enumerate(t) if d}
+
+
+def _act_leg(elem, leg, image):
+    """Apply a linear map to one leg (0 or 1) of a sparse pair vector.
+
+    image(i) is the coordinate vector of the map's value on e_i.
+    """
     out = {}
-    for (p, q), c in elem.items():
-        prod = U.mult[q][j]
-        for k, d in enumerate(prod):
+    for pq, c in elem.items():
+        for k, d in enumerate(image(pq[leg])):
             if d:
-                sparse_add(out, (p, k), c * d)
+                sparse_add(out, (k, pq[1]) if leg == 0 else (pq[0], k), c * d)
     return out
 
 
@@ -529,13 +535,8 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
     ok = True
     witness = None
     for r in range(na):
-        left_amb = [
-            {(p, q): c for (p, q), c in _left_act_first(data, data.delta_pure(i), data.tri_l[r]).items()}
-            for i in range(nu)
-        ]
-        right_amb = [
-            _left_act_second(data, data.delta_pure(i), data.tri_r[r]) for i in range(nu)
-        ]
+        left_amb = [_act_leg(data.delta_pure(i), 0, data.tri_l[r].col) for i in range(nu)]
+        right_amb = [_act_leg(data.delta_pure(i), 1, data.tri_r[r].col) for i in range(nu)]
         for i in range(nu):
             lhs = uau.project_sparse(left_amb[i])
             if lhs != data.delta.apply(data.tri_l[r].col(i)):
@@ -599,9 +600,7 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
     rep.record("takeuchi_centrality", ok, witness)
 
     # Delta respects unit, eta and multiplication
-    ok = uau.project_sparse(data.delta_of_vec(U.unit)) == uau.project_sparse(
-        {(p, q): c * d for p, c in enumerate(U.unit) if c for q, d in enumerate(U.unit) if d}
-    )
+    ok = uau.project_sparse(data.delta_of_vec(U.unit)) == uau.project_sparse(_outer(U.unit, U.unit))
     rep.record("delta_unit", ok)
     ok = True
     witness = None
@@ -609,14 +608,7 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
         for j in range(na):
             img = data._eta_img[(i, j)]
             lhs = data.uau.project_sparse(data.delta_of_vec(img))
-            s = data.eta_source(unit_vec(na, i))
-            t = data.eta_target(unit_vec(na, j))
-            pure = {}
-            for p, c in enumerate(s):
-                if c:
-                    for q, d in enumerate(t):
-                        if d:
-                            sparse_add(pure, (p, q), c * d)
+            pure = _outer(data.eta_source(unit_vec(na, i)), data.eta_target(unit_vec(na, j)))
             if lhs != data.uau.project_sparse(pure):
                 ok = False
                 witness = f"Delta(eta) fails at ({A.labels[i]},{A.labels[j]})"
@@ -645,24 +637,6 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
     rep.record("delta_multiplicative", ok, witness)
 
     return rep
-
-
-def _left_act_first(data, elem, m):
-    out = {}
-    for (p, q), c in elem.items():
-        for k, d in enumerate(m.col(p)):
-            if d:
-                sparse_add(out, (k, q), c * d)
-    return out
-
-
-def _left_act_second(data, elem, m):
-    out = {}
-    for (p, q), c in elem.items():
-        for k, d in enumerate(m.col(q)):
-            if d:
-                sparse_add(out, (p, k), c * d)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +686,7 @@ def galois_map(data: BialgebroidData) -> HopfStructure:
     def beta_pure(i, j):
         if (i, j) not in _beta_cache:
             _beta_cache[(i, j)] = uau.project_sparse(
-                _pairs_mul_second(data, data.delta_pure(i), j)
+                _act_leg(data.delta_pure(i), 1, lambda q: U.mult[q][j])
             )
         return _beta_cache[(i, j)]
 
@@ -755,15 +729,7 @@ def galois_map(data: BialgebroidData) -> HopfStructure:
             dims=(uaopu.dim, uau.dim),
         )
     beta_inv = beta.inverse()
-    tau_cols = []
-    for i in range(nu):
-        pure = {}
-        for p, c in enumerate(unit_vec(nu, i)):
-            if c:
-                for q, d in enumerate(U.unit):
-                    if d:
-                        sparse_add(pure, (p, q), c * d)
-        tau_cols.append(beta_inv.apply(uau.project_sparse(pure)))
+    tau_cols = [beta_inv.apply(uau.project_sparse(_outer(unit_vec(nu, i), U.unit))) for i in range(nu)]
     translation = Matrix.from_cols(tau_cols, nrows=uaopu.dim)
     return HopfStructure(data, beta, beta_inv, translation)
 
@@ -776,13 +742,6 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
     uau, uaopu = data.uau, data.uaopu
     rep = TakeuchiReport()
 
-    def unit_pair(i):
-        pure = {}
-        for q, d in enumerate(U.unit):
-            if d:
-                sparse_add(pure, (i, q), d)
-        return pure
-
     # identity 1: u_{+(1)} (x)_A u_{+(2)} u_- = u (x)_A 1
     ok = True
     witness = None
@@ -794,7 +753,7 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
                 for k, e in enumerate(yq):
                     if e:
                         sparse_add(acc, (x, k), c * d * e)
-        if uau.project_sparse(acc) != uau.project_sparse(unit_pair(i)):
+        if uau.project_sparse(acc) != uau.project_sparse(_outer(unit_vec(nu, i), U.unit)):
             ok = False
             witness = f"translation identity 1 fails on u_{i}"
     rep.record("translation_1", ok, witness)
@@ -810,7 +769,7 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
                 for k, e in enumerate(yq):
                     if e:
                         sparse_add(acc, (x, k), c * d * e)
-        if uaopu.project_sparse(acc) != uaopu.project_sparse(unit_pair(i)):
+        if uaopu.project_sparse(acc) != uaopu.project_sparse(_outer(unit_vec(nu, i), U.unit)):
             ok = False
             witness = f"translation identity 2 fails on u_{i}"
     rep.record("translation_2", ok, witness)
@@ -873,14 +832,7 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
         for j in range(na):
             img = data._eta_img[(i, j)]
             lhs = h.translation_of_vec(img)
-            s = data.eta_source(unit_vec(na, i))
-            t = data.eta_source(unit_vec(na, j))
-            pure = {}
-            for p, c in enumerate(s):
-                if c:
-                    for q, d in enumerate(t):
-                        if d:
-                            sparse_add(pure, (p, q), c * d)
+            pure = _outer(data.eta_source(unit_vec(na, i)), data.eta_source(unit_vec(na, j)))
             if uaopu.project_sparse(lhs) != uaopu.project_sparse(pure):
                 ok = False
                 witness = f"translation on eta fails at ({data.A.labels[i]},{data.A.labels[j]})"

@@ -43,6 +43,10 @@ def _fail_usage(msg):
     return 2
 
 
+class _UsageError(Exception):
+    """An input error; run() prints its message and exits 2."""
+
+
 def _get_instance(name):
     cat = builtin_instances()
     if name in cat:
@@ -59,11 +63,10 @@ def _get_instance(name):
                 blob = json.load(fh)
             data = BialgebroidData.from_json(blob, name=os.path.basename(name))
         except (KeyError, IndexError, TypeError, ValueError) as e:
-            sys.stderr.write(f"could not load instance file {name!r}: {e}\n")
-            return None
+            raise _UsageError(f"could not load instance file {name!r}: {e}") from e
         modules = {"A": data.a_module(), "U": ModuleRep.regular_left(data.U)}
         return Instance(data.name, "findim", data, modules, {}, f"loaded from {name}")
-    return None
+    raise _UsageError(f"unknown instance {name!r}")
 
 
 def _lie_modules(inst):
@@ -100,8 +103,6 @@ def cmd_instances(args):
 
 def cmd_verify_hopf(args):
     inst = _get_instance(args.instance)
-    if inst is None:
-        return _fail_usage(f"unknown instance {args.instance!r}")
     if inst.kind == "lie":
         checks = ug_hopf_report(inst.data, bound=args.pbw_bound)
         report = {
@@ -141,8 +142,6 @@ def cmd_verify_hopf(args):
 
 def cmd_ext_tor(args, which):
     inst = _get_instance(args.instance)
-    if inst is None:
-        return _fail_usage(f"unknown instance {args.instance!r}")
     resolution = args.resolution
     if resolution is None:
         resolution = "ce" if inst.kind == "lie" else "bar"
@@ -194,8 +193,6 @@ def cmd_ext_tor(args, which):
 
 def cmd_cup(args):
     inst = _get_instance(args.instance)
-    if inst is None:
-        return _fail_usage(f"unknown instance {args.instance!r}")
     tables = []
     try:
         if inst.kind == "lie":
@@ -244,8 +241,6 @@ def cmd_cup(args):
 
 def cmd_cap(args):
     inst = _get_instance(args.instance)
-    if inst is None:
-        return _fail_usage(f"unknown instance {args.instance!r}")
     if inst.kind != "lie":
         return _fail_usage("cap tables are emitted for universal envelope instances")
     g = inst.data
@@ -279,8 +274,6 @@ def cmd_cap(args):
 
 def cmd_duality(args):
     inst = _get_instance(args.instance)
-    if inst is None:
-        return _fail_usage(f"unknown instance {args.instance!r}")
     if inst.kind == "lie":
         g = inst.data
         dd = detect_duality_ug(g, bound=args.pbw_bound)
@@ -442,6 +435,8 @@ def run(argv) -> int:
             return cmd_duality(args)
         if args.cmd == "oracle":
             return cmd_oracle(args)
+    except _UsageError as e:
+        return _fail_usage(str(e))
     except WindowExceededError as e:
         sys.stderr.write(str(e) + "\n")
         return 3

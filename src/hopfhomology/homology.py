@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import HomologySpace
 from .errors import LiftFailedError, WindowExceededError
-from .linalg import Matrix, SparseReducer, sparse_add
+from .linalg import Matrix, sparse_add, sparse_rank
 
 
 def cochain_matrix(res, M, n) -> Matrix:
@@ -59,14 +59,6 @@ def chain_rows_sparse(res, N, n):
                     if arow[b]:
                         sparse_add(target, k * dn + b, arow[b])
     return rows
-
-
-def _sparse_rank(rows):
-    red = SparseReducer()
-    for r in rows:
-        if r:
-            red.add(r)
-    return red.rank
 
 
 @dataclass
@@ -184,7 +176,7 @@ def ext_dims(res, M, upto):
         )
     ranks = {}
     for n in range(upto + 1):
-        ranks[n] = _sparse_rank(cochain_rows_sparse(res, M, n))
+        ranks[n] = sparse_rank(cochain_rows_sparse(res, M, n))
     dims = []
     for n in range(upto + 1):
         c = res.rank(n) * M.dim
@@ -199,7 +191,7 @@ def tor_dims(res, N, upto):
         )
     ranks = {}
     for n in range(1, upto + 2):
-        ranks[n] = _sparse_rank(chain_rows_sparse(res, N, n))
+        ranks[n] = sparse_rank(chain_rows_sparse(res, N, n))
     dims = []
     for n in range(upto + 1):
         c = res.rank(n) * N.dim

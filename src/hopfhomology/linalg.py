@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream reduces to row reduction of matrices with
-Fraction entries: kernels, solves, quotients and maps induced on
-quotients.  All results are exact, and all bases are canonical
+Fraction entries: kernels, solves, ranks, quotients and maps induced on
+quotients.  One sparse Gauss-Jordan routine, _eliminate, does every
+row reduction in the package, for dense Matrix input as well as for
+sparse rows.  All results are exact, and all bases are canonical
 (reduced row echelon form, leftmost pivot first), so repeated runs of
 any computation produce byte-identical output.
 
@@ -11,6 +13,7 @@ Matrices act on column vectors; vectors are plain lists of Fractions.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .errors import NotWellDefinedError
@@ -85,12 +88,24 @@ class Matrix:
             raise ValueError("column count mismatch")
 
     @classmethod
+    def _own(cls, rows, ncols):
+        """Matrix on rows of Fractions built here and shared with nothing else.
+
+        Skips the per-entry coercion of the public constructor.
+        """
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls([unit_vec(n, i) for i in range(n)], ncols=n)
+        return cls._own([unit_vec(n, i) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([zero_vec(ncols) for _ in range(nrows)], ncols=ncols)
+        return cls._own([zero_vec(ncols) for _ in range(nrows)], ncols)
 
     @classmethod
     def from_sparse_rows(cls, rows, ncols):
@@ -136,23 +151,19 @@ class Matrix:
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [vec_add(r, s) for r, s in zip(self.rows, other.rows)], ncols=self.ncols
-        )
+        return Matrix._own([vec_add(r, s) for r, s in zip(self.rows, other.rows)], self.ncols)
 
     def __sub__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [vec_sub(r, s) for r, s in zip(self.rows, other.rows)], ncols=self.ncols
-        )
+        return Matrix._own([vec_sub(r, s) for r, s in zip(self.rows, other.rows)], self.ncols)
 
     def __neg__(self):
         return self.scale(Q(-1))
 
     def scale(self, c):
         c = frac(c)
-        return Matrix([vec_scale(c, r) for r in self.rows], ncols=self.ncols)
+        return Matrix._own([vec_scale(c, r) for r in self.rows], self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -168,7 +179,7 @@ class Matrix:
                         if ork[j]:
                             acc[j] += c * ork[j]
             out.append(acc)
-        return Matrix(out, ncols=other.ncols)
+        return Matrix._own(out, other.ncols)
 
     def apply(self, v):
         """Matrix times column vector; iterates the nonzeros of v."""
@@ -186,25 +197,17 @@ class Matrix:
         return out
 
     def transpose(self):
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        return Matrix._own([self.col(j) for j in range(self.ncols)], self.nrows)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Matrix(
-            [r + s for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
-        )
+        return Matrix._own([r + s for r, s in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch")
-        return Matrix(
-            [r[:] for r in self.rows] + [r[:] for r in other.rows], ncols=self.ncols
-        )
+        return Matrix._own([r[:] for r in self.rows] + [r[:] for r in other.rows], self.ncols)
 
     def kron(self, other):
         """Kronecker product, index (i,j) -> i * other_dim + j."""
@@ -218,43 +221,20 @@ class Matrix:
                     else:
                         row.extend([Q(0)] * other.ncols)
                 out.append(row)
-        return Matrix(out, ncols=self.ncols * other.ncols)
+        return Matrix._own(out, self.ncols * other.ncols)
 
     def is_zero(self):
         return all(vec_is_zero(r) for r in self.rows)
 
     def rref(self):
         """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-        m = [row[:] for row in self.rows]
-        nrows, ncols = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
-                break
-            pivot_row = None
-            for i in range(r, nrows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                inv = Q(1) / pv
-                m[r] = [x * inv for x in m[r]]
-            row_r = m[r]
-            for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    mi = m[i]
-                    for j in range(c, ncols):
-                        if row_r[j]:
-                            mi[j] -= f * row_r[j]
-            pivots.append(c)
-            r += 1
-        return Matrix(m, ncols=ncols), pivots
+        reduced = _eliminate({j: x for j, x in enumerate(row) if x} for row in self.rows)
+        out = [zero_vec(self.ncols) for _ in range(self.nrows)]
+        for dense, (p, tail) in zip(out, reduced):
+            dense[p] = Q(1)
+            for j, a in tail.items():
+                dense[j] = a
+        return Matrix._own(out, self.ncols), [p for p, _ in reduced]
 
     def rank(self):
         return len(self.rref()[1])
@@ -277,11 +257,10 @@ class Matrix:
             basis.append(v)
         if not basis:
             return Matrix([], ncols=self.ncols)
-        return Matrix(basis, ncols=self.ncols).rref()[0].strip_zero_rows()
+        return Matrix._own(basis, self.ncols).rref()[0].strip_zero_rows()
 
     def strip_zero_rows(self):
-        kept = [r for r in self.rows if not vec_is_zero(r)]
-        return Matrix(kept, ncols=self.ncols)
+        return Matrix._own([r[:] for r in self.rows if not vec_is_zero(r)], self.ncols)
 
     def solve(self, b):
         """Canonical solution v of self @ v = b, or None.
@@ -464,9 +443,9 @@ def induced_map(f: Matrix, source: QuotientSpace, target: QuotientSpace) -> Matr
 
 # ---------------------------------------------------------------------------
 # sparse vectors: dict {key: Fraction} holding no zero values.  Every
-# sparse accumulation in the package goes through sparse_add; sparse rows
-# are eliminated where ambient dimensions are too large for dense
-# elimination (bar complexes of group algebras).
+# sparse accumulation in the package goes through sparse_add, and every
+# elimination, dense Matrix.rref included, runs on sparse rows in
+# _eliminate: the coboundary matrices of bar complexes are about 1% full.
 
 
 def sparse_add(target, key, c):
@@ -480,53 +459,62 @@ def sparse_add(target, key, c):
 
 def sparse_axpy(target, c, source):
     """target += c * source, dropping zeros; mutates and returns target."""
+    if not c:
+        return target
     for j, a in source.items():
         sparse_add(target, j, c * a)
     return target
 
 
-class SparseReducer:
-    """Incremental row reduction for sparse rational rows.
+def _eliminate(rows):
+    """Sparse exact Gauss-Jordan elimination: the package's one row reduction.
 
-    Maintains rows normalised to a leading 1 at their pivot column.
-    add() reduces the incoming row against the current basis, adds the
-    remainder if nonzero, and returns it.
+    rows are dicts {column: Fraction} without zero values; they are not
+    mutated.  Returns the nonzero rows of the reduced row echelon form as
+    (pivot column, tail) pairs in increasing pivot order: the row is 1 at
+    its pivot, the sparse tail elsewhere, and 0 at every other pivot.
+
+    The forward pass takes the columns left to right.  The active rows
+    with an entry at column c are exactly those whose leading column is
+    c; the one with the fewest nonzeros becomes the pivot, which limits
+    fill-in (Markowitz, 1957), and only the others in that bucket are
+    updated.  Back substitution then clears each pivot column from the
+    earlier pivot rows.  The rref is unique, so the choice of pivot row
+    never shows in the result.
     """
-
-    def __init__(self):
-        self.pivot_rows = {}
-
-    @property
-    def rank(self):
-        return len(self.pivot_rows)
-
-    def reduce(self, row):
-        row = dict(row)
-        while row:
-            p = min(row)
-            pivot = self.pivot_rows.get(p)
-            if pivot is None:
-                return row, p
-            sparse_axpy(row, -row[p], pivot)
-        return row, None
-
-    def add(self, row):
-        row, p = self.reduce(row)
-        if p is not None:
-            c = row[p]
-            if c != 1:
-                inv = Q(1) / c
-                row = {j: inv * a for j, a in row.items()}
-            self.pivot_rows[p] = row
-        return row
-
-    def contains(self, row):
-        reduced, p = self.reduce(row)
-        return p is None
+    by_lead = {}
+    for row in rows:
+        if row:
+            by_lead.setdefault(min(row), []).append(dict(row))
+    leads = list(by_lead)
+    heapq.heapify(leads)
+    reduced = []
+    while leads:
+        c = heapq.heappop(leads)
+        bucket = by_lead.pop(c)
+        chosen = min(bucket, key=len)
+        inv = Q(1) / chosen.pop(c)
+        tail = chosen if inv == 1 else {j: a * inv for j, a in chosen.items()}
+        reduced.append((c, tail))
+        for row in bucket:
+            if row is chosen:
+                continue
+            sparse_axpy(row, -row.pop(c), tail)
+            if row:
+                lead = min(row)
+                if lead not in by_lead:
+                    by_lead[lead] = []
+                    heapq.heappush(leads, lead)
+                by_lead[lead].append(row)
+    for k in range(len(reduced) - 1, 0, -1):
+        p, tail = reduced[k]
+        for _, row in reduced[:k]:
+            f = row.pop(p, None)
+            if f is not None:
+                sparse_axpy(row, -f, tail)
+    return reduced
 
 
 def sparse_rank(rows):
-    red = SparseReducer()
-    for row in rows:
-        red.add(row)
-    return red.rank
+    """Rank of the span of sparse rows."""
+    return len(_eliminate(rows))

@@ -1,8 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from hopfhomology.bialgebroid import galois_map
 from hopfhomology.instances import builtin_instances
 from hopfhomology.resolutions import bar_resolution
+
+# Property tests replay the same generated cases on every run, and a slow
+# shared host never fails them on a deadline.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

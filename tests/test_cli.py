@@ -211,3 +211,5 @@ def test_malformed_instance_file_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "could not load instance file" in err
+    assert len(err.splitlines()) == 1
+    assert "unknown instance" not in err

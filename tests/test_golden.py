@@ -37,6 +37,9 @@ COMMANDS = {
     "verify-hopf-qs3": ["verify-hopf", "qs3"],
     "verify-hopf-env-upper2": ["verify-hopf", "env-upper2"],
     "verify-hopf-lie-sl2": ["verify-hopf", "lie-sl2"],
+    "ext-qs3-std2": ["ext", "qs3", "--module", "std2", "--max-degree", "3"],
+    "tor-qs3": ["tor", "qs3", "--module", "trivial", "--max-degree", "3"],
+    "ext-env-upper2": ["ext", "env-upper2", "--module", "A", "--max-degree", "5"],
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hopfhomology.errors import NotWellDefinedError
 from hopfhomology.linalg import (
     Matrix,
-    SparseReducer,
+    Subspace,
     induced_map,
     quotient,
     sparse_rank,
@@ -178,7 +178,7 @@ def test_induced_map_algebra_quotient_oracle():
     assert ind == Matrix([[0, 0], [1, 0]])
 
 
-def test_sparse_reducer_matches_dense_rank():
+def test_sparse_rank_matches_dense_rank():
     rng = random.Random(13)
     rows = []
     dense = []
@@ -186,12 +186,11 @@ def test_sparse_reducer_matches_dense_rank():
         r = [rng.randint(-2, 2) if rng.random() < 0.4 else 0 for _ in range(7)]
         dense.append(r)
         rows.append({j: Q(x) for j, x in enumerate(r) if x})
-    assert sparse_rank(rows) == Matrix(dense).rank()
+    assert sparse_rank(rows) == Matrix(dense).rank() == bareiss_rank(dense)
 
 
-def test_sparse_reducer_membership():
-    red = SparseReducer()
-    red.add({0: Q(1), 1: Q(1)})
-    red.add({1: Q(1), 2: Q(1)})
-    assert red.contains({0: Q(1), 2: Q(-1)})
-    assert not red.contains({0: Q(1)})
+def test_subspace_membership():
+    span = Subspace.from_vectors([[1, 1, 0], [0, 1, 1]], 3)
+    assert span.contains([Q(1), Q(0), Q(-1)])
+    assert not span.contains([Q(1), Q(0), Q(0)])
+    assert span.reduce([Q(1), Q(0), Q(0)]) == [0, 0, 1]

@@ -475,9 +475,4 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
 def _cochain_homology(mats, n):
     from .complexes import HomologySpace
 
-    d_out = mats[n]
-    if n >= 1:
-        d_in = mats[n - 1]
-    else:
-        d_in = Matrix.zeros(mats[0].ncols, 0)
-    return HomologySpace(d_out, d_in)
+    return HomologySpace(mats[n].kernel(), mats[n - 1].cols() if n >= 1 else [])

@@ -54,7 +54,7 @@ class ChainComplex:
         return sorted(self.spaces)
 
     def homology(self, n):
-        return HomologySpace(self.d(n), self.d(n + 1))
+        return HomologySpace(self.d(n).kernel(), self.d(n + 1).cols())
 
     def betti(self, n):
         return self.homology(n).dim
@@ -80,17 +80,18 @@ class ChainComplex:
 class HomologySpace:
     """ker(d_out) / im(d_in) with canonical cycle coordinates.
 
+    Built from a basis of the cycles ker(d_out), as the rows of a
+    matrix, and the image vectors d_in(e_j) that span the boundaries.
     Classes are stored as coordinates on the canonical rref basis of
     the cycle space; the boundary space is a quotient in those
     coordinates, again with canonical representatives.
     """
 
-    def __init__(self, d_out: Matrix, d_in: Matrix):
-        self.ambient = d_out.ncols
-        self.cycles = Subspace(self.ambient, d_out.kernel())
+    def __init__(self, cycles: Matrix, images):
+        self.ambient = cycles.ncols
+        self.cycles = Subspace(self.ambient, cycles)
         rows = []
-        for j in range(d_in.ncols):
-            img = d_in.col(j)
+        for img in images:
             coords = self.cycles.coordinates(img)
             if coords is None:
                 raise ValidationError("image vector is not a cycle; complex corrupted")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import HomologySpace
 from .errors import LiftFailedError, WindowExceededError
-from .linalg import Matrix, sparse_add, sparse_rank
+from .linalg import Matrix, sparse_add, sparse_kernel, sparse_rank, zero_vec
 
 
 def cochain_matrix(res, M, n) -> Matrix:
@@ -61,6 +61,19 @@ def chain_rows_sparse(res, N, n):
     return rows
 
 
+def _columns(rows, ncols):
+    """The columns of the matrix with these sparse rows, as dense vectors."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            cols[j][i] = c
+    for col in cols:
+        v = zero_vec(len(rows))
+        for i, c in col.items():
+            v[i] = c
+        yield v
+
+
 @dataclass
 class CohomologyClass:
     degree: int
@@ -95,13 +108,11 @@ class ExtGroup:
         self.res = res
         self.module = M
         self.degree = n
-        d_out = cochain_matrix(res, M, n)
-        d_in = (
-            cochain_matrix(res, M, n - 1)
-            if n >= 1
-            else Matrix.zeros(res.rank(0) * M.dim, 0)
-        )
-        self.space = HomologySpace(d_out, d_in)
+        cycles = sparse_kernel(cochain_rows_sparse(res, M, n), res.rank(n) * M.dim)
+        images = []
+        if n >= 1:
+            images = _columns(cochain_rows_sparse(res, M, n - 1), res.rank(n - 1) * M.dim)
+        self.space = HomologySpace(cycles, images)
 
     @property
     def dim(self):
@@ -135,13 +146,10 @@ class TorGroup:
         self.res = res
         self.module = N
         self.degree = n
-        d_out = (
-            chain_matrix(res, N, n)
-            if n >= 1
-            else Matrix.zeros(0, res.rank(0) * N.dim)
-        )
-        d_in = chain_matrix(res, N, n + 1)
-        self.space = HomologySpace(d_out, d_in)
+        d_out = chain_rows_sparse(res, N, n) if n >= 1 else []
+        cycles = sparse_kernel(d_out, res.rank(n) * N.dim)
+        images = _columns(chain_rows_sparse(res, N, n + 1), res.rank(n + 1) * N.dim)
+        self.space = HomologySpace(cycles, images)
 
     @property
     def dim(self):

@@ -226,38 +226,23 @@ class Matrix:
     def is_zero(self):
         return all(vec_is_zero(r) for r in self.rows)
 
+    def sparse_rows(self):
+        """The rows as dicts {column: entry} without zero values."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self.rows]
+
     def rref(self):
         """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-        reduced = _eliminate({j: x for j, x in enumerate(row) if x} for row in self.rows)
-        out = [zero_vec(self.ncols) for _ in range(self.nrows)]
-        for dense, (p, tail) in zip(out, reduced):
-            dense[p] = Q(1)
-            for j, a in tail.items():
-                dense[j] = a
+        reduced = _eliminate(self.sparse_rows())
+        out = _dense_rows(reduced, self.ncols)
+        out.extend(zero_vec(self.ncols) for _ in range(self.nrows - len(out)))
         return Matrix._own(out, self.ncols), [p for p, _ in reduced]
 
     def rank(self):
         return len(self.rref()[1])
 
     def kernel(self):
-        """Canonical basis of the right kernel, rows of the result.
-
-        The basis derived from the rref free columns is itself put in
-        rref so that equal kernels always get equal bases.
-        """
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for j in free:
-            v = zero_vec(self.ncols)
-            v[j] = Q(1)
-            for r_idx, p in enumerate(pivots):
-                v[p] = -R.rows[r_idx][j]
-            basis.append(v)
-        if not basis:
-            return Matrix([], ncols=self.ncols)
-        return Matrix._own(basis, self.ncols).rref()[0].strip_zero_rows()
+        """Canonical basis of the right kernel, rows of the result."""
+        return sparse_kernel(self.sparse_rows(), self.ncols)
 
     def strip_zero_rows(self):
         return Matrix._own([r[:] for r in self.rows if not vec_is_zero(r)], self.ncols)
@@ -307,11 +292,22 @@ class Matrix:
 
 
 def lincomb(terms, nrows, ncols) -> Matrix:
-    """The matrix sum of c * m over the pairs (c, m) in terms."""
+    """The matrix sum of c * m over the pairs (c, m) in terms.
+
+    The sum accumulates in place on fresh rows, so the result shares no
+    row with any term matrix and callers may mutate it.
+    """
     out = Matrix.zeros(nrows, ncols)
     for c, m in terms:
-        if c:
-            out = out + m.scale(c)
+        if not c:
+            continue
+        if m.nrows != nrows or m.ncols != ncols:
+            raise ValueError("shape mismatch")
+        c = frac(c)
+        for row, mrow in zip(out.rows, m.rows):
+            for j, a in enumerate(mrow):
+                if a:
+                    row[j] += c * a
     return out
 
 
@@ -518,3 +514,31 @@ def _eliminate(rows):
 def sparse_rank(rows):
     """Rank of the span of sparse rows."""
     return len(_eliminate(rows))
+
+
+def sparse_kernel(rows, ncols) -> Matrix:
+    """Canonical basis of the right kernel of sparse rows, rows of the result.
+
+    Each free column j of the rref gives the kernel vector that is 1 at
+    j and minus the rref entries in column j at the pivots.  That basis
+    is itself put in rref, so equal kernels always get equal bases.
+    """
+    reduced = _eliminate(rows)
+    pivots = {p for p, _ in reduced}
+    basis = {j: {j: Q(1)} for j in range(ncols) if j not in pivots}
+    for p, tail in reduced:
+        for j, a in tail.items():
+            basis[j][p] = -a
+    return Matrix._own(_dense_rows(_eliminate(basis.values()), ncols), ncols)
+
+
+def _dense_rows(reduced, ncols):
+    """Dense rows of the (pivot, tail) pairs that _eliminate returns."""
+    out = []
+    for p, tail in reduced:
+        dense = zero_vec(ncols)
+        dense[p] = Q(1)
+        for j, a in tail.items():
+            dense[j] = a
+        out.append(dense)
+    return out

@@ -56,7 +56,7 @@ class BarResolution:
             for i, entry in enumerate(self.expand):
                 if entry != [(i, 0, Q(1))]:
                     raise ValidationError("unexpected tail table over the ground field")
-        self._pushed_tail_cache = {}
+        self._pushed_cache = {}
         self._mul_cache = {}
         self._gens = {n: list(iproduct(range(self.s), repeat=n)) for n in range(depth + 1)}
         self._gen_index = {n: {g: k for k, g in enumerate(self._gens[n])} for n in range(depth + 1)}
@@ -95,13 +95,20 @@ class BarResolution:
 
     # -- normal form ----------------------------------------------------
 
-    def _pushed_tail(self, r, t):
-        key = (r, t)
-        out = self._pushed_tail_cache.get(key)
+    def _pushed(self, r, word, k):
+        """a_r |>> the entry in slot k of word, as a sparse U-vector.
+
+        Slot 0 holds a U-basis index, every other slot a tail index.
+        """
+        key = (r, k == 0, word[k])
+        out = self._pushed_cache.get(key)
         if out is None:
-            col = self.push[r].apply(self.tails[t])
+            if k == 0:
+                col = self.push[r].col(word[0])
+            else:
+                col = self.push[r].apply(self.tails[word[k]])
             out = {p: c for p, c in enumerate(col) if c}
-            self._pushed_tail_cache[key] = out
+            self._pushed_cache[key] = out
         return out
 
     def _renorm(self, word, k, vec):
@@ -123,11 +130,7 @@ class BarResolution:
             for t, r, c in self.expand[b]:
                 coef = cb * c
                 w2 = word[:k] + (t,) + word[k + 1 :]
-                if k - 1 == 0:
-                    col = self.push[r].col(word[0])
-                    pushed = {p: x for p, x in enumerate(col) if x}
-                else:
-                    pushed = self._pushed_tail(r, word[k - 1])
+                pushed = self._pushed(r, word, k - 1)
                 for w3, c3 in self._renorm(w2, k - 1, pushed).items():
                     sparse_add(out, w3, coef * c3)
         return out
@@ -171,23 +174,37 @@ class BarResolution:
                 sparse_add(out, w2, sign * c)
         # counit face
         sign = Q(-1) ** n
-        eps_last = self.data.counit(self.tails[w[n]])
         if n == 1:
-            acted = self.data.U.right_mult_matrix(self.data.eta_target(eps_last)).col(w[0])
+            acted = self._counit_face(w[1]).col(w[0])
             for p, c in enumerate(acted):
                 if c:
                     sparse_add(out, (p,), sign * c)
         else:
-            target = self.push_vector(eps_last, self.tails[w[n - 1]])
+            target = self._counit_target(w[n - 1], w[n])
             shell = w[: n]
             for w2, c in self._renorm(shell, n - 1, target).items():
                 sparse_add(out, w2, sign * c)
         return out
 
-    def push_vector(self, a_vec, u_vec):
-        """a |>> u for an A-vector a and U-vector u, sparse."""
-        acted = self.data.U.right_mult_matrix(self.data.eta_target(a_vec)).apply(u_vec)
-        return {p: c for p, c in enumerate(acted) if c}
+    def _counit_face(self, t):
+        """The matrix of u -> eps(f_t) |>> u."""
+        key = ("eps", t)
+        out = self._mul_cache.get(key)
+        if out is None:
+            eps = self.data.counit(self.tails[t])
+            out = self.U.right_mult_matrix(self.data.eta_target(eps))
+            self._mul_cache[key] = out
+        return out
+
+    def _counit_target(self, t1, t2):
+        """eps(f_t2) |>> f_t1, the counit face on the last two tails."""
+        key = ("eps", t1, t2)
+        out = self._mul_cache.get(key)
+        if out is None:
+            acted = self._counit_face(t2).apply(self.tails[t1])
+            out = {p: c for p, c in enumerate(acted) if c}
+            self._mul_cache[key] = out
+        return out
 
     def boundary_elt(self, elt):
         out = {}

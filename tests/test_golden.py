@@ -2,10 +2,17 @@
 
 Every refactor must leave these byte-identical.  All reported bases are
 canonical reduced row echelon forms, so a correct change of algorithm
-cannot change them.  To re-record after an intended output change, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+cannot change them.
+
+``PYTHONPATH=src python tests/test_golden.py`` records only the commands
+that have no golden file yet; it never overwrites an existing one, so a
+regression cannot be recorded over without notice.  After an intended
+output change, re-record named files with
+``PYTHONPATH=src python tests/test_golden.py --force NAME [NAME ...]``
+and review the diff.
 """
 
+import argparse
 import io
 import json
 import sys
@@ -40,6 +47,16 @@ COMMANDS = {
     "ext-qs3-std2": ["ext", "qs3", "--module", "std2", "--max-degree", "3"],
     "tor-qs3": ["tor", "qs3", "--module", "trivial", "--max-degree", "3"],
     "ext-env-upper2": ["ext", "env-upper2", "--module", "A", "--max-degree", "5"],
+    "duality-lie-sl2-adjoint": ["duality", "lie-sl2", "--module", "adjoint"],
+    "duality-lie-nonabelian2-adjoint": [
+        "duality", "lie-nonabelian2", "--module", "adjoint", "--pbw-bound", "6",
+    ],
+    "verify-hopf-lie-sl2-pbw5": ["verify-hopf", "lie-sl2", "--pbw-bound", "5"],
+    "ext-lie-nonabelian2-adjoint-bar": [
+        "ext", "lie-nonabelian2", "--module", "adjoint", "--max-degree", "2",
+        "--resolution", "bar", "--pbw-bound", "6",
+    ],
+    "cap-lie-sl2": ["cap", "lie-sl2", "--max-degree", "3"],
 }
 
 
@@ -59,10 +76,26 @@ def test_golden_output(name):
     assert out == expected["stdout"]
 
 
-if __name__ == "__main__":
+def main():
+    parser = argparse.ArgumentParser(description="Record missing golden CLI outputs.")
+    parser.add_argument(
+        "--force", nargs="+", default=[], metavar="NAME",
+        help="re-record these existing golden files as well",
+    )
+    args = parser.parse_args()
+    unknown = sorted(set(args.force) - set(COMMANDS))
+    if unknown:
+        parser.error(f"unknown golden name(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in sorted(COMMANDS.items()):
-        code, out = _replay(argv)
-        blob = {"argv": argv, "exit": code, "stdout": out}
-        (GOLDEN / f"{name}.json").write_text(json.dumps(blob, indent=1, sort_keys=True) + "\n")
+    for name, command in sorted(COMMANDS.items()):
+        path = GOLDEN / f"{name}.json"
+        if path.exists() and name not in args.force:
+            continue
+        code, out = _replay(command)
+        blob = {"argv": command, "exit": code, "stdout": out}
+        path.write_text(json.dumps(blob, indent=1, sort_keys=True) + "\n")
         sys.stderr.write(f"{name}: exit {code}, {len(out)} bytes\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,7 +2,10 @@ import pytest
 
 from hopfhomology.algebras import ModuleRep, hom_over, tensor_over
 from hopfhomology.errors import WindowExceededError
+from hopfhomology.complexes import HomologySpace
 from hopfhomology.homology import (
+    chain_matrix,
+    cochain_matrix,
     ext,
     ext_dims,
     resolution_independence,
@@ -13,6 +16,7 @@ from hopfhomology.instances import (
     bimodule_a,
     bimodule_a_right,
     cyclic_group_algebra,
+    group_algebra_from_table,
     enveloping_instance,
     q_times_q,
     s3_modules,
@@ -121,3 +125,63 @@ def test_resolution_independence_round_trip(env_qeps, env_qeps_bar):
         iso = resolution_independence(env_qeps_bar, other, M, n)
         assert iso.bijective
         assert (iso.forward @ iso.backward) == Matrix.identity(iso.forward.nrows)
+
+
+def _ext_tor_cases(catalog):
+    """(bar resolution, left modules, right modules) of three instances."""
+    for name in ("kz3", "sweedler", "env-qeps"):
+        inst = catalog[name]
+        yield bar_resolution(inst.data, 3), inst.modules, inst.right_modules
+
+
+def test_ext_tor_match_dense_homology_spaces(catalog):
+    # Ext and Tor build their cycles and boundaries from sparse rows; the
+    # reference builds them from the dense coboundary and boundary matrices
+    for bar, lefts, rights in _ext_tor_cases(catalog):
+        for M in lefts.values():
+            for n in range(3):
+                d_in = cochain_matrix(bar, M, n - 1).cols() if n else []
+                dense = HomologySpace(cochain_matrix(bar, M, n).kernel(), d_in)
+                eg = ext(bar, M, n)
+                assert eg.dim == dense.dim
+                assert eg.space.cycles == dense.cycles
+                assert eg.basis_cocycles() == dense.representatives()
+        for N in rights.values():
+            for n in range(3):
+                d_out = chain_matrix(bar, N, n) if n else Matrix.zeros(0, bar.rank(0) * N.dim)
+                dense = HomologySpace(d_out.kernel(), chain_matrix(bar, N, n + 1).cols())
+                tg = tor(bar, N, n)
+                assert tg.dim == dense.dim
+                assert tg.space.cycles == dense.cycles
+                assert tg.basis_cycles() == dense.representatives()
+
+
+def _product_group_algebra(a, b):
+    """Group algebra of Z/a x Z/b, element (i, j) at index i * b + j."""
+    elements = [(i, j) for i in range(a) for j in range(b)]
+    table = [
+        [((i + k) % a) * b + (j + l) % b for (k, l) in elements] for (i, j) in elements
+    ]
+    inverse = [((-i) % a) * b + (-j) % b for (i, j) in elements]
+    labels = [f"({i},{j})" for (i, j) in elements]
+    return group_algebra_from_table(labels, table, inverse, f"z{a}xz{b}")
+
+
+MASCHKE_GROUPS = [("cyclic", m) for m in range(1, 6)] + [
+    ("product", (a, b)) for a in range(2, 6) for b in range(2, 6) if a * b <= 6
+]
+
+
+@pytest.mark.parametrize("kind,order", MASCHKE_GROUPS)
+def test_maschke_group_algebras_have_no_higher_ext_or_tor(kind, order):
+    # over Q every module of a finite group algebra is projective, so the
+    # trivial module has Ext and Tor only in degree zero
+    data = cyclic_group_algebra(order) if kind == "cyclic" else _product_group_algebra(*order)
+    n = data.U.dim
+    bar = bar_resolution(data, 3)
+    triv = ModuleRep(data.U, 1, "left", [Matrix([[1]])] * n)
+    trivr = ModuleRep(data.U, 1, "right", [Matrix([[1]])] * n)
+    assert [ext(bar, triv, k).dim for k in range(3)] == [1, 0, 0]
+    assert ext_dims(bar, triv, 2) == [1, 0, 0]
+    assert [tor(bar, trivr, k).dim for k in range(3)] == [1, 0, 0]
+    assert tor_dims(bar, trivr, 2) == [1, 0, 0]

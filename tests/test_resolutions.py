@@ -4,7 +4,7 @@ import pytest
 
 from hopfhomology.errors import LiftFailedError, WindowExceededError
 from hopfhomology.instances import cyclic_group_algebra
-from hopfhomology.linalg import Matrix, zero_vec
+from hopfhomology.linalg import Matrix, unit_vec, zero_vec
 from hopfhomology.resolutions import (
     TotalTensorComplex,
     bar_resolution,
@@ -173,3 +173,68 @@ def test_lift_to_bar_chain_property(env_qeps_bar):
             src_act = bar.action_matrices(n)[u]
             dst_act = other.action_matrices(n)[u]
             assert mats[n] @ src_act == dst_act @ mats[n]
+
+
+def _reference_boundary_word(bar, w):
+    """b' of a normal word, every face rebuilt from scratch for this word.
+
+    The counit face is eps(f_{t_n}) |>> u read from
+    U.right_mult_matrix(eta_target(counit(f_t))), and pushes into the
+    free slot read a column of the push matrix, with nothing cached.
+    """
+    U, data = bar.U, bar.data
+
+    def sparse(vec):
+        return {p: c for p, c in enumerate(vec) if c}
+
+    def add(out, key, c):
+        out[key] = out.get(key, 0) + c
+        if not out[key]:
+            del out[key]
+
+    def renorm(word, k, vec):
+        out = {}
+        if k == 0 or bar.trivial_base:
+            for b, c in vec.items():
+                add(out, word[:k] + (b,) + word[k + 1 :], c)
+            return out
+        for b, cb in vec.items():
+            for t, r, c in bar.expand[b]:
+                w2 = word[:k] + (t,) + word[k + 1 :]
+                if k == 1:
+                    pushed = sparse(bar.push[r].col(word[0]))
+                else:
+                    pushed = sparse(bar.push[r].apply(bar.tails[word[k - 1]]))
+                for w3, c3 in renorm(w2, k - 1, pushed).items():
+                    add(out, w3, cb * c * c3)
+        return out
+
+    n = len(w) - 1
+    out = {}
+    if n == 0:
+        return out
+    prod = sparse(U.multiply(unit_vec(U.dim, w[0]), bar.tails[w[1]]))
+    for p, c in prod.items():
+        add(out, (p,) + w[2:], c)
+    for i in range(1, n):
+        vec = sparse(U.multiply(bar.tails[w[i]], bar.tails[w[i + 1]]))
+        for w2, c in renorm(w[: i + 1] + w[i + 2 :], i, vec).items():
+            add(out, w2, (-1) ** i * c)
+    face = U.right_mult_matrix(data.eta_target(data.counit(bar.tails[w[n]])))
+    if n == 1:
+        for p, c in sparse(face.col(w[0])).items():
+            add(out, (p,), (-1) ** n * c)
+    else:
+        target = sparse(face.apply(bar.tails[w[n - 1]]))
+        for w2, c in renorm(w[:n], n - 1, target).items():
+            add(out, w2, (-1) ** n * c)
+    return out
+
+
+@pytest.mark.parametrize("name", ["kz3", "sweedler", "env-qeps", "env-upper2"])
+def test_boundary_word_matches_uncached_faces(catalog, name):
+    bar = bar_resolution(catalog[name].data, 3)
+    assert bar.trivial_base == (name in ("kz3", "sweedler"))
+    for n in range(4):
+        for w in bar.words(n):
+            assert bar.boundary_word(w) == _reference_boundary_word(bar, w)

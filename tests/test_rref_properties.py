@@ -3,15 +3,17 @@
 The oracle is the dense Gauss-Jordan that Matrix.rref used before the
 sparse kernel replaced it: first nonzero entry as pivot, every row
 updated.  The reduced row echelon form is unique, so both must agree
-exactly, pivots included.
+exactly, pivots included.  The kernel of sparse rows is checked against
+the dense kernel built on that oracle, and lincomb against the fold
+out + c * m that it replaced.
 """
 
 from fractions import Fraction as Q
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hopfhomology.linalg import Matrix, sparse_rank
+from hopfhomology.linalg import Matrix, lincomb, sparse_kernel, sparse_rank
 
 MAX_DIM = 9
 
@@ -132,3 +134,74 @@ def test_solve_exactly_on_the_column_space(data):
         assert A.apply(x) == b
     else:
         assert x is None
+
+
+def dense_kernel(rows, ncols):
+    """Reference kernel basis: free-column vectors of the oracle rref, in rref."""
+    R, pivots = dense_rref(rows, ncols)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [Q(0)] * ncols
+        v[j] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -R[r][j]
+        basis.append(v)
+    reduced, _ = dense_rref(basis, ncols)
+    return [row for row in reduced if any(row)]
+
+
+@given(matrices())
+@example(Matrix.identity(4))
+@example(Matrix([], ncols=0))
+@example(Matrix([[0, 0, 0]] * 3))
+@example(Matrix([[1], [2]]))
+def test_sparse_kernel_matches_dense_oracle(A):
+    K = sparse_kernel(A.sparse_rows(), A.ncols)
+    assert K.ncols == A.ncols
+    assert K.rows == dense_kernel(A.rows, A.ncols)
+    assert A.kernel() == K
+
+
+def lincomb_fold(terms, nrows, ncols):
+    """The sum that lincomb computed before it accumulated in place."""
+    out = Matrix.zeros(nrows, ncols)
+    for c, m in terms:
+        if c:
+            out = out + m.scale(c)
+    return out
+
+
+COEFFICIENTS = st.one_of(
+    st.just(0), st.just(Q(0)), st.integers(-3, 3), VALUES, st.just(Q(7, 3))
+)
+
+
+@st.composite
+def combinations(draw):
+    """A shape and up to five (coefficient, matrix) terms of that shape."""
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(0, 5))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        rows = draw(st.lists(st.lists(VALUES, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+        terms.append((draw(COEFFICIENTS), Matrix(rows, ncols=ncols)))
+    return nrows, ncols, terms
+
+
+@given(combinations())
+@example((2, 2, [(1, Matrix([[1, 2], [3, 4]]))]))
+@example((2, 2, [(0, Matrix([[1, 0], [0, 1]])), (Q(1), Matrix([[0, 5], [Q(1, 2), 0]]))]))
+@example((0, 3, []))
+def test_lincomb_matches_fold_and_shares_no_rows(case):
+    nrows, ncols, terms = case
+    before = [[row[:] for row in m.rows] for _, m in terms]
+    out = lincomb(terms, nrows, ncols)
+    assert out == lincomb_fold(terms, nrows, ncols)
+    assert all(isinstance(x, Q) for row in out.rows for x in row)
+    for row in out.rows:
+        for j in range(ncols):
+            row[j] += 1
+    assert [m.rows for _, m in terms] == before

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .homology import TorGroup, chain_matrix, ext, tor
-from .linalg import Matrix, Q, Subspace, lincomb, unit_vec, vec_is_zero, zero_vec
+from .linalg import Matrix, Q, Subspace, add_outer, lincomb, unit_vec, vec_is_zero, zero_vec
 from .pbw import LieModule, mono_one, monomials_upto
 
 
@@ -112,12 +112,7 @@ def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> Dual
     for i in range(n):
         flat = [duals[i].rows[r][c] for r in range(U.dim) for c in range(A_mod.dim)]
         coords = homs.coordinates(flat)
-        for p, cp in enumerate(coords):
-            if not cp:
-                continue
-            for q, cq in enumerate(generators[i]):
-                if cq:
-                    amb[p * A_mod.dim + q] += cp * cq
+        add_outer(amb, 1, coords, generators[i])
     omega = omega_space.project(amb)
     db = DualBases(data, A_mod, [list(g) for g in generators], duals, homs,
                    astar_module, omega_space, omega)
@@ -197,12 +192,7 @@ def delta_underived(db: DualBases, M: ModuleRep):
             flat = [db.duals[i].rows[r][c] for r in range(U.dim) for c in range(A_mod.dim)]
             coords = db.hom_space.coordinates(flat)
             val = tm.apply(coords)
-            for p, cp in enumerate(val):
-                if not cp:
-                    continue
-                for q, cq in enumerate(g):
-                    if cq:
-                        amb[p * A_mod.dim + q] += cp * cq
+            add_outer(amb, 1, val, g)
         inv_cols.append(src.project(amb))
     inverse = Matrix.from_cols(inv_cols, nrows=src.dim)
     if forward.nrows != forward.ncols or (forward @ inverse) != Matrix.identity(target.dim):
@@ -231,12 +221,7 @@ def bullet_omega_underived(db: DualBases, M: ModuleRep):
             flat = [db.duals[i].rows[r][c] for r in range(U.dim) for c in range(A_mod.dim)]
             alpha = db.hom_space.coordinates(flat)
             val = phi.apply(g)
-            for p, cp in enumerate(alpha):
-                if not cp:
-                    continue
-                for q, cq in enumerate(val):
-                    if cq:
-                        amb[p * M.dim + q] += cp * cq
+            add_outer(amb, 1, alpha, val)
         cols.append(target.project(amb))
     forward = Matrix.from_cols(cols, nrows=target.dim)
     if forward.nrows != forward.ncols or forward.rank() != forward.nrows:
@@ -270,20 +255,10 @@ def cap_omega_underived(h: HopfStructure, M: ModuleRep, db: DualBases):
             flat = [db.duals[i].rows[r][c] for r in range(U.dim) for c in range(A_mod.dim)]
             alpha = db.hom_space.coordinates(flat)
             pair = zero_vec(M.dim * db.astar_module.dim)
-            for p, cp in enumerate(val):
-                if not cp:
-                    continue
-                for q, cq in enumerate(alpha):
-                    if cq:
-                        pair[p * db.astar_module.dim + q] += cp * cq
+            add_outer(pair, 1, val, alpha)
             coords = tm.space.project(pair)
             amb2 = zero_vec(tm.space.dim * A_mod.dim)
-            for z, cz in enumerate(coords):
-                if not cz:
-                    continue
-                for q, cq in enumerate(g):
-                    if cq:
-                        amb2[z * A_mod.dim + q] += cz * cq
+            add_outer(amb2, 1, coords, g)
             for t, d in enumerate(target.project(amb2)):
                 acc[t] += d
         cols.append(acc)
@@ -365,21 +340,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
                 bad_degrees.append((0, m, kern.nrows))
                 continue
             dual_in = _dual_cols(res, n)
-            hit = False
-            for extra in range(slack + 1):
-                src2 = BoundedBasis(g, res.rank(n - 1), m + extra)
-                dst2 = BoundedBasis(g, res.rank(n), m + extra + 1)
-                mat2 = bounded_free_map(g, dual_in, src2, dst2, entries_act="left")
-                ok = True
-                for row in kern.rows:
-                    padded = _repad(row, src, dst2)
-                    if mat2.solve(padded) is None:
-                        ok = False
-                        break
-                if ok:
-                    hit = True
-                    break
-            if not hit:
+            if not _hit_in_window(g, dual_in, res.rank(n - 1), kern, src, slack, "left"):
                 bad_degrees.append((n, m, kern.nrows))
     if bad_degrees:
         raise NotDualityError(
@@ -442,21 +403,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
             if n == d:
                 primal_ok = False
                 continue
-            hit = False
-            for extra in range(slack + 1):
-                src2 = BoundedBasis(g, res.rank(n + 1), m + extra)
-                dst2 = BoundedBasis(g, res.rank(n), m + extra + 1)
-                mat2 = bounded_free_map(g, res.diff_cols(n + 1), src2, dst2, entries_act="right")
-                ok = True
-                for row in kern.rows:
-                    padded = _repad(row, src, dst2)
-                    if mat2.solve(padded) is None:
-                        ok = False
-                        break
-                if ok:
-                    hit = True
-                    break
-            if not hit:
+            if not _hit_in_window(g, res.diff_cols(n + 1), res.rank(n + 1), kern, src, slack, "right"):
                 primal_ok = False
     report.record("primal_resolution_exact", primal_ok)
 
@@ -490,6 +437,22 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
         raise NotDualityError("fundamental class vanishes")
     return DualityData(d, astar, weights, omega, res, {n: _dual_cols(res, n) for n in range(1, d + 1)},
                        report, bound)
+
+
+def _hit_in_window(g, cols, rank, kern, src: BoundedBasis, slack, entries_act):
+    """Whether every row of kern lies in the image of the free map cols.
+
+    The map runs from rank generators to the generators of src; the
+    image is taken on coefficient windows raised by up to slack.
+    """
+    for extra in range(slack + 1):
+        src2 = BoundedBasis(g, rank, src.bound + extra)
+        dst2 = BoundedBasis(g, src.rank, src.bound + extra + 1)
+        mat = bounded_free_map(g, cols, src2, dst2, entries_act=entries_act)
+        image = Subspace(dst2.dim, mat.transpose())
+        if all(image.contains(_repad(row, src, dst2)) for row in kern.rows):
+            return True
+    return False
 
 
 def _repad(row, src: BoundedBasis, dst: BoundedBasis):

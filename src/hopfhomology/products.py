@@ -1,10 +1,11 @@
 """Cup, composition, evaluation and cap products at chain level.
 
-Two contexts implement the same four products.  For a finite
-dimensional Hopf structure the diagonal approximation P -> Tot(P (x) P)
-is produced by degreewise exact solves into the total tensor complex;
-for a universal envelope the subset-splitting comultiplication of the
-Koszul resolution is used in closed form.  Signs flow from exactly two
+Two contexts implement the same four products, both on a closed-form
+diagonal approximation P -> Tot(P (x)_A P) evaluated on free generators:
+the Alexander-Whitney diagonal of the bar resolution, built from the
+coproduct (BarResolution.diagonal), and the subset-splitting
+comultiplication of the Koszul resolution of a universal envelope
+(CEResolution.diagonal).  Signs flow from exactly two
 conventions fixed elsewhere: the totalization sign (-1)^(horizontal
 degree) and the shift sign (-1)^m on a lifted degree m class.  The
 graded commutation rule between composition and cup, and the agreement
@@ -17,9 +18,9 @@ from __future__ import annotations
 from .bialgebroid import module_tensor_left, module_tensor_right
 from .errors import LiftFailedError, WindowExceededError
 from .homology import cochain_concrete_matrix
-from .linalg import Matrix, Q, sparse_add, sparse_axpy, zero_vec
+from .linalg import Matrix, Q, add_outer, sparse_add, sparse_axpy, zero_vec
 from .pbw import LieModule, mono_one, pbw_multiply, tensor_left_lie, tensor_right_lie
-from .resolutions import BarResolution, TotalTensorComplex, lift_into_total
+from .resolutions import BarResolution
 from .ce import BoundedBasis, CEResolution, bounded_free_map
 
 
@@ -40,12 +41,12 @@ class BarProducts:
     """Products over a finite dimensional Hopf structure via the bar model."""
 
     def __init__(self, h, bar: BarResolution, total_degree: int):
+        if total_degree > bar.depth:
+            raise WindowExceededError("total degree exceeds the bar window")
         self.h = h
         self.data = h.data
         self.bar = bar
         self.total_degree = total_degree
-        self.tot = TotalTensorComplex(bar, total_degree)
-        self.diag = lift_into_total(bar, self.tot, total_degree)
         self._lift_cache = {}
         self._tensor_right_cache = {}
 
@@ -62,28 +63,12 @@ class BarProducts:
         tm = module_tensor_left(self.data, M, N)
         ev_m = cochain_concrete_matrix(bar, M, m, phi)
         ev_n = cochain_concrete_matrix(bar, N, n, psi)
-        block = self.tot.blocks[(m, n)]
-        off = self.tot.offsets[(m, n)]
-        dim_n_side = bar.concrete_dim(n)
         out = []
         for g in bar.generators(m + n):
-            v = self.diag[m + n].apply(bar.generator_vector(m + n, g))
-            blockvec = v[off : off + block.space.dim]
-            amb = block.space.lift(blockvec)
-            acc_amb = zero_vec(M.dim * N.dim)
-            for z, c in enumerate(amb):
-                if not c:
-                    continue
-                zi, zj = divmod(z, dim_n_side)
-                mv = ev_m.col(zi)
-                nv = ev_n.col(zj)
-                for a, ca in enumerate(mv):
-                    if not ca:
-                        continue
-                    for b, cb in enumerate(nv):
-                        if cb:
-                            acc_amb[a * N.dim + b] += c * ca * cb
-            out.extend(tm.space.project(acc_amb))
+            acc = zero_vec(M.dim * N.dim)
+            for (x, y), c in bar.diagonal(g, m).items():
+                add_outer(acc, c, ev_m.col(bar.word_index(m, x)), ev_n.col(bar.word_index(n, y)))
+            out.extend(tm.space.project(acc))
         return out, tm
 
     # -- lifting a class of Ext(A, A) to a chain self-map --------------------
@@ -195,38 +180,22 @@ class BarProducts:
         tm = self.tensor_right(M, N)
         ev_m = cochain_concrete_matrix(bar, M, m, phi)
         i_deg = n - m
-        block = self.tot.blocks[(i_deg, m)]
-        off = self.tot.offsets[(i_deg, m)]
-        dim_second = bar.concrete_dim(m)
         dn = N.dim
         # Koszul sign for moving the degree m shift past the first leg
         koszul = Q(-1) ** (i_deg * m)
         out = zero_vec(bar.rank(i_deg) * tm.space.dim)
         for k, g in enumerate(bar.generators(n)):
-            zk = [z[k * dn + a] for a in range(dn)]
-            v = self.diag[n].apply(bar.generator_vector(n, g))
-            blockvec = v[off : off + block.space.dim]
-            amb = block.space.lift(blockvec)
-            for zidx, c in enumerate(amb):
-                if not c:
-                    continue
-                zi, zj = divmod(zidx, dim_second)
-                mval = ev_m.col(zj)
-                # (phi(y) (x) n) . u_i at the generator of the x leg
-                wi = bar.words(i_deg)[zi]
-                gi = bar._gen_index[i_deg][wi[1:]]
-                pair = zero_vec(M.dim * dn)
-                for a, ca in enumerate(mval):
-                    if not ca:
-                        continue
-                    for b, cb in enumerate(zk):
-                        if cb:
-                            pair[a * dn + b] += ca * cb
-                coords = tm.space.project(pair)
-                acted = tm.module.action[wi[0]].apply(coords)
+            zk = z[k * dn : (k + 1) * dn]
+            # (phi(y) (x) z_k) . u at the generator of the front leg u[..]
+            pairs = {}
+            for (x, y), c in bar.diagonal(g, i_deg).items():
+                pair = pairs.setdefault(x, zero_vec(M.dim * dn))
+                add_outer(pair, koszul * c, ev_m.col(bar.word_index(m, y)), zk)
+            for x, pair in pairs.items():
+                acted = tm.module.action[x[0]].apply(tm.space.project(pair))
+                base = bar._gen_index[i_deg][x[1:]] * tm.space.dim
                 for t, d in enumerate(acted):
-                    if d:
-                        out[gi * tm.space.dim + t] += koszul * c * d
+                    out[base + t] += d
         return out, tm
 
 
@@ -256,14 +225,7 @@ class CEProducts:
                     continue
                 gi = ce.gen_index(m, I)
                 gj = ce.gen_index(n, J)
-                for a in range(dm):
-                    ca = phi[gi * dm + a]
-                    if not ca:
-                        continue
-                    for b in range(dn):
-                        cb = psi[gj * dn + b]
-                        if cb:
-                            acc[a * dn + b] += sgn * ca * cb
+                add_outer(acc, sgn, phi[gi * dm : (gi + 1) * dm], psi[gj * dn : (gj + 1) * dn])
             out.extend(acc)
         return out, tm
 
@@ -367,18 +329,11 @@ class CEProducts:
         koszul = Q(-1) ** ((n - m) * m)
         out = zero_vec(ce.rank(n - m) * dm * dn)
         for k, G in enumerate(ce.generators(n)):
-            zk = [z[k * dn + a] for a in range(dn)]
+            zk = z[k * dn : (k + 1) * dn]
             for I, J, sgn in ce.diagonal(G):
                 if len(J) != m:
                     continue
                 gi = ce.gen_index(n - m, I)
                 gj = ce.gen_index(m, J)
-                for a in range(dm):
-                    ca = phi[gj * dm + a]
-                    if not ca:
-                        continue
-                    for b in range(dn):
-                        cb = zk[b]
-                        if cb:
-                            out[gi * dm * dn + a * dn + b] += koszul * sgn * ca * cb
+                add_outer(out, koszul * sgn, phi[gj * dm : (gj + 1) * dm], zk, gi * dm * dn)
         return out, tm

@@ -18,6 +18,8 @@ homotopy identity forces, using that eps is right A-linear).
 Free generator bookkeeping is the load bearing piece: the differential
 is stored as a matrix of U-coefficients over the generators, which is
 what turns Hom_U(P_n, M) and N (x)_U P_n into plain matrix complexes.
+The diagonal P -> P (x)_A P that products use is the Alexander-Whitney
+one, in closed form on those generators through the coproduct.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class BarResolution:
                     raise ValidationError("unexpected tail table over the ground field")
         self._pushed_cache = {}
         self._mul_cache = {}
+        self._diag_cache = {}
         self._gens = {n: list(iproduct(range(self.s), repeat=n)) for n in range(depth + 1)}
         self._gen_index = {n: {g: k for k, g in enumerate(self._gens[n])} for n in range(depth + 1)}
         self._diff_cols = {}
@@ -238,6 +241,33 @@ class BarResolution:
     def augmentation_word(self, w):
         return self.data.counit(unit_vec(self.U.dim, w[0]))
 
+    # -- the Alexander-Whitney diagonal ----------------------------------
+
+    def diagonal(self, g, i):
+        """The P_i (x) P_(n-i) part of the diagonal on the generator 1 (x) f_g.
+
+        1[f_1|..|f_n] goes to [f_1(1)|..|f_i(1)] (x) f_1(2)..f_i(2)[f_(i+1)|..|f_n],
+        a sparse dict {(front word, back word): coeff}.  The front leg is
+        normalised one appended slot at a time; the back leg is normal.
+        """
+        key = (g, i)
+        out = self._diag_cache.get(key)
+        if out is None:
+            one = {p: c for p, c in enumerate(self.U.unit) if c}
+            legs = {((p,), q): c * d for p, c in one.items() for q, d in one.items()}
+            for k in range(1, i + 1):
+                step = {}
+                for (p, q), c in self.data.delta_of_vec(self.tails[g[k - 1]]).items():
+                    for (w, b), d in legs.items():
+                        for w2, e in self._renorm(w + (p,), k, {p: c * d}).items():
+                            for b2, f in enumerate(self.U.mult[b][q]):
+                                if f:
+                                    sparse_add(step, (w2, b2), e * f)
+                legs = step
+            out = {(w, (b,) + g[i:]): c for (w, b), c in legs.items()}
+            self._diag_cache[key] = out
+        return out
+
     # -- free generator differential -------------------------------------
 
     def diff_cols(self, n):
@@ -339,7 +369,8 @@ class TotalTensorComplex:
     Carries the quotient presentation of each block, the induced module
     structure per total degree, the totalized differential and the
     augmentation through A (x) A = A.  Certified through total degree
-    `upto`.
+    `upto`.  Products do not build it: it is the reference against which
+    the tests check that BarResolution.diagonal is a chain map.
     """
 
     def __init__(self, bar: BarResolution, upto: int):
@@ -489,7 +520,8 @@ def lift_into_total(bar: BarResolution, tot: TotalTensorComplex, upto: int):
 
     Degree zero sends 1 to the class of 1 (x) 1; each next degree
     solves d X = F_{n-1}(d g) per free generator and extends
-    U-linearly.  LiftFailedError if a solve is inconsistent.
+    U-linearly.  LiftFailedError if a solve is inconsistent.  The tests
+    compare the closed-form BarResolution.diagonal against this lift.
     """
     data = bar.data
     U = data.U

@@ -57,6 +57,8 @@ COMMANDS = {
         "--resolution", "bar", "--pbw-bound", "6",
     ],
     "cap-lie-sl2": ["cap", "lie-sl2", "--max-degree", "3"],
+    "cup-sweedler-total2": ["cup", "sweedler", "--max-total", "2"],
+    "cup-env-qxq": ["cup", "env-qxq", "--max-total", "3"],
 }
 
 

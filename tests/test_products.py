@@ -4,6 +4,7 @@ import pytest
 
 from hopfhomology.bialgebroid import unit_iso
 from hopfhomology.ce import ce_resolution
+from hopfhomology.errors import WindowExceededError
 from hopfhomology.homology import TorGroup, ext, tor
 from hopfhomology.instances import (
     bimodule_a,
@@ -13,7 +14,7 @@ from hopfhomology.instances import (
 )
 from hopfhomology.linalg import Matrix
 from hopfhomology.pbw import LieModule
-from hopfhomology.products import CEProducts, transport_cochain
+from hopfhomology.products import BarProducts, CEProducts, transport_cochain
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +289,17 @@ def test_even_times_odd_product_is_nonzero(env_qeps, env_qeps_bar, env_qeps_prod
     iso = unit_iso(data, A, tm)
     moved = transport_cochain(bar.rank(3), iso, c, tm.space.dim)
     assert any(groups[3].class_of(moved))
+
+
+def test_bar_products_window_enforced(env_qeps, env_qeps_hopf, env_qeps_bar, env_qeps_products):
+    # BarProducts checks its own window: the total degree against the bar
+    # depth, and each cup against the total degree it was built for
+    bar = env_qeps_bar
+    assert BarProducts(env_qeps_hopf, bar, bar.depth).total_degree == bar.depth
+    with pytest.raises(WindowExceededError):
+        BarProducts(env_qeps_hopf, bar, bar.depth + 1)
+    A = bimodule_a(env_qeps.data)
+    phi = ext(bar, A, 2).basis_cocycles()[0]
+    assert env_qeps_products.total_degree < 2 + 2
+    with pytest.raises(WindowExceededError):
+        env_qeps_products.cup(2, 2, phi, phi, A, A)

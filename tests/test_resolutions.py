@@ -93,16 +93,48 @@ def test_tensor_resolution_ground_field():
     assert all(v for v in tot.check_resolution().values())
 
 
-def test_diagonal_lift_is_chain_map(env_qeps_bar):
-    bar = env_qeps_bar
-    tot = TotalTensorComplex(bar, 3)
-    diag = lift_into_total(bar, tot, 3)
-    for n in range(1, 4):
-        lhs = tot.complex.d(n) @ diag[n]
-        rhs = diag[n - 1] @ bar.chain_matrix(n)
-        assert lhs == rhs
-    # augmentation compatibility at the bottom
-    assert tot.aug @ diag[0] == bar.augmentation_matrix()
+def closed_form_diagonal(bar, tot, upto):
+    """BarResolution.diagonal as concrete matrices P_n -> Tot_n, extended U-linearly."""
+    mats = []
+    for n in range(upto + 1):
+        on_gens = {}
+        for g in bar.generators(n):
+            v = zero_vec(tot.complex.dim(n))
+            for i in range(n + 1):
+                block = tot.blocks[(i, n - i)]
+                dim_back = bar.concrete_dim(n - i)
+                amb = zero_vec(bar.concrete_dim(i) * dim_back)
+                for (x, y), c in bar.diagonal(g, i).items():
+                    amb[bar.word_index(i, x) * dim_back + bar.word_index(n - i, y)] += c
+                off = tot.offsets[(i, n - i)]
+                v[off : off + block.space.dim] = block.space.project(amb)
+            on_gens[g] = v
+        cols = [tot.action[n][w[0]].apply(on_gens[w[1:]]) for w in bar.words(n)]
+        mats.append(Matrix.from_cols(cols, nrows=tot.complex.dim(n)))
+    return mats
+
+
+# (instance, top total degree); the base algebras have dimension 1, 1, 2, 3
+# and 2.  env-upper2 stops at degree 1: its reference total complex takes
+# about 4 s to build there and about a minute at degree 2.
+CHAIN_MAP_CASES = [("kz3", 2), ("sweedler", 2), ("env-qeps", 3), ("env-upper2", 1), ("env-qxq", 2)]
+
+
+def test_diagonal_lift_is_chain_map(catalog):
+    # the solve-based lift and the closed-form Alexander-Whitney diagonal
+    # are both chain maps P -> Tot(P (x)_A P) over the augmentation
+    for name, upto in CHAIN_MAP_CASES:
+        bar = bar_resolution(catalog[name].data, upto + 1)
+        tot = TotalTensorComplex(bar, upto)
+        for diagonal in (lift_into_total, closed_form_diagonal):
+            diag = diagonal(bar, tot, upto)
+            where = f"{diagonal.__name__} on {name}"
+            for n in range(1, upto + 1):
+                lhs = tot.complex.d(n) @ diag[n]
+                rhs = diag[n - 1] @ bar.chain_matrix(n)
+                assert lhs == rhs, f"{where}: d Delta != Delta d in degree {n}"
+            # augmentation compatibility at the bottom
+            assert tot.aug @ diag[0] == bar.augmentation_matrix(), where
 
 
 def test_lift_failed_on_corrupted_target(env_qeps_bar):

@@ -59,6 +59,18 @@ COMMANDS = {
     "cap-lie-sl2": ["cap", "lie-sl2", "--max-degree", "3"],
     "cup-sweedler-total2": ["cup", "sweedler", "--max-total", "2"],
     "cup-env-qxq": ["cup", "env-qxq", "--max-total", "3"],
+    "ext-qs3-trivial": ["ext", "qs3", "--module", "trivial", "--max-degree", "3"],
+    "verify-hopf-kz2": ["verify-hopf", "kz2"],
+    "verify-hopf-kz3": ["verify-hopf", "kz3"],
+    "verify-hopf-env-qeps": ["verify-hopf", "env-qeps"],
+    "verify-hopf-env-qxq": ["verify-hopf", "env-qxq"],
+    "verify-hopf-monoid01": ["verify-hopf", "monoid01"],
+    "verify-hopf-lie-abelian1": ["verify-hopf", "lie-abelian1"],
+    "verify-hopf-lie-abelian2": ["verify-hopf", "lie-abelian2"],
+    "oracle-hochschild-qxq": ["oracle", "hochschild", "qxq", "--max-degree", "3"],
+    "oracle-hochschild-upper2": ["oracle", "hochschild", "upper2", "--max-degree", "3"],
+    "ext-sweedler-trivial": ["ext", "sweedler", "--module", "trivial", "--max-degree", "4"],
+    "tor-env-upper2": ["tor", "env-upper2", "--module", "A", "--max-degree", "3"],
 }
 
 

@@ -241,7 +241,6 @@ class BialgebroidData:
         if right is None:
             raise ValidationError("U is not free over the |>> action on the given candidates")
         self.tails_r, self.expand_r = right
-        self.rank_over_a = len(self.tails_l)
 
         self.uau = self._make_space([(self.expand_l, self.tri_l, self.tails_l)])
         self.uaopu = self._make_space([(self.expand_r, self.tri_r, self.tails_r)])

@@ -475,4 +475,4 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
 def _cochain_homology(mats, n):
     from .complexes import HomologySpace
 
-    return HomologySpace(mats[n].kernel(), mats[n - 1].cols() if n >= 1 else [])
+    return HomologySpace(mats[n].kernel(), mats[n - 1].transpose().sparse_rows() if n >= 1 else [])

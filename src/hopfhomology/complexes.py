@@ -12,6 +12,8 @@ from __future__ import annotations
 from .errors import ValidationError
 from .linalg import (
     Matrix,
+    _dense_rows,
+    _eliminate,
     Q,
     QuotientSpace,
     Subspace,
@@ -54,7 +56,7 @@ class ChainComplex:
         return sorted(self.spaces)
 
     def homology(self, n):
-        return HomologySpace(self.d(n).kernel(), self.d(n + 1).cols())
+        return HomologySpace(self.d(n).kernel(), self.d(n + 1).transpose().sparse_rows())
 
     def betti(self, n):
         return self.homology(n).dim
@@ -81,22 +83,22 @@ class HomologySpace:
     """ker(d_out) / im(d_in) with canonical cycle coordinates.
 
     Built from a basis of the cycles ker(d_out), as the rows of a
-    matrix, and the image vectors d_in(e_j) that span the boundaries.
-    Classes are stored as coordinates on the canonical rref basis of
-    the cycle space; the boundary space is a quotient in those
-    coordinates, again with canonical representatives.
+    matrix, and the image vectors d_in(e_j), sparse dicts that span the
+    boundaries.  Classes are stored as coordinates on the canonical rref
+    basis of the cycle space; the boundary space is a quotient in those
+    coordinates, again with canonical representatives.  Only the rref
+    basis of the image span is taken into cycle coordinates.
     """
 
     def __init__(self, cycles: Matrix, images):
         self.ambient = cycles.ncols
         self.cycles = Subspace(self.ambient, cycles)
         rows = []
-        for img in images:
+        for img in _dense_rows(_eliminate(images), self.ambient):
             coords = self.cycles.coordinates(img)
             if coords is None:
                 raise ValidationError("image vector is not a cycle; complex corrupted")
-            if not vec_is_zero(coords):
-                rows.append(coords)
+            rows.append(coords)
         self.quotient = QuotientSpace.from_relation_vectors(self.cycles.dim, rows)
 
     @property

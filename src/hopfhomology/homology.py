@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import HomologySpace
 from .errors import LiftFailedError, WindowExceededError
-from .linalg import Matrix, sparse_add, sparse_kernel, sparse_rank, zero_vec
+from .linalg import Matrix, sparse_add, sparse_kernel, sparse_rank
 
 
 def cochain_matrix(res, M, n) -> Matrix:
@@ -62,16 +62,12 @@ def chain_rows_sparse(res, N, n):
 
 
 def _columns(rows, ncols):
-    """The columns of the matrix with these sparse rows, as dense vectors."""
+    """The columns of the matrix with these sparse rows, as sparse dicts."""
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, c in row.items():
             cols[j][i] = c
-    for col in cols:
-        v = zero_vec(len(rows))
-        for i, c in col.items():
-            v[i] = c
-        yield v
+    return cols
 
 
 @dataclass

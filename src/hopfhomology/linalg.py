@@ -138,9 +138,6 @@ class Matrix:
     def col(self, j):
         return [row[j] for row in self.rows]
 
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

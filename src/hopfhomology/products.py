@@ -161,7 +161,7 @@ class BarProducts:
         return out
 
     def tensor_right(self, M, N):
-        key = (id(M), id(N))
+        key = (M, N)
         if key not in self._tensor_right_cache:
             self._tensor_right_cache[key] = module_tensor_right(self.h, M, N)
         return self._tensor_right_cache[key]

@@ -7,6 +7,11 @@ index into a fixed free decomposition U = (+)_t f_t <| A.  The glueing
 relations push base coefficients leftward as |>> actions, so
 projections never touch a row reduction.
 
+The resolution is the normalized one.  Its tail table starts with the
+unit, f_0 = 1, and words with a unit tail span the acyclic degenerate
+subcomplex (Loday, Cyclic Homology 1.1.14), so they are dropped: tails
+run over 1 .. s-1 and degree n has (s-1)^n free generators.
+
 The boundary is the alternating face sum ending in the counit face
 
     (-1)^n u_0 (x) .. (x) u_{n-2} (x) (eps(u_n) |>> u_{n-1}),
@@ -27,14 +32,14 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .algebras import ModuleRep
-from .bialgebroid import BialgebroidData, module_tensor_left
+from .bialgebroid import BialgebroidData, _expand_table, module_tensor_left
 from .complexes import DoubleComplex
 from .errors import LiftFailedError, ValidationError, WindowExceededError
 from .linalg import Matrix, Q, induced_map, sparse_add, unit_vec, zero_vec
 
 
 class BarResolution:
-    """Truncated bar resolution of A over U, free generators recorded.
+    """Truncated normalized bar resolution of A over U, free generators recorded.
 
     A depth N construction certifies Ext and Tor in degrees <= N - 1;
     consumers enforce the window.
@@ -48,20 +53,18 @@ class BarResolution:
         self.max_degree = depth
         U = data.U
         self.U = U
-        self.tails = data.tails_l
+        table = _expand_table(U, data.tri_r, [U.unit] + data.tails_l)
+        if table is None or table[0][0] != U.unit:
+            raise ValidationError("the unit of U does not start a free tail table over <|")
+        self.tails, self.expand = table
         self.s = len(self.tails)
-        self.expand = data.expand_l
         self.push = data.bl_l  # a |>> as matrices
-        self.trivial_base = data.A.dim == 1
-        if self.trivial_base:
-            # greedy table picked the basis itself; keep the fast path honest
-            for i, entry in enumerate(self.expand):
-                if entry != [(i, 0, Q(1))]:
-                    raise ValidationError("unexpected tail table over the ground field")
+        # one base element acting as the identity: pushes change nothing
+        self.trivial_base = self.push == [Matrix.identity(U.dim)]
         self._pushed_cache = {}
         self._mul_cache = {}
         self._diag_cache = {}
-        self._gens = {n: list(iproduct(range(self.s), repeat=n)) for n in range(depth + 1)}
+        self._gens = {n: list(iproduct(range(1, self.s), repeat=n)) for n in range(depth + 1)}
         self._gen_index = {n: {g: k for k, g in enumerate(self._gens[n])} for n in range(depth + 1)}
         self._diff_cols = {}
         self._words = {}
@@ -73,7 +76,7 @@ class BarResolution:
     def rank(self, n):
         if not (0 <= n <= self.depth):
             raise WindowExceededError(f"degree {n} outside bar window 0..{self.depth}")
-        return self.s ** n
+        return len(self._gens[n])
 
     def generators(self, n):
         return self._gens[n]
@@ -118,21 +121,23 @@ class BarResolution:
         """Replace slot k of word by the raw U-vector vec and normalise.
 
         Slots right of k are already tail indices; pushing cascades
-        leftward until it lands in the free slot 0.
+        leftward until it lands in the free slot 0.  A word with a unit
+        tail is dropped at once: pushes never rewrite that slot again.
         """
         out = {}
         if k == 0:
             for b, c in vec.items():
                 sparse_add(out, (b,) + word[1:], c)
             return out
-        if self.trivial_base:
-            for b, c in vec.items():
-                sparse_add(out, word[:k] + (b,) + word[k + 1 :], c)
-            return out
         for b, cb in vec.items():
             for t, r, c in self.expand[b]:
+                if not t:
+                    continue
                 coef = cb * c
                 w2 = word[:k] + (t,) + word[k + 1 :]
+                if self.trivial_base:
+                    sparse_add(out, w2, coef)
+                    continue
                 pushed = self._pushed(r, word, k - 1)
                 for w3, c3 in self._renorm(w2, k - 1, pushed).items():
                     sparse_add(out, w3, coef * c3)
@@ -296,7 +301,7 @@ class BarResolution:
         return cols
 
     def act_left(self, uvec, M: ModuleRep):
-        key = (id(M), uvec)
+        key = (M, uvec)  # M itself, not id(M): a freed module's id is reused
         out = self._action_cache.get(key)
         if out is None:
             out = M.act(list(uvec))

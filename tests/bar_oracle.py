@@ -1,0 +1,100 @@
+"""The unnormalized bar resolution, kept as a test oracle.
+
+BarResolution is the normalized bar resolution: its tail table starts
+with the unit and it drops every word with a unit tail.  UnnormalizedBar
+keeps every word, on the catalog's own tail table data.tails_l, and
+rebuilds every face from scratch with nothing cached.  By the
+Eilenberg-Mac Lane normalization theorem both compute the same Ext and
+Tor, which is what the tests check.
+"""
+
+from itertools import product as iproduct
+
+from hopfhomology.linalg import unit_vec
+from hopfhomology.resolutions import BarResolution
+
+
+def _sparse(vec):
+    return {p: c for p, c in enumerate(vec) if c}
+
+
+def _add(out, key, c):
+    out[key] = out.get(key, 0) + c
+    if not out[key]:
+        del out[key]
+
+
+def reference_renorm(bar, word, k, vec):
+    """Slot k of word replaced by the raw U-vector vec, normalised, all words kept.
+
+    Pushes always go through bar.push, also over the ground field.
+    """
+    out = {}
+    if k == 0:
+        for b, c in vec.items():
+            _add(out, (b,) + word[1:], c)
+        return out
+    for b, cb in vec.items():
+        for t, r, c in bar.expand[b]:
+            w2 = word[:k] + (t,) + word[k + 1 :]
+            if k == 1:
+                pushed = _sparse(bar.push[r].col(word[0]))
+            else:
+                pushed = _sparse(bar.push[r].apply(bar.tails[word[k - 1]]))
+            for w3, c3 in reference_renorm(bar, w2, k - 1, pushed).items():
+                _add(out, w3, cb * c * c3)
+    return out
+
+
+def reference_boundary_word(bar, w):
+    """b' of a normal word on bar's tail table, every face rebuilt for this word.
+
+    The counit face is eps(f_{t_n}) |>> u read from
+    U.right_mult_matrix(eta_target(counit(f_t))), and pushes into the
+    free slot read a column of the push matrix, with nothing cached.
+    Words with a unit tail are kept.
+    """
+    U, data = bar.U, bar.data
+    n = len(w) - 1
+    out = {}
+    if n == 0:
+        return out
+    prod = _sparse(U.multiply(unit_vec(U.dim, w[0]), bar.tails[w[1]]))
+    for p, c in prod.items():
+        _add(out, (p,) + w[2:], c)
+    for i in range(1, n):
+        vec = _sparse(U.multiply(bar.tails[w[i]], bar.tails[w[i + 1]]))
+        for w2, c in reference_renorm(bar, w[: i + 1] + w[i + 2 :], i, vec).items():
+            _add(out, w2, (-1) ** i * c)
+    face = U.right_mult_matrix(data.eta_target(data.counit(bar.tails[w[n]])))
+    if n == 1:
+        for p, c in _sparse(face.col(w[0])).items():
+            _add(out, (p,), (-1) ** n * c)
+    else:
+        target = _sparse(face.apply(bar.tails[w[n - 1]]))
+        for w2, c in reference_renorm(bar, w[:n], n - 1, target).items():
+            _add(out, w2, (-1) ** n * c)
+    return out
+
+
+class UnnormalizedBar(BarResolution):
+    """The bar resolution with all s^n generators in degree n.
+
+    The tails are data.tails_l, whose unit need not be a tail at all.
+    Faces and the renormalisation that the homotopy and the diagonal use
+    are the uncached references above; the generator differential and
+    the concrete chain model are BarResolution's, on these words.
+    """
+
+    def __init__(self, data, depth):
+        super().__init__(data, depth)
+        self.tails, self.expand = data.tails_l, data.expand_l
+        self.s = len(self.tails)
+        self._gens = {n: list(iproduct(range(self.s), repeat=n)) for n in range(depth + 1)}
+        self._gen_index = {n: {g: k for k, g in enumerate(gs)} for n, gs in self._gens.items()}
+
+    def _renorm(self, word, k, vec):
+        return reference_renorm(self, word, k, vec)
+
+    def boundary_word(self, w):
+        return reference_boundary_word(self, w)

@@ -96,9 +96,11 @@ def _contractible_through_degree(bar, top):
 
 
 def test_criterion_02_bar_contractibility(qs3_bar, env_qeps_bar):
-    assert _contractible_through_degree(qs3_bar, 4)
-    assert _contractible_through_degree(env_qeps_bar, 4)
-    _report(2, "b'b' = 0 and b's + sb' = id through degree 4 for qs3 and env-qeps")
+    for bar in (qs3_bar, env_qeps_bar):
+        # the normalized words: no tail is the unit, tail 0
+        assert all(all(w[1:]) for w in bar.words(4))
+        assert _contractible_through_degree(bar, 4)
+    _report(2, "b'b' = 0 and b's + sb' = id on normalized words through degree 4 for qs3 and env-qeps")
 
 
 def test_criterion_03_hochschild_oracle_equivalence(env_qeps, env_qeps_bar):

@@ -140,7 +140,7 @@ def test_ext_tor_match_dense_homology_spaces(catalog):
     for bar, lefts, rights in _ext_tor_cases(catalog):
         for M in lefts.values():
             for n in range(3):
-                d_in = cochain_matrix(bar, M, n - 1).cols() if n else []
+                d_in = cochain_matrix(bar, M, n - 1).transpose().sparse_rows() if n else []
                 dense = HomologySpace(cochain_matrix(bar, M, n).kernel(), d_in)
                 eg = ext(bar, M, n)
                 assert eg.dim == dense.dim
@@ -149,7 +149,8 @@ def test_ext_tor_match_dense_homology_spaces(catalog):
         for N in rights.values():
             for n in range(3):
                 d_out = chain_matrix(bar, N, n) if n else Matrix.zeros(0, bar.rank(0) * N.dim)
-                dense = HomologySpace(d_out.kernel(), chain_matrix(bar, N, n + 1).cols())
+                d_in = chain_matrix(bar, N, n + 1).transpose().sparse_rows()
+                dense = HomologySpace(d_out.kernel(), d_in)
                 tg = tor(bar, N, n)
                 assert tg.dim == dense.dim
                 assert tg.space.cycles == dense.cycles

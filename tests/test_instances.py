@@ -1,6 +1,7 @@
 import json
-
 from fractions import Fraction as Q
+
+import pytest
 
 from hopfhomology.algebras import FinDimAlgebra, ModuleRep
 from hopfhomology.instances import dual_numbers
@@ -77,3 +78,54 @@ def test_sweedler_structure(catalog):
     xg = U.multiply(x, g)
     assert gx == [Q(0), Q(0), Q(0), Q(1)]
     assert xg == [Q(0), Q(0), Q(0), Q(-1)]
+
+
+def _permute_instance(blob, perm):
+    """An exported instance rewritten in a permuted basis of U.
+
+    New basis element k is old element perm[k].  tail_basis is dropped,
+    so the loader picks its tails from the permuted basis and the unit
+    is no longer basis element 0.
+    """
+    U = blob["U"]
+    n = U["dim"]
+    mult = U["mult"]
+    lift = blob["Delta_lift"]
+    return {
+        "U": {
+            "dim": n,
+            "labels": [U["labels"][p] for p in perm],
+            "unit": [U["unit"][p] for p in perm],
+            "mult": [[[mult[pi][pj][pk] for pk in perm] for pj in perm] for pi in perm],
+        },
+        "A": blob["A"],
+        "eta": [blob["eta"][p] for p in perm],
+        "Delta_lift": [[lift[pi * n + pj][pc] for pc in perm] for pi in perm for pj in perm],
+        "epsilon_hat": [blob["epsilon_hat"][p] for p in perm],
+    }
+
+
+@pytest.mark.parametrize("name", ["kz3", "qs3", "sweedler"])
+def test_permuted_basis_instance_matches_catalog(catalog, name, tmp_path, capsys):
+    from hopfhomology.bialgebroid import BialgebroidData
+    from hopfhomology.cli import run
+    from hopfhomology.homology import ext_dims, tor_dims
+    from hopfhomology.resolutions import bar_resolution
+
+    inst = catalog[name]
+    n = inst.data.U.dim
+    for perm in ([(k + 1) % n for k in range(n)], list(reversed(range(n)))):
+        path = tmp_path / f"{name}-permuted.json"
+        path.write_text(json.dumps(_permute_instance(inst.data.to_json(), perm)))
+        assert run(["verify-hopf", str(path)]) == 0
+        data = BialgebroidData.from_json(json.loads(path.read_text()), name=name)
+        assert data.U.unit[0] == 0
+        bar = bar_resolution(data, 3)
+        catalog_bar = bar_resolution(inst.data, 3)
+        for M in inst.modules.values():
+            moved = ModuleRep(data.U, M.dim, "left", [M.action[p] for p in perm])
+            assert ext_dims(bar, moved, 2) == ext_dims(catalog_bar, M, 2)
+        for N in inst.right_modules.values():
+            moved = ModuleRep(data.U, N.dim, "right", [N.action[p] for p in perm])
+            assert tor_dims(bar, moved, 2) == tor_dims(catalog_bar, N, 2)
+    capsys.readouterr()

@@ -1,10 +1,13 @@
+import copy
 from fractions import Fraction as Q
 
 import pytest
 
-from hopfhomology.errors import LiftFailedError, WindowExceededError
+from bar_oracle import UnnormalizedBar, reference_boundary_word
+from hopfhomology.errors import LiftFailedError, ValidationError, WindowExceededError
+from hopfhomology.homology import ext_dims, tor_dims
 from hopfhomology.instances import cyclic_group_algebra
-from hopfhomology.linalg import Matrix, unit_vec, zero_vec
+from hopfhomology.linalg import Matrix, zero_vec
 from hopfhomology.resolutions import (
     TotalTensorComplex,
     bar_resolution,
@@ -31,9 +34,12 @@ def _homotopy_identity_holds(bar, n):
 
 
 def test_bar_group_algebra_dims(qs3_bar):
-    # over the ground field the degree n term has dimension |G|^{n+1}
+    # over the ground field the degree n term has dimension |G|^{n+1};
+    # the normalized term drops the unit from every tail: |G| (|G|-1)^n
+    unnormalized = UnnormalizedBar(qs3_bar.data, 4)
     for n in range(5):
-        assert qs3_bar.concrete_dim(n) == 6 ** (n + 1)
+        assert unnormalized.concrete_dim(n) == 6 ** (n + 1)
+        assert qs3_bar.concrete_dim(n) == 6 * 5**n
 
 
 def test_bar_depth_zero_homotopy_identity():
@@ -85,12 +91,14 @@ def test_tensor_resolution_semisimple_group():
 
 
 def test_tensor_resolution_ground_field():
-    # over the trivial group algebra every term is one dimensional and
-    # the augmented total complex stays exact
-    bar = bar_resolution(cyclic_group_algebra(1), 2)
-    assert [bar.concrete_dim(n) for n in range(3)] == [1, 1, 1]
-    tot = TotalTensorComplex(bar, 2)
-    assert all(v for v in tot.check_resolution().values())
+    # over the trivial group algebra every unnormalized term is one
+    # dimensional, every normalized term above degree 0 is zero, and
+    # both augmented total complexes stay exact
+    data = cyclic_group_algebra(1)
+    for bar, dims in ((UnnormalizedBar(data, 2), [1, 1, 1]), (bar_resolution(data, 2), [1, 0, 0])):
+        assert [bar.concrete_dim(n) for n in range(3)] == dims
+        tot = TotalTensorComplex(bar, 2)
+        assert all(v for v in tot.check_resolution().values())
 
 
 def closed_form_diagonal(bar, tot, upto):
@@ -115,9 +123,9 @@ def closed_form_diagonal(bar, tot, upto):
 
 
 # (instance, top total degree); the base algebras have dimension 1, 1, 2, 3
-# and 2.  env-upper2 stops at degree 1: its reference total complex takes
-# about 4 s to build there and about a minute at degree 2.
-CHAIN_MAP_CASES = [("kz3", 2), ("sweedler", 2), ("env-qeps", 3), ("env-upper2", 1), ("env-qxq", 2)]
+# and 2.  env-upper2 stops at degree 2: on the normalized resolution its
+# reference total complex takes about 10 s to build there.
+CHAIN_MAP_CASES = [("kz3", 2), ("sweedler", 2), ("env-qeps", 3), ("env-upper2", 2), ("env-qxq", 2)]
 
 
 def test_diagonal_lift_is_chain_map(catalog):
@@ -207,66 +215,50 @@ def test_lift_to_bar_chain_property(env_qeps_bar):
             assert mats[n] @ src_act == dst_act @ mats[n]
 
 
-def _reference_boundary_word(bar, w):
-    """b' of a normal word, every face rebuilt from scratch for this word.
-
-    The counit face is eps(f_{t_n}) |>> u read from
-    U.right_mult_matrix(eta_target(counit(f_t))), and pushes into the
-    free slot read a column of the push matrix, with nothing cached.
-    """
-    U, data = bar.U, bar.data
-
-    def sparse(vec):
-        return {p: c for p, c in enumerate(vec) if c}
-
-    def add(out, key, c):
-        out[key] = out.get(key, 0) + c
-        if not out[key]:
-            del out[key]
-
-    def renorm(word, k, vec):
-        out = {}
-        if k == 0 or bar.trivial_base:
-            for b, c in vec.items():
-                add(out, word[:k] + (b,) + word[k + 1 :], c)
-            return out
-        for b, cb in vec.items():
-            for t, r, c in bar.expand[b]:
-                w2 = word[:k] + (t,) + word[k + 1 :]
-                if k == 1:
-                    pushed = sparse(bar.push[r].col(word[0]))
-                else:
-                    pushed = sparse(bar.push[r].apply(bar.tails[word[k - 1]]))
-                for w3, c3 in renorm(w2, k - 1, pushed).items():
-                    add(out, w3, cb * c * c3)
-        return out
-
-    n = len(w) - 1
-    out = {}
-    if n == 0:
-        return out
-    prod = sparse(U.multiply(unit_vec(U.dim, w[0]), bar.tails[w[1]]))
-    for p, c in prod.items():
-        add(out, (p,) + w[2:], c)
-    for i in range(1, n):
-        vec = sparse(U.multiply(bar.tails[w[i]], bar.tails[w[i + 1]]))
-        for w2, c in renorm(w[: i + 1] + w[i + 2 :], i, vec).items():
-            add(out, w2, (-1) ** i * c)
-    face = U.right_mult_matrix(data.eta_target(data.counit(bar.tails[w[n]])))
-    if n == 1:
-        for p, c in sparse(face.col(w[0])).items():
-            add(out, (p,), (-1) ** n * c)
-    else:
-        target = sparse(face.apply(bar.tails[w[n - 1]]))
-        for w2, c in renorm(w[:n], n - 1, target).items():
-            add(out, w2, (-1) ** n * c)
-    return out
-
-
-@pytest.mark.parametrize("name", ["kz3", "sweedler", "env-qeps", "env-upper2"])
+@pytest.mark.parametrize("name", ["kz3", "sweedler", "env-qeps", "env-qxq", "env-upper2"])
 def test_boundary_word_matches_uncached_faces(catalog, name):
     bar = bar_resolution(catalog[name].data, 3)
     assert bar.trivial_base == (name in ("kz3", "sweedler"))
     for n in range(4):
         for w in bar.words(n):
-            assert bar.boundary_word(w) == _reference_boundary_word(bar, w)
+            # the normalized boundary is the full one less its degenerate words
+            full = reference_boundary_word(bar, w)
+            assert bar.boundary_word(w) == {v: c for v, c in full.items() if all(v[1:])}
+
+
+def test_normalized_ext_tor_match_unnormalized(catalog):
+    # Eilenberg-Mac Lane normalization: dropping the degenerate words
+    # changes no Ext and no Tor, on every finite instance and module
+    for name, inst in catalog.items():
+        if inst.kind == "lie":
+            continue
+        bar = bar_resolution(inst.data, 4)
+        full = UnnormalizedBar(inst.data, 4)
+        for key, M in inst.modules.items():
+            assert ext_dims(bar, M, 3) == ext_dims(full, M, 3), (name, key)
+        for key, N in inst.right_modules.items():
+            assert tor_dims(bar, N, 3) == tor_dims(full, N, 3), (name, key)
+
+
+@pytest.mark.parametrize("name", ["env-qxq", "env-upper2"])
+def test_normalized_bar_contractible_after_change_of_basis(catalog, name):
+    # the catalog tail table of these two does not start with the unit,
+    # so the bar resolution builds its own; the oracle keeps the catalog's
+    data = catalog[name].data
+    assert data.tails_l[0] != data.U.unit
+    bar = bar_resolution(data, 3)
+    assert bar.tails[0] == data.U.unit
+    for res in (bar, UnnormalizedBar(data, 3)):
+        for n in range(1, 4):
+            for w in res.words(n):
+                assert not res.boundary_elt(res.boundary_word(w))
+        for n in range(4):
+            assert _homotopy_identity_holds(res, n)
+
+
+def test_bar_needs_the_unit_as_a_tail(catalog):
+    # a <| action that kills the unit leaves no unit-first tail table
+    data = copy.copy(catalog["kz2"].data)
+    data.tri_r = [Matrix.zeros(2, 2)]
+    with pytest.raises(ValidationError):
+        bar_resolution(data, 2)

@@ -12,14 +12,16 @@ from __future__ import annotations
 from .errors import ValidationError
 from .linalg import (
     Matrix,
+    Q,
     QuotientSpace,
     Subspace,
     frac,
     frac_str,
     induced_map,
     lincomb,
+    sparse_add,
+    sparse_kernel,
     unit_vec,
-    vec_is_zero,
     zero_vec,
 )
 
@@ -263,16 +265,15 @@ def balanced_tensor(pairs, left_dim, right_dim) -> QuotientSpace:
         for i in range(left_dim):
             li = L.col(i)
             for j in range(right_dim):
-                rel = zero_vec(ambient)
+                rel = {}
                 for p, c in enumerate(li):
                     if c:
-                        rel[p * right_dim + j] += c
+                        sparse_add(rel, p * right_dim + j, c)
                 for q, c in enumerate(R.col(j)):
                     if c:
-                        rel[i * right_dim + q] -= c
-                if not vec_is_zero(rel):
-                    relations.append(rel)
-    return QuotientSpace.from_relation_vectors(ambient, relations)
+                        sparse_add(rel, i * right_dim + q, -c)
+                relations.append(rel)
+    return QuotientSpace(ambient, Subspace(ambient, relations))
 
 
 def tensor_over(algebra, m_right: ModuleRep, n_left: ModuleRep) -> QuotientSpace:
@@ -312,24 +313,23 @@ def hom_over(algebra, m: ModuleRep, n: ModuleRep) -> Subspace:
         # equation T @ am - an @ T = 0, entry (r, c)
         for r in range(dn):
             for c in range(dm):
-                row = zero_vec(unknowns)
+                row = {}
                 for k in range(dm):
                     if am.rows[k][c]:
-                        row[r * dm + k] += am.rows[k][c]
+                        sparse_add(row, r * dm + k, am.rows[k][c])
                 for k in range(dn):
                     if an.rows[r][k]:
-                        row[k * dm + c] -= an.rows[r][k]
-                if not vec_is_zero(row):
-                    rows.append(row)
-    if not rows:
-        return Subspace(unknowns, Matrix.identity(unknowns))
-    ker = Matrix(rows, ncols=unknowns).kernel()
-    return Subspace(unknowns, ker)
+                        sparse_add(row, k * dm + c, -an.rows[r][k])
+                rows.append(row)
+    return sparse_kernel(rows, unknowns)
 
 
 def hom_basis_matrices(sub: Subspace, dn, dm):
     """Unflatten a hom_over basis into matrices."""
     out = []
-    for row in sub.basis.rows:
-        out.append(Matrix([[row[r * dm + c] for c in range(dm)] for r in range(dn)], ncols=dm))
+    for p, tail in sub.echelon:
+        m = Matrix.zeros(dn, dm)
+        for j, c in [(p, Q(1)), *tail.items()]:
+            m.rows[j // dm][j % dm] = c
+        out.append(m)
     return out

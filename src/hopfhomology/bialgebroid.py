@@ -42,6 +42,7 @@ from .linalg import (
     induced_map,
     lincomb,
     sparse_add,
+    sparse_kernel,
     unit_vec,
     zero_vec,
 )
@@ -363,11 +364,11 @@ class BialgebroidData:
         return self._centralizer_aop
 
     def _centralizer(self, space, first_family, second_family):
-        blocks = []
+        rows = []
         for r in range(self.A.dim):
             f = first_family[r]
             s = second_family[r]
-            cols = []
+            block = [{} for _ in range(space.dim)]
             for k in range(space.dim):
                 amb = space.lift_word(space.words[k])
                 diff = {}
@@ -378,12 +379,11 @@ class BialgebroidData:
                     for q2, d in enumerate(s.col(q)):
                         if d:
                             sparse_add(diff, (p, q2), -c * d)
-                cols.append(space.project_sparse(diff))
-            blocks.append(Matrix.from_cols(cols, nrows=space.dim))
-        stacked = blocks[0]
-        for b in blocks[1:]:
-            stacked = stacked.vstack(b)
-        return Subspace(space.dim, stacked.kernel())
+                for i, c in enumerate(space.project_sparse(diff)):
+                    if c:
+                        block[i][k] = c
+            rows.extend(block)
+        return sparse_kernel(rows, space.dim)
 
     def delta_of_vec(self, u):
         out = {}

@@ -24,8 +24,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
+from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import Matrix, Q, sparse_add, zero_vec
+from .linalg import Matrix, Q, _sparse, sparse_add, sparse_rank, zero_vec
 from .pbw import (
     LieAlgebraData,
     LieModule,
@@ -291,50 +292,44 @@ class UgBarComplex:
         self._tuples[n] = (out, idx)
         return self._tuples[n]
 
-    def cochain_matrix(self, n, M: LieModule) -> Matrix:
-        """delta : C^n(M) -> C^{n+1}(M) from the bar faces."""
+    def cochain_rows(self, n, M: LieModule):
+        """Sparse rows of delta : C^n(M) -> C^{n+1}(M) from the bar faces."""
         g = self.g
         dm = M.dim
         src, src_idx = self.tuples(n)
         dst, _ = self.tuples(n + 1)
-        out = Matrix.zeros(len(dst) * dm, len(src) * dm)
+        rows = [dict() for _ in range(len(dst) * dm)]
         for ti, t in enumerate(dst):
+            out = rows[ti * dm : (ti + 1) * dm]
             # u_1 . phi(u_2 ..)
             act = M.act_mono(t[0])
             k = src_idx[t[1:]]
             for a in range(dm):
-                for b in range(dm):
-                    if act.rows[a][b]:
-                        out.rows[ti * dm + a][k * dm + b] += act.rows[a][b]
+                for b, c in enumerate(act.rows[a]):
+                    if c:
+                        sparse_add(out[a], k * dm + b, c)
             # inner faces
             for i in range(1, n + 1):
                 sign = Q(-1) ** i
-                prod = mono_mul(g, t[i - 1], t[i])
-                for m, c in prod.items():
-                    merged = t[: i - 1] + (m,) + t[i + 1 :]
-                    k = src_idx[merged]
+                for m, c in mono_mul(g, t[i - 1], t[i]).items():
+                    k = src_idx[t[: i - 1] + (m,) + t[i + 1 :]]
                     for a in range(dm):
-                        out.rows[ti * dm + a][k * dm + a] += sign * c
+                        sparse_add(out[a], k * dm + a, sign * c)
             # counit face kills positive degree in the last slot
             if mono_deg(t[-1]) == 0:
                 sign = Q(-1) ** (n + 1)
                 k = src_idx[t[:-1]]
                 for a in range(dm):
-                    out.rows[ti * dm + a][k * dm + a] += sign
-        return out
+                    sparse_add(out[a], k * dm + a, sign)
+        return rows
+
+    def cochain_matrix(self, n, M: LieModule) -> Matrix:
+        """delta : C^n(M) -> C^{n+1}(M) as a dense matrix."""
+        return Matrix.from_sparse_rows(self.cochain_rows(n, M), len(self.tuples(n)[0]) * M.dim)
 
     def ext_dims(self, M: LieModule, upto) -> list:
-        mats = [self.cochain_matrix(n, M) for n in range(upto + 1)]
-        for n in range(upto):
-            if not (mats[n + 1] @ mats[n]).is_zero():
-                raise ValidationError("truncated bar differential does not square to zero")
-        dims = []
-        for n in range(upto + 1):
-            c = mats[n].ncols
-            r_out = mats[n].rank()
-            r_in = mats[n - 1].rank() if n >= 1 else 0
-            dims.append(c - r_out - r_in)
-        return dims
+        dims = [len(self.tuples(n)[0]) * M.dim for n in range(upto + 2)]
+        return homology_dims(dims, [self.cochain_rows(n, M) for n in range(upto + 1)])[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +406,9 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
     ce = ce_resolution(g, validate=False)
     bar = UgBarComplex(g, bound)
     ce_dims = []
-    bar_mats = [bar.cochain_matrix(n, M) for n in range(upto + 2)]
-    bar_dims = []
-    for n in range(upto + 1):
-        c = bar_mats[n].ncols
-        bar_dims.append(c - bar_mats[n].rank() - (bar_mats[n - 1].rank() if n else 0))
+    bar_rows = [bar.cochain_rows(n, M) for n in range(upto + 1)]
+    dims = [len(bar.tuples(n)[0]) * M.dim for n in range(upto + 2)]
+    bar_dims = homology_dims(dims, bar_rows)[:-1]
     images = ce_to_bar_words(ce, upto + 1)
     # verify the comparison is a chain map degree by degree
     for n in range(1, upto + 1):
@@ -440,7 +433,7 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
         ce_dims.append(eg.dim)
         src, src_idx = bar.tuples(n)
         dm = M.dim
-        bar_h = _cochain_homology(bar_mats, n)
+        bar_h = HomologySpace(dims[n], bar_rows[n], bar_rows[n - 1] if n else [])
         if eg.dim != bar_h.dim:
             bijective.append(False)
             continue
@@ -464,15 +457,5 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
                                 vals[a] += c * act.rows[a][b] * v[k * dm + b]
                 pulled.extend(vals)
             cols.append(eg.class_of(pulled))
-        if eg.dim == 0:
-            bijective.append(True)
-        else:
-            m = Matrix.from_cols(cols, nrows=eg.dim)
-            bijective.append(m.rank() == eg.dim)
+        bijective.append(sparse_rank([_sparse(c) for c in cols]) == eg.dim)
     return ce_dims, bar_dims, bijective
-
-
-def _cochain_homology(mats, n):
-    from .complexes import HomologySpace
-
-    return HomologySpace(mats[n].kernel(), mats[n - 1].transpose().sparse_rows() if n >= 1 else [])

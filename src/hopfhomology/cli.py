@@ -25,7 +25,7 @@ from .duality import (
     duality_isomorphism_ug,
 )
 from .errors import NotInvertibleError, NotProjectiveError, ValidationError, WindowExceededError
-from .homology import ext, tor
+from .homology import ext, ext_dims, tor, tor_dims
 from .instances import builtin_instances, dual_numbers, q_times_q, upper_triangular2
 from .linalg import frac_str
 from .oracles import hochschild_cohomology_dims, hochschild_homology_dims
@@ -62,7 +62,7 @@ def _get_instance(name):
             with open(name) as fh:
                 blob = json.load(fh)
             data = BialgebroidData.from_json(blob, name=os.path.basename(name))
-        except (KeyError, IndexError, TypeError, ValueError) as e:
+        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError, OSError) as e:
             raise _UsageError(f"could not load instance file {name!r}: {e}") from e
         modules = {"A": data.a_module(), "U": ModuleRep.regular_left(data.U)}
         return Instance(data.name, "findim", data, modules, {}, f"loaded from {name}")
@@ -155,15 +155,10 @@ def cmd_ext_tor(args, which):
         mods = _lie_modules(inst)
         if args.module not in mods:
             return _fail_usage(f"unknown module {args.module!r}")
-        bar = UgBarComplex(inst.data, args.pbw_bound)
-        try:
-            dims = bar.ext_dims(mods[args.module], args.max_degree)
-        except WindowExceededError as e:
-            sys.stderr.write(str(e) + "\n")
-            return 3
+        dims = UgBarComplex(inst.data, args.pbw_bound).ext_dims(mods[args.module], args.max_degree)
         rows = [
-            {"degree": n, "dim": dims[n], "resolution": "bar", "window": args.pbw_bound}
-            for n in range(args.max_degree + 1)
+            {"degree": n, "dim": dim, "resolution": "bar", "window": args.pbw_bound}
+            for n, dim in enumerate(dims)
         ]
         _emit({"command": which, "instance": inst.name, "module": args.module, "rows": rows})
         return 0
@@ -178,15 +173,11 @@ def cmd_ext_tor(args, which):
         window = depth
     if args.module not in mods:
         return _fail_usage(f"unknown module {args.module!r}")
-    M = mods[args.module]
-    rows = []
-    try:
-        for n in range(args.max_degree + 1):
-            grp = ext(res, M, n) if which == "ext" else tor(res, M, n)
-            rows.append({"degree": n, "dim": grp.dim, "resolution": resolution, "window": window})
-    except WindowExceededError as e:
-        sys.stderr.write(str(e) + "\n")
-        return 3
+    dims = (ext_dims if which == "ext" else tor_dims)(res, mods[args.module], args.max_degree)
+    rows = [
+        {"degree": n, "dim": dim, "resolution": resolution, "window": window}
+        for n, dim in enumerate(dims)
+    ]
     _emit({"command": which, "instance": inst.name, "module": args.module, "rows": rows})
     return 0
 

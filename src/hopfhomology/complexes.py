@@ -17,9 +17,10 @@ from .linalg import (
     Q,
     QuotientSpace,
     Subspace,
-    unit_vec,
+    sparse_axpy,
+    sparse_kernel,
+    sparse_rank,
     vec_is_zero,
-    zero_vec,
 )
 
 
@@ -56,7 +57,7 @@ class ChainComplex:
         return sorted(self.spaces)
 
     def homology(self, n):
-        return HomologySpace(self.d(n).kernel(), self.d(n + 1).transpose().sparse_rows())
+        return HomologySpace(self.dim(n), self.d(n).sparse_rows(), self.d(n + 1).sparse_rows())
 
     def betti(self, n):
         return self.homology(n).dim
@@ -79,27 +80,52 @@ class ChainComplex:
         return f"ChainComplex({dims})"
 
 
+def homology_dims(dims, maps):
+    """Homology dimensions of the complex V_0 -> V_1 -> .. -> V_m.
+
+    dims[i] is the dimension of V_i and maps[i] the sparse rows of
+    V_i -> V_{i+1}, one row per coordinate of V_{i+1}; the maps beyond
+    either end are zero.  d d = 0 is checked on the rows, then each map
+    is ranked once.  Returns dim V_i - rank in - rank out for every i.
+    """
+    for i in range(len(maps) - 1):
+        inner = maps[i]
+        for row in maps[i + 1]:
+            acc = {}
+            for j, c in row.items():
+                sparse_axpy(acc, c, inner[j])
+            if acc:
+                raise ValidationError(f"d d != 0 from position {i} to {i + 2}")
+    ranks = [0] + [sparse_rank(rows) for rows in maps] + [0]
+    return [c - ranks[i] - ranks[i + 1] for i, c in enumerate(dims)]
+
+
 class HomologySpace:
     """ker(d_out) / im(d_in) with canonical cycle coordinates.
 
-    Built from a basis of the cycles ker(d_out), as the rows of a
-    matrix, and the image vectors d_in(e_j), sparse dicts that span the
-    boundaries.  Classes are stored as coordinates on the canonical rref
-    basis of the cycle space; the boundary space is a quotient in those
-    coordinates, again with canonical representatives.  Only the rref
-    basis of the image span is taken into cycle coordinates.
+    Built from the sparse rows of the two differentials at an ambient
+    space of the given dimension: d_out leaves it, d_in arrives in it,
+    so the columns of d_in span the boundaries.  Classes are stored as
+    coordinates on the canonical rref basis of the cycle space; the
+    boundary space is a quotient in those coordinates, again with
+    canonical representatives.  Only the rref basis of the image span is
+    taken into cycle coordinates.
     """
 
-    def __init__(self, cycles: Matrix, images):
-        self.ambient = cycles.ncols
-        self.cycles = Subspace(self.ambient, cycles)
-        rows = []
-        for img in _dense_rows(_eliminate(images), self.ambient):
-            coords = self.cycles.coordinates(img)
-            if coords is None:
+    def __init__(self, ambient, out_rows, in_rows):
+        self.ambient = ambient
+        self.cycles = sparse_kernel(out_rows, ambient)
+        columns = {}
+        for i, row in enumerate(in_rows):
+            for j, c in row.items():
+                columns.setdefault(j, {})[i] = c
+        relations = []
+        for p, tail in _eliminate(columns.values()):
+            coords, rest = self.cycles.decompose({p: Q(1), **tail})
+            if rest:
                 raise ValidationError("image vector is not a cycle; complex corrupted")
-            rows.append(coords)
-        self.quotient = QuotientSpace.from_relation_vectors(self.cycles.dim, rows)
+            relations.append(coords)
+        self.quotient = QuotientSpace(self.cycles.dim, Subspace(self.cycles.dim, relations))
 
     @property
     def dim(self):
@@ -117,14 +143,7 @@ class HomologySpace:
 
     def representative(self, k):
         """Ambient cycle representing the k-th canonical basis class."""
-        coords = self.quotient.lift(unit_vec(self.dim, k))
-        out = zero_vec(self.ambient)
-        for c, row in zip(coords, self.cycles.basis.rows):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] += c * x
-        return out
+        return _dense_rows([self.cycles.echelon[self.quotient.reps[k]]], self.ambient)[0]
 
     def representatives(self):
         return [self.representative(k) for k in range(self.dim)]

@@ -358,7 +358,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
         src = BoundedBasis(g, res.rank(d - 1), m)
         dst = BoundedBasis(g, res.rank(d), m + 1)
         mat = bounded_free_map(g, dual_top, src, dst, entries_act="left")
-        image = Subspace(dst.dim, mat.transpose())
+        image = Subspace(dst.dim, mat.transpose().sparse_rows())
         inside = [v for v in _degree_filtered_units(g, dst, m)]
         # classes of monomials of degree <= m in the cokernel
         reduced = [image.reduce(v) for v in inside]
@@ -414,7 +414,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
         src = BoundedBasis(g, res.rank(1), m)
         dst = BoundedBasis(g, res.rank(0), m + 1)
         mat = bounded_free_map(g, res.diff_cols(1), src, dst, entries_act="right")
-        image = Subspace(dst.dim, mat.transpose())
+        image = Subspace(dst.dim, mat.transpose().sparse_rows())
         one_idx = dst.index[(0, mono_one(g.dim))]
         unit_red = image.reduce(unit_vec(dst.dim, one_idx))
         if vec_is_zero(unit_red):
@@ -449,7 +449,7 @@ def _hit_in_window(g, cols, rank, kern, src: BoundedBasis, slack, entries_act):
         src2 = BoundedBasis(g, rank, src.bound + extra)
         dst2 = BoundedBasis(g, src.rank, src.bound + extra + 1)
         mat = bounded_free_map(g, cols, src2, dst2, entries_act=entries_act)
-        image = Subspace(dst2.dim, mat.transpose())
+        image = Subspace(dst2.dim, mat.transpose().sparse_rows())
         if all(image.contains(_repad(row, src, dst2)) for row in kern.rows):
             return True
     return False

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import HomologySpace
+from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, WindowExceededError
-from .linalg import Matrix, sparse_add, sparse_kernel, sparse_rank
+from .linalg import Matrix, sparse_add
 
 
 def cochain_matrix(res, M, n) -> Matrix:
@@ -61,13 +61,11 @@ def chain_rows_sparse(res, N, n):
     return rows
 
 
-def _columns(rows, ncols):
-    """The columns of the matrix with these sparse rows, as sparse dicts."""
-    cols = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            cols[j][i] = c
-    return cols
+def _check_window(res, n, group):
+    if n < 0 or n > res.max_degree - 1:
+        raise WindowExceededError(
+            f"{group} degree {n} outside certified window 0..{res.max_degree - 1}"
+        )
 
 
 @dataclass
@@ -97,18 +95,12 @@ class ExtGroup:
     """Ext^n with a canonical class basis and decomposition queries."""
 
     def __init__(self, res, M, n):
-        if n < 0 or n > res.max_degree - 1:
-            raise WindowExceededError(
-                f"Ext degree {n} outside certified window 0..{res.max_degree - 1}"
-            )
+        _check_window(res, n, "Ext")
         self.res = res
         self.module = M
         self.degree = n
-        cycles = sparse_kernel(cochain_rows_sparse(res, M, n), res.rank(n) * M.dim)
-        images = []
-        if n >= 1:
-            images = _columns(cochain_rows_sparse(res, M, n - 1), res.rank(n - 1) * M.dim)
-        self.space = HomologySpace(cycles, images)
+        d_in = cochain_rows_sparse(res, M, n - 1) if n >= 1 else []
+        self.space = HomologySpace(res.rank(n) * M.dim, cochain_rows_sparse(res, M, n), d_in)
 
     @property
     def dim(self):
@@ -135,17 +127,12 @@ class TorGroup:
     """Tor_n with a canonical class basis."""
 
     def __init__(self, res, N, n):
-        if n < 0 or n > res.max_degree - 1:
-            raise WindowExceededError(
-                f"Tor degree {n} outside certified window 0..{res.max_degree - 1}"
-            )
+        _check_window(res, n, "Tor")
         self.res = res
         self.module = N
         self.degree = n
         d_out = chain_rows_sparse(res, N, n) if n >= 1 else []
-        cycles = sparse_kernel(d_out, res.rank(n) * N.dim)
-        images = _columns(chain_rows_sparse(res, N, n + 1), res.rank(n + 1) * N.dim)
-        self.space = HomologySpace(cycles, images)
+        self.space = HomologySpace(res.rank(n) * N.dim, d_out, chain_rows_sparse(res, N, n + 1))
 
     @property
     def dim(self):
@@ -173,35 +160,33 @@ def tor(res, N, n) -> TorGroup:
 
 
 def ext_dims(res, M, upto):
-    """Ext dimensions for degrees 0..upto, computed from sparse ranks."""
-    if upto > res.max_degree - 1:
-        raise WindowExceededError(
-            f"Ext degree {upto} outside certified window 0..{res.max_degree - 1}"
-        )
-    ranks = {}
-    for n in range(upto + 1):
-        ranks[n] = sparse_rank(cochain_rows_sparse(res, M, n))
-    dims = []
-    for n in range(upto + 1):
-        c = res.rank(n) * M.dim
-        dims.append(c - ranks[n] - (ranks[n - 1] if n >= 1 else 0))
-    return dims
+    """Ext dimensions for degrees 0..upto, one sparse rank per coboundary.
+
+    A window error names the lowest degree outside the window.
+    """
+    _check_window(res, min(upto, res.max_degree), "Ext")
+    dims = [res.rank(n) * M.dim for n in range(upto + 2)]
+    return homology_dims(dims, [cochain_rows_sparse(res, M, n) for n in range(upto + 1)])[:-1]
 
 
 def tor_dims(res, N, upto):
-    if upto > res.max_degree - 1:
-        raise WindowExceededError(
-            f"Tor degree {upto} outside certified window 0..{res.max_degree - 1}"
-        )
-    ranks = {}
+    """Tor dimensions for degrees 0..upto, one sparse rank per boundary.
+
+    Each boundary enters transposed, as the cochain-style map
+    N^{rank(n-1)} -> N^{rank(n)}: its rows are then the boundaries of
+    single generators, which are sparse where the rows of
+    chain_rows_sparse are not.
+    """
+    _check_window(res, min(upto, res.max_degree), "Tor")
+    dims = [res.rank(n) * N.dim for n in range(upto + 2)]
+    maps = []
     for n in range(1, upto + 2):
-        ranks[n] = sparse_rank(chain_rows_sparse(res, N, n))
-    dims = []
-    for n in range(upto + 1):
-        c = res.rank(n) * N.dim
-        out_rank = ranks[n] if n >= 1 else 0
-        dims.append(c - out_rank - ranks[n + 1])
-    return dims
+        cols = [{} for _ in range(dims[n])]
+        for i, row in enumerate(chain_rows_sparse(res, N, n)):
+            for j, c in row.items():
+                cols[j][i] = c
+        maps.append(cols)
+    return homology_dims(dims, maps)[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import NotWellDefinedError
 
 Q = Fraction
+_ZERO = Q(0)
 
 
 def frac(x) -> Fraction:
@@ -211,11 +212,6 @@ class Matrix:
             raise ValueError("row count mismatch")
         return Matrix._own([r + s for r, s in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return Matrix._own([r[:] for r in self.rows] + [r[:] for r in other.rows], self.ncols)
-
     def kron(self, other):
         """Kronecker product, index (i,j) -> i * other_dim + j."""
         out = []
@@ -235,7 +231,7 @@ class Matrix:
 
     def sparse_rows(self):
         """The rows as dicts {column: entry} without zero values."""
-        return [{j: x for j, x in enumerate(row) if x} for row in self.rows]
+        return [_sparse(row) for row in self.rows]
 
     def rref(self):
         """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
@@ -249,10 +245,8 @@ class Matrix:
 
     def kernel(self):
         """Canonical basis of the right kernel, rows of the result."""
-        return sparse_kernel(self.sparse_rows(), self.ncols)
-
-    def strip_zero_rows(self):
-        return Matrix._own([r[:] for r in self.rows if not vec_is_zero(r)], self.ncols)
+        kernel = sparse_kernel(self.sparse_rows(), self.ncols)
+        return Matrix._own(_dense_rows(kernel.echelon, self.ncols), self.ncols)
 
     def solve(self, b):
         """Canonical solution v of self @ v = b, or None.
@@ -319,64 +313,73 @@ def lincomb(terms, nrows, ncols) -> Matrix:
 
 
 class Subspace:
-    """Row space with canonical rref basis."""
+    """Row space held as its reduced row echelon form.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    echelon is the list of (pivot, tail) pairs that _eliminate returns:
+    row k is 1 at its pivot, the sparse tail elsewhere and 0 at every
+    other pivot.  So the coordinates of a vector of the span are its
+    values at the pivots, and reducing a vector walks the tails of the
+    pivots where it is nonzero.  Equal spans have equal echelons.
+    """
 
-    def __init__(self, ambient_dim, basis_matrix=None):
+    __slots__ = ("ambient_dim", "echelon", "_row")
+
+    def __init__(self, ambient_dim, rows=()):
+        """The span of sparse rows {column: entry}."""
         self.ambient_dim = ambient_dim
-        if basis_matrix is None or basis_matrix.nrows == 0:
-            self.basis = Matrix([], ncols=ambient_dim)
-            self.pivots = []
-        else:
-            R, pivots = basis_matrix.rref()
-            self.basis = R.strip_zero_rows()
-            self.pivots = pivots
+        self.echelon = _eliminate(rows)
+        self._row = {p: k for k, (p, _) in enumerate(self.echelon)}
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
-        if not vectors:
-            return cls(ambient_dim)
-        return cls(ambient_dim, Matrix(vectors, ncols=ambient_dim))
+        return cls(ambient_dim, [{j: frac(x) for j, x in enumerate(v) if x} for v in vectors])
 
     @property
     def dim(self):
-        return self.basis.nrows
+        return len(self.echelon)
+
+    @property
+    def pivots(self):
+        return [p for p, _ in self.echelon]
+
+    def decompose(self, v):
+        """(coordinates, remainder) of a sparse vector v.
+
+        The coordinates are {row: value of v at its pivot}; the remainder
+        is v minus that combination of the basis, empty iff v is inside.
+        """
+        coords = {}
+        rest = dict(v)
+        for j, c in v.items():
+            k = self._row.get(j)
+            if k is not None:
+                coords[k] = c
+                del rest[j]
+                sparse_axpy(rest, -c, self.echelon[k][1])
+        return coords, rest
 
     def reduce(self, v):
-        """Subtract the projection onto the subspace, using pivot columns."""
-        v = list(v)
-        for row, p in zip(self.basis.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return v
+        """v minus its projection onto the subspace along the non-pivot columns."""
+        out = zero_vec(self.ambient_dim)
+        for j, c in self.decompose(_sparse(v))[1].items():
+            out[j] = c
+        return out
 
     def contains(self, v):
-        return vec_is_zero(self.reduce(v))
+        return not self.decompose(_sparse(v))[1]
 
     def coordinates(self, v):
         """Coefficients of v on the rref basis, or None if v is outside."""
-        coords = []
-        v = list(v)
-        for row, p in zip(self.basis.rows, self.pivots):
-            c = v[p]
-            coords.append(c)
-            if c:
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        if not vec_is_zero(v):
+        coords, rest = self.decompose(_sparse(v))
+        if rest:
             return None
-        return coords
+        return [coords.get(k, _ZERO) for k in range(self.dim)]
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.echelon == other.echelon
         )
 
     def __repr__(self):
@@ -401,17 +404,13 @@ class QuotientSpace:
         pivot_set = set(relations.pivots)
         self.reps = [j for j in range(ambient_dim) if j not in pivot_set]
 
-    @classmethod
-    def from_relation_vectors(cls, ambient_dim, vectors):
-        return cls(ambient_dim, Subspace.from_vectors(vectors, ambient_dim))
-
     @property
     def dim(self):
         return len(self.reps)
 
     def project(self, v):
-        reduced = self.relations.reduce(v)
-        return [reduced[j] for j in self.reps]
+        rest = self.relations.decompose(_sparse(v))[1]
+        return [rest.get(j, _ZERO) for j in self.reps]
 
     def lift(self, coords):
         v = zero_vec(self.ambient_dim)
@@ -425,7 +424,7 @@ class QuotientSpace:
 
 def quotient(ambient_dim, relation_vectors):
     """Quotient of the ambient coordinate space by the span of the relations."""
-    return QuotientSpace.from_relation_vectors(ambient_dim, relation_vectors)
+    return QuotientSpace(ambient_dim, Subspace.from_vectors(relation_vectors, ambient_dim))
 
 
 def induced_map(f: Matrix, source: QuotientSpace, target: QuotientSpace) -> Matrix:
@@ -436,12 +435,10 @@ def induced_map(f: Matrix, source: QuotientSpace, target: QuotientSpace) -> Matr
     """
     if f.ncols != source.ambient_dim or f.nrows != target.ambient_dim:
         raise ValueError("ambient shape mismatch")
-    for row in source.relations.basis.rows:
-        img = f.apply(row)
-        if not target.relations.contains(img):
+    for row in _dense_rows(source.relations.echelon, source.ambient_dim):
+        if not target.relations.contains(f.apply(row)):
             raise NotWellDefinedError("map does not preserve the relation subspace")
-    cols = [target.project(f.apply(source.lift(unit_vec(source.dim, k)))) for k in range(source.dim)]
-    return Matrix.from_cols(cols, nrows=target.dim)
+    return Matrix.from_cols([target.project(f.col(j)) for j in source.reps], nrows=target.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +520,12 @@ def sparse_rank(rows):
     return len(_eliminate(rows))
 
 
-def sparse_kernel(rows, ncols) -> Matrix:
-    """Canonical basis of the right kernel of sparse rows, rows of the result.
+def sparse_kernel(rows, ncols) -> Subspace:
+    """The right kernel of sparse rows, a Subspace of the ncols coordinates.
 
     Each free column j of the rref gives the kernel vector that is 1 at
-    j and minus the rref entries in column j at the pivots.  That basis
-    is itself put in rref, so equal kernels always get equal bases.
+    j and minus the rref entries in column j at the pivots.  Subspace
+    puts that basis in rref, so equal kernels always get equal echelons.
     """
     reduced = _eliminate(rows)
     pivots = {p for p, _ in reduced}
@@ -536,7 +533,12 @@ def sparse_kernel(rows, ncols) -> Matrix:
     for p, tail in reduced:
         for j, a in tail.items():
             basis[j][p] = -a
-    return Matrix._own(_dense_rows(_eliminate(basis.values()), ncols), ncols)
+    return Subspace(ncols, basis.values())
+
+
+def _sparse(v):
+    """The sparse dict {index: entry} of a dense vector."""
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def _dense_rows(reduced, ncols):

@@ -67,8 +67,12 @@ def test_ext_qs3(capsys):
 
 
 def test_ext_window_exceeded_exit_three(capsys):
-    code = run(["ext", "env-qeps", "--module", "A", "--max-degree", "3", "--depth", "2"])
-    assert code == 3
+    for which, group in (("ext", "Ext"), ("tor", "Tor")):
+        code = run([which, "env-qeps", "--module", "A", "--max-degree", "3", "--depth", "2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{group} degree 2 outside certified window 0..1\n"
 
 
 def test_tor_lie(capsys):
@@ -204,9 +208,32 @@ def test_duality_failed_cap_check_reports_witness(monkeypatch, capsys):
     assert data["witnesses"] == ["cap with the degree zero class is not bijective"]
 
 
-def test_malformed_instance_file_usage_error(tmp_path, capsys):
+def _bad_shape_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"U": [1, 2]}')
+    return path
+
+
+def _zero_denominator_file(tmp_path):
+    from hopfhomology.instances import builtin_instances
+
+    blob = builtin_instances()["kz2"].data.to_json()
+    blob["eta"][1][0] = "1/0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(blob))
+    return path
+
+
+MALFORMED_FILES = {
+    "bad-shape": _bad_shape_file,
+    "zero-denominator": _zero_denominator_file,
+    "directory": lambda tmp_path: tmp_path,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_instance_file_usage_error(case, tmp_path, capsys):
+    path = MALFORMED_FILES[case](tmp_path)
     code, out, err = _run_failure(["verify-hopf", str(path)], capsys)
     assert code == 2
     assert out == ""

@@ -6,6 +6,7 @@ import pytest
 from hopfhomology.complexes import (
     ChainComplex,
     DoubleComplex,
+    homology_dims,
     shuffle_transpose_iso,
 )
 from hopfhomology.errors import ValidationError
@@ -17,6 +18,20 @@ def test_d_squared_enforced_at_construction():
     diff = {1: Matrix([[1]]), 2: Matrix([[1]])}
     with pytest.raises(ValidationError):
         ChainComplex(spaces, diff)
+
+
+def test_homology_dims_enforce_d_squared():
+    # V_0 -> V_1 -> V_2 -> V_3 on rows: x -> (x, -x) then (a, b) -> a + b
+    # compose to zero; c -> 2c after them leaves (a, b) -> 2a + 2b != 0
+    first = [{0: Q(1)}, {0: Q(-1)}]
+    second = [{0: Q(1), 1: Q(1)}]
+    assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
+    third = [{0: Q(2)}]
+    with pytest.raises(ValidationError):
+        homology_dims([1, 2, 1, 1], [first, second, third])
+    with pytest.raises(ValidationError):
+        homology_dims([1, 1, 1], [[{0: Q(1)}], [{0: Q(1)}]])
+    assert homology_dims([1, 1, 1], [[{0: Q(1)}], [{}]]) == [0, 0, 1]
 
 
 def test_homology_of_identity_complex_vanishes():

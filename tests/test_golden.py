@@ -71,6 +71,16 @@ COMMANDS = {
     "oracle-hochschild-upper2": ["oracle", "hochschild", "upper2", "--max-degree", "3"],
     "ext-sweedler-trivial": ["ext", "sweedler", "--module", "trivial", "--max-degree", "4"],
     "tor-env-upper2": ["tor", "env-upper2", "--module", "A", "--max-degree", "3"],
+    "ext-lie-abelian2-adjoint-bar": [
+        "ext", "lie-abelian2", "--module", "adjoint", "--max-degree", "3",
+        "--resolution", "bar", "--pbw-bound", "4",
+    ],
+    "ext-lie-nonabelian2-trivial-bar": [
+        "ext", "lie-nonabelian2", "--module", "trivial", "--max-degree", "3",
+        "--resolution", "bar", "--pbw-bound", "5",
+    ],
+    "ext-lie-sl2-adjoint": ["ext", "lie-sl2", "--module", "adjoint", "--max-degree", "3"],
+    "tor-lie-nonabelian2": ["tor", "lie-nonabelian2", "--module", "trivial", "--max-degree", "2"],
 }
 
 

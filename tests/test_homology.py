@@ -1,6 +1,7 @@
 import pytest
 
-from hopfhomology.algebras import ModuleRep, hom_over, tensor_over
+from hopfhomology.algebras import FinDimAlgebra, ModuleRep, hom_over, tensor_over
+from hopfhomology.ce import ce_resolution
 from hopfhomology.errors import WindowExceededError
 from hopfhomology.complexes import HomologySpace
 from hopfhomology.homology import (
@@ -22,8 +23,9 @@ from hopfhomology.instances import (
     s3_modules,
     _right_trivial_group,
 )
-from hopfhomology.linalg import Matrix
+from hopfhomology.linalg import Matrix, unit_vec, zero_vec
 from hopfhomology.oracles import hochschild_cohomology_dims, hochschild_homology_dims
+from hopfhomology.pbw import LieModule
 from hopfhomology.resolutions import bar_resolution
 
 
@@ -135,13 +137,15 @@ def _ext_tor_cases(catalog):
 
 
 def test_ext_tor_match_dense_homology_spaces(catalog):
-    # Ext and Tor build their cycles and boundaries from sparse rows; the
-    # reference builds them from the dense coboundary and boundary matrices
+    # Ext and Tor build their cycles and boundaries from the sparse rows of
+    # their differentials; the reference reads the rows of the dense
+    # coboundary and boundary matrices
     for bar, lefts, rights in _ext_tor_cases(catalog):
         for M in lefts.values():
             for n in range(3):
-                d_in = cochain_matrix(bar, M, n - 1).transpose().sparse_rows() if n else []
-                dense = HomologySpace(cochain_matrix(bar, M, n).kernel(), d_in)
+                d_in = cochain_matrix(bar, M, n - 1).sparse_rows() if n else []
+                d_out = cochain_matrix(bar, M, n)
+                dense = HomologySpace(d_out.ncols, d_out.sparse_rows(), d_in)
                 eg = ext(bar, M, n)
                 assert eg.dim == dense.dim
                 assert eg.space.cycles == dense.cycles
@@ -149,8 +153,8 @@ def test_ext_tor_match_dense_homology_spaces(catalog):
         for N in rights.values():
             for n in range(3):
                 d_out = chain_matrix(bar, N, n) if n else Matrix.zeros(0, bar.rank(0) * N.dim)
-                d_in = chain_matrix(bar, N, n + 1).transpose().sparse_rows()
-                dense = HomologySpace(d_out.kernel(), d_in)
+                d_in = chain_matrix(bar, N, n + 1).sparse_rows()
+                dense = HomologySpace(d_out.ncols, d_out.sparse_rows(), d_in)
                 tg = tor(bar, N, n)
                 assert tg.dim == dense.dim
                 assert tg.space.cycles == dense.cycles
@@ -186,3 +190,43 @@ def test_maschke_group_algebras_have_no_higher_ext_or_tor(kind, order):
     assert ext_dims(bar, triv, 2) == [1, 0, 0]
     assert [tor(bar, trivr, k).dim for k in range(3)] == [1, 0, 0]
     assert tor_dims(bar, trivr, 2) == [1, 0, 0]
+
+
+def test_dims_match_groups_on_every_instance(catalog):
+    # ext and tor print ext_dims/tor_dims; cup, cap and duality read the
+    # groups, so both paths must give the same numbers
+    for name, inst in catalog.items():
+        if inst.kind == "lie":
+            g = inst.data
+            res = ce_resolution(g, validate=False)
+            top = g.dim
+            lefts = {"trivial": LieModule.trivial(g), "adjoint": LieModule.adjoint(g)}
+            rights = {"trivial": LieModule.trivial(g, side="right")}
+        else:
+            res = bar_resolution(inst.data, 4)
+            top = 3
+            lefts, rights = inst.modules, inst.right_modules
+        for key, M in lefts.items():
+            expect = [ext(res, M, n).dim for n in range(top + 1)]
+            assert ext_dims(res, M, top) == expect, (name, key)
+        for key, N in rights.items():
+            expect = [tor(res, N, n).dim for n in range(top + 1)]
+            assert tor_dims(res, N, top) == expect, (name, key)
+
+
+def _truncated_polynomials(k):
+    """Q[x]/(x^k) on the basis 1, x, .., x^(k-1)."""
+    mult = [[unit_vec(k, i + j) if i + j < k else zero_vec(k) for j in range(k)] for i in range(k)]
+    return FinDimAlgebra(k, [f"x^{i}" for i in range(k)], mult, unit_vec(k, 0))
+
+
+@pytest.mark.parametrize("k,expect", [(1, [1, 0, 0, 0]), (2, [2, 1, 1, 1]), (3, [3, 2, 2, 2])])
+def test_truncated_polynomial_envelope_matches_hochschild(k, expect):
+    # Ext and Tor of A over its enveloping algebra are Hochschild
+    # cohomology and homology: the center of Q[x]/(x^k) in degree 0 and
+    # k - 1 in every positive degree
+    A = _truncated_polynomials(k)
+    data = enveloping_instance(A, f"env-x{k}")
+    bar = bar_resolution(data, 4)
+    assert ext_dims(bar, bimodule_a(data), 3) == hochschild_cohomology_dims(A, 3) == expect
+    assert tor_dims(bar, bimodule_a_right(data), 3) == hochschild_homology_dims(A, 3) == expect

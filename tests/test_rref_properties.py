@@ -4,8 +4,9 @@ The oracle is the dense Gauss-Jordan that Matrix.rref used before the
 sparse kernel replaced it: first nonzero entry as pivot, every row
 updated.  The reduced row echelon form is unique, so both must agree
 exactly, pivots included.  The kernel of sparse rows is checked against
-the dense kernel built on that oracle, and lincomb against the fold
-out + c * m that it replaced.
+the dense kernel built on that oracle, Subspace and QuotientSpace on
+their echelon pairs against the dense Subspace they replaced, and
+lincomb against the fold out + c * m that it replaced.
 """
 
 from fractions import Fraction as Q
@@ -13,7 +14,14 @@ from fractions import Fraction as Q
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hopfhomology.linalg import Matrix, lincomb, sparse_kernel, sparse_rank
+from hopfhomology.linalg import (
+    Matrix,
+    QuotientSpace,
+    Subspace,
+    lincomb,
+    sparse_kernel,
+    sparse_rank,
+)
 
 MAX_DIM = 9
 
@@ -159,9 +167,84 @@ def dense_kernel(rows, ncols):
 @example(Matrix([[1], [2]]))
 def test_sparse_kernel_matches_dense_oracle(A):
     K = sparse_kernel(A.sparse_rows(), A.ncols)
-    assert K.ncols == A.ncols
-    assert K.rows == dense_kernel(A.rows, A.ncols)
-    assert A.kernel() == K
+    assert K.ambient_dim == A.ncols
+    assert echelon_rows(K) == dense_kernel(A.rows, A.ncols)
+    assert A.kernel() == Matrix(echelon_rows(K), ncols=A.ncols)
+
+
+def echelon_rows(sub):
+    """The dense rows of a Subspace's (pivot, tail) echelon."""
+    rows = []
+    for p, tail in sub.echelon:
+        row = [Q(0)] * sub.ambient_dim
+        row[p] = Q(1)
+        for j, a in tail.items():
+            row[j] = a
+        rows.append(row)
+    return rows
+
+
+class DenseSubspace:
+    """The Subspace that kept dense rref rows, on the oracle rref."""
+
+    def __init__(self, ambient_dim, rows):
+        self.ambient_dim = ambient_dim
+        reduced, self.pivots = dense_rref(rows, ambient_dim)
+        self.basis = reduced[: len(self.pivots)]
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def reduce(self, v):
+        v = list(v)
+        for row, p in zip(self.basis, self.pivots):
+            c = v[p]
+            if c:
+                for j in range(p, self.ambient_dim):
+                    if row[j]:
+                        v[j] -= c * row[j]
+        return v
+
+    def contains(self, v):
+        return all(x == 0 for x in self.reduce(v))
+
+    def coordinates(self, v):
+        coords = []
+        v = list(v)
+        for row, p in zip(self.basis, self.pivots):
+            c = v[p]
+            coords.append(c)
+            if c:
+                for j in range(p, self.ambient_dim):
+                    if row[j]:
+                        v[j] -= c * row[j]
+        if not all(x == 0 for x in v):
+            return None
+        return coords
+
+    def project(self, v):
+        """QuotientSpace.project: the reduced vector at the non-pivot columns."""
+        reduced = self.reduce(v)
+        return [reduced[j] for j in range(self.ambient_dim) if j not in self.pivots]
+
+
+@given(st.data())
+def test_subspace_and_quotient_match_dense_oracle(data):
+    A = data.draw(matrices())
+    sub = Subspace.from_vectors(A.rows, A.ncols)
+    oracle = DenseSubspace(A.ncols, A.rows)
+    assert sub.dim == oracle.dim
+    assert sub.pivots == oracle.pivots
+    assert echelon_rows(sub) == oracle.basis
+    quotient = QuotientSpace(A.ncols, sub)
+    coefficients = data.draw(vectors(A.nrows))
+    inside = [sum((c * row[j] for c, row in zip(coefficients, A.rows)), Q(0)) for j in range(A.ncols)]
+    for v in (data.draw(vectors(A.ncols)), inside, [Q(0)] * A.ncols):
+        assert sub.reduce(v) == oracle.reduce(v)
+        assert sub.contains(v) == oracle.contains(v)
+        assert sub.coordinates(v) == oracle.coordinates(v)
+        assert quotient.project(v) == oracle.project(v)
 
 
 def lincomb_fold(terms, nrows, ncols):

@@ -18,6 +18,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     sparse_axpy,
+    sparse_columns,
     sparse_kernel,
     sparse_rank,
     vec_is_zero,
@@ -115,12 +116,8 @@ class HomologySpace:
     def __init__(self, ambient, out_rows, in_rows):
         self.ambient = ambient
         self.cycles = sparse_kernel(out_rows, ambient)
-        columns = {}
-        for i, row in enumerate(in_rows):
-            for j, c in row.items():
-                columns.setdefault(j, {})[i] = c
         relations = []
-        for p, tail in _eliminate(columns.values()):
+        for p, tail in _eliminate(sparse_columns(in_rows).values()):
             coords, rest = self.cycles.decompose({p: Q(1), **tail})
             if rest:
                 raise ValidationError("image vector is not a cycle; complex corrupted")

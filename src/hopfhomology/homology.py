@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, WindowExceededError
-from .linalg import Matrix, sparse_add
+from .linalg import Matrix, sparse_add, sparse_columns
 
 
 def cochain_matrix(res, M, n) -> Matrix:
@@ -172,20 +172,15 @@ def ext_dims(res, M, upto):
 def tor_dims(res, N, upto):
     """Tor dimensions for degrees 0..upto, one sparse rank per boundary.
 
-    Each boundary enters transposed, as the cochain-style map
-    N^{rank(n-1)} -> N^{rank(n)}: its rows are then the boundaries of
-    single generators, which are sparse where the rows of
-    chain_rows_sparse are not.
+    Each boundary enters transposed: its columns, the boundaries of
+    single generators, are sparse where its rows are not.
     """
     _check_window(res, min(upto, res.max_degree), "Tor")
     dims = [res.rank(n) * N.dim for n in range(upto + 2)]
     maps = []
     for n in range(1, upto + 2):
-        cols = [{} for _ in range(dims[n])]
-        for i, row in enumerate(chain_rows_sparse(res, N, n)):
-            for j, c in row.items():
-                cols[j][i] = c
-        maps.append(cols)
+        cols = sparse_columns(chain_rows_sparse(res, N, n))
+        maps.append([cols.get(j, {}) for j in range(dims[n])])
     return homology_dims(dims, maps)[:-1]
 
 

@@ -536,6 +536,15 @@ def sparse_kernel(rows, ncols) -> Subspace:
     return Subspace(ncols, basis.values())
 
 
+def sparse_columns(rows):
+    """The nonzero columns {j: {i: entry}} of the matrix with these sparse rows."""
+    cols = {}
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            cols.setdefault(j, {})[i] = c
+    return cols
+
+
 def _sparse(v):
     """The sparse dict {index: entry} of a dense vector."""
     return {j: x for j, x in enumerate(v) if x}

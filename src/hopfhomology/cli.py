@@ -15,23 +15,12 @@ import argparse
 import json
 import sys
 
-from .bialgebroid import check_schauenburg, check_takeuchi, galois_map
-from .ce import ce_resolution
-from .duality import (
-    cap_omega_underived,
-    delta_chain_check_ug,
-    detect_duality_ug,
-    dual_bases,
-    duality_isomorphism_ug,
-)
 from .errors import NotInvertibleError, NotProjectiveError, ValidationError, WindowExceededError
-from .homology import ext, ext_dims, tor, tor_dims
-from .instances import builtin_instances, dual_numbers, q_times_q, upper_triangular2
+from .instances import builtin_instances
 from .linalg import frac_str
-from .oracles import hochschild_cohomology_dims, hochschild_homology_dims
-from .pbw import LieModule, ug_hopf_report
-from .products import BarProducts, CEProducts
-from .resolutions import bar_resolution
+
+# Each command imports the modules it runs, so that start-up loads and
+# builds only what the command needs.
 
 
 def _emit(obj):
@@ -69,29 +58,36 @@ def _get_instance(name):
     raise _UsageError(f"unknown instance {name!r}")
 
 
-def _lie_modules(inst):
-    g = inst.data
-    return {
-        "trivial": LieModule.trivial(g),
-        "adjoint": LieModule.adjoint(g),
-    }
+def _module(inst, mods, name):
+    """The module `name` among `mods`, or a usage error naming the choices."""
+    if name in mods:
+        return mods[name]
+    if not mods:
+        raise _UsageError(f"instance {inst.name!r} has no modules")
+    raise _UsageError(f"unknown module {name!r}; choose from {sorted(mods)}")
 
 
-def _lie_right_modules(inst):
+def _lie_modules(inst, side="left"):
+    from .pbw import LieModule
+
     g = inst.data
-    return {"trivial": LieModule.trivial(g, side="right")}
+    if side == "right":
+        return {"trivial": LieModule.trivial(g, side="right")}
+    return {"trivial": LieModule.trivial(g), "adjoint": LieModule.adjoint(g)}
 
 
 def cmd_instances(args):
-    cat = builtin_instances()
     if args.action == "list":
+        from .instances import CATALOG
+
         rows = [
-            {"name": k, "kind": v.kind, "description": v.description, "expect_hopf": v.expect_hopf}
-            for k, v in sorted(cat.items())
+            {"name": k, "kind": kind, "description": description, "expect_hopf": expect_hopf}
+            for k, (kind, description, expect_hopf, _) in sorted(CATALOG.items())
         ]
         _emit({"command": "instances list", "instances": rows})
         return 0
     # export: the finite dimensional data in the documented JSON format
+    cat = builtin_instances()
     if args.name is None or args.name not in cat:
         return _fail_usage("instances export needs a catalog name")
     inst = cat[args.name]
@@ -104,6 +100,8 @@ def cmd_instances(args):
 def cmd_verify_hopf(args):
     inst = _get_instance(args.instance)
     if inst.kind == "lie":
+        from .pbw import ug_hopf_report
+
         checks = ug_hopf_report(inst.data, bound=args.pbw_bound)
         report = {
             "command": "verify-hopf",
@@ -113,6 +111,8 @@ def cmd_verify_hopf(args):
         }
         _emit(report)
         return 0 if all(checks.values()) else 1
+    from .bialgebroid import check_schauenburg, check_takeuchi, galois_map
+
     tak = check_takeuchi(inst.data)
     checks = dict(tak.checks)
     witnesses = list(tak.failures)
@@ -152,28 +152,31 @@ def cmd_ext_tor(args, which):
             return _fail_usage("the truncated bar model over a universal envelope serves ext only")
         if inst.name == "lie-sl2":
             return _fail_usage("lie-sl2 is certified for the Koszul resolution only")
-        mods = _lie_modules(inst)
-        if args.module not in mods:
-            return _fail_usage(f"unknown module {args.module!r}")
-        dims = UgBarComplex(inst.data, args.pbw_bound).ext_dims(mods[args.module], args.max_degree)
+        M = _module(inst, _lie_modules(inst), args.module)
+        dims = UgBarComplex(inst.data, args.pbw_bound).ext_dims(M, args.max_degree)
         rows = [
             {"degree": n, "dim": dim, "resolution": "bar", "window": args.pbw_bound}
             for n, dim in enumerate(dims)
         ]
         _emit({"command": which, "instance": inst.name, "module": args.module, "rows": rows})
         return 0
+    from .homology import ext_dims, tor_dims
+
     if inst.kind == "lie":
+        from .ce import ce_resolution
+
         res = ce_resolution(inst.data, validate=False)
-        mods = _lie_modules(inst) if which == "ext" else _lie_right_modules(inst)
+        mods = _lie_modules(inst, "left" if which == "ext" else "right")
         window = None  # a complete resolution certifies every degree
     else:
+        from .resolutions import bar_resolution
+
         depth = args.depth if args.depth is not None else args.max_degree + 1
         res = bar_resolution(inst.data, depth)
         mods = inst.modules if which == "ext" else inst.right_modules
         window = depth
-    if args.module not in mods:
-        return _fail_usage(f"unknown module {args.module!r}")
-    dims = (ext_dims if which == "ext" else tor_dims)(res, mods[args.module], args.max_degree)
+    M = _module(inst, mods, args.module)
+    dims = (ext_dims if which == "ext" else tor_dims)(res, M, args.max_degree)
     rows = [
         {"degree": n, "dim": dim, "resolution": resolution, "window": window}
         for n, dim in enumerate(dims)
@@ -183,6 +186,13 @@ def cmd_ext_tor(args, which):
 
 
 def cmd_cup(args):
+    from .bialgebroid import galois_map, unit_iso
+    from .ce import ce_resolution
+    from .homology import ext
+    from .pbw import LieModule
+    from .products import BarProducts, CEProducts, transport_cochain
+    from .resolutions import bar_resolution
+
     inst = _get_instance(args.instance)
     tables = []
     try:
@@ -207,9 +217,6 @@ def cmd_cup(args):
             M = inst.modules.get("A") or inst.modules["trivial"]
             bar = bar_resolution(data, args.max_total + 1)
             pr = BarProducts(h, bar, args.max_total)
-            from .bialgebroid import unit_iso
-            from .products import transport_cochain
-
             groups = {n: ext(bar, M, n) for n in range(args.max_total + 1)}
             for m in range(args.max_total + 1):
                 for n in range(args.max_total + 1 - m):
@@ -234,13 +241,16 @@ def cmd_cap(args):
     inst = _get_instance(args.instance)
     if inst.kind != "lie":
         return _fail_usage("cap tables are emitted for universal envelope instances")
+    from .ce import ce_resolution
+    from .homology import TorGroup, ext, tor
+    from .pbw import LieModule
+    from .products import CEProducts
+
     g = inst.data
     res = ce_resolution(g, validate=False)
     pr = CEProducts(res)
     triv = LieModule.trivial(g)
     trivr = LieModule.trivial(g, side="right")
-    from .homology import TorGroup
-
     tables = []
     try:
         for m in range(args.max_degree + 1):
@@ -266,13 +276,13 @@ def cmd_cap(args):
 def cmd_duality(args):
     inst = _get_instance(args.instance)
     if inst.kind == "lie":
+        from .duality import delta_chain_check_ug, detect_duality_ug, duality_isomorphism_ug
+        from .products import CEProducts
+
         g = inst.data
         dd = detect_duality_ug(g, bound=args.pbw_bound)
         pr = CEProducts(dd.resolution)
-        mods = _lie_modules(inst)
-        if args.module not in mods:
-            return _fail_usage(f"unknown module {args.module!r}")
-        M = mods[args.module]
+        M = _module(inst, _lie_modules(inst), args.module)
         table = []
         ok = True
         for m in range(dd.dimension + 1):
@@ -296,10 +306,11 @@ def cmd_duality(args):
         _emit(report)
         return 0 if ok and dd.report.ok else 1
     # finite dimensional: the semisimple, dimension zero route
+    from .bialgebroid import galois_map
+    from .duality import cap_omega_underived, dual_bases
+
     data = inst.data
-    if args.module not in inst.modules:
-        return _fail_usage(f"unknown module {args.module!r}")
-    M = inst.modules[args.module]
+    M = _module(inst, inst.modules, args.module)
     trivial_like = inst.modules.get("trivial") or inst.modules.get("A")
     h = galois_map(data)
     db = dual_bases(data, trivial_like)
@@ -322,6 +333,9 @@ def cmd_duality(args):
 def cmd_oracle(args):
     if args.kind != "hochschild":
         return _fail_usage("only the hochschild oracle is exposed")
+    from .instances import dual_numbers, q_times_q, upper_triangular2
+    from .oracles import hochschild_cohomology_dims, hochschild_homology_dims
+
     algebras = {
         "qeps": dual_numbers,
         "qxq": q_times_q,

@@ -10,6 +10,7 @@ construction; the Lie entries carry their own degree-window checks.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
@@ -332,7 +333,6 @@ class Instance:
     right_modules: dict = field(default_factory=dict)
     description: str = ""
     expect_hopf: bool = True
-    bar_depth: int = 4
 
     def __repr__(self):
         return f"Instance({self.name})"
@@ -360,57 +360,84 @@ def _right_trivial_group(data):
     return ModuleRep(data.U, 1, "right", [Matrix([[1]]) for _ in range(n)])
 
 
-def builtin_instances() -> dict:
-    """Catalog of validated instances, keyed by name."""
-    out = {}
+def _entry(make, left=lambda data: {}, right=lambda data: {}):
+    """A catalog build: make() the data, then its left and right modules."""
 
-    kz2 = cyclic_group_algebra(2)
-    out["kz2"] = Instance(
-        "kz2", "findim", kz2, _group_modules_z2(kz2), {"trivial": _right_trivial_group(kz2)},
-        "group algebra of Z/2",
+    def build():
+        data = make()
+        return data, left(data), right(data)
+
+    return build
+
+
+def _right_trivial_modules(data):
+    return {"trivial": _right_trivial_group(data)}
+
+
+def _envelope(make, name):
+    return _entry(
+        lambda: enveloping_instance(make(), name),
+        lambda data: {"A": bimodule_a(data), "U": ModuleRep.regular_left(data.U)},
+        lambda data: {"A": bimodule_a_right(data)},
     )
 
-    kz3 = cyclic_group_algebra(3)
-    out["kz3"] = Instance(
-        "kz3", "findim", kz3, _group_modules_z3(kz3), {"trivial": _right_trivial_group(kz3)},
-        "group algebra of Z/3",
-    )
 
-    qs3 = symmetric3_group_algebra()
-    out["qs3"] = Instance(
-        "qs3", "findim", qs3, s3_modules(qs3), {"trivial": _right_trivial_group(qs3)},
-        "group algebra of the symmetric group S3",
-    )
+_KOSZUL = "universal envelope of {} via its Koszul-type resolution"
 
-    sw = sweedler_algebra()
-    out["sweedler"] = Instance(
-        "sweedler", "findim", sw, sweedler_modules(sw), sweedler_right_modules(sw),
-        "Sweedler's 4 dimensional Hopf algebra",
-    )
+# name -> (kind, description, expect_hopf, build); build() returns the
+# validated data and its left and right modules.
+CATALOG = {
+    "kz2": ("findim", "group algebra of Z/2", True,
+            _entry(lambda: cyclic_group_algebra(2), _group_modules_z2, _right_trivial_modules)),
+    "kz3": ("findim", "group algebra of Z/3", True,
+            _entry(lambda: cyclic_group_algebra(3), _group_modules_z3, _right_trivial_modules)),
+    "qs3": ("findim", "group algebra of the symmetric group S3", True,
+            _entry(symmetric3_group_algebra, s3_modules, _right_trivial_modules)),
+    "sweedler": ("findim", "Sweedler's 4 dimensional Hopf algebra", True,
+                 _entry(sweedler_algebra, sweedler_modules, sweedler_right_modules)),
+    "env-qeps": ("findim", "enveloping algebra of Q[eps]/(eps^2)", True,
+                 _envelope(dual_numbers, "env-qeps")),
+    "env-qxq": ("findim", "enveloping algebra of Q x Q", True, _envelope(q_times_q, "env-qxq")),
+    "env-upper2": ("findim", "enveloping algebra of upper triangular 2x2", True,
+                   _envelope(upper_triangular2, "env-upper2")),
+    "monoid01": ("control", "bialgebra of the multiplicative monoid {1,0}; Galois map is singular",
+                 False, _entry(monoid01_bialgebra)),
+    "lie-abelian1": ("lie", _KOSZUL.format("lie-abelian1"), True, _entry(lambda: lie_abelian(1))),
+    "lie-abelian2": ("lie", _KOSZUL.format("lie-abelian2"), True, _entry(lambda: lie_abelian(2))),
+    "lie-nonabelian2": ("lie", _KOSZUL.format("lie-nonabelian2"), True, _entry(lie_nonabelian2)),
+    "lie-sl2": ("lie", _KOSZUL.format("lie-sl2"), True, _entry(lie_sl2)),
+}
 
-    for A, name, desc in (
-        (dual_numbers(), "env-qeps", "enveloping algebra of Q[eps]/(eps^2)"),
-        (q_times_q(), "env-qxq", "enveloping algebra of Q x Q"),
-        (upper_triangular2(), "env-upper2", "enveloping algebra of upper triangular 2x2"),
-    ):
-        data = enveloping_instance(A, name)
-        out[name] = Instance(
-            name, "findim", data,
-            {"A": bimodule_a(data), "U": ModuleRep.regular_left(data.U)},
-            {"A": bimodule_a_right(data)},
-            desc,
-        )
 
-    out["monoid01"] = Instance(
-        "monoid01", "control", monoid01_bialgebra(), {}, {},
-        "bialgebra of the multiplicative monoid {1,0}; Galois map is singular",
-        expect_hopf=False,
-    )
+class _Catalog(Mapping):
+    """Read-only view of CATALOG that builds an instance on its first lookup.
 
-    for g in (lie_abelian(1), lie_abelian(2), lie_nonabelian2(), lie_sl2()):
-        out[g.name] = Instance(
-            g.name, "lie", g, {}, {},
-            f"universal envelope of {g.name} via its Koszul-type resolution",
-        )
+    Membership, length and iteration read only the names; a lookup builds
+    the data (validated on construction) and its modules once.
+    """
 
-    return out
+    def __init__(self):
+        self._built = {}
+
+    def __getitem__(self, name):
+        if name not in self._built:
+            kind, description, expect_hopf, build = CATALOG[name]
+            data, modules, right_modules = build()
+            self._built[name] = Instance(
+                name, kind, data, modules, right_modules, description, expect_hopf
+            )
+        return self._built[name]
+
+    def __contains__(self, name):
+        return name in CATALOG
+
+    def __iter__(self):
+        return iter(CATALOG)
+
+    def __len__(self):
+        return len(CATALOG)
+
+
+def builtin_instances() -> Mapping:
+    """Catalog of validated instances, keyed by name; each is built when first looked up."""
+    return _Catalog()

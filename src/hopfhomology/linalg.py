@@ -23,11 +23,11 @@ _ZERO = Q(0)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, floats are rejected, strings like '2/3' allowed."""
+    """Coerce ints and strings like '2/3'; floats and booleans are rejected."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError("floating point input is not allowed in exact arithmetic")
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"{type(x).__name__} input is not allowed in exact arithmetic")
     return Fraction(x)
 
 

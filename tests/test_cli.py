@@ -194,13 +194,13 @@ def test_duality_non_projective_reports_witness(capsys):
 
 
 def test_duality_failed_cap_check_reports_witness(monkeypatch, capsys):
-    from hopfhomology import cli
     from hopfhomology.errors import ValidationError
 
     def failing_cap(*args):
         raise ValidationError("cap with the degree zero class is not bijective")
 
-    monkeypatch.setattr(cli, "cap_omega_underived", failing_cap)
+    # the duality command imports cap_omega_underived from its home module when it runs
+    monkeypatch.setattr("hopfhomology.duality.cap_omega_underived", failing_cap)
     code, out, _ = _run_failure(["duality", "qs3", "--module", "trivial"], capsys)
     assert code == 1
     data = json.loads(out)
@@ -224,8 +224,19 @@ def _zero_denominator_file(tmp_path):
     return path
 
 
+def _bool_rational_file(tmp_path):
+    from hopfhomology.instances import builtin_instances
+
+    blob = builtin_instances()["kz2"].data.to_json()
+    blob["U"]["unit"] = [True, 0]
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(blob))
+    return path
+
+
 MALFORMED_FILES = {
     "bad-shape": _bad_shape_file,
+    "bool-rational": _bool_rational_file,
     "zero-denominator": _zero_denominator_file,
     "directory": lambda tmp_path: tmp_path,
 }
@@ -240,3 +251,26 @@ def test_malformed_instance_file_usage_error(case, tmp_path, capsys):
     assert "could not load instance file" in err
     assert len(err.splitlines()) == 1
     assert "unknown instance" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ext", "monoid01"], "instance 'monoid01' has no modules"),
+        (["ext", "qs3", "--module", "nope"],
+         "unknown module 'nope'; choose from ['regular', 'sign', 'std2', 'trivial']"),
+        (["tor", "lie-abelian2", "--module", "adjoint"],
+         "unknown module 'adjoint'; choose from ['trivial']"),
+        (["ext", "lie-nonabelian2", "--module", "nope", "--resolution", "bar"],
+         "unknown module 'nope'; choose from ['adjoint', 'trivial']"),
+        (["duality", "qs3", "--module", "nope"],
+         "unknown module 'nope'; choose from ['regular', 'sign', 'std2', 'trivial']"),
+        (["duality", "lie-abelian1", "--module", "nope"],
+         "unknown module 'nope'; choose from ['adjoint', 'trivial']"),
+    ],
+)
+def test_unknown_module_usage_error_names_the_choices(argv, message, capsys):
+    code, out, err = _run_failure(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"

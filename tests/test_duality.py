@@ -25,7 +25,7 @@ from hopfhomology.instances import (
 )
 from hopfhomology.linalg import Matrix
 from hopfhomology.oracles import lie_cohomology_dims, lie_homology_dims
-from hopfhomology.pbw import LieModule, tensor_right_lie
+from hopfhomology.pbw import LieAlgebraData, LieModule, tensor_right_lie
 from hopfhomology.products import CEProducts
 
 
@@ -245,3 +245,47 @@ def test_ext_into_the_ring_concentrates_in_top_degree():
     assert dd.report.checks["ext_vanishing_below_top"]
     assert dd.report.checks["dualizing_module_rank_one"]
     assert dd.report.checks["double_dual_trivial"]
+
+
+def _semidirect(D, name):
+    """g = k.x |x V with [x, v] = D v and V abelian; basis x, v_1, .., v_m."""
+    m = len(D)
+    d = m + 1
+    c = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
+    for j in range(m):
+        image = [Q(0)] + [Q(D[i][j]) for i in range(m)]
+        c[0][j + 1] = image
+        c[j + 1][0] = [-a for a in image]
+    return LieAlgebraData(d, c, name=name)
+
+
+SEMIDIRECT = {
+    "zero": [[0, 0], [0, 0]],
+    "diag(1,2)": [[1, 0], [0, 2]],
+    "diag(1,-1)": [[1, 0], [0, -1]],
+    "rotation": [[0, -1], [1, 0]],
+    "jordan": [[1, 1], [0, 1]],
+    "nilpotent": [[0, 1], [0, 0]],
+    "[2]": [[2]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMIDIRECT))
+def test_semidirect_products_match_oracles_and_adjoint_trace(name):
+    from hopfhomology.ce import ce_resolution
+    from hopfhomology.homology import ext_dims, tor_dims
+
+    D = SEMIDIRECT[name]
+    g = _semidirect(D, name)
+    res = ce_resolution(g, validate=False)
+    adj = LieModule.adjoint(g)
+    # a right module from a left one: m.x = -x.m
+    adj_right = LieModule(g, g.dim, "right", [-a for a in adj.gen])
+    trivial = (LieModule.trivial(g), LieModule.trivial(g, side="right"))
+    for left, right in (trivial, (adj, adj_right)):
+        assert ext_dims(res, left, g.dim) == lie_cohomology_dims(g, left, g.dim)
+        assert tor_dims(res, right, g.dim) == lie_homology_dims(g, right, g.dim)
+    dd = detect_duality_ug(g)
+    trace = sum(Q(D[i][i]) for i in range(len(D)))
+    assert dd.weights == [trace] + [Q(0)] * len(D)
+    assert dd.report.ok

@@ -165,17 +165,16 @@ def cmd_ext_tor(args, which):
     if inst.kind == "lie":
         from .ce import ce_resolution
 
+        M = _module(inst, _lie_modules(inst, "left" if which == "ext" else "right"), args.module)
         res = ce_resolution(inst.data, validate=False)
-        mods = _lie_modules(inst, "left" if which == "ext" else "right")
         window = None  # a complete resolution certifies every degree
     else:
         from .resolutions import bar_resolution
 
+        M = _module(inst, inst.modules if which == "ext" else inst.right_modules, args.module)
         depth = args.depth if args.depth is not None else args.max_degree + 1
         res = bar_resolution(inst.data, depth)
-        mods = inst.modules if which == "ext" else inst.right_modules
         window = depth
-    M = _module(inst, mods, args.module)
     dims = (ext_dims if which == "ext" else tor_dims)(res, M, args.max_degree)
     rows = [
         {"degree": n, "dim": dim, "resolution": resolution, "window": window}
@@ -279,10 +278,9 @@ def cmd_duality(args):
         from .duality import delta_chain_check_ug, detect_duality_ug, duality_isomorphism_ug
         from .products import CEProducts
 
-        g = inst.data
-        dd = detect_duality_ug(g, bound=args.pbw_bound)
-        pr = CEProducts(dd.resolution)
         M = _module(inst, _lie_modules(inst), args.module)
+        dd = detect_duality_ug(inst.data, bound=args.pbw_bound)
+        pr = CEProducts(dd.resolution)
         table = []
         ok = True
         for m in range(dd.dimension + 1):

@@ -14,10 +14,11 @@ from .linalg import (
     Matrix,
     _dense_rows,
     _eliminate,
+    _integer_combination,
+    _integer_row,
     Q,
     QuotientSpace,
     Subspace,
-    sparse_axpy,
     sparse_columns,
     sparse_kernel,
     sparse_rank,
@@ -88,15 +89,17 @@ def homology_dims(dims, maps):
     V_i -> V_{i+1}, one row per coordinate of V_{i+1}; the maps beyond
     either end are zero.  d d = 0 is checked on the rows, then each map
     is ranked once.  Returns dim V_i - rank in - rank out for every i.
+
+    The check runs in integers on one map at a time: every row is scaled
+    by the lcm of its denominators, and each composite row by the lcm of
+    the scales of the inner rows it combines.  Only the inner map is held
+    in integers; each outer row is scaled as it is used.
     """
-    for i in range(len(maps) - 1):
-        inner = maps[i]
-        for row in maps[i + 1]:
-            acc = {}
-            for j, c in row.items():
-                sparse_axpy(acc, c, inner[j])
-            if acc:
-                raise ValidationError(f"d d != 0 from position {i} to {i + 2}")
+    for i in range(1, len(maps)):
+        inner = {j: _integer_row(row) for j, row in enumerate(maps[i - 1])}
+        for row in maps[i]:
+            if any(_integer_combination(_integer_row(row)[1], inner)[1].values()):
+                raise ValidationError(f"d d != 0 from position {i - 1} to {i + 1}")
     ranks = [0] + [sparse_rank(rows) for rows in maps] + [0]
     return [c - ranks[i] - ranks[i + 1] for i, c in enumerate(dims)]
 

@@ -2,9 +2,12 @@
 
 Everything downstream reduces to row reduction of matrices with
 Fraction entries: kernels, solves, ranks, quotients and maps induced on
-quotients.  One sparse Gauss-Jordan routine, _eliminate, does every
-row reduction in the package, for dense Matrix input as well as for
-sparse rows.  All results are exact, and all bases are canonical
+quotients.  One sparse routine, _eliminate, does every row reduction in
+the package, for dense Matrix input as well as for sparse rows.  It
+eliminates modulo primes below 2**30 on integer dicts, recovers the
+rationals by rational reconstruction, and proves the result with an
+exact integer certificate, so it returns exactly the rational reduced
+row echelon form.  All results are exact, and all bases are canonical
 (reduced row echelon form, leftmost pivot first), so repeated runs of
 any computation produce byte-identical output.
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .errors import NotWellDefinedError
 
@@ -466,26 +470,91 @@ def sparse_axpy(target, c, source):
     return target
 
 
+# The descending sequence of elimination primes starts here, below 2**30,
+# so every residue is one CPython digit.
+_FIRST_PRIME = 1073741789
+
+
+def _primes():
+    """_FIRST_PRIME, a prime, then the primes below it down to 2, descending."""
+    yield _FIRST_PRIME
+    n = _FIRST_PRIME - 1
+    while n > 1:
+        if n < 4 or (n % 2 and all(n % q for q in range(3, isqrt(n) + 1, 2))):
+            yield n
+        n -= 1
+
+
 def _eliminate(rows):
-    """Sparse exact Gauss-Jordan elimination: the package's one row reduction.
+    """Certified modular Gauss-Jordan elimination: the package's one row reduction.
 
     rows are dicts {column: Fraction} without zero values; they are not
     mutated.  Returns the nonzero rows of the reduced row echelon form as
     (pivot column, tail) pairs in increasing pivot order: the row is 1 at
-    its pivot, the sparse tail elsewhere, and 0 at every other pivot.
+    its pivot, the sparse Fraction tail elsewhere, and 0 at every other
+    pivot.
 
-    The forward pass takes the columns left to right.  The active rows
-    with an entry at column c are exactly those whose leading column is
-    c; the one with the fewest nonzeros becomes the pivot, which limits
-    fill-in (Markowitz, 1957), and only the others in that bucket are
-    updated.  Back substitution then clears each pivot column from the
-    earlier pivot rows.  The rref is unique, so the choice of pivot row
-    never shows in the result.
+    The rows are reduced mod a prime p (_rref_mod), skipping any prime
+    that divides an input denominator, and each tail entry is recovered
+    from its residue by rational reconstruction.  When that or the
+    certificate fails, the residues of further primes are combined by
+    the Chinese remainder theorem; only primes whose pivot list matches
+    the best one seen (highest rank, then lexicographically smallest)
+    are combined, since the true list beats that of any unlucky prime.
+    _certify then checks in integers that every row is the combination
+    of the candidate rows given by its values at the pivots.  The rank
+    mod p of p-integral rows is at most their rank over Q, so the
+    candidate spans the rows, is in reduced echelon form, and is
+    therefore their unique rref (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 5).
     """
+    rows = [row for row in rows if row]
+    best = best_pivots = modulus = None
+    for p in _primes():
+        reduced = _rref_mod(rows, p)
+        if reduced is None:  # p divides a denominator
+            continue
+        pivots = [c for c, _ in reduced]
+        if best is None or (-len(pivots), pivots) < (-len(best), best_pivots):
+            best, best_pivots, modulus = reduced, pivots, p
+        elif pivots == best_pivots:
+            best = [(c, _crt(acc, modulus, tail, p)) for (c, acc), (_, tail) in zip(best, reduced)]
+            modulus *= p
+        else:
+            continue
+        candidate = _reconstruct(best, modulus)
+        if candidate is not None and _certify(rows, candidate):
+            return candidate
+    raise ArithmeticError("no prime left to eliminate with")
+
+
+def _rref_mod(rows, p):
+    """The rref mod p of the rows as (pivot, {column: residue}) pairs.
+
+    None when p divides a denominator.  The forward pass takes the
+    columns left to right.  The active rows with an entry at column c
+    are exactly those whose leading column is c; the one with the fewest
+    nonzeros becomes the pivot, which limits fill-in (Markowitz, 1957),
+    and only the others in that bucket are updated.  Back substitution
+    then clears, last pivot row first, the pivot columns each row holds
+    with the rows below it, already reduced.
+    """
+    inverse = {1: 1}
     by_lead = {}
     for row in rows:
-        if row:
-            by_lead.setdefault(min(row), []).append(dict(row))
+        r = {}
+        for j, a in row.items():
+            d = a.denominator
+            i = inverse.get(d)
+            if i is None:
+                if not d % p:
+                    return None
+                i = inverse[d] = pow(d, -1, p)
+            v = a.numerator * i % p
+            if v:
+                r[j] = v
+        if r:
+            by_lead.setdefault(min(r), []).append(r)
     leads = list(by_lead)
     heapq.heapify(leads)
     reduced = []
@@ -493,26 +562,117 @@ def _eliminate(rows):
         c = heapq.heappop(leads)
         bucket = by_lead.pop(c)
         chosen = min(bucket, key=len)
-        inv = Q(1) / chosen.pop(c)
-        tail = chosen if inv == 1 else {j: a * inv for j, a in chosen.items()}
-        reduced.append((c, tail))
+        inv = pow(chosen.pop(c), -1, p)
+        if inv != 1:
+            for j, a in chosen.items():
+                chosen[j] = a * inv % p
+        reduced.append((c, chosen))
         for row in bucket:
             if row is chosen:
                 continue
-            sparse_axpy(row, -row.pop(c), tail)
+            _axpy_mod(row, p - row.pop(c), chosen, p)
             if row:
                 lead = min(row)
                 if lead not in by_lead:
                     by_lead[lead] = []
                     heapq.heappush(leads, lead)
                 by_lead[lead].append(row)
-    for k in range(len(reduced) - 1, 0, -1):
-        p, tail = reduced[k]
-        for _, row in reduced[:k]:
-            f = row.pop(p, None)
-            if f is not None:
-                sparse_axpy(row, -f, tail)
+    tail_of = {}
+    for c, row in reversed(reduced):
+        for q in [j for j in row if j in tail_of]:
+            _axpy_mod(row, p - row.pop(q), tail_of[q], p)
+        tail_of[c] = row
     return reduced
+
+
+def _axpy_mod(row, f, tail, p):
+    """row += f * tail mod p on sparse dicts of nonzero residues."""
+    for j, a in tail.items():
+        v = (row.get(j, 0) + f * a) % p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _crt(acc, m, tail, p):
+    """The residues mod m * p that are acc mod m and tail mod p, per column."""
+    inv = pow(m, -1, p)
+    out = {}
+    for j in acc.keys() | tail.keys():
+        a = acc.get(j, 0)
+        x = a + m * ((tail.get(j, 0) - a) * inv % p)
+        if x:
+            out[j] = x
+    return out
+
+
+def _reconstruct(reduced, m):
+    """The Fraction tails whose residues mod m are these, or None.
+
+    Each entry becomes the r/s with |r|, |s| <= sqrt(m/2) congruent to
+    its residue, found by the extended Euclidean algorithm stopped
+    halfway; such an r/s is unique if it exists.  None when some entry
+    has none.
+    """
+    bound = isqrt(m // 2)
+    out = []
+    for c, tail in reduced:
+        rec = {}
+        for j, u in tail.items():
+            r0, r1, s0, s1 = m, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound:
+                return None
+            rec[j] = Q(r1, s1)
+        out.append((c, rec))
+    return out
+
+
+def _integer_row(row):
+    """(m, {j: m * a}) for the lcm m of the denominators of a sparse row."""
+    m = lcm(*[a.denominator for a in row.values()])
+    return m, {j: a.numerator * (m // a.denominator) for j, a in row.items()}
+
+
+def _integer_combination(row, scaled):
+    """(m, m times the sum of row[j] * R_j over the j of row in scaled), in integers.
+
+    row holds integers; scaled maps j to (L_j, L_j * R_j) as _integer_row
+    returns them, and m is the lcm of the L_j that the sum uses.
+    """
+    m = lcm(*[scaled[j][0] for j in row if j in scaled])
+    acc = {}
+    for j, c in row.items():
+        s = scaled.get(j)
+        if s is not None:
+            f = c * (m // s[0])
+            for k, b in s[1].items():
+                acc[k] = acc.get(k, 0) + f * b
+    return m, acc
+
+
+def _certify(rows, reduced):
+    """True iff every row equals the sum over k of row[p_k] * R_k, exactly.
+
+    R_k is the k-th (pivot p_k, tail) pair of reduced.  The check runs
+    in integers: each R_k is scaled by the lcm of its denominators, and
+    each row by the lcm of its own denominators times the lcm of the
+    scales at its pivots.  The pivot columns agree by construction, so
+    only the others are summed.
+    """
+    scaled = {c: _integer_row(tail) for c, tail in reduced}
+    for row in rows:
+        a = _integer_row(row)[1]
+        m, acc = _integer_combination(a, scaled)
+        for j, v in a.items():
+            if j not in scaled:
+                acc[j] = acc.get(j, 0) - m * v
+        if any(acc.values()):
+            return False
+    return True
 
 
 def sparse_rank(rows):

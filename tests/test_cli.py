@@ -274,3 +274,23 @@ def test_unknown_module_usage_error_names_the_choices(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, computation",
+    [
+        (["duality", "lie-sl2", "--module", "nope"], "hopfhomology.duality.detect_duality_ug"),
+        (["ext", "qs3", "--module", "nope"], "hopfhomology.resolutions.bar_resolution"),
+        (["tor", "lie-abelian2", "--module", "adjoint"], "hopfhomology.ce.ce_resolution"),
+    ],
+)
+def test_unknown_module_exits_before_computing(argv, computation, monkeypatch, capsys):
+    # each command imports its computation from the home module when it runs
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{computation} ran before the module lookup")
+
+    monkeypatch.setattr(computation, must_not_run)
+    code, out, err = _run_failure(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("unknown module")

@@ -32,6 +32,12 @@ def test_homology_dims_enforce_d_squared():
     with pytest.raises(ValidationError):
         homology_dims([1, 1, 1], [[{0: Q(1)}], [{0: Q(1)}]])
     assert homology_dims([1, 1, 1], [[{0: Q(1)}], [{}]]) == [0, 0, 1]
+    # rational entries: x -> (x/2, -x/3), then (a, b) -> 2a/3 + b composes
+    # to 1/3 - 1/3 = 0, while (a, b) -> 2a/3 + b/2 leaves 1/3 - 1/6 = 1/6
+    halves_thirds = [{0: Q(1, 2)}, {0: Q(-1, 3)}]
+    assert homology_dims([1, 2, 1], [halves_thirds, [{0: Q(2, 3), 1: Q(1)}]]) == [0, 0, 0]
+    with pytest.raises(ValidationError):
+        homology_dims([1, 2, 1], [halves_thirds, [{0: Q(2, 3), 1: Q(1, 2)}]])
 
 
 def test_homology_of_identity_complex_vanishes():

@@ -45,6 +45,7 @@ COMMANDS = {
     "verify-hopf-env-upper2": ["verify-hopf", "env-upper2"],
     "verify-hopf-lie-sl2": ["verify-hopf", "lie-sl2"],
     "ext-qs3-std2": ["ext", "qs3", "--module", "std2", "--max-degree", "3"],
+    "ext-qs3-std2-degree4": ["ext", "qs3", "--module", "std2", "--max-degree", "4"],
     "tor-qs3": ["tor", "qs3", "--module", "trivial", "--max-degree", "3"],
     "ext-env-upper2": ["ext", "env-upper2", "--module", "A", "--max-degree", "5"],
     "duality-lie-sl2-adjoint": ["duality", "lie-sl2", "--module", "adjoint"],

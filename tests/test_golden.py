@@ -53,6 +53,10 @@ COMMANDS = {
         "duality", "lie-nonabelian2", "--module", "adjoint", "--pbw-bound", "6",
     ],
     "verify-hopf-lie-sl2-pbw5": ["verify-hopf", "lie-sl2", "--pbw-bound", "5"],
+    "verify-hopf-lie-sl2-pbw7": ["verify-hopf", "lie-sl2", "--pbw-bound", "7"],
+    "duality-lie-sl2-adjoint-pbw8": [
+        "duality", "lie-sl2", "--module", "adjoint", "--pbw-bound", "8",
+    ],
     "ext-lie-nonabelian2-adjoint-bar": [
         "ext", "lie-nonabelian2", "--module", "adjoint", "--max-degree", "2",
         "--resolution", "bar", "--pbw-bound", "6",

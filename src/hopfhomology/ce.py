@@ -26,7 +26,7 @@ from math import comb
 
 from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import Matrix, Q, _sparse, sparse_add, sparse_rank, zero_vec
+from .linalg import Matrix, _sparse, sparse_add, sparse_rank, zero_vec
 from .pbw import (
     LieAlgebraData,
     LieModule,
@@ -42,7 +42,7 @@ from .pbw import (
 def _insert_sign(z, rest):
     """Sign of moving z from the front into its sorted slot of rest."""
     pos = sum(1 for x in rest if x < z)
-    return Q(-1) ** pos, tuple(sorted(rest + (z,)))
+    return (-1) ** pos, tuple(sorted(rest + (z,)))
 
 
 class CEResolution:
@@ -91,7 +91,7 @@ class CEResolution:
             col = {}
             for l, xi in enumerate(I):
                 rest = I[:l] + I[l + 1 :]
-                sign = Q(-1) ** l
+                sign = (-1) ** l
                 k = self._gen_index[n - 1][rest]
                 gen_mono = tuple(1 if t == xi else 0 for t in range(g.dim))
                 entry = col.setdefault(k, {})
@@ -99,7 +99,7 @@ class CEResolution:
             for p in range(n):
                 for q in range(p + 1, n):
                     rest = tuple(x for t, x in enumerate(I) if t not in (p, q))
-                    base_sign = Q(-1) ** (p + q)
+                    base_sign = (-1) ** (p + q)
                     for z, c in enumerate(g.bracket[I[p]][I[q]]):
                         if not c or z in rest:
                             continue
@@ -146,7 +146,7 @@ class CEResolution:
                     if a in posset:
                         continue
                     inv += sum(1 for b in pos if b > a)
-                out.append((I, J, Q(-1) ** inv))
+                out.append((I, J, (-1) ** inv))
         return out
 
     def check_diagonal_chain_map(self):
@@ -171,7 +171,7 @@ class CEResolution:
                     # d on the second leg with the Koszul sign
                     j = len(J)
                     if j >= 1:
-                        sign2 = Q(-1) ** i
+                        sign2 = (-1) ** i
                         for k, entry in self.diff_cols(j)[self.gen_index(j, J)].items():
                             J2 = self._gens[j - 1][k]
                             for m, c in entry.items():
@@ -228,28 +228,28 @@ class BoundedBasis:
         return v
 
 
-def bounded_free_map(g, cols, src: BoundedBasis, dst: BoundedBasis, entries_act="right") -> Matrix:
-    """Matrix of a generator-level map on bounded coefficient spaces.
+def bounded_free_map(g, cols, src: BoundedBasis, dst: BoundedBasis, entries_act="right") -> list:
+    """Sparse columns of a generator-level map on bounded coefficient spaces.
 
     cols[j] = {i: pbw entry}.  With entries_act = "right" the map sends
     x^a e_j to sum_i (x^a entry) e_i (left modules, coefficients on the
     left); with "left" it sends x^a e_j to sum_i (entry x^a) e_i, which
     is the dualized differential acting on right-module coordinates.
     Entries of positive degree raise the bound, so dst.bound must cover
-    src.bound plus the top entry degree.
+    src.bound plus the top entry degree.  Returns one column
+    {dst index: entry} per source index, in src.index order.
     """
-    out = Matrix.zeros(dst.dim, src.dim)
+    out = []
     for j in range(src.rank):
         col = cols[j] if j < len(cols) else {}
         for m in src.monos:
-            cidx = src.index[(j, m)]
+            image = {}
             for i, entry in col.items():
-                if entries_act == "right":
-                    prod = pbw_multiply(g, {m: Q(1)}, entry)
-                else:
-                    prod = pbw_multiply(g, entry, {m: Q(1)})
-                for m2, c in prod.items():
-                    out.rows[dst.index[(i, m2)]][cidx] += c
+                for m1, c1 in entry.items():
+                    prod = mono_mul(g, m, m1) if entries_act == "right" else mono_mul(g, m1, m)
+                    for m2, c in prod.items():
+                        sparse_add(image, dst.index[(i, m2)], c1 * c)
+            out.append(image)
     return out
 
 
@@ -310,14 +310,14 @@ class UgBarComplex:
                         sparse_add(out[a], k * dm + b, c)
             # inner faces
             for i in range(1, n + 1):
-                sign = Q(-1) ** i
+                sign = (-1) ** i
                 for m, c in mono_mul(g, t[i - 1], t[i]).items():
                     k = src_idx[t[: i - 1] + (m,) + t[i + 1 :]]
                     for a in range(dm):
                         sparse_add(out[a], k * dm + a, sign * c)
             # counit face kills positive degree in the last slot
             if mono_deg(t[-1]) == 0:
-                sign = Q(-1) ** (n + 1)
+                sign = (-1) ** (n + 1)
                 k = src_idx[t[:-1]]
                 for a in range(dm):
                     sparse_add(out[a], k * dm + a, sign)
@@ -346,7 +346,7 @@ def ce_to_bar_words(ce: CEResolution, upto: int):
     """
     g = ce.g
     unit = mono_one(g.dim)
-    images = [{(): {(unit,): Q(1)}}]
+    images = [{(): {(unit,): 1}}]
 
     def bar_mul_left(u_elt, bar_elt):
         out = {}
@@ -383,12 +383,12 @@ def bar_boundary_word_ug(g, w):
     if n == 0:
         return out
     for i in range(n):
-        sign = Q(-1) ** i
+        sign = (-1) ** i
         prod = mono_mul(g, w[i], w[i + 1])
         for m, c in prod.items():
             sparse_add(out, w[:i] + (m,) + w[i + 2 :], sign * c)
     if mono_deg(w[n]) == 0:
-        sign = Q(-1) ** n
+        sign = (-1) ** n
         sparse_add(out, w[:-1], sign)
     return out
 

@@ -30,7 +30,8 @@ from .errors import (
     ValidationError,
 )
 from .homology import TorGroup, chain_matrix, ext, tor
-from .linalg import Matrix, Q, Subspace, add_outer, lincomb, unit_vec, vec_is_zero, zero_vec
+from .linalg import (Matrix, Q, Subspace, add_outer, lincomb, sparse_columns, sparse_kernel,
+                     unit_vec, vec_is_zero, zero_vec)
 from .pbw import LieModule, mono_one, monomials_upto
 
 
@@ -332,16 +333,16 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
         for m in range(bound + 1):
             src = BoundedBasis(g, res.rank(n), m)
             dst = BoundedBasis(g, res.rank(n + 1), m + 1)
-            mat = bounded_free_map(g, dual_out, src, dst, entries_act="left")
-            kern = mat.kernel()
-            if kern.nrows == 0:
+            columns = bounded_free_map(g, dual_out, src, dst, entries_act="left")
+            kern = sparse_kernel(sparse_columns(columns).values(), src.dim)
+            if kern.dim == 0:
                 continue
             if n == 0:
-                bad_degrees.append((0, m, kern.nrows))
+                bad_degrees.append((0, m, kern.dim))
                 continue
             dual_in = _dual_cols(res, n)
             if not _hit_in_window(g, dual_in, res.rank(n - 1), kern, src, slack, "left"):
-                bad_degrees.append((n, m, kern.nrows))
+                bad_degrees.append((n, m, kern.dim))
     if bad_degrees:
         raise NotDualityError(
             f"Ext(A, U) does not vanish below the top degree: {bad_degrees}",
@@ -357,8 +358,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
     for m in range(bound + 1):
         src = BoundedBasis(g, res.rank(d - 1), m)
         dst = BoundedBasis(g, res.rank(d), m + 1)
-        mat = bounded_free_map(g, dual_top, src, dst, entries_act="left")
-        image = Subspace(dst.dim, mat.transpose().sparse_rows())
+        image = Subspace(dst.dim, bounded_free_map(g, dual_top, src, dst, entries_act="left"))
         inside = [v for v in _degree_filtered_units(g, dst, m)]
         # classes of monomials of degree <= m in the cokernel
         reduced = [image.reduce(v) for v in inside]
@@ -396,9 +396,9 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
         for m in range(bound + 1):
             src = BoundedBasis(g, res.rank(n), m)
             dst = BoundedBasis(g, res.rank(n - 1), m + 1)
-            mat = bounded_free_map(g, res.diff_cols(n), src, dst, entries_act="right")
-            kern = mat.kernel()
-            if kern.nrows == 0:
+            columns = bounded_free_map(g, res.diff_cols(n), src, dst, entries_act="right")
+            kern = sparse_kernel(sparse_columns(columns).values(), src.dim)
+            if kern.dim == 0:
                 continue
             if n == d:
                 primal_ok = False
@@ -413,8 +413,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
     for m in range(bound + 1):
         src = BoundedBasis(g, res.rank(1), m)
         dst = BoundedBasis(g, res.rank(0), m + 1)
-        mat = bounded_free_map(g, res.diff_cols(1), src, dst, entries_act="right")
-        image = Subspace(dst.dim, mat.transpose().sparse_rows())
+        image = Subspace(dst.dim, bounded_free_map(g, res.diff_cols(1), src, dst, entries_act="right"))
         one_idx = dst.index[(0, mono_one(g.dim))]
         unit_red = image.reduce(unit_vec(dst.dim, one_idx))
         if vec_is_zero(unit_red):
@@ -440,27 +439,26 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
 
 
 def _hit_in_window(g, cols, rank, kern, src: BoundedBasis, slack, entries_act):
-    """Whether every row of kern lies in the image of the free map cols.
+    """Whether every echelon row of the Subspace kern lies in the image of the free map cols.
 
     The map runs from rank generators to the generators of src; the
     image is taken on coefficient windows raised by up to slack.
     """
+    keys = list(src.index)
     for extra in range(slack + 1):
         src2 = BoundedBasis(g, rank, src.bound + extra)
         dst2 = BoundedBasis(g, src.rank, src.bound + extra + 1)
-        mat = bounded_free_map(g, cols, src2, dst2, entries_act=entries_act)
-        image = Subspace(dst2.dim, mat.transpose().sparse_rows())
-        if all(image.contains(_repad(row, src, dst2)) for row in kern.rows):
+        image = Subspace(dst2.dim, bounded_free_map(g, cols, src2, dst2, entries_act=entries_act))
+        if all(not image.decompose(_repad(row, keys, dst2))[1] for row in kern.echelon):
             return True
     return False
 
 
-def _repad(row, src: BoundedBasis, dst: BoundedBasis):
-    """Re-express a bounded coordinate vector on a larger bounded basis."""
-    out = zero_vec(dst.dim)
-    for (j, m), idx in src.index.items():
-        if row[idx]:
-            out[dst.index[(j, m)]] = row[idx]
+def _repad(row, keys, dst: BoundedBasis):
+    """An echelon row (pivot, tail) on coordinates keys[i] = (j, m), as a sparse vector on dst."""
+    pivot, tail = row
+    out = {dst.index[keys[i]]: c for i, c in tail.items()}
+    out[dst.index[keys[pivot]]] = Q(1)
     return out
 
 

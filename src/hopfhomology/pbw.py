@@ -1,9 +1,15 @@
 """Poincare-Birkhoff-Witt arithmetic in universal envelopes U(g).
 
 Monomials are exponent tuples for the ordered basis x_1 < .. < x_d;
-elements are dicts {exponent tuple: Fraction}.  Straightening uses
+elements are dicts {exponent tuple: coefficient}.  Coefficients are
+exact: an int where the structure constants keep them integral, a
+Fraction otherwise, never a float.  Straightening uses
 x_i x_j = x_j x_i + [x_i, x_j] and never raises total degree, so degree
 bounds certified by callers are stable under multiplication.
+
+Products, coproducts and translations of monomials are memoized on the
+LieAlgebraData.  The memoized dicts are shared between callers and must
+not be mutated.
 
 The Hopf structure of U(g) is generated by the primitives: the
 coproduct of a PBW monomial is the binomial expansion, the counit kills
@@ -14,7 +20,9 @@ multiplicativity rule.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction as Q
+from functools import wraps
 from math import comb
 
 from .errors import DegreeOverflowError, ValidationError
@@ -28,8 +36,8 @@ class LieAlgebraData:
         self.dim = dim
         self.name = name or f"lie{dim}"
         self.labels = labels or [f"x{i}" for i in range(dim)]
-        self.bracket = [[[Q(x) for x in brackets[i][j]] for j in range(dim)] for i in range(dim)]
-        self._xmul_cache = {}
+        self.bracket = [[[_exact(x) for x in brackets[i][j]] for j in range(dim)] for i in range(dim)]
+        self._memo = defaultdict(dict)
         if validate:
             self._validate()
 
@@ -71,6 +79,26 @@ class LieAlgebraData:
         return f"LieAlgebraData({self.name}, dim {self.dim})"
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    x = Q(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _memoized(fn):
+    """Cache fn(g, *args) in g._memo; callers share the result and must not mutate it."""
+
+    @wraps(fn)
+    def cached(g, *args):
+        table = g._memo[fn.__name__]
+        out = table.get(args)
+        if out is None:
+            out = table[args] = fn(g, *args)
+        return out
+
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # monomials
 
@@ -99,19 +127,16 @@ def monomials_upto(d, bound):
     return out
 
 
+@_memoized
 def _xmul(g: LieAlgebraData, i, m):
     """x_i times the monomial m, straightened; dict of monomials."""
-    key = (i, m)
-    cached = g._xmul_cache.get(key)
-    if cached is not None:
-        return cached
     j = None
     for k in range(i):
         if m[k]:
             j = k
             break
     if j is None:
-        out = {m[:i] + (m[i] + 1,) + m[i + 1 :]: Q(1)}
+        out = {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1}
     else:
         # m = x_j m' with j minimal, so x_i m = x_j x_i m' + [x_i, x_j] m'.
         # Re-prepending x_j must recurse: brackets may create indices < j.
@@ -124,13 +149,13 @@ def _xmul(g: LieAlgebraData, i, m):
             if ck:
                 for mm, c in _xmul(g, k, mp).items():
                     sparse_add(out, mm, ck * c)
-    g._xmul_cache[key] = out
     return out
 
 
+@_memoized
 def mono_mul(g: LieAlgebraData, m1, m2):
     """Normal form of the product of two PBW monomials."""
-    result = {m2: Q(1)}
+    result = {m2: 1}
     factors = []
     for i in range(g.dim):
         factors.extend([i] * m1[i])
@@ -160,13 +185,14 @@ def pbw_multiply(g: LieAlgebraData, u, v, bound=None):
 def generator(g: LieAlgebraData, i):
     m = [0] * g.dim
     m[i] = 1
-    return {tuple(m): Q(1)}
+    return {tuple(m): 1}
 
 
 # ---------------------------------------------------------------------------
 # the Hopf structure on generators, extended to monomials
 
 
+@_memoized
 def delta_mono(g: LieAlgebraData, m):
     """Binomial coproduct of a PBW monomial: dict {(m1, m2): coeff}."""
     d = g.dim
@@ -181,7 +207,7 @@ def delta_mono(g: LieAlgebraData, m):
             right[i] = m[i] - k
             rec(i + 1, left, right, coef * comb(m[i], k))
 
-    rec(0, [0] * d, [0] * d, Q(1))
+    rec(0, [0] * d, [0] * d, 1)
     return out
 
 
@@ -193,6 +219,7 @@ def delta_elt(g, u):
     return out
 
 
+@_memoized
 def translation_mono(g: LieAlgebraData, m):
     """u -> u_+ (x) u_-, built one generator factor at a time.
 
@@ -202,7 +229,7 @@ def translation_mono(g: LieAlgebraData, m):
     straightened.
     """
     d = g.dim
-    result = {(mono_one(d), mono_one(d)): Q(1)}
+    result = {(mono_one(d), mono_one(d)): 1}
     factors = []
     for i in range(d):
         factors.extend([i] * m[i])
@@ -335,14 +362,14 @@ def ug_hopf_report(g: LieAlgebraData, bound=3) -> dict:
             for (x, y), c2 in delta_mono(g, p).items():
                 for y2, c3 in mono_mul(g, y, q).items():
                     sparse_add(acc1, (x, y2), c * c2 * c3)
-        if acc1 != {(m, unit): Q(1)}:
+        if acc1 != {(m, unit): 1}:
             ok1 = False
         acc2 = {}
         for (p, q), c in delta_mono(g, m).items():
             for (x, y), c2 in translation_mono(g, p).items():
                 for y2, c3 in mono_mul(g, y, q).items():
                     sparse_add(acc2, (x, y2), c * c2 * c3)
-        if acc2 != {(m, unit): Q(1)}:
+        if acc2 != {(m, unit): 1}:
             ok2 = False
     checks["translation_1"] = ok1
     checks["translation_2"] = ok2
@@ -353,13 +380,13 @@ def ug_hopf_report(g: LieAlgebraData, bound=3) -> dict:
         for (p, q), c in delta_mono(g, m).items():
             if q == unit:
                 sparse_add(lhs, p, c)
-        if lhs != {m: Q(1)}:
+        if lhs != {m: 1}:
             ok = False
         rhs = {}
         for (p, q), c in delta_mono(g, m).items():
             if p == unit:
                 sparse_add(rhs, q, c)
-        if rhs != {m: Q(1)}:
+        if rhs != {m: 1}:
             ok = False
     checks["counit_laws"] = ok
 
@@ -423,7 +450,7 @@ def transport_to_opposite(g: LieAlgebraData, gop: LieAlgebraData, elt):
         factors = []
         for i in range(g.dim):
             factors.extend([i] * m[i])
-        acc = {mono_one(g.dim): Q(1)}
+        acc = {mono_one(g.dim): 1}
         for i in factors:  # reversed word means multiply on the left in order
             nxt = {}
             for mm, cc in acc.items():

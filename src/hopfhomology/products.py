@@ -18,7 +18,7 @@ from __future__ import annotations
 from .bialgebroid import module_tensor_left, module_tensor_right
 from .errors import LiftFailedError, WindowExceededError
 from .homology import cochain_concrete_matrix
-from .linalg import Matrix, Q, add_outer, sparse_add, sparse_axpy, zero_vec
+from .linalg import Matrix, Q, add_outer, sparse_add, sparse_axpy, sparse_columns, zero_vec
 from .pbw import LieModule, mono_one, pbw_multiply, tensor_left_lie, tensor_right_lie
 from .resolutions import BarResolution
 from .ce import BoundedBasis, CEResolution, bounded_free_map
@@ -266,7 +266,8 @@ class CEProducts:
         while True:
             src = BoundedBasis(g, ce.rank(j), bound)
             dst = BoundedBasis(g, ce.rank(j - 1), bound + 1)
-            mat = bounded_free_map(g, ce.diff_cols(j), src, dst)
+            rows = sparse_columns(bounded_free_map(g, ce.diff_cols(j), src, dst))
+            mat = Matrix.from_sparse_rows([rows.get(i, {}) for i in range(dst.dim)], src.dim)
             rhs = dst.coords({ce.gen_index(j - 1, G): e for G, e in rhs_by_gen.items()})
             sol = mat.solve(rhs)
             if sol is not None:

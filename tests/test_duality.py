@@ -1,3 +1,5 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction as Q
 from math import comb
 
@@ -6,6 +8,7 @@ import pytest
 from hopfhomology.algebras import ModuleRep
 from hopfhomology.bialgebroid import galois_map
 from hopfhomology.ce import CEResolution
+from hopfhomology.cli import run
 from hopfhomology.duality import (
     bullet_omega_underived,
     cap_omega_underived,
@@ -121,6 +124,33 @@ def test_detect_duality_all_lie_instances():
         assert dd.weights == want_weights
         assert dd.report.ok
         assert dd.astar.dim == 1
+
+
+def test_lie_duality_builds_no_large_dense_matrix(monkeypatch):
+    """detect_duality_ug and the adjoint report stay on sparse rows and columns."""
+    shapes = []
+    init, zeros, own = Matrix.__init__, Matrix.zeros.__func__, Matrix._own.__func__
+
+    def tracked_init(self, rows, ncols=None):
+        init(self, rows, ncols)
+        shapes.append((self.nrows, self.ncols))
+
+    def tracked_zeros(cls, nrows, ncols):
+        shapes.append((nrows, ncols))
+        return zeros(cls, nrows, ncols)
+
+    def tracked_own(cls, rows, ncols):
+        shapes.append((len(rows), ncols))
+        return own(cls, rows, ncols)
+
+    monkeypatch.setattr(Matrix, "__init__", tracked_init)
+    monkeypatch.setattr(Matrix, "zeros", classmethod(tracked_zeros))
+    monkeypatch.setattr(Matrix, "_own", classmethod(tracked_own))
+    with redirect_stdout(io.StringIO()):
+        assert run(["duality", "lie-sl2", "--module", "adjoint"]) == 0
+    assert shapes
+    largest = max(shapes, key=lambda s: s[0] * s[1])
+    assert largest[0] * largest[1] <= 10**4, largest
 
 
 def test_detect_duality_rejects_truncated_complex():

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hopfhomology.duality import detect_duality_ug
 from hopfhomology.errors import DegreeOverflowError, ValidationError
 from hopfhomology.instances import lie_abelian, lie_nonabelian2, lie_sl2
 from hopfhomology.linalg import Matrix
@@ -166,3 +167,63 @@ def test_transport_to_opposite_antihomomorphism():
                 transport_to_opposite(g, gop, {a: Q(1)}),
             )
             assert lhs == rhs
+
+
+def lie_half():
+    """[x, y] = y/2: a structure constant that is not an integer."""
+    c = [[[0, 0], [0, Q(1, 2)]], [[0, Q(-1, 2)], [0, 0]]]
+    return LieAlgebraData(2, c, name="lie-half")
+
+
+@pytest.mark.parametrize("make", [lie_sl2, lie_nonabelian2, lie_half])
+def test_memo_and_integer_constants_change_no_value(make):
+    """Memoized results on warm caches equal a fresh computation on Fraction constants."""
+    warm = make()
+    assert all(ug_hopf_report(warm, 4).values())
+    fresh = make()
+    # the same constants, every one stored as a Fraction
+    fresh.bracket = [[[Q(c) for c in row] for row in rows] for rows in fresh.bracket]
+    integral = make is not lie_half
+    monos = monomials_upto(warm.dim, 3)
+    results = []
+    for m in monos:
+        for fn in (delta_mono, translation_mono):
+            got = fn(warm, m)
+            assert got == fn.__wrapped__(fresh, m), (fn.__name__, m)
+            results.append(got)
+        for m2 in monos:
+            got = mono_mul(warm, m, m2)
+            assert got == mono_mul.__wrapped__(fresh, m, m2), (m, m2)
+            results.append(got)
+    for result in results:
+        for c in result.values():
+            assert type(c) in (int, Q), c
+            if integral:
+                assert type(c) is int, c
+
+
+def test_rational_bracket_hopf_report_and_duality_weights():
+    g = lie_half()
+    assert g.bracket[0][1] == [0, Q(1, 2)] and type(g.bracket[0][1][1]) is Q
+    assert all(ug_hopf_report(g, 4).values())
+    assert detect_duality_ug(g, bound=3).weights == [Q(1, 2), 0]
+
+
+def _double(table, key):
+    table[key] = {k: 2 * c for k, c in table[key].items()}
+
+
+def test_corrupted_memo_entries_fail_the_hopf_report():
+    """The memo shares results; it does not bypass the checks that read them."""
+    g = lie_sl2()
+    h = (1, 0, 0)
+    translation_mono(g, h)
+    _double(g._memo["translation_mono"], (h,))
+    assert ug_hopf_report(g, 3)["translation_1"] is False
+
+    g = lie_sl2()
+    key = ((1, 0, 0), (0, 1, 0))
+    mono_mul(g, *key)
+    _double(g._memo["mono_mul"], key)
+    assert ug_hopf_report(g, 3)["delta_multiplicative"] is False
+    assert all(ug_hopf_report(lie_sl2(), 3).values())

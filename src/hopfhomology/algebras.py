@@ -12,7 +12,6 @@ from __future__ import annotations
 from .errors import ValidationError
 from .linalg import (
     Matrix,
-    Q,
     QuotientSpace,
     Subspace,
     frac,
@@ -329,7 +328,7 @@ def hom_basis_matrices(sub: Subspace, dn, dm):
     out = []
     for p, tail in sub.echelon:
         m = Matrix.zeros(dn, dm)
-        for j, c in [(p, Q(1)), *tail.items()]:
+        for j, c in [(p, 1), *tail.items()]:
             m.rows[j // dm][j % dm] = c
         out.append(m)
     return out

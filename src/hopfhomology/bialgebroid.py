@@ -36,7 +36,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    Q,
     QuotientSpace,
     Subspace,
     induced_map,
@@ -125,7 +124,7 @@ class GluedTensorSpace:
         cached = self._proj_cache.get(idxs)
         if cached is not None:
             return cached
-        out = self._normalize(0, idxs, Q(1))
+        out = self._normalize(0, idxs, 1)
         self._proj_cache[idxs] = out
         return out
 
@@ -171,7 +170,7 @@ class GluedTensorSpace:
                 if c:
                     rec(k + 1, idxs + [p], coef * c)
 
-        rec(0, [], Q(1))
+        rec(0, [], 1)
         return out
 
     def lift_coords(self, coords):
@@ -412,7 +411,7 @@ class BialgebroidData:
         lift_cols = []
         for i in range(nu):
             amb = self.uau.lift_coords(self.delta.col(i))
-            col = [Q(0)] * (nu * nu)
+            col = [0] * (nu * nu)
             for (p, q), c in amb.items():
                 col[p * nu + q] += c
             lift_cols.append(col)
@@ -855,7 +854,7 @@ class TensorModule:
 
     def project_pair(self, i, j):
         v = zero_vec(self.left_dim * self.right_dim)
-        v[i * self.right_dim + j] = Q(1)
+        v[i * self.right_dim + j] = 1
         return self.space.project(v)
 
 

@@ -16,7 +16,6 @@ from .linalg import (
     _eliminate,
     _integer_combination,
     _integer_row,
-    Q,
     QuotientSpace,
     Subspace,
     sparse_columns,
@@ -66,7 +65,7 @@ class ChainComplex:
 
     def shift(self, m):
         """Degrees move by m, differentials pick up the sign (-1)^m."""
-        sign = Q(-1) ** m
+        sign = -1 if m % 2 else 1
         spaces = {n + m: d for n, d in self.spaces.items()}
         diff = {n + m: mat.scale(sign) for n, mat in self.diff.items()}
         return ChainComplex(spaces, diff, validate=False)
@@ -121,7 +120,7 @@ class HomologySpace:
         self.cycles = sparse_kernel(out_rows, ambient)
         relations = []
         for p, tail in _eliminate(sparse_columns(in_rows).values()):
-            coords, rest = self.cycles.decompose({p: Q(1), **tail})
+            coords, rest = self.cycles.decompose({p: 1, **tail})
             if rest:
                 raise ValidationError("image vector is not a cycle; complex corrupted")
             relations.append(coords)
@@ -236,7 +235,7 @@ class DoubleComplex:
                                 row[src + c] += hrow[c]
                 v = self.v(i, j)
                 if self.dim((i, j - 1)):
-                    sign = Q(-1) ** i
+                    sign = -1 if i % 2 else 1
                     dst = offsets[(i, j - 1)]
                     for r in range(v.nrows):
                         row = mat.rows[dst + r]
@@ -261,7 +260,7 @@ def shuffle_transpose_iso(dc: DoubleComplex):
     for n in total.degrees():
         m = Matrix.zeros(ttotal.dim(n), total.dim(n))
         for (i, j) in dc.total_degree_blocks(n):
-            sign = Q(-1) ** (i * j)
+            sign = -1 if (i * j) % 2 else 1
             src = offs[(i, j)]
             dst = toffs[(j, i)]
             for k in range(dc.dim((i, j))):

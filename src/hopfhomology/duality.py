@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .homology import TorGroup, chain_matrix, ext, tor
-from .linalg import (Matrix, Q, Subspace, add_outer, lincomb, sparse_columns, sparse_kernel,
+from .linalg import (Matrix, Subspace, add_outer, lincomb, sparse_columns, sparse_kernel,
                      unit_vec, vec_is_zero, zero_vec)
 from .pbw import LieModule, mono_one, monomials_upto
 
@@ -86,7 +86,7 @@ def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> Dual
                     acted = A_mod.act(u_val).apply(generators[i])
                     row[i * len(hom_mats) + k] += acted[t]
             rows.append(row)
-            rhs.append(Q(1) if a == t else Q(0))
+            rhs.append(1 if a == t else 0)
     sol = Matrix(rows, ncols=unknowns).solve(rhs)
     if sol is None:
         raise NotProjectiveError("no U-linear splitting of the free cover exists")
@@ -351,7 +351,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
     report.record("ext_vanishing_below_top", True)
 
     # the cokernel at the top: one dimensional with the adjoint trace twist
-    weights = [Q(g.adjoint_trace(i)) for i in range(g.dim)]
+    weights = [g.adjoint_trace(i) for i in range(g.dim)]
     coker_ok = True
     twist_ok = True
     dual_top = _dual_cols(res, d)  # P*_{d-1} -> P*_d, rank(P*_d) = 1
@@ -429,7 +429,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
     # the fundamental class: coordinates of the identity under delta,
     # i.e. the class of the dual top generator; rank(P_d) = 1 so the
     # cycle vector is the unit coordinate
-    omega = [Q(1)] * res.rank(d) if astar.dim == 1 else None
+    omega = [1] * res.rank(d) if astar.dim == 1 else None
     tg = tor(res, astar, d)
     cls = tg.class_of(omega)
     if vec_is_zero(cls):
@@ -458,7 +458,7 @@ def _repad(row, keys, dst: BoundedBasis):
     """An echelon row (pivot, tail) on coordinates keys[i] = (j, m), as a sparse vector on dst."""
     pivot, tail = row
     out = {dst.index[keys[i]]: c for i, c in tail.items()}
-    out[dst.index[keys[pivot]]] = Q(1)
+    out[dst.index[keys[pivot]]] = 1
     return out
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 
 from .algebras import FinDimAlgebra, ModuleRep
 from .bialgebroid import BialgebroidData
@@ -37,7 +36,7 @@ def group_algebra_from_table(labels, table, inverse, name):
     # Delta(g) = g (x) g, eps(g) = 1, over A = Q
     delta = Matrix.zeros(n * n, n)
     for g in range(n):
-        delta.rows[g * n + g][g] = Q(1)
+        delta.rows[g * n + g][g] = 1
     eps_hat = [Matrix([[1]]) for _ in range(n)]
     A = ground_field()
     eta = Matrix.from_cols([U.unit], nrows=n)
@@ -47,7 +46,7 @@ def group_algebra_from_table(labels, table, inverse, name):
 
 
 def ground_field():
-    return FinDimAlgebra(1, ["1"], [[[Q(1)]]], [Q(1)])
+    return FinDimAlgebra(1, ["1"], [[[1]]], [1])
 
 
 def cyclic_group_algebra(m, name=None):
@@ -76,7 +75,7 @@ def symmetric3_group_algebra():
 
 
 def sign_character_s3():
-    return [Q(1), Q(-1), Q(-1), Q(-1), Q(1), Q(1)]
+    return [1, -1, -1, -1, 1, 1]
 
 
 def s3_modules(data):
@@ -93,7 +92,7 @@ def s3_modules(data):
             img = [0, 0, 0]
             for src, c in enumerate(basis):
                 img[p[src]] += c
-            cols.append([Q(img[0]), Q(img[0] + img[1])])
+            cols.append([img[0], img[0] + img[1]])
         mats.append(Matrix.from_cols(cols, nrows=2))
     std = ModuleRep(U, 2, "left", mats)
     return {"trivial": triv, "sign": sgn, "std2": std, "regular": ModuleRep.regular_left(U)}
@@ -111,7 +110,7 @@ def sweedler_algebra():
 
     def unit(i, c=1):
         v = zero_vec(n)
-        v[i] = Q(c)
+        v[i] = c
         return v
 
     table = {}
@@ -137,7 +136,7 @@ def sweedler_algebra():
     delta = Matrix.zeros(n * n, n)
 
     def put(col, p, q, c=1):
-        delta.rows[p * n + q][col] += Q(c)
+        delta.rows[p * n + q][col] += c
 
     put(I, I, I)
     put(G, G, G)
@@ -176,19 +175,19 @@ def sweedler_right_modules(data):
 def dual_numbers():
     """Q[eps]/(eps^2), basis 1, eps."""
     mult = [
-        [[Q(1), Q(0)], [Q(0), Q(1)]],
-        [[Q(0), Q(1)], [Q(0), Q(0)]],
+        [[1, 0], [0, 1]],
+        [[0, 1], [0, 0]],
     ]
-    return FinDimAlgebra(2, ["1", "eps"], mult, [Q(1), Q(0)])
+    return FinDimAlgebra(2, ["1", "eps"], mult, [1, 0])
 
 
 def q_times_q():
     """Q x Q with idempotent basis."""
     mult = [
-        [[Q(1), Q(0)], [Q(0), Q(0)]],
-        [[Q(0), Q(0)], [Q(0), Q(1)]],
+        [[1, 0], [0, 0]],
+        [[0, 0], [0, 1]],
     ]
-    return FinDimAlgebra(2, ["e1", "e2"], mult, [Q(1), Q(1)])
+    return FinDimAlgebra(2, ["e1", "e2"], mult, [1, 1])
 
 
 def upper_triangular2():
@@ -210,7 +209,7 @@ def upper_triangular2():
     mult[E22][E12] = list(z)
     mult[E12][E11] = list(z)
     mult[E12][E12] = list(z)
-    unit = [Q(1), Q(1), Q(0)]
+    unit = [1, 1, 0]
     return FinDimAlgebra(n, ["E11", "E22", "E12"], mult, unit)
 
 
@@ -283,7 +282,7 @@ def monoid01_bialgebra():
     U = FinDimAlgebra(n, ["m1", "m0"], mult, unit_vec(n, 0))
     delta = Matrix.zeros(n * n, n)
     for g in range(n):
-        delta.rows[g * n + g][g] = Q(1)
+        delta.rows[g * n + g][g] = 1
     eps_hat = [Matrix([[1]]), Matrix([[1]])]
     A = ground_field()
     eta = Matrix.from_cols([U.unit], nrows=n)
@@ -302,8 +301,8 @@ def lie_abelian(d):
 def lie_nonabelian2():
     """[x, y] = y."""
     c = [[zero_vec(2) for _ in range(2)] for _ in range(2)]
-    c[0][1] = [Q(0), Q(1)]
-    c[1][0] = [Q(0), Q(-1)]
+    c[0][1] = [0, 1]
+    c[1][0] = [0, -1]
     return LieAlgebraData(2, c, name="lie-nonabelian2")
 
 
@@ -311,12 +310,12 @@ def lie_sl2():
     """Basis h, e, f with [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
     H, E, F = 0, 1, 2
     c = [[zero_vec(3) for _ in range(3)] for _ in range(3)]
-    c[H][E] = [Q(0), Q(2), Q(0)]
-    c[E][H] = [Q(0), Q(-2), Q(0)]
-    c[H][F] = [Q(0), Q(0), Q(-2)]
-    c[F][H] = [Q(0), Q(0), Q(2)]
-    c[E][F] = [Q(1), Q(0), Q(0)]
-    c[F][E] = [Q(-1), Q(0), Q(0)]
+    c[H][E] = [0, 2, 0]
+    c[E][H] = [0, -2, 0]
+    c[H][F] = [0, 0, -2]
+    c[F][H] = [0, 0, 2]
+    c[E][F] = [1, 0, 0]
+    c[F][E] = [-1, 0, 0]
     return LieAlgebraData(3, c, name="lie-sl2", labels=["h", "e", "f"])
 
 

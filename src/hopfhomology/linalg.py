@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream reduces to row reduction of matrices with
-Fraction entries: kernels, solves, ranks, quotients and maps induced on
+Everything downstream reduces to row reduction of matrices with exact
+entries: kernels, solves, ranks, quotients and maps induced on
 quotients.  One sparse routine, _eliminate, does every row reduction in
 the package, for dense Matrix input as well as for sparse rows.  It
 eliminates modulo primes below 2**30 on integer dicts, recovers the
@@ -11,7 +11,9 @@ row echelon form.  All results are exact, and all bases are canonical
 (reduced row echelon form, leftmost pivot first), so repeated runs of
 any computation produce byte-identical output.
 
-Matrices act on column vectors; vectors are plain lists of Fractions.
+Matrices act on column vectors; vectors are plain lists of exact
+numbers: an int where the value is integral, a Fraction otherwise, never
+a float.  Python keeps mixed int and Fraction arithmetic exact.
 """
 
 from __future__ import annotations
@@ -23,16 +25,21 @@ from math import isqrt, lcm
 from .errors import NotWellDefinedError
 
 Q = Fraction
-_ZERO = Q(0)
+_ZERO = 0
 
 
-def frac(x) -> Fraction:
-    """Coerce ints and strings like '2/3'; floats and booleans are rejected."""
-    if isinstance(x, Fraction):
-        return x
+def frac(x) -> int | Fraction:
+    """x exactly: an int when integral, else a Fraction.
+
+    Takes ints, Fractions and strings like '2/3'; floats and booleans are
+    rejected.
+    """
     if isinstance(x, (float, bool)):
         raise TypeError(f"{type(x).__name__} input is not allowed in exact arithmetic")
-    return Fraction(x)
+    if isinstance(x, int):
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def frac_str(x) -> str:
@@ -48,12 +55,12 @@ def vec(entries) -> list:
 
 
 def zero_vec(n) -> list:
-    return [Q(0)] * n
+    return [0] * n
 
 
 def unit_vec(n, i) -> list:
-    v = [Q(0)] * n
-    v[i] = Q(1)
+    v = [0] * n
+    v[i] = 1
     return v
 
 
@@ -84,7 +91,7 @@ def add_outer(acc, c, x, y, offset=0):
 
 
 class Matrix:
-    """Dense matrix of Fractions.  Rows are lists; shape is fixed."""
+    """Dense matrix of exact entries.  Rows are lists; shape is fixed."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -104,7 +111,7 @@ class Matrix:
 
     @classmethod
     def _own(cls, rows, ncols):
-        """Matrix on rows of Fractions built here and shared with nothing else.
+        """Matrix on rows of exact entries built here and shared with nothing else.
 
         Skips the per-entry coercion of the public constructor.
         """
@@ -171,7 +178,7 @@ class Matrix:
         return Matrix._own([vec_sub(r, s) for r, s in zip(self.rows, other.rows)], self.ncols)
 
     def __neg__(self):
-        return self.scale(Q(-1))
+        return self.scale(-1)
 
     def scale(self, c):
         c = frac(c)
@@ -200,7 +207,7 @@ class Matrix:
         support = [(j, b) for j, b in enumerate(v) if b]
         out = []
         for row in self.rows:
-            s = Q(0)
+            s = 0
             for j, b in support:
                 a = row[j]
                 if a:
@@ -226,7 +233,7 @@ class Matrix:
                     if a:
                         row.extend(a * b for b in s)
                     else:
-                        row.extend([Q(0)] * other.ncols)
+                        row.extend([0] * other.ncols)
                 out.append(row)
         return Matrix._own(out, self.ncols * other.ncols)
 
@@ -446,7 +453,7 @@ def induced_map(f: Matrix, source: QuotientSpace, target: QuotientSpace) -> Matr
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors: dict {key: Fraction} holding no zero values.  Every
+# sparse vectors: dict {key: int or Fraction} holding no zero values.  Every
 # sparse accumulation in the package goes through sparse_add, and every
 # elimination, dense Matrix.rref included, runs on sparse rows in
 # _eliminate: the coboundary matrices of bar complexes are about 1% full.
@@ -488,10 +495,10 @@ def _primes():
 def _eliminate(rows):
     """Certified modular Gauss-Jordan elimination: the package's one row reduction.
 
-    rows are dicts {column: Fraction} without zero values; they are not
+    rows are dicts {column: int or Fraction} without zero values; they are not
     mutated.  Returns the nonzero rows of the reduced row echelon form as
     (pivot column, tail) pairs in increasing pivot order: the row is 1 at
-    its pivot, the sparse Fraction tail elsewhere, and 0 at every other
+    its pivot, the sparse exact tail elsewhere, and 0 at every other
     pivot.
 
     The rows are reduced mod a prime p (_rref_mod), skipping any prime
@@ -608,11 +615,12 @@ def _crt(acc, m, tail, p):
 
 
 def _reconstruct(reduced, m):
-    """The Fraction tails whose residues mod m are these, or None.
+    """The exact tails whose residues mod m are these, or None.
 
     Each entry becomes the r/s with |r|, |s| <= sqrt(m/2) congruent to
     its residue, found by the extended Euclidean algorithm stopped
-    halfway; such an r/s is unique if it exists.  None when some entry
+    halfway; such an r/s is unique if it exists, so an integer comes
+    out with s = +-1 and is returned as an int.  None when some entry
     has none.
     """
     bound = isqrt(m // 2)
@@ -626,7 +634,7 @@ def _reconstruct(reduced, m):
                 r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
             if abs(s1) > bound:
                 return None
-            rec[j] = Q(r1, s1)
+            rec[j] = r1 * s1 if abs(s1) == 1 else Q(r1, s1)
         out.append((c, rec))
     return out
 
@@ -689,7 +697,7 @@ def sparse_kernel(rows, ncols) -> Subspace:
     """
     reduced = _eliminate(rows)
     pivots = {p for p, _ in reduced}
-    basis = {j: {j: Q(1)} for j in range(ncols) if j not in pivots}
+    basis = {j: {j: 1} for j in range(ncols) if j not in pivots}
     for p, tail in reduced:
         for j, a in tail.items():
             basis[j][p] = -a
@@ -715,7 +723,7 @@ def _dense_rows(reduced, ncols):
     out = []
     for p, tail in reduced:
         dense = zero_vec(ncols)
-        dense[p] = Q(1)
+        dense[p] = 1
         for j, a in tail.items():
             dense[j] = a
         out.append(dense)

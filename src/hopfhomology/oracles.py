@@ -15,7 +15,7 @@ from itertools import combinations, product as iproduct
 
 from .algebras import FinDimAlgebra
 from .errors import ValidationError
-from .linalg import Matrix, Q, zero_vec
+from .linalg import Matrix, zero_vec
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +42,14 @@ def hochschild_cochain_matrix(A: FinDimAlgebra, n) -> Matrix:
         # t = (a_1 .. a_{n+1}) as basis indices
         # term a_1 f(a_2 ..)
         k = src_index[t[1:]]
-        lm = A.left_mult_matrix([Q(1) if i == t[0] else Q(0) for i in range(na)])
+        lm = A.left_mult_matrix([1 if i == t[0] else 0 for i in range(na)])
         for a in range(na):
             for b in range(na):
                 if lm.rows[a][b]:
                     out.rows[ti * na + a][k * na + b] += lm.rows[a][b]
         # inner terms (-1)^i f(.., a_i a_{i+1}, ..)
         for i in range(1, n + 1):
-            sign = Q(-1) ** i
+            sign = -1 if i % 2 else 1
             prod = A.mult[t[i - 1]][t[i]]
             for p, c in enumerate(prod):
                 if not c:
@@ -59,9 +59,9 @@ def hochschild_cochain_matrix(A: FinDimAlgebra, n) -> Matrix:
                 for a in range(na):
                     out.rows[ti * na + a][k * na + a] += sign * c
         # last term (-1)^{n+1} f(a_1 .. a_n) a_{n+1}
-        sign = Q(-1) ** (n + 1)
+        sign = -1 if (n + 1) % 2 else 1
         k = src_index[t[:-1]]
-        rm = A.right_mult_matrix([Q(1) if i == t[-1] else Q(0) for i in range(na)])
+        rm = A.right_mult_matrix([1 if i == t[-1] else 0 for i in range(na)])
         for a in range(na):
             for b in range(na):
                 if rm.rows[a][b]:
@@ -93,13 +93,13 @@ def hochschild_chain_matrix(A: FinDimAlgebra, n) -> Matrix:
     for si, t in enumerate(src_tuples):
         # t = (a_0, a_1 .. a_n)
         for i in range(n):
-            sign = Q(-1) ** i
+            sign = -1 if i % 2 else 1
             prod = A.mult[t[i]][t[i + 1]]
             for p, c in enumerate(prod):
                 if c:
                     merged = t[:i] + (p,) + t[i + 2 :]
                     out.rows[dst_index[merged]][si] += sign * c
-        sign = Q(-1) ** n
+        sign = -1 if n % 2 else 1
         prod = A.mult[t[-1]][t[0]]
         for p, c in enumerate(prod):
             if c:
@@ -163,7 +163,7 @@ def lie_cochain_matrix(g, M, n) -> Matrix:
     out = Matrix.zeros(len(dst) * dm, len(src) * dm)
     for ti, t in enumerate(dst):
         for i, xi in enumerate(t):
-            sign = Q(-1) ** i
+            sign = -1 if i % 2 else 1
             rest = t[:i] + t[i + 1 :]
             k = src_index[rest]
             act = M.gen[xi]
@@ -173,7 +173,7 @@ def lie_cochain_matrix(g, M, n) -> Matrix:
                         out.rows[ti * dm + a][k * dm + b] += sign * act.rows[a][b]
         for i in range(len(t)):
             for j in range(i + 1, len(t)):
-                sign = Q(-1) ** (i + j)
+                sign = -1 if (i + j) % 2 else 1
                 rest = tuple(x for idx, x in enumerate(t) if idx not in (i, j))
                 bracket = g.bracket[t[i]][t[j]]
                 for z, c in enumerate(bracket):
@@ -182,7 +182,7 @@ def lie_cochain_matrix(g, M, n) -> Matrix:
                     pos = sum(1 for x in rest if x < z)
                     merged = tuple(sorted(rest + (z,)))
                     k = src_index[merged]
-                    s2 = sign * c * (Q(-1) ** pos)
+                    s2 = sign * c * (-1 if pos % 2 else 1)
                     for a in range(dm):
                         out.rows[ti * dm + a][k * dm + a] += s2
     return out
@@ -215,7 +215,7 @@ def lie_chain_matrix(g, N, n) -> Matrix:
     out = Matrix.zeros(len(dst) * dn, len(src) * dn)
     for si, s in enumerate(src):
         for i, xi in enumerate(s):
-            sign = Q(-1) ** i
+            sign = -1 if i % 2 else 1
             rest = s[:i] + s[i + 1 :]
             k = dst_index[rest]
             act = N.gen[xi]
@@ -225,7 +225,7 @@ def lie_chain_matrix(g, N, n) -> Matrix:
                         out.rows[k * dn + a][si * dn + b] += sign * act.rows[a][b]
         for i in range(len(s)):
             for j in range(i + 1, len(s)):
-                sign = Q(-1) ** (i + j)
+                sign = -1 if (i + j) % 2 else 1
                 rest = tuple(x for idx, x in enumerate(s) if idx not in (i, j))
                 bracket = g.bracket[s[i]][s[j]]
                 for z, c in enumerate(bracket):
@@ -234,7 +234,7 @@ def lie_chain_matrix(g, N, n) -> Matrix:
                     pos = sum(1 for x in rest if x < z)
                     merged = tuple(sorted(rest + (z,)))
                     k = dst_index[merged]
-                    s2 = sign * c * (Q(-1) ** pos)
+                    s2 = sign * c * (-1 if pos % 2 else 1)
                     for a in range(dn):
                         out.rows[k * dn + a][si * dn + a] += s2
     return out

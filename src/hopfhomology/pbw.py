@@ -21,12 +21,11 @@ multiplicativity rule.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction as Q
 from functools import wraps
 from math import comb
 
 from .errors import DegreeOverflowError, ValidationError
-from .linalg import Matrix, lincomb, sparse_add, sparse_axpy, zero_vec
+from .linalg import Matrix, frac, lincomb, sparse_add, sparse_axpy, zero_vec
 
 
 class LieAlgebraData:
@@ -36,7 +35,7 @@ class LieAlgebraData:
         self.dim = dim
         self.name = name or f"lie{dim}"
         self.labels = labels or [f"x{i}" for i in range(dim)]
-        self.bracket = [[[_exact(x) for x in brackets[i][j]] for j in range(dim)] for i in range(dim)]
+        self.bracket = [[[frac(x) for x in brackets[i][j]] for j in range(dim)] for i in range(dim)]
         self._memo = defaultdict(dict)
         if validate:
             self._validate()
@@ -77,12 +76,6 @@ class LieAlgebraData:
 
     def __repr__(self):
         return f"LieAlgebraData({self.name}, dim {self.dim})"
-
-
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction."""
-    x = Q(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def _memoized(fn):

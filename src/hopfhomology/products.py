@@ -18,7 +18,7 @@ from __future__ import annotations
 from .bialgebroid import module_tensor_left, module_tensor_right
 from .errors import LiftFailedError, WindowExceededError
 from .homology import cochain_concrete_matrix
-from .linalg import Matrix, Q, add_outer, sparse_add, sparse_axpy, sparse_columns, zero_vec
+from .linalg import Matrix, add_outer, sparse_add, sparse_axpy, sparse_columns, zero_vec
 from .pbw import LieModule, mono_one, pbw_multiply, tensor_left_lie, tensor_right_lie
 from .resolutions import BarResolution
 from .ce import BoundedBasis, CEResolution, bounded_free_map
@@ -80,7 +80,7 @@ class BarProducts:
             return self._lift_cache[key]
         bar = self.bar
         a_mod = self.data.a_module()
-        sign = Q(-1) ** m
+        sign = -1 if m % 2 else 1
         ev = cochain_concrete_matrix(bar, a_mod, m, phi)
         # degree 0 on generators through the bottom contraction
         mats = []
@@ -182,7 +182,7 @@ class BarProducts:
         i_deg = n - m
         dn = N.dim
         # Koszul sign for moving the degree m shift past the first leg
-        koszul = Q(-1) ** (i_deg * m)
+        koszul = -1 if (i_deg * m) % 2 else 1
         out = zero_vec(bar.rank(i_deg) * tm.space.dim)
         for k, g in enumerate(bar.generators(n)):
             zk = z[k * dn : (k + 1) * dn]
@@ -236,7 +236,7 @@ class CEProducts:
             return self._lift_cache[key]
         g = self.g
         ce = self.ce
-        sign = Q(-1) ** m
+        sign = -1 if m % 2 else 1
         # f_0 sends e_G to phi(e_G) . 1
         lifts = [{G: {ce.generators(0)[0]: {mono_one(g.dim): phi[ce.gen_index(m, G)]}}
                   for G in ce.generators(m)}]
@@ -327,7 +327,7 @@ class CEProducts:
         dm, dn = M.dim, N.dim
         # evaluating the degree m cocycle on the second leg moves the
         # shift past the degree n - m first leg: Koszul sign
-        koszul = Q(-1) ** ((n - m) * m)
+        koszul = -1 if ((n - m) * m) % 2 else 1
         out = zero_vec(ce.rank(n - m) * dm * dn)
         for k, G in enumerate(ce.generators(n)):
             zk = z[k * dn : (k + 1) * dn]

@@ -35,7 +35,7 @@ from .algebras import ModuleRep
 from .bialgebroid import BialgebroidData, _expand_table, module_tensor_left
 from .complexes import DoubleComplex
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import Matrix, Q, induced_map, sparse_add, unit_vec, zero_vec
+from .linalg import Matrix, induced_map, sparse_add, unit_vec, zero_vec
 
 
 class BarResolution:
@@ -63,6 +63,7 @@ class BarResolution:
         self.trivial_base = self.push == [Matrix.identity(U.dim)]
         self._pushed_cache = {}
         self._mul_cache = {}
+        self._cascade_cache = {}
         self._diag_cache = {}
         self._gens = {n: list(iproduct(range(1, self.s), repeat=n)) for n in range(depth + 1)}
         self._gen_index = {n: {g: k for k, g in enumerate(self._gens[n])} for n in range(depth + 1)}
@@ -123,6 +124,8 @@ class BarResolution:
         Slots right of k are already tail indices; pushing cascades
         leftward until it lands in the free slot 0.  A word with a unit
         tail is dropped at once: pushes never rewrite that slot again.
+        The cascade below slot k depends only on word[:k] and the pushed
+        base index, so it is cached on those and the suffix appended.
         """
         out = {}
         if k == 0:
@@ -134,13 +137,17 @@ class BarResolution:
                 if not t:
                     continue
                 coef = cb * c
-                w2 = word[:k] + (t,) + word[k + 1 :]
+                suffix = (t,) + word[k + 1 :]
                 if self.trivial_base:
-                    sparse_add(out, w2, coef)
+                    sparse_add(out, word[:k] + suffix, coef)
                     continue
-                pushed = self._pushed(r, word, k - 1)
-                for w3, c3 in self._renorm(w2, k - 1, pushed).items():
-                    sparse_add(out, w3, coef * c3)
+                key = (word[:k], r)
+                head = self._cascade_cache.get(key)
+                if head is None:
+                    head = self._renorm(word[:k], k - 1, self._pushed(r, word, k - 1))
+                    self._cascade_cache[key] = head
+                for w3, c3 in head.items():
+                    sparse_add(out, w3 + suffix, coef * c3)
         return out
 
     def _mul_basis_tail(self, u, t):
@@ -175,13 +182,13 @@ class BarResolution:
             sparse_add(out, (p,) + w[2:], c)
         # middle faces merge adjacent tails
         for i in range(1, n):
-            sign = Q(-1) ** i
+            sign = -1 if i % 2 else 1
             vec = self._tail_product(w[i], w[i + 1])
             shell = w[: i + 1] + w[i + 2 :]
             for w2, c in self._renorm(shell, i, vec).items():
                 sparse_add(out, w2, sign * c)
         # counit face
-        sign = Q(-1) ** n
+        sign = -1 if n % 2 else 1
         if n == 1:
             acted = self._counit_face(w[1]).col(w[0])
             for p, c in enumerate(acted):
@@ -227,7 +234,7 @@ class BarResolution:
         for p, c in enumerate(self.U.unit):
             if c:
                 shell = (p, 0) + w[1:]
-                for w2, d in self._renorm(shell, 1, {w[0]: Q(1)}).items():
+                for w2, d in self._renorm(shell, 1, {w[0]: 1}).items():
                     sparse_add(out, w2, c * d)
         return out
 

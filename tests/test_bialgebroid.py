@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 
@@ -18,6 +19,7 @@ from hopfhomology.errors import NotInvertibleError
 from hopfhomology.instances import (
     bimodule_a_right,
     cyclic_group_algebra,
+    group_algebra_from_table,
     monoid01_bialgebra,
     s3_modules,
     sweedler_modules,
@@ -92,6 +94,22 @@ def test_galois_group_algebra_translation_is_inversion(catalog):
     for gidx in range(data.U.dim):
         pure = h.translation_pure(gidx)
         assert pure == {(gidx, inv[gidx]): Q(1)}
+
+
+def test_symmetric4_group_algebra_is_hopf():
+    """Q[S4], built outside the catalog: 24 dimensions on integer structure constants."""
+    perms = list(permutations(range(4)))
+    idx = {p: i for i, p in enumerate(perms)}
+    table = [[idx[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms]
+    inverse = [idx[tuple(sorted(range(4), key=p.__getitem__))] for p in perms]
+    data = group_algebra_from_table([str(p) for p in perms], table, inverse, "qs4")
+    rep = check_takeuchi(data)
+    assert rep.ok, rep.failures
+    h = galois_map(data)
+    rep = check_schauenburg(h)
+    assert rep.ok, rep.failures
+    for g in range(24):
+        assert h.translation_pure(g) == {(g, inverse[g]): 1}
 
 
 def test_galois_enveloping_translation(env_qeps, env_qeps_hopf):

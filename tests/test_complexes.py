@@ -78,6 +78,15 @@ def test_shift_round_trip_and_sign():
     assert back.diff[1] == c.diff[1]
 
 
+def test_negative_shift_signs_are_int():
+    # (-1) ** m is a float for m < 0; the signs must stay exact ints
+    c = ChainComplex({0: 2, 1: 2}, {1: Matrix([[1, 2], [3, 4]])})
+    for m in (-1, -3):
+        d = c.shift(m).diff[1 + m]
+        assert d == c.diff[1].scale(-1)
+        assert all(type(x) is int for row in d.rows for x in row)
+
+
 def test_totalize_single_column_is_the_column():
     dc = DoubleComplex({(0, 0): 2, (0, 1): 3}, {}, {(0, 1): Matrix.zeros(2, 3)})
     total, offs = dc.totalize()

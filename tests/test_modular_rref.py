@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_rref_properties import dense_rref
 
 from hopfhomology import linalg
-from hopfhomology.linalg import Matrix, _certify, _eliminate, sparse_rank
+from hopfhomology.linalg import Matrix, _certify, _eliminate, _reconstruct, sparse_rank
 
 P = 131  # the first prime of the sequence in these tests, about 2**7
 
@@ -86,6 +86,22 @@ def test_certificate_refuses_one_corrupted_entry(drawn):
     free = next(j for j in range(5) if j not in {p for p, _ in reduced} and j not in reduced[0][1])
     corrupted[0][1][free] = Q(1)
     assert not _certify(rows, corrupted)
+
+
+def test_reconstruct_gives_int_for_unit_denominators():
+    m = linalg._FIRST_PRIME
+    values = [Q(3), Q(-5), Q(1), Q(2, 3), Q(-7, 4), Q(1, -2)]
+    residues = {j: x.numerator * pow(x.denominator, -1, m) % m for j, x in enumerate(values)}
+    (_, rec), = _reconstruct([(0, residues)], m)
+    assert [rec[j] for j in range(len(values))] == values
+    assert [type(rec[j]) for j in range(len(values))] == [int] * 3 + [Q] * 3
+    # the same through the elimination, on an integral and a rational rref
+    reduced = _eliminate(sparse([[1, 2, 3], [0, 1, 4]]))
+    assert reduced == [(0, {2: -5}), (1, {2: 4})]
+    assert all(type(c) is int for _, tail in reduced for c in tail.values())
+    (_, tail), = _eliminate(sparse([[3, 1, -6]]))
+    assert tail == {1: Q(1, 3), 2: -2}
+    assert (type(tail[1]), type(tail[2])) == (Q, int)
 
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -38,6 +38,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     Subspace,
+    add_outer,
     induced_map,
     lincomb,
     sparse_add,
@@ -270,35 +271,19 @@ class BialgebroidData:
 
     # -- eta helpers --------------------------------------------------
 
+    def _eta_pair(self, a, b):
+        """eta(a (x) b)."""
+        pair = zero_vec(self.A.dim * self.A.dim)
+        add_outer(pair, 1, a, b)
+        return self.eta.apply(pair)
+
     def eta_source(self, a):
         """eta(a (x) 1)."""
-        na = self.A.dim
-        out = zero_vec(self.U.dim)
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            for j, d in enumerate(self.A.unit):
-                if d:
-                    img = self._eta_img[(i, j)]
-                    for k, e in enumerate(img):
-                        if e:
-                            out[k] += c * d * e
-        return out
+        return self._eta_pair(a, self.A.unit)
 
     def eta_target(self, b):
         """eta(1 (x) b)."""
-        na = self.A.dim
-        out = zero_vec(self.U.dim)
-        for j, c in enumerate(b):
-            if not c:
-                continue
-            for i, d in enumerate(self.A.unit):
-                if d:
-                    img = self._eta_img[(i, j)]
-                    for k, e in enumerate(img):
-                        if e:
-                            out[k] += c * d * e
-        return out
+        return self._eta_pair(self.A.unit, b)
 
     def eta_apply(self, env_vec):
         return self.eta.apply(env_vec)

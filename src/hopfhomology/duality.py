@@ -45,7 +45,8 @@ class DualBases:
 
     hom_space is the subspace of matrices realising Hom_U(A, U);
     astar_module is the same space as a right U-module through right
-    multiplication on values; duals[i] is the matrix of e^i.
+    multiplication on values; duals[i] is the matrix of e^i and
+    dual_coords[i] its hom_space coordinates.
     """
 
     data: BialgebroidData
@@ -56,6 +57,7 @@ class DualBases:
     astar_module: ModuleRep
     omega_space: object
     omega: list
+    dual_coords: list
 
 
 def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> DualBases:
@@ -109,14 +111,13 @@ def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> Dual
     astar_module = ModuleRep(U, astar_dim, "right", action)
     # omega_0 in A* (x)_U A
     omega_space = tensor_over(U, astar_module, A_mod)
+    dual_coords = [homs.coordinates([x for row in d.rows for x in row]) for d in duals]
     amb = zero_vec(astar_dim * A_mod.dim)
-    for i in range(n):
-        flat = [duals[i].rows[r][c] for r in range(U.dim) for c in range(A_mod.dim)]
-        coords = homs.coordinates(flat)
-        add_outer(amb, 1, coords, generators[i])
+    for coords, g in zip(dual_coords, generators):
+        add_outer(amb, 1, coords, g)
     omega = omega_space.project(amb)
     db = DualBases(data, A_mod, [list(g) for g in generators], duals, homs,
-                   astar_module, omega_space, omega)
+                   astar_module, omega_space, omega, dual_coords)
     _check_dual_bases(db)
     return db
 
@@ -189,11 +190,8 @@ def delta_underived(db: DualBases, M: ModuleRep):
     inv_cols = []
     for k, tm in enumerate(target_mats):
         amb = zero_vec(M.dim * A_mod.dim)
-        for i, g in enumerate(db.generators):
-            flat = [db.duals[i].rows[r][c] for r in range(U.dim) for c in range(A_mod.dim)]
-            coords = db.hom_space.coordinates(flat)
-            val = tm.apply(coords)
-            add_outer(amb, 1, val, g)
+        for coords, g in zip(db.dual_coords, db.generators):
+            add_outer(amb, 1, tm.apply(coords), g)
         inv_cols.append(src.project(amb))
     inverse = Matrix.from_cols(inv_cols, nrows=src.dim)
     if forward.nrows != forward.ncols or (forward @ inverse) != Matrix.identity(target.dim):
@@ -218,11 +216,8 @@ def bullet_omega_underived(db: DualBases, M: ModuleRep):
     cols = []
     for phi in src_mats:
         amb = zero_vec(db.astar_module.dim * M.dim)
-        for i, g in enumerate(db.generators):
-            flat = [db.duals[i].rows[r][c] for r in range(U.dim) for c in range(A_mod.dim)]
-            alpha = db.hom_space.coordinates(flat)
-            val = phi.apply(g)
-            add_outer(amb, 1, alpha, val)
+        for alpha, g in zip(db.dual_coords, db.generators):
+            add_outer(amb, 1, alpha, phi.apply(g))
         cols.append(target.project(amb))
     forward = Matrix.from_cols(cols, nrows=target.dim)
     if forward.nrows != forward.ncols or forward.rank() != forward.nrows:
@@ -246,15 +241,12 @@ def cap_omega_underived(h: HopfStructure, M: ModuleRep, db: DualBases):
     src_mats = hom_basis_matrices(src, M.dim, A_mod.dim)
     tm = module_tensor_right(h, M, db.astar_module)
     target = tensor_over(U, tm.module, A_mod)
-    hom_mats = hom_basis_matrices(db.hom_space, U.dim, A_mod.dim)
     cols = []
     for phi in src_mats:
         acc = zero_vec(target.dim)
-        for i, g in enumerate(db.generators):
-            # second diagonal leg of the generator is the unit of A
-            val = phi.apply(data.A.unit)
-            flat = [db.duals[i].rows[r][c] for r in range(U.dim) for c in range(A_mod.dim)]
-            alpha = db.hom_space.coordinates(flat)
+        # second diagonal leg of the generator is the unit of A
+        val = phi.apply(data.A.unit)
+        for alpha, g in zip(db.dual_coords, db.generators):
             pair = zero_vec(M.dim * db.astar_module.dim)
             add_outer(pair, 1, val, alpha)
             coords = tm.space.project(pair)

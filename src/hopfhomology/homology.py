@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, WindowExceededError
-from .linalg import Matrix, sparse_add, sparse_columns
+from .linalg import Matrix, sparse_add, sparse_columns, zero_vec
 
 
 def cochain_matrix(res, M, n) -> Matrix:
@@ -185,8 +185,12 @@ def tor_dims(res, N, upto):
 
 
 # ---------------------------------------------------------------------------
-# evaluation of generator cochains on concrete vectors, and comparison
-# of resolutions
+# composition and evaluation along lifted chain maps, and comparison of
+# resolutions
+#
+# A lifted map is a list over degrees j of {source generator: {generator
+# K of res_j: coefficient}}, with the source generators in resolution
+# order and each coefficient in res's own form for act_left/act_right.
 
 
 def cochain_concrete_matrix(bar, M, n, psi) -> Matrix:
@@ -196,24 +200,38 @@ def cochain_concrete_matrix(bar, M, n, psi) -> Matrix:
     word basis of the bar term.
     """
     dm = M.dim
-    words = bar.words(n)
     cols = []
-    for w in words:
-        g = bar._gen_index[n][w[1:]]
-        val = [psi[g * dm + a] for a in range(dm)]
-        cols.append(M.action[w[0]].apply(val))
+    for w in bar.words(n):
+        g = bar.gen_index(n, w[1:])
+        cols.append(M.action[w[0]].apply(psi[g * dm : (g + 1) * dm]))
     return Matrix.from_cols(cols, nrows=dm)
 
 
-def pull_cochain(src_bar, dst_bar, M, n, psi, chain_map_n) -> list:
-    """Pull a generator cochain on dst back to src along a chain map."""
+def pull_cochain(res, lifts, n, psi, M) -> list:
+    """psi o f_n: a generator cochain on res_n pulled back along lifts."""
     dm = M.dim
-    ev = cochain_concrete_matrix(dst_bar, M, n, psi)
-    comp = ev @ chain_map_n
     out = []
-    for g in src_bar.generators(n):
-        gv = src_bar.generator_vector(n, g)
-        out.extend(comp.apply(gv))
+    for img in lifts[n].values() if n < len(lifts) else ():
+        acc = zero_vec(dm)
+        for K, u in img.items():
+            gi = res.gen_index(n, K)
+            for a, c in enumerate(res.act_left(u, M).apply(psi[gi * dm : (gi + 1) * dm])):
+                acc[a] += c
+        out.extend(acc)
+    return out
+
+
+def push_chain(res, lifts, j, z, N) -> list:
+    """z . f_j: a generator chain of N over the source pushed into N (x)_U res_j."""
+    dn = N.dim
+    out = zero_vec(res.rank(j) * dn)
+    for k, img in enumerate(lifts[j].values() if j < len(lifts) else ()):
+        zk = z[k * dn : (k + 1) * dn]
+        for K, u in img.items():
+            base = res.gen_index(j, K) * dn
+            for a, c in enumerate(res.act_right(u, N).apply(zk)):
+                if c:
+                    out[base + a] += c
     return out
 
 
@@ -232,34 +250,25 @@ class ExtIsomorphism:
         )
 
 
-def resolution_independence(p, q, M, n, lift_forward=None, lift_backward=None) -> ExtIsomorphism:
+def resolution_independence(p, q, M, n) -> ExtIsomorphism:
     """Ext computed from p and from q agree through explicit lifts.
 
-    p and q are bar resolutions of the same base data; the lifts are
-    produced with the target contraction when not supplied.  Returns
-    the induced maps on class bases and checks them mutually inverse.
+    p and q are bar resolutions of the same base data; each comparison
+    is lifted over the counit with the target contraction.  Returns the
+    induced maps on class bases and checks them mutually inverse.
     """
-    from .resolutions import lift_to_bar
-
-    if lift_forward is None:
-        lift_forward = lift_to_bar(p, q, n + 1)
-    if lift_backward is None:
-        lift_backward = lift_to_bar(q, p, n + 1)
     ep = ext(p, M, n)
     eq = ext(q, M, n)
     if ep.dim != eq.dim:
         raise LiftFailedError("Ext dimensions disagree between resolutions")
-    fwd_cols = []
-    for v in eq.basis_cocycles():
-        pulled = pull_cochain(p, q, M, n, v, lift_forward[n])
-        fwd_cols.append(ep.class_of(pulled))
-    bwd_cols = []
-    for v in ep.basis_cocycles():
-        pulled = pull_cochain(q, p, M, n, v, lift_backward[n])
-        bwd_cols.append(eq.class_of(pulled))
-    fwd = Matrix.from_cols(fwd_cols, nrows=ep.dim)
-    bwd = Matrix.from_cols(bwd_cols, nrows=eq.dim)
-    iso = ExtIsomorphism(fwd, bwd)
+
+    def induced(src, dst, e_src, e_dst):
+        lifts = dst.lift(src, 0, [src.data.counit(src.U.unit)], n)
+        cols = [e_src.class_of(pull_cochain(dst, lifts, n, v, M)) for v in e_dst.basis_cocycles()]
+        return Matrix.from_cols(cols, nrows=e_src.dim)
+
+    fwd = induced(p, q, ep, eq)
+    bwd = induced(q, p, eq, ep)
     if ep.dim and not (fwd @ bwd) == Matrix.identity(ep.dim):
         raise LiftFailedError("comparison maps are not mutually inverse on Ext")
-    return iso
+    return ExtIsomorphism(fwd, bwd)

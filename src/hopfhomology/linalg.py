@@ -640,8 +640,13 @@ def _reconstruct(reduced, m):
 
 
 def _integer_row(row):
-    """(m, {j: m * a}) for the lcm m of the denominators of a sparse row."""
+    """(m, {j: m * a}) for the lcm m of the denominators of a sparse row.
+
+    With every denominator 1 the row itself comes back, not a copy.
+    """
     m = lcm(*[a.denominator for a in row.values()])
+    if m == 1:
+        return 1, row
     return m, {j: a.numerator * (m // a.denominator) for j, a in row.items()}
 
 

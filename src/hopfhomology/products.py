@@ -1,24 +1,30 @@
 """Cup, composition, evaluation and cap products at chain level.
 
-Two contexts implement the same four products, both on a closed-form
-diagonal approximation P -> Tot(P (x)_A P) evaluated on free generators:
-the Alexander-Whitney diagonal of the bar resolution, built from the
-coproduct (BarResolution.diagonal), and the subset-splitting
-comultiplication of the Koszul resolution of a universal envelope
-(CEResolution.diagonal).  Signs flow from exactly two
-conventions fixed elsewhere: the totalization sign (-1)^(horizontal
-degree) and the shift sign (-1)^m on a lifted degree m class.  The
-graded commutation rule between composition and cup, and the agreement
-of evaluation and cap against classes of the base, are theorems the
-test suite checks; nothing here inserts them.
+Two contexts implement the same four products: the bar resolution over
+a finite dimensional U and the Koszul resolution of a universal
+envelope.  Composition and evaluation have one shape on both.  A class
+phi of degree m lifts to chain maps f_j : P_(m+j) -> P_j, stored per
+degree as {source generator: {target generator: coefficient}} with each
+coefficient in its resolution's own form (U-coordinates on the bar
+side, a PBW dict over U(g)).  homology.pull_cochain composes a cochain
+with such a map and homology.push_chain evaluates a chain along it.
+Cup and cap stay per context: both evaluate a closed-form diagonal on
+free generators, the Alexander-Whitney one built from the coproduct
+(BarResolution.diagonal) and the subset-splitting comultiplication
+(CEResolution.diagonal), and their tensor modules differ.  Signs flow
+from exactly two conventions fixed elsewhere: the totalization sign
+(-1)^(horizontal degree) and the shift sign (-1)^m on a lifted degree m
+class.  The graded commutation rule between composition and cup, and
+the agreement of evaluation and cap against classes of the base, are
+theorems the test suite checks; nothing here inserts them.
 """
 
 from __future__ import annotations
 
 from .bialgebroid import module_tensor_left, module_tensor_right
 from .errors import LiftFailedError, WindowExceededError
-from .homology import cochain_concrete_matrix
-from .linalg import Matrix, add_outer, sparse_add, sparse_axpy, sparse_columns, zero_vec
+from .homology import cochain_concrete_matrix, pull_cochain, push_chain
+from .linalg import Matrix, add_outer, sparse_axpy, sparse_columns, zero_vec
 from .pbw import LieModule, mono_one, pbw_multiply, tensor_left_lie, tensor_right_lie
 from .resolutions import BarResolution
 from .ce import BoundedBasis, CEResolution, bounded_free_map
@@ -74,91 +80,32 @@ class BarProducts:
     # -- lifting a class of Ext(A, A) to a chain self-map --------------------
 
     def lift_class(self, m, phi):
-        """Chain maps f_j : P_{m+j} -> P_j with d f = (-1)^m f d, f over phi."""
+        """Chain maps f_j : P_{m+j} -> P_j with d f = (-1)^m f d, f over phi.
+
+        f_j maps each generator to {generator: U-coordinate tuple}, built
+        by BarResolution.lift from the A-values of phi.
+        """
         key = (m, tuple(phi))
-        if key in self._lift_cache:
-            return self._lift_cache[key]
-        bar = self.bar
-        a_mod = self.data.a_module()
-        sign = -1 if m % 2 else 1
-        ev = cochain_concrete_matrix(bar, a_mod, m, phi)
-        # degree 0 on generators through the bottom contraction
-        mats = []
-        cols = []
-        acts0 = bar.action_matrices(0)
-        gen_vals = {}
-        for g in bar.generators(m):
-            a_val = ev.apply(bar.generator_vector(m, g))
-            img = bar.homotopy_bottom(a_val)
-            v = zero_vec(bar.concrete_dim(0))
-            for w, c in img.items():
-                v[bar.word_index(0, w)] += c
-            gen_vals[g] = v
-        for w in bar.words(m):
-            base = gen_vals[w[1:]]
-            cols.append(acts0[w[0]].apply(base))
-        mats.append(Matrix.from_cols(cols, nrows=bar.concrete_dim(0)))
-        for j in range(1, bar.depth - m + 1):
-            prev = mats[j - 1]
-            acts = bar.action_matrices(j)
-            gen_vals = {}
-            for g in bar.generators(m + j):
-                gv = bar.generator_vector(m + j, g)
-                dg = zero_vec(bar.concrete_dim(m + j - 1))
-                for z, c in enumerate(gv):
-                    if c:
-                        for w2, d in bar.boundary_word(bar.words(m + j)[z]).items():
-                            dg[bar.word_index(m + j - 1, w2)] += c * d
-                target = prev.apply(dg)
-                img = {}
-                for k, c in enumerate(target):
-                    if c:
-                        for w3, d in bar.homotopy_word(bar.words(j - 1)[k]).items():
-                            sparse_add(img, w3, c * d)
-                v = zero_vec(bar.concrete_dim(j))
-                for w3, c in img.items():
-                    v[bar.word_index(j, w3)] += sign * c
-                gen_vals[g] = v
-            cols = []
-            for w in bar.words(m + j):
-                cols.append(acts[w[0]].apply(gen_vals[w[1:]]))
-            mats.append(Matrix.from_cols(cols, nrows=bar.concrete_dim(j)))
-        self._lift_cache[key] = mats
-        return mats
+        if key not in self._lift_cache:
+            bar = self.bar
+            na = self.data.A.dim
+            values = [phi[k * na : (k + 1) * na] for k in range(bar.rank(m))]
+            self._lift_cache[key] = bar.lift(bar, m, values, bar.depth - m)
+        return self._lift_cache[key]
 
     def yoneda(self, m, n, phi, psi, M):
         """psi o phi for phi in Ext^m(A, A), psi in Ext^n(A, M); a cochain."""
-        bar = self.bar
-        lifts = self.lift_class(m, phi)
-        ev = cochain_concrete_matrix(bar, M, n, psi)
-        comp = ev @ lifts[n]
-        out = []
-        for g in bar.generators(m + n):
-            out.extend(comp.apply(bar.generator_vector(m + n, g)))
-        return out
+        if m + n > self.bar.depth:
+            raise WindowExceededError("composition exceeds the bar window")
+        return pull_cochain(self.bar, self.lift_class(m, phi), n, psi, M)
 
     def bullet(self, m, phi, z, n, N):
         """phi . z for phi in Ext^m(A, A), z a Tor_n(N, A) cycle vector."""
         if n < m:
             raise WindowExceededError("evaluation needs n >= m")
-        bar = self.bar
-        lifts = self.lift_class(m, phi)
-        f = lifts[n - m]
-        dn = N.dim
-        out = zero_vec(bar.rank(n - m) * dn)
-        for k, g in enumerate(bar.generators(n)):
-            zk = [z[k * dn + a] for a in range(dn)]
-            img = f.apply(bar.generator_vector(n, g))
-            for w_idx, c in enumerate(img):
-                if not c:
-                    continue
-                w = bar.words(n - m)[w_idx]
-                gi = bar._gen_index[n - m][w[1:]]
-                acted = N.action[w[0]].apply(zk)
-                for a, d in enumerate(acted):
-                    if d:
-                        out[gi * dn + a] += c * d
-        return out
+        if n > self.bar.depth:
+            raise WindowExceededError("evaluation exceeds the bar window")
+        return push_chain(self.bar, self.lift_class(m, phi), n - m, z, N)
 
     def tensor_right(self, M, N):
         key = (M, N)
@@ -193,7 +140,7 @@ class BarProducts:
                 add_outer(pair, koszul * c, ev_m.col(bar.word_index(m, y)), zk)
             for x, pair in pairs.items():
                 acted = tm.module.action[x[0]].apply(tm.space.project(pair))
-                base = bar._gen_index[i_deg][x[1:]] * tm.space.dim
+                base = bar.gen_index(i_deg, x[1:]) * tm.space.dim
                 for t, d in enumerate(acted):
                     out[base + t] += d
         return out, tm
@@ -230,7 +177,11 @@ class CEProducts:
         return out, tm
 
     def lift_class(self, m, phi):
-        """f_j : P_{m+j} -> P_j with d f = (-1)^m f d, entries bounded PBW."""
+        """f_j : P_{m+j} -> P_j with d f = (-1)^m f d, f over phi.
+
+        f_j maps each generator to {generator: PBW dict}, each solved
+        degreewise on bounded PBW coefficients.
+        """
         key = (m, tuple(phi))
         if key in self._lift_cache:
             return self._lift_cache[key]
@@ -281,43 +232,12 @@ class CEProducts:
                 raise LiftFailedError("chain lift not found within the degree bound")
 
     def yoneda(self, m, n, phi, psi, M: LieModule):
-        ce = self.ce
-        if ce.rank(m + n) == 0:
-            return []
-        lifts = self.lift_class(m, phi)
-        f = lifts[n]
-        dm = M.dim
-        out = []
-        for G in ce.generators(m + n):
-            acc = zero_vec(dm)
-            for K, u in f[G].items():
-                gi = ce.gen_index(n, K)
-                vals = [psi[gi * dm + a] for a in range(dm)]
-                img = M.act(u).apply(vals)
-                for a, c in enumerate(img):
-                    acc[a] += c
-            out.extend(acc)
-        return out
+        return pull_cochain(self.ce, self.lift_class(m, phi), n, psi, M)
 
     def bullet(self, m, phi, z, n, N: LieModule):
         if n < m:
             raise WindowExceededError("evaluation needs n >= m")
-        ce = self.ce
-        if ce.rank(n) == 0:
-            return zero_vec(ce.rank(n - m) * N.dim)
-        lifts = self.lift_class(m, phi)
-        f = lifts[n - m]
-        dn = N.dim
-        out = zero_vec(ce.rank(n - m) * dn)
-        for k, G in enumerate(ce.generators(n)):
-            zk = [z[k * dn + a] for a in range(dn)]
-            for K, u in f[G].items():
-                gi = ce.gen_index(n - m, K)
-                acted = N.act(u).apply(zk)
-                for a, c in enumerate(acted):
-                    if c:
-                        out[gi * dn + a] += c
-        return out
+        return push_chain(self.ce, self.lift_class(m, phi), n - m, z, N)
 
     def cap(self, m, phi, z, n, M: LieModule, N: LieModule):
         if n < m:

@@ -82,6 +82,9 @@ class BarResolution:
     def generators(self, n):
         return self._gens[n]
 
+    def gen_index(self, n, g):
+        return self._gen_index[n][g]
+
     def words(self, n):
         """Concrete basis words (u, t_1 .. t_n) at degree n, generator major."""
         if n not in self._words:
@@ -288,7 +291,6 @@ class BarResolution:
             return self._diff_cols[n]
         if not (1 <= n <= self.depth):
             raise WindowExceededError(f"differential {n} outside bar window")
-        nu = self.U.dim
         cols = []
         for g in self._gens[n]:
             acc = {}
@@ -297,15 +299,16 @@ class BarResolution:
                     continue
                 for w2, d in self.boundary_word((p,) + g).items():
                     sparse_add(acc, w2, c * d)
-            col = {}
-            for w2, c in acc.items():
-                gi = self._gen_index[n - 1][w2[1:]]
-                if gi not in col:
-                    col[gi] = zero_vec(nu)
-                col[gi][w2[0]] += c
-            cols.append({gi: tuple(v) for gi, v in col.items()})
+            cols.append({self.gen_index(n - 1, K): v for K, v in self._by_generator(acc).items()})
         self._diff_cols[n] = cols
         return cols
+
+    def _by_generator(self, elt):
+        """A sparse element {word: coeff} as {generator: U-coordinate tuple}."""
+        out = {}
+        for w, c in elt.items():
+            out.setdefault(w[1:], zero_vec(self.U.dim))[w[0]] += c
+        return {g: tuple(v) for g, v in out.items()}
 
     def act_left(self, uvec, M: ModuleRep):
         key = (M, uvec)  # M itself, not id(M): a freed module's id is reused
@@ -316,6 +319,50 @@ class BarResolution:
         return out
 
     act_right = act_left
+
+    # -- comparison maps --------------------------------------------------
+
+    def lift(self, src, m, values, top):
+        """Chain maps f_j : src_(m+j) -> P_j for j = 0 .. top, over values.
+
+        values[k] is the A-value of the k-th generator of src_m.  The
+        contraction s builds f_0 = s(value) and f_j(G) = (-1)^m
+        s(f_(j-1)(d G)), so d f_j = (-1)^m f_(j-1) d.  Each f_j maps a
+        generator of src to {generator of P_j: U-coordinate tuple}.
+        """
+        sign = -1 if m % 2 else 1
+        gens = src.generators(m)
+        lifts = [{G: self._by_generator(self.homotopy_bottom(a)) for G, a in zip(gens, values)}]
+        for j in range(1, top + 1):
+            prev = list(lifts[-1].values())
+            cur = {}
+            for G, col in zip(src.generators(m + j), src.diff_cols(m + j)):
+                img = {}
+                for i, u in col.items():
+                    for K, v in prev[i].items():
+                        for p, c in enumerate(self.U.multiply(u, v)):
+                            if c:
+                                for w, d in self.homotopy_word((p,) + K).items():
+                                    sparse_add(img, w, sign * c * d)
+                cur[G] = self._by_generator(img)
+            lifts.append(cur)
+        return lifts
+
+    def u_linear_matrix(self, f, n):
+        """The concrete matrix of the U-linear map with generator values f in P_n.
+
+        Columns run over the source words (u, G), generator major.
+        """
+        cols = []
+        for img in f.values():
+            for p in range(self.U.dim):
+                col = zero_vec(self.concrete_dim(n))
+                for K, v in img.items():
+                    for r, c in enumerate(self.U.multiply(unit_vec(self.U.dim, p), v)):
+                        if c:
+                            col[self.word_index(n, (r,) + K)] += c
+                cols.append(col)
+        return Matrix.from_cols(cols, nrows=self.concrete_dim(n))
 
     # -- concrete chain model ---------------------------------------------
 
@@ -471,60 +518,12 @@ class TotalTensorComplex:
 def lift_to_bar(src: BarResolution, dst: BarResolution, upto: int):
     """Chain map src -> dst over the identity of A, via the homotopy.
 
-    On each free generator g of src_n the value is s(F_{n-1}(d g)),
-    extended U-linearly; this is the standard comparison built from the
-    contraction of the target.  Returns one concrete matrix per degree.
+    The comparison dst.lift builds over the counit, extended U-linearly:
+    one concrete matrix per degree.
     """
-    mats = []
-    # degree 0: the free generator 1 maps through the bottom contraction,
-    # then the map extends U-linearly over the word basis
-    gen0 = zero_vec(dst.concrete_dim(0))
-    for p, c in enumerate(src.U.unit):
-        if c:
-            a = src.augmentation_word((p,))
-            for w2, d in dst.homotopy_bottom(a).items():
-                gen0[dst.word_index(0, w2)] += c * d
-    acts0 = dst.action_matrices(0)
-    cols = [acts0[w[0]].apply(gen0) for w in src.words(0)]
-    mats.append(Matrix.from_cols(cols, nrows=dst.concrete_dim(0)))
     top = min(src.depth, dst.depth) if upto is None else upto
-    for n in range(1, top + 1):
-        prev = mats[n - 1]
-        cols = []
-        gen_imgs = {}
-        for g in src.generators(n):
-            gv = src.generator_vector(n, g)
-            dg = {}
-            for j, c in enumerate(gv):
-                if c:
-                    for w2, d in src.boundary_word(src.words(n)[j]).items():
-                        sparse_add(dg, w2, c * d)
-            prev_img = zero_vec(dst.concrete_dim(n - 1))
-            for w2, c in dg.items():
-                col = prev.col(src.word_index(n - 1, w2))
-                for k, d in enumerate(col):
-                    if d:
-                        prev_img[k] += c * d
-            img = {}
-            for k, c in enumerate(prev_img):
-                if c:
-                    for w3, d in dst.homotopy_word(dst.words(n - 1)[k]).items():
-                        sparse_add(img, w3, c * d)
-            gen_imgs[g] = img
-        acts = dst.action_matrices(n)
-        for w in src.words(n):
-            g = w[1:]
-            base = gen_imgs[g]
-            # w = e_u . g, so apply the dst action of e_u
-            v = zero_vec(dst.concrete_dim(n))
-            for w2, c in base.items():
-                col = acts[w[0]].col(dst.word_index(n, w2))
-                for k, d in enumerate(col):
-                    if d:
-                        v[k] += c * d
-            cols.append(v)
-        mats.append(Matrix.from_cols(cols, nrows=dst.concrete_dim(n)))
-    return mats
+    lifts = dst.lift(src, 0, [src.data.counit(src.U.unit)], top)
+    return [dst.u_linear_matrix(f, n) for n, f in enumerate(lifts)]
 
 
 def lift_into_total(bar: BarResolution, tot: TotalTensorComplex, upto: int):

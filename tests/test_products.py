@@ -218,7 +218,8 @@ def test_lifted_class_satisfies_shifted_chain_identity(env_qeps, env_qeps_bar, e
 
     for m in (1, 2):
         phi = ext_(bar, A, m).basis_cocycles()[0]
-        lifts = env_qeps_products.lift_class(m, phi)
+        maps = env_qeps_products.lift_class(m, phi)
+        lifts = [bar.u_linear_matrix(f, j) for j, f in enumerate(maps)]
         for j in range(1, len(lifts)):
             lhs = bar.chain_matrix(j) @ lifts[j]
             rhs = (lifts[j - 1] @ bar.chain_matrix(m + j)).scale(Q(-1) ** m)
@@ -293,7 +294,8 @@ def test_even_times_odd_product_is_nonzero(env_qeps, env_qeps_bar, env_qeps_prod
 
 def test_bar_products_window_enforced(env_qeps, env_qeps_hopf, env_qeps_bar, env_qeps_products):
     # BarProducts checks its own window: the total degree against the bar
-    # depth, and each cup against the total degree it was built for
+    # depth, each cup against the total degree it was built for, and each
+    # composition and evaluation against the bar depth
     bar = env_qeps_bar
     assert BarProducts(env_qeps_hopf, bar, bar.depth).total_degree == bar.depth
     with pytest.raises(WindowExceededError):
@@ -303,3 +305,7 @@ def test_bar_products_window_enforced(env_qeps, env_qeps_hopf, env_qeps_bar, env
     assert env_qeps_products.total_degree < 2 + 2
     with pytest.raises(WindowExceededError):
         env_qeps_products.cup(2, 2, phi, phi, A, A)
+    with pytest.raises(WindowExceededError):
+        env_qeps_products.yoneda(2, bar.depth - 1, phi, phi, A)
+    with pytest.raises(WindowExceededError):
+        env_qeps_products.bullet(2, phi, [], bar.depth + 1, A)

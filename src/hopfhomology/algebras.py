@@ -14,6 +14,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     Subspace,
+    _sparse,
     frac,
     frac_str,
     induced_map,
@@ -38,6 +39,7 @@ class FinDimAlgebra:
         self.unit = [frac(x) for x in unit]
         self._left_mult = None
         self._right_mult = None
+        self._product = {}
         if validate:
             self._validate()
 
@@ -77,6 +79,13 @@ class FinDimAlgebra:
                 for k, s in enumerate(self.mult[i][j]):
                     if s:
                         out[k] += c * s
+        return out
+
+    def product(self, i, j):
+        """b_i b_j as a sparse dict {k: coeff}, cached; callers must not mutate it."""
+        out = self._product.get((i, j))
+        if out is None:
+            out = self._product[i, j] = _sparse(self.mult[i][j])
         return out
 
     def left_mult_matrix(self, u):

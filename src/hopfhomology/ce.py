@@ -21,12 +21,13 @@ computed from them carries the bound used.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import comb
 
 from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import Matrix, _sparse, sparse_add, sparse_rank, zero_vec
+from .linalg import Matrix, _sparse, sparse_add, sparse_axpy, sparse_extend, sparse_rank, zero_vec
 from .pbw import (
     LieAlgebraData,
     LieModule,
@@ -42,7 +43,7 @@ from .pbw import (
 def _insert_sign(z, rest):
     """Sign of moving z from the front into its sorted slot of rest."""
     pos = sum(1 for x in rest if x < z)
-    return (-1) ** pos, tuple(sorted(rest + (z,)))
+    return -1 if pos % 2 else 1, tuple(sorted(rest + (z,)))
 
 
 class CEResolution:
@@ -91,7 +92,7 @@ class CEResolution:
             col = {}
             for l, xi in enumerate(I):
                 rest = I[:l] + I[l + 1 :]
-                sign = (-1) ** l
+                sign = -1 if l % 2 else 1
                 k = self._gen_index[n - 1][rest]
                 gen_mono = tuple(1 if t == xi else 0 for t in range(g.dim))
                 entry = col.setdefault(k, {})
@@ -99,7 +100,7 @@ class CEResolution:
             for p in range(n):
                 for q in range(p + 1, n):
                     rest = tuple(x for t, x in enumerate(I) if t not in (p, q))
-                    base_sign = (-1) ** (p + q)
+                    base_sign = -1 if (p + q) % 2 else 1
                     for z, c in enumerate(g.bracket[I[p]][I[q]]):
                         if not c or z in rest:
                             continue
@@ -146,7 +147,7 @@ class CEResolution:
                     if a in posset:
                         continue
                     inv += sum(1 for b in pos if b > a)
-                out.append((I, J, (-1) ** inv))
+                out.append((I, J, -1 if inv % 2 else 1))
         return out
 
     def check_diagonal_chain_map(self):
@@ -171,7 +172,7 @@ class CEResolution:
                     # d on the second leg with the Koszul sign
                     j = len(J)
                     if j >= 1:
-                        sign2 = (-1) ** i
+                        sign2 = -1 if i % 2 else 1
                         for k, entry in self.diff_cols(j)[self.gen_index(j, J)].items():
                             J2 = self._gens[j - 1][k]
                             for m, c in entry.items():
@@ -310,14 +311,14 @@ class UgBarComplex:
                         sparse_add(out[a], k * dm + b, c)
             # inner faces
             for i in range(1, n + 1):
-                sign = (-1) ** i
+                sign = -1 if i % 2 else 1
                 for m, c in mono_mul(g, t[i - 1], t[i]).items():
                     k = src_idx[t[: i - 1] + (m,) + t[i + 1 :]]
                     for a in range(dm):
                         sparse_add(out[a], k * dm + a, sign * c)
             # counit face kills positive degree in the last slot
             if mono_deg(t[-1]) == 0:
-                sign = (-1) ** (n + 1)
+                sign = -1 if (n + 1) % 2 else 1
                 k = src_idx[t[:-1]]
                 for a in range(dm):
                     sparse_add(out[a], k * dm + a, sign)
@@ -344,36 +345,33 @@ def ce_to_bar_words(ce: CEResolution, upto: int):
     F(e) = s(F(d e)) with s = prepend a unit slot; exact in PBW
     arithmetic, and verified to be a chain map by the caller's tests.
     """
-    g = ce.g
-    unit = mono_one(g.dim)
+    unit = mono_one(ce.g.dim)
     images = [{(): {(unit,): 1}}]
-
-    def bar_mul_left(u_elt, bar_elt):
-        out = {}
-        for w, c in bar_elt.items():
-            for m, cm in u_elt.items():
-                prod = mono_mul(g, m, w[0])
-                for m2, c2 in prod.items():
-                    sparse_add(out, (m2,) + w[1:], c * cm * c2)
-        return out
-
     for n in range(1, upto + 1):
-        prev = images[n - 1]
-        cur = {}
-        for K in ce.generators(n):
-            acc = {}
-            for k, entry in ce.diff_cols(n)[ce.gen_index(n, K)].items():
-                K2 = ce.generators(n - 1)[k]
-                img = prev[K2]
-                for w, c in bar_mul_left(entry, img).items():
-                    sparse_add(acc, w, c)
-            # contraction: prepend a unit slot
-            lifted = {}
-            for w, c in acc.items():
-                sparse_add(lifted, (unit,) + w, c)
-            cur[K] = lifted
-        images.append(cur)
+        # contraction: prepend a unit slot to the image of d e_K
+        images.append({
+            K: {(unit,) + w: c for w, c in _image_of_boundary(ce, images[n - 1], n, K).items()}
+            for K in ce.generators(n)
+        })
     return images
+
+
+def bar_mul_left(g, u_elt, bar_elt):
+    """u_elt times a bar element, acting on its module slot 0."""
+    out = {}
+    for w, c in bar_elt.items():
+        for m, cm in u_elt.items():
+            for m2, c2 in mono_mul(g, m, w[0]).items():
+                sparse_add(out, (m2,) + w[1:], c * cm * c2)
+    return out
+
+
+def _image_of_boundary(ce: CEResolution, prev, n, K):
+    """The bar image of d e_K, from the images prev of the degree n - 1 generators."""
+    acc = {}
+    for k, entry in ce.diff_cols(n)[ce.gen_index(n, K)].items():
+        sparse_axpy(acc, 1, bar_mul_left(ce.g, entry, prev[ce.generators(n - 1)[k]]))
+    return acc
 
 
 def bar_boundary_word_ug(g, w):
@@ -383,12 +381,12 @@ def bar_boundary_word_ug(g, w):
     if n == 0:
         return out
     for i in range(n):
-        sign = (-1) ** i
+        sign = -1 if i % 2 else 1
         prod = mono_mul(g, w[i], w[i + 1])
         for m, c in prod.items():
             sparse_add(out, w[:i] + (m,) + w[i + 2 :], sign * c)
     if mono_deg(w[n]) == 0:
-        sign = (-1) ** n
+        sign = -1 if n % 2 else 1
         sparse_add(out, w[:-1], sign)
     return out
 
@@ -413,19 +411,8 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
     # verify the comparison is a chain map degree by degree
     for n in range(1, upto + 1):
         for K in ce.generators(n):
-            img = images[n][K]
-            bd = {}
-            for w, c in img.items():
-                for w2, d in bar_boundary_word_ug(g, w).items():
-                    sparse_add(bd, w2, c * d)
-            direct = {}
-            for k, entry in ce.diff_cols(n)[ce.gen_index(n, K)].items():
-                K2 = ce.generators(n - 1)[k]
-                for w, c in images[n - 1][K2].items():
-                    for m, cm in entry.items():
-                        for m2, c2 in mono_mul(g, m, w[0]).items():
-                            sparse_add(direct, (m2,) + w[1:], c * cm * c2)
-            if bd != direct:
+            bd = sparse_extend(partial(bar_boundary_word_ug, g), images[n][K])
+            if bd != _image_of_boundary(ce, images[n - 1], n, K):
                 raise LiftFailedError(f"comparison map fails at degree {n}")
     bijective = []
     for n in range(upto + 1):

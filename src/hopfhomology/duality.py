@@ -19,10 +19,10 @@ each report records the bound it used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebras import ModuleRep, hom_basis_matrices, hom_over, tensor_over
-from .bialgebroid import BialgebroidData, HopfStructure, module_tensor_right
+from .bialgebroid import BialgebroidData, HopfStructure, TakeuchiReport, module_tensor_right
 from .ce import BoundedBasis, CEResolution, bounded_free_map
 from .errors import (
     NotDualityError,
@@ -266,19 +266,6 @@ def cap_omega_underived(h: HopfStructure, M: ModuleRep, db: DualBases):
 
 
 @dataclass
-class WindowReport:
-    bound: int
-    checks: dict = field(default_factory=dict)
-
-    def record(self, name, ok):
-        self.checks[name] = bool(ok)
-
-    @property
-    def ok(self):
-        return all(self.checks.values())
-
-
-@dataclass
 class DualityData:
     dimension: int
     astar: LieModule
@@ -286,7 +273,7 @@ class DualityData:
     omega: list
     resolution: CEResolution
     dual_cols: dict
-    report: WindowReport
+    report: TakeuchiReport
     bound: int
 
 
@@ -317,7 +304,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
     """
     res = CEResolution(g, validate=True)
     d = g.dim
-    report = WindowReport(bound)
+    report = TakeuchiReport()
     bad_degrees = []
     # Ext^n(A, U) for n < d: bounded kernels must be hit by bounded images
     for n in range(d):

@@ -477,6 +477,58 @@ def sparse_axpy(target, c, source):
     return target
 
 
+def sparse_extend(f, elt):
+    """The linear extension of a basis map: sum of c * f(key) over elt, sparse.
+
+    elt is a sparse dict or a dense list (keyed by position); f(key) is a
+    sparse dict, called only on keys with a nonzero coefficient.
+    """
+    out = {}
+    for key, c in elt.items() if isinstance(elt, dict) else enumerate(elt):
+        if c:
+            sparse_axpy(out, c, f(key))
+    return out
+
+
+# Pair vectors are sparse dicts {(p, q): coeff} on pure tensors of basis
+# keys, and mul(a, b) is the sparse product of two basis keys.  Both the
+# finite bialgebroids and U(g) state their Hopf identities through these.
+
+
+def pair_product(mul, s, t, flip=False):
+    """The leg-wise product of pair vectors: px (x) qy, or px (x) yq with flip."""
+    out = {}
+    for (p, q), c in s.items():
+        for (x, y), d in t.items():
+            second = mul(y, q) if flip else mul(q, y)
+            for k1, e1 in mul(p, x).items():
+                cde = c * d * e1
+                for k2, e2 in second.items():
+                    sparse_add(out, (k1, k2), cde * e2)
+    return out
+
+
+def pair_compose(mul, outer, inner):
+    """x (x) yq summed over (p, q) of outer and (x, y) of inner(p)."""
+    out = {}
+    for (p, q), c in outer.items():
+        for (x, y), d in inner(p).items():
+            for k, e in mul(y, q).items():
+                sparse_add(out, (x, k), c * d * e)
+    return out
+
+
+def coassociators(pairs, delta):
+    """(delta (x) id)(pairs) and (id (x) delta)(pairs) as sparse triple vectors."""
+    lhs, rhs = {}, {}
+    for (p, q), c in pairs.items():
+        for (x, y), d in delta(p).items():
+            sparse_add(lhs, (x, y, q), c * d)
+        for (x, y), d in delta(q).items():
+            sparse_add(rhs, (p, x, y), c * d)
+    return lhs, rhs
+
+
 # The descending sequence of elimination primes starts here, below 2**30,
 # so every residue is one CPython digit.
 _FIRST_PRIME = 1073741789
@@ -661,7 +713,7 @@ def _integer_combination(row, scaled):
     for j, c in row.items():
         s = scaled.get(j)
         if s is not None:
-            f = c * (m // s[0])
+            f = c if m == 1 else c * (m // s[0])
             for k, b in s[1].items():
                 acc[k] = acc.get(k, 0) + f * b
     return m, acc

@@ -35,7 +35,7 @@ from .algebras import ModuleRep
 from .bialgebroid import BialgebroidData, _expand_table, module_tensor_left
 from .complexes import DoubleComplex
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import Matrix, induced_map, sparse_add, unit_vec, zero_vec
+from .linalg import Matrix, induced_map, sparse_add, sparse_extend, unit_vec, zero_vec
 
 
 class BarResolution:
@@ -225,28 +225,14 @@ class BarResolution:
         return out
 
     def boundary_elt(self, elt):
-        out = {}
-        for w, c in elt.items():
-            for w2, d in self.boundary_word(w).items():
-                sparse_add(out, w2, c * d)
-        return out
+        return sparse_extend(self.boundary_word, elt)
 
     def homotopy_word(self, w):
         """s of a normal word: prepend a unit slot, renormalise."""
-        out = {}
-        for p, c in enumerate(self.U.unit):
-            if c:
-                shell = (p, 0) + w[1:]
-                for w2, d in self._renorm(shell, 1, {w[0]: 1}).items():
-                    sparse_add(out, w2, c * d)
-        return out
+        return sparse_extend(lambda p: self._renorm((p, 0) + w[1:], 1, {w[0]: 1}), self.U.unit)
 
     def homotopy_elt(self, elt):
-        out = {}
-        for w, c in elt.items():
-            for w2, d in self.homotopy_word(w).items():
-                sparse_add(out, w2, c * d)
-        return out
+        return sparse_extend(self.homotopy_word, elt)
 
     def homotopy_bottom(self, a_vec):
         """s on the augmentation: a -> eta(1 (x) a)."""

@@ -6,6 +6,7 @@ import pytest
 from hopfhomology.algebras import ModuleRep
 from hopfhomology.bialgebroid import (
     BialgebroidData,
+    HopfStructure,
     check_schauenburg,
     check_takeuchi,
     galois_map,
@@ -84,6 +85,26 @@ def test_schauenburg_all_catalog_findim(catalog):
         h = galois_map(inst.data)
         rep = check_schauenburg(h)
         assert rep.ok, (name, rep.failures)
+
+
+def test_schauenburg_negative_control_perturbed_translation(sweedler):
+    """One perturbed translation column fails the identities that read it, at its first element."""
+    data = sweedler.data
+    h = galois_map(data)
+    bad = Matrix(h.translation.rows)
+    bad.rows[0][2] += 1  # tau(x), on Sweedler's basis 1, g, x, gx
+    rep = check_schauenburg(HopfStructure(data, h.beta, h.beta_inv, bad))
+    assert not rep.ok
+    failed = [name for name, ok in rep.checks.items() if not ok]
+    assert failed == ["translation_1", "translation_2", "translation_coproduct", "translation_multiplicative"]
+    # one witness per failing check, naming its first failing basis element
+    assert rep.failures == [
+        "translation identity 1 fails on u_2",
+        "translation identity 2 fails on u_2",
+        "translation coproduct identity fails on u_2",
+        "translation anti-multiplicativity fails at (g,x)",
+    ]
+    assert check_schauenburg(h).ok
 
 
 def test_galois_group_algebra_translation_is_inversion(catalog):

@@ -6,6 +6,7 @@ division of two ints, which gives a float, or a float or bool that
 slips in as a coefficient.
 """
 
+import keyword
 import tokenize
 from fractions import Fraction as Q
 from pathlib import Path
@@ -32,6 +33,25 @@ def test_no_true_division_in_the_package():
                 if tok.type == tokenize.OP and tok.string in ("/", "/="):
                     found.append(f"{path.name}:{tok.start[0]}")
     assert not found, "int / int is a float: " + ", ".join(found)
+
+
+def test_no_power_of_minus_one_in_the_package():
+    """(-1) ** k is a float for k < 0, so signs are written -1 if k % 2 else 1.
+
+    A call such as Q(-1) ** k is exact and not matched.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        with tokenize.open(path) as fh:
+            toks = [t for t in tokenize.generate_tokens(fh.readline) if t.string.strip()]
+        for k in range(1, len(toks) - 4):
+            before = toks[k - 1]
+            called = before.string in (")", "]") or (
+                before.type == tokenize.NAME and not keyword.iskeyword(before.string)
+            )
+            if not called and [t.string for t in toks[k : k + 5]] == ["(", "-", "1", ")", "**"]:
+                found.append(f"{path.name}:{toks[k].start[0]}")
+    assert not found, "(-1) ** k is a float for k < 0: " + ", ".join(found)
 
 
 @pytest.mark.parametrize("name, module, depth", [("qs3", "std2", 3), ("env-upper2", "A", 4)])

@@ -226,4 +226,9 @@ def test_corrupted_memo_entries_fail_the_hopf_report():
     mono_mul(g, *key)
     _double(g._memo["mono_mul"], key)
     assert ug_hopf_report(g, 3)["delta_multiplicative"] is False
+
+    g = lie_sl2()
+    delta_mono(g, h)
+    _double(g._memo["delta_mono"], (h,))
+    assert ug_hopf_report(g, 3)["coassociative"] is False
     assert all(ug_hopf_report(lie_sl2(), 3).values())

@@ -33,7 +33,6 @@ helpers on PBW monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
@@ -41,6 +40,7 @@ from .algebras import FinDimAlgebra, ModuleRep, balanced_tensor, tensor_over
 from .errors import (
     NotInvertibleError,
     NotWellDefinedError,
+    TakeuchiReport,
     ValidationError,
 )
 from .linalg import (
@@ -191,29 +191,6 @@ class GluedTensorSpace:
         return cache(lambda i: self.lift_coords(matrix.col(i)))
 
 
-@dataclass
-class TakeuchiReport:
-    checks: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-
-    def record(self, name, ok, witness=None):
-        self.checks[name] = bool(ok)
-        if not ok:
-            self.failures.append(witness if witness else name)
-
-    def sweep(self, name, witnesses):
-        """Record a basis sweep: witnesses lazily yields one string per failing element.
-
-        The check passes iff it yields none; the first one is the witness.
-        """
-        witness = next(iter(witnesses), None)
-        self.record(name, witness is None, witness)
-
-    @property
-    def ok(self):
-        return all(self.checks.values())
-
-
 class BialgebroidData:
     """U with its base algebra A, eta, coproduct lift and counit data.
 
@@ -224,7 +201,7 @@ class BialgebroidData:
     on A.  The coproduct is stored projected onto U (x)_A U.
     """
 
-    def __init__(self, U, A, eta, delta_lift, eps_hat, tail_basis=None, name=None, validate=True):
+    def __init__(self, U, A, eta, delta_lift, eps_hat, tail_basis=None, name=None):
         self.U = U
         self.A = A
         self.name = name or "bialgebroid"
@@ -284,7 +261,6 @@ class BialgebroidData:
         )
         # canonical pure-tensor lift of Delta(e_i), sparse
         self.delta_pure = self.uau.pure_lift(self.delta)
-        self._validated = validate
 
     # -- eta helpers --------------------------------------------------
 
@@ -678,14 +654,11 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
 # monoidal structure on modules
 
 
-@dataclass
 class TensorModule:
     """A tensor product module together with its quotient presentation."""
 
-    module: ModuleRep
-    space: QuotientSpace
-    left_dim: int
-    right_dim: int
+    def __init__(self, module: ModuleRep, space: QuotientSpace, left_dim: int, right_dim: int):
+        self.module, self.space, self.left_dim, self.right_dim = module, space, left_dim, right_dim
 
     def project_pair(self, i, j):
         v = zero_vec(self.left_dim * self.right_dim)
@@ -790,12 +763,9 @@ def unit_iso(data: BialgebroidData, M: ModuleRep, tm: TensorModule, a_first=True
     )
 
 
-@dataclass
 class FlipIso:
-    forward: Matrix
-    inverse: Matrix
-    source: QuotientSpace
-    target: QuotientSpace
+    def __init__(self, forward: Matrix, inverse: Matrix, source: QuotientSpace, target: QuotientSpace):
+        self.forward, self.inverse, self.source, self.target = forward, inverse, source, target
 
 
 def tensor_flip(h: HopfStructure, M: ModuleRep, P: ModuleRep, N: ModuleRep) -> FlipIso:

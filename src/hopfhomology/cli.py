@@ -19,8 +19,9 @@ from .errors import NotInvertibleError, NotProjectiveError, ValidationError, Win
 from .instances import builtin_instances
 from .linalg import frac_str
 
-# Each command imports the modules it runs, so that start-up loads and
-# builds only what the command needs.
+# Each command imports the modules it runs, and only those of its side
+# (bialgebroid and resolutions for a finite U, pbw and ce for U(g)), so
+# start-up loads, compiles and builds only what the command needs.
 
 
 def _emit(obj):
@@ -185,17 +186,16 @@ def cmd_ext_tor(args, which):
 
 
 def cmd_cup(args):
-    from .bialgebroid import galois_map, unit_iso
-    from .ce import ce_resolution
     from .homology import ext
-    from .pbw import LieModule
-    from .products import BarProducts, CEProducts, transport_cochain
-    from .resolutions import bar_resolution
 
     inst = _get_instance(args.instance)
     tables = []
     try:
         if inst.kind == "lie":
+            from .ce import ce_resolution
+            from .pbw import LieModule
+            from .products import CEProducts
+
             res = ce_resolution(inst.data, validate=False)
             pr = CEProducts(res)
             triv = LieModule.trivial(inst.data)
@@ -211,6 +211,10 @@ def cmd_cup(args):
                         table.append(row)
                     tables.append({"op": "cup", "m": m, "n": n, "table": table})
         else:
+            from .bialgebroid import galois_map, unit_iso
+            from .products import BarProducts, transport_cochain
+            from .resolutions import bar_resolution
+
             data = inst.data
             h = galois_map(data)
             M = inst.modules.get("A") or inst.modules["trivial"]

@@ -19,27 +19,30 @@ each report records the bound it used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import ModuleRep, hom_basis_matrices, hom_over, tensor_over
-from .bialgebroid import BialgebroidData, HopfStructure, TakeuchiReport, module_tensor_right
-from .ce import BoundedBasis, CEResolution, bounded_free_map
 from .errors import (
     NotDualityError,
     NotProjectiveError,
+    TakeuchiReport,
     ValidationError,
 )
 from .homology import TorGroup, chain_matrix, ext, tor
 from .linalg import (Matrix, Subspace, add_outer, lincomb, sparse_columns, sparse_kernel,
                      unit_vec, vec_is_zero, zero_vec)
-from .pbw import LieModule, mono_one, monomials_upto
+
+# The underived functions import bialgebroid and the U(g) ones ce and pbw where
+# they run, so a command loads only its own side; these serve the annotations alone.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .bialgebroid import BialgebroidData, HopfStructure
+    from .ce import BoundedBasis, CEResolution
+    from .pbw import LieModule
 
 
 # ---------------------------------------------------------------------------
 # underived case
 
 
-@dataclass
 class DualBases:
     """Generators of A over U with the dual system in Hom_U(A, U).
 
@@ -49,15 +52,12 @@ class DualBases:
     dual_coords[i] its hom_space coordinates.
     """
 
-    data: BialgebroidData
-    module: ModuleRep
-    generators: list
-    duals: list
-    hom_space: Subspace
-    astar_module: ModuleRep
-    omega_space: object
-    omega: list
-    dual_coords: list
+    def __init__(self, data: BialgebroidData, module: ModuleRep, generators: list, duals: list,
+                 hom_space: Subspace, astar_module: ModuleRep, omega_space, omega: list,
+                 dual_coords: list):
+        self.data, self.module, self.generators, self.duals = data, module, generators, duals
+        self.hom_space, self.astar_module, self.omega_space = hom_space, astar_module, omega_space
+        self.omega, self.dual_coords = omega, dual_coords
 
 
 def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> DualBases:
@@ -234,6 +234,8 @@ def cap_omega_underived(h: HopfStructure, M: ModuleRep, db: DualBases):
     Returns (matrix, source hom subspace, target quotient, tensor
     module); the matrix is checked bijective.
     """
+    from .bialgebroid import module_tensor_right
+
     data = h.data
     U = data.U
     A_mod = db.module
@@ -265,16 +267,11 @@ def cap_omega_underived(h: HopfStructure, M: ModuleRep, db: DualBases):
 # derived case over a universal envelope
 
 
-@dataclass
 class DualityData:
-    dimension: int
-    astar: LieModule
-    weights: list
-    omega: list
-    resolution: CEResolution
-    dual_cols: dict
-    report: TakeuchiReport
-    bound: int
+    def __init__(self, dimension: int, astar: LieModule, weights: list, omega: list,
+                 resolution: CEResolution, dual_cols: dict, report: TakeuchiReport, bound: int):
+        self.dimension, self.astar, self.weights, self.omega = dimension, astar, weights, omega
+        self.resolution, self.dual_cols, self.report, self.bound = resolution, dual_cols, report, bound
 
 
 def _dual_cols(res: CEResolution, n):
@@ -302,6 +299,9 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
     double dual returns the trivial module.  NotDualityError reports
     nonvanishing degrees.
     """
+    from .ce import BoundedBasis, CEResolution, bounded_free_map
+    from .pbw import LieModule, mono_one, monomials_upto
+
     res = CEResolution(g, validate=True)
     d = g.dim
     report = TakeuchiReport()
@@ -338,8 +338,8 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
         src = BoundedBasis(g, res.rank(d - 1), m)
         dst = BoundedBasis(g, res.rank(d), m + 1)
         image = Subspace(dst.dim, bounded_free_map(g, dual_top, src, dst, entries_act="left"))
-        inside = [v for v in _degree_filtered_units(g, dst, m)]
         # classes of monomials of degree <= m in the cokernel
+        inside = [unit_vec(dst.dim, dst.index[(0, mono)]) for mono in monomials_upto(g.dim, m)]
         reduced = [image.reduce(v) for v in inside]
         span = Subspace.from_vectors([r for r in reduced if not vec_is_zero(r)], dst.dim)
         if span.dim != 1:
@@ -423,6 +423,8 @@ def _hit_in_window(g, cols, rank, kern, src: BoundedBasis, slack, entries_act):
     The map runs from rank generators to the generators of src; the
     image is taken on coefficient windows raised by up to slack.
     """
+    from .ce import BoundedBasis, bounded_free_map
+
     keys = list(src.index)
     for extra in range(slack + 1):
         src2 = BoundedBasis(g, rank, src.bound + extra)
@@ -439,11 +441,6 @@ def _repad(row, keys, dst: BoundedBasis):
     out = {dst.index[keys[i]]: c for i, c in tail.items()}
     out[dst.index[keys[pivot]]] = 1
     return out
-
-
-def _degree_filtered_units(g, basis: BoundedBasis, m):
-    for mono in monomials_upto(g.dim, m):
-        yield unit_vec(basis.dim, basis.index[(0, mono)])
 
 
 def delta_chain_check_ug(dd: DualityData, Mr: LieModule) -> bool:

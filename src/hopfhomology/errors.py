@@ -1,9 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types and the check report shared across the package.
 
 Failures of mathematical preconditions get their own classes so that
 tests can assert the precise failure mode.  A plain unsolvable linear
 system is not an error (solve returns None); these exceptions mark
-structural defects in the input data or certified-window violations.
+structural defects in the input data or certified-window violations;
+checks that report rather than raise record into a TakeuchiReport.
 """
 
 
@@ -50,3 +51,28 @@ class DegreeOverflowError(ValueError):
     def __init__(self, message, bound=None):
         super().__init__(message)
         self.bound = bound
+
+
+class TakeuchiReport:
+    """Named checks with the witness of each failed one."""
+
+    def __init__(self, checks=None, failures=None):
+        self.checks = {} if checks is None else checks
+        self.failures = [] if failures is None else failures
+
+    def record(self, name, ok, witness=None):
+        self.checks[name] = bool(ok)
+        if not ok:
+            self.failures.append(witness if witness else name)
+
+    def sweep(self, name, witnesses):
+        """Record a basis sweep: witnesses lazily yields one string per failing element.
+
+        The check passes iff it yields none; the first one is the witness.
+        """
+        witness = next(iter(witnesses), None)
+        self.record(name, witness is None, witness)
+
+    @property
+    def ok(self):
+        return all(self.checks.values())

@@ -13,8 +13,6 @@ always carry explicit representatives in generator coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, WindowExceededError
 from .linalg import Matrix, sparse_add, sparse_columns, zero_vec
@@ -68,12 +66,9 @@ def _check_window(res, n, group):
         )
 
 
-@dataclass
 class CohomologyClass:
-    degree: int
-    vector: tuple
-    resolution: object
-    module: object
+    def __init__(self, degree: int, vector: tuple, resolution, module):
+        self.degree, self.vector, self.resolution, self.module = degree, vector, resolution, module
 
     def __eq__(self, other):
         return (
@@ -83,12 +78,14 @@ class CohomologyClass:
         )
 
 
-@dataclass
 class HomologyClass:
-    degree: int
-    vector: tuple
-    resolution: object
-    module: object
+    def __init__(self, degree: int, vector: tuple, resolution, module):
+        self.degree, self.vector, self.resolution, self.module = degree, vector, resolution, module
+
+    def __eq__(self, other):
+        if other.__class__ is not HomologyClass:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 class ExtGroup:

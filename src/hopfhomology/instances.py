@@ -11,12 +11,15 @@ construction; the Lie entries carry their own degree-window checks.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 from .algebras import FinDimAlgebra, ModuleRep
-from .bialgebroid import BialgebroidData
 from .linalg import Matrix, unit_vec, zero_vec
-from .pbw import LieAlgebraData
+
+# The finite builders import bialgebroid and the Lie builders pbw where
+# they run, so a command loads only the side its instance lives on.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .bialgebroid import BialgebroidData
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +33,8 @@ def _perm_mul(p, q):
 
 def group_algebra_from_table(labels, table, inverse, name):
     """Group algebra from a multiplication table of element indices."""
+    from .bialgebroid import BialgebroidData
+
     n = len(labels)
     mult = [[unit_vec(n, table[i][j]) for j in range(n)] for i in range(n)]
     U = FinDimAlgebra(n, labels, mult, unit_vec(n, 0))
@@ -104,6 +109,8 @@ def s3_modules(data):
 
 def sweedler_algebra():
     """Basis 1, g, x, gx with g^2 = 1, x^2 = 0, xg = -gx."""
+    from .bialgebroid import BialgebroidData
+
     labels = ["1", "g", "x", "gx"]
     n = 4
     I, G, X, GX = 0, 1, 2, 3
@@ -219,6 +226,8 @@ def enveloping_instance(A: FinDimAlgebra, name):
     eta is the identity, the coproduct sends a (x) b to
     (a (x) 1) (x)_A (1 (x) b), and U acts on A by a . c . b.
     """
+    from .bialgebroid import BialgebroidData
+
     U = A.enveloping()
     na = A.dim
     nu = U.dim
@@ -274,6 +283,8 @@ def bimodule_a_right(data: BialgebroidData):
 
 def monoid01_bialgebra():
     """k[M] for M = ({1, 0}, *): a bialgebra whose Galois map is singular."""
+    from .bialgebroid import BialgebroidData
+
     n = 2
     mult = [
         [unit_vec(n, 0), unit_vec(n, 1)],
@@ -294,12 +305,16 @@ def monoid01_bialgebra():
 
 
 def lie_abelian(d):
+    from .pbw import LieAlgebraData
+
     zero = [[zero_vec(d) for _ in range(d)] for _ in range(d)]
     return LieAlgebraData(d, zero, name=f"lie-abelian{d}")
 
 
 def lie_nonabelian2():
     """[x, y] = y."""
+    from .pbw import LieAlgebraData
+
     c = [[zero_vec(2) for _ in range(2)] for _ in range(2)]
     c[0][1] = [0, 1]
     c[1][0] = [0, -1]
@@ -308,6 +323,8 @@ def lie_nonabelian2():
 
 def lie_sl2():
     """Basis h, e, f with [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
+    from .pbw import LieAlgebraData
+
     H, E, F = 0, 1, 2
     c = [[zero_vec(3) for _ in range(3)] for _ in range(3)]
     c[H][E] = [0, 2, 0]
@@ -323,15 +340,13 @@ def lie_sl2():
 # catalog
 
 
-@dataclass
 class Instance:
-    name: str
-    kind: str  # "findim", "lie" or "control"
-    data: object
-    modules: dict = field(default_factory=dict)
-    right_modules: dict = field(default_factory=dict)
-    description: str = ""
-    expect_hopf: bool = True
+    def __init__(self, name: str, kind: str, data, modules=None, right_modules=None,
+                 description: str = "", expect_hopf: bool = True):
+        self.name, self.kind, self.data = name, kind, data  # kind: "findim", "lie" or "control"
+        self.modules = {} if modules is None else modules
+        self.right_modules = {} if right_modules is None else right_modules
+        self.description, self.expect_hopf = description, expect_hopf
 
     def __repr__(self):
         return f"Instance({self.name})"

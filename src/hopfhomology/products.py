@@ -21,13 +21,17 @@ theorems the test suite checks; nothing here inserts them.
 
 from __future__ import annotations
 
-from .bialgebroid import module_tensor_left, module_tensor_right
 from .errors import LiftFailedError, WindowExceededError
 from .homology import cochain_concrete_matrix, pull_cochain, push_chain
 from .linalg import Matrix, add_outer, sparse_axpy, sparse_columns, zero_vec
-from .pbw import LieModule, mono_one, pbw_multiply, tensor_left_lie, tensor_right_lie
-from .resolutions import BarResolution
-from .ce import BoundedBasis, CEResolution, bounded_free_map
+
+# BarProducts imports bialgebroid and CEProducts ce and pbw where they run,
+# so a command loads only its own side; these serve the annotations alone.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .ce import CEResolution
+    from .pbw import LieModule
+    from .resolutions import BarResolution
 
 
 def transport_cochain(rank, iso: Matrix, cochain, src_dim):
@@ -63,6 +67,8 @@ class BarProducts:
 
         Returns (cochain vector, TensorModule for M (x) N).
         """
+        from .bialgebroid import module_tensor_left
+
         if m + n > self.total_degree:
             raise WindowExceededError("cup exceeds the prepared total degree")
         bar = self.bar
@@ -110,6 +116,8 @@ class BarProducts:
     def tensor_right(self, M, N):
         key = (M, N)
         if key not in self._tensor_right_cache:
+            from .bialgebroid import module_tensor_right
+
             self._tensor_right_cache[key] = module_tensor_right(self.h, M, N)
         return self._tensor_right_cache[key]
 
@@ -161,6 +169,8 @@ class CEProducts:
         self._lift_cache = {}
 
     def cup(self, m, n, phi, psi, M: LieModule, N: LieModule):
+        from .pbw import tensor_left_lie
+
         ce = self.ce
         tm = tensor_left_lie(self.g, M, N)
         dm, dn = M.dim, N.dim
@@ -182,6 +192,8 @@ class CEProducts:
         f_j maps each generator to {generator: PBW dict}, each solved
         degreewise on bounded PBW coefficients.
         """
+        from .pbw import mono_one, pbw_multiply
+
         key = (m, tuple(phi))
         if key in self._lift_cache:
             return self._lift_cache[key]
@@ -211,6 +223,8 @@ class CEProducts:
 
     def _solve_boundary(self, j, rhs_by_gen):
         """Solve d_j (X) = rhs in P_{j-1} with bounded PBW coefficients."""
+        from .ce import BoundedBasis, bounded_free_map
+
         g = self.g
         ce = self.ce
         bound = self.lift_bound
@@ -240,6 +254,8 @@ class CEProducts:
         return push_chain(self.ce, self.lift_class(m, phi), n - m, z, N)
 
     def cap(self, m, phi, z, n, M: LieModule, N: LieModule):
+        from .pbw import tensor_right_lie
+
         if n < m:
             raise WindowExceededError("cap needs n >= m")
         ce = self.ce

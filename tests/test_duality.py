@@ -153,7 +153,7 @@ def test_lie_duality_builds_no_large_dense_matrix(monkeypatch):
     assert largest[0] * largest[1] <= 10**4, largest
 
 
-def test_detect_duality_rejects_truncated_complex():
+def test_detect_duality_rejects_truncated_complex(monkeypatch):
     # a complex that is not a resolution: drop the top ce term
     g = lie_abelian(2)
 
@@ -165,15 +165,10 @@ def test_detect_duality_rejects_truncated_complex():
             return [] if n >= 2 else super().diff_cols(n)
 
     res = Truncated(g, validate=False)
-    import hopfhomology.duality as dual_mod
-
-    orig = dual_mod.CEResolution
-    dual_mod.CEResolution = lambda gg, validate=True: res
-    try:
-        with pytest.raises(NotDualityError):
-            detect_duality_ug(g, bound=3)
-    finally:
-        dual_mod.CEResolution = orig
+    # detect_duality_ug imports CEResolution from its home module when it runs
+    monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
+    with pytest.raises(NotDualityError):
+        detect_duality_ug(g, bound=3)
 
 
 def test_delta_chain_check(qs3):

@@ -1,8 +1,10 @@
 """Start-up pays only for the command being run.
 
 `import hopfhomology` loads no module of the package, `hopfhomology.cli`
-loads only what every command shares, and a command builds only the
-catalog instances it names.
+loads only what every command shares, a command loads only the modules
+of its own side (bialgebroid and resolutions for a finite U, pbw and ce
+for U(g)) and builds only the catalog instances it names, and nothing
+loads `dataclasses`.
 """
 
 import importlib
@@ -10,6 +12,8 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -18,26 +22,73 @@ from hopfhomology import instances
 from hopfhomology.cli import run
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ENV = dict(os.environ, PYTHONPATH=SRC)
 
 
 def _loaded_by(code):
-    """The hopfhomology modules loaded after running code in a fresh interpreter."""
-    listing = "print(json.dumps([m for m in sys.modules if m.startswith('hopfhomology')]))"
-    probe = f"{code}\nimport json, sys\n{listing}"
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    """The modules loaded after running code in a fresh interpreter."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
 
 
+def _loaded_by_command(argv):
+    """The modules a fresh `python -m hopfhomology.cli argv` imports, read from -X importtime.
+
+    The first line of that listing is its header; the cli itself runs as __main__.
+    """
+    cmd = [sys.executable, "-X", "importtime", "-m", "hopfhomology.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+
+
 def test_import_package_loads_no_submodule():
-    assert _loaded_by("import hopfhomology") == {"hopfhomology"}
+    loaded = _loaded_by("import hopfhomology")
+    assert {m for m in loaded if m.startswith("hopfhomology")} == {"hopfhomology"}
+    assert "dataclasses" not in loaded
 
 
 def test_import_cli_loads_no_computation_module():
-    loaded = _loaded_by("import hopfhomology.cli")
-    heavy = {"duality", "products", "ce", "resolutions", "homology", "complexes", "oracles"}
+    loaded = _loaded_by("import hopfhomology.cli\nhopfhomology.builtin_instances()")
+    heavy = {"bialgebroid", "pbw", "duality", "products", "ce", "resolutions", "homology",
+             "complexes", "oracles"}
+    assert "hopfhomology.cli" in loaded
     assert not loaded & {f"hopfhomology.{name}" for name in heavy}
+    assert "dataclasses" not in loaded
+
+
+FINITE = {"hopfhomology.bialgebroid", "hopfhomology.resolutions"}
+LIE = {"hopfhomology.pbw", "hopfhomology.ce"}
+# (command, modules it must load, modules of the other side it must not)
+PROBES = [
+    (["verify-hopf", "kz2"], {"hopfhomology.bialgebroid"}, LIE),
+    (["cup", "kz3"], FINITE | {"hopfhomology.products"}, LIE),
+    (["verify-hopf", "lie-sl2"], {"hopfhomology.pbw"}, FINITE),
+    (["cap", "lie-sl2"], LIE | {"hopfhomology.products"}, FINITE),
+    (["duality", "lie-sl2", "--module", "adjoint"], LIE | {"hopfhomology.duality"}, FINITE),
+]
+
+
+@pytest.mark.parametrize("argv, side, other", PROBES, ids=[" ".join(p[0]) for p in PROBES])
+def test_command_loads_only_its_own_side(argv, side, other):
+    loaded = _loaded_by_command(argv)
+    assert side <= loaded
+    assert not loaded & other
+    assert "dataclasses" not in loaded
+
+
+def test_no_dataclass_in_the_package():
+    package = Path(SRC) / "hopfhomology"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type == tokenize.NAME and tok.string in ("dataclass", "dataclasses"):
+                    found.append(f"{path.name}:{tok.start[0]}")
+    assert not found, "dataclasses costs start-up time: " + ", ".join(found)
 
 
 @pytest.fixture

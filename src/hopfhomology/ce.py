@@ -117,6 +117,9 @@ class CEResolution:
 
     act_right = act_left
 
+    def act_basis(self, m, M: LieModule):
+        return M.act_mono(m)
+
     def _check_square_zero(self):
         g = self.g
         for n in range(2, g.dim + 1):
@@ -133,63 +136,54 @@ class CEResolution:
 
     # -- the subset-splitting comultiplication ---------------------------
 
-    def diagonal(self, K):
-        """List of (I, J, sign) with I + J = K as ordered subsets."""
-        out = []
-        n = len(K)
-        for r in range(n + 1):
-            for pos in combinations(range(n), r):
-                I = tuple(K[t] for t in pos)
-                J = tuple(K[t] for t in range(n) if t not in pos)
-                inv = 0
-                posset = set(pos)
-                for a in range(n):
-                    if a in posset:
-                        continue
-                    inv += sum(1 for b in pos if b > a)
-                out.append((I, J, -1 if inv % 2 else 1))
+    def diagonal(self, K, i):
+        """The P_i (x) P_(n-i) part of the comultiplication on e_K.
+
+        A sparse dict {(front word, back word): unshuffle sign}; each
+        word is (unit monomial,) + an ordered subset of K, and the two
+        subsets partition K.
+        """
+        unit = mono_one(self.g.dim)
+        out = {}
+        for pos in combinations(range(len(K)), i):
+            rest = [t for t in range(len(K)) if t not in pos]
+            inv = sum(1 for a in rest for b in pos if b > a)
+            front, back = (unit,) + tuple(K[t] for t in pos), (unit,) + tuple(K[t] for t in rest)
+            out[front, back] = -1 if inv % 2 else 1
         return out
 
     def check_diagonal_chain_map(self):
         """d_Tot(diag(e_K)) equals diag(d e_K) for every generator.
 
-        Elements of P_i (x) P_j are dicts {(I, J, m1, m2): coeff}; the
-        total differential uses the sign (-1)^i on the second leg and
-        the action of U(g) on a tensor leg multiplies from the left.
+        Elements of P (x) P are dicts {(front word, back word): coeff}
+        with words as diagonal gives them; the total differential uses
+        the sign (-1)^i on the second leg of P_i (x) P_j, and U(g) acts
+        on a tensor leg by multiplying its monomial from the left.
         """
         g = self.g
         for n in range(1, g.dim + 1):
             for K in self._gens[n]:
                 lhs = {}
-                for I, J, sgn in self.diagonal(K):
-                    i = len(I)
-                    # d on the first leg
-                    if i >= 1:
-                        for k, entry in self.diff_cols(i)[self.gen_index(i, I)].items():
-                            I2 = self._gens[i - 1][k]
-                            for m, c in entry.items():
-                                sparse_add(lhs, (I2, J, m, mono_one(g.dim)), sgn * c)
-                    # d on the second leg with the Koszul sign
-                    j = len(J)
-                    if j >= 1:
-                        sign2 = -1 if i % 2 else 1
-                        for k, entry in self.diff_cols(j)[self.gen_index(j, J)].items():
-                            J2 = self._gens[j - 1][k]
-                            for m, c in entry.items():
-                                sparse_add(lhs, (I, J2, mono_one(g.dim), m), sgn * sign2 * c)
+                for i in range(n + 1):
+                    for (x, y), sgn in self.diagonal(K, i).items():
+                        if i:  # d on the first leg
+                            for k, entry in self.diff_cols(i)[self.gen_index(i, x[1:])].items():
+                                for m, c in entry.items():
+                                    sparse_add(lhs, ((m,) + self._gens[i - 1][k], y), sgn * c)
+                        if i < n:  # d on the second leg, with the Koszul sign
+                            j, sgn2 = n - i, -sgn if i % 2 else sgn
+                            for k, entry in self.diff_cols(j)[self.gen_index(j, y[1:])].items():
+                                for m, c in entry.items():
+                                    sparse_add(lhs, (x, (m,) + self._gens[j - 1][k]), sgn2 * c)
                 rhs = {}
                 for k, entry in self.diff_cols(n)[self.gen_index(n, K)].items():
-                    K2 = self._gens[n - 1][k]
-                    for m, c in entry.items():
-                        # diagonal action of the PBW element m on diag(e_K2)
-                        for I, J, sgn in self.diagonal(K2):
-                            for (m1, m2), c2 in delta_elt(g, {m: c}).items():
-                                sparse_add(rhs, (I, J, m1, m2), sgn * c2)
-                for key in set(lhs) | set(rhs):
-                    if lhs.get(key, 0) != rhs.get(key, 0):
-                        raise ValidationError(
-                            f"comultiplication is not a chain map at {K}"
-                        )
+                    # entry acts through the coproduct on the diagonal of generator k
+                    for i in range(n):
+                        for (x, y), sgn in self.diagonal(self._gens[n - 1][k], i).items():
+                            for (m1, m2), c in delta_elt(g, entry).items():
+                                sparse_add(rhs, ((m1,) + x[1:], (m2,) + y[1:]), sgn * c)
+                if lhs != rhs:  # sparse_add keeps no zero entry
+                    raise ValidationError(f"comultiplication is not a chain map at {K}")
         return True
 
     def __repr__(self):
@@ -292,6 +286,16 @@ class UgBarComplex:
         idx = {t: k for k, t in enumerate(out)}
         self._tuples[n] = (out, idx)
         return self._tuples[n]
+
+    def gen_index(self, n, tail):
+        """Index of a tuple of n monomials; the window must hold it."""
+        k = self.tuples(n)[1].get(tail)
+        if k is None:
+            raise WindowExceededError("comparison image leaves the truncation window")
+        return k
+
+    def act_left(self, entry, M: LieModule):
+        return M.act(entry)
 
     def cochain_rows(self, n, M: LieModule):
         """Sparse rows of delta : C^n(M) -> C^{n+1}(M) from the bar faces."""
@@ -399,7 +403,7 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
     along the contraction-built map CE -> bar and reads it on CE
     generators.
     """
-    from .homology import ext as ext_generic
+    from .homology import ext as ext_generic, pull_cochain
 
     ce = ce_resolution(g, validate=False)
     bar = UgBarComplex(g, bound)
@@ -414,35 +418,20 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
             bd = sparse_extend(partial(bar_boundary_word_ug, g), images[n][K])
             if bd != _image_of_boundary(ce, images[n - 1], n, K):
                 raise LiftFailedError(f"comparison map fails at degree {n}")
+    # each image as {tail: PBW coefficient of slot 0}, a lift pull_cochain reads
+    lifts = [{K: {} for K in imgs} for imgs in images]
+    for f, imgs in zip(lifts, images):
+        for K, img in imgs.items():
+            for w, c in img.items():
+                f[K].setdefault(w[1:], {})[w[0]] = c
     bijective = []
     for n in range(upto + 1):
         eg = ext_generic(ce, M, n)
         ce_dims.append(eg.dim)
-        src, src_idx = bar.tuples(n)
-        dm = M.dim
         bar_h = HomologySpace(dims[n], bar_rows[n], bar_rows[n - 1] if n else [])
         if eg.dim != bar_h.dim:
             bijective.append(False)
             continue
-        cols = []
-        for v in bar_h.representatives():
-            pulled = []
-            for K in ce.generators(n):
-                vals = zero_vec(dm)
-                for w, c in images[n][K].items():
-                    # evaluate the cochain: slot 0 acts on the value
-                    tail = w[1:]
-                    if tail not in src_idx:
-                        raise WindowExceededError(
-                            "comparison image leaves the truncation window"
-                        )
-                    k = src_idx[tail]
-                    act = M.act_mono(w[0])
-                    for a in range(dm):
-                        for b in range(dm):
-                            if act.rows[a][b] and v[k * dm + b]:
-                                vals[a] += c * act.rows[a][b] * v[k * dm + b]
-                pulled.extend(vals)
-            cols.append(eg.class_of(pulled))
+        cols = [eg.class_of(pull_cochain(bar, lifts, n, v, M)) for v in bar_h.representatives()]
         bijective.append(sparse_rank([_sparse(c) for c in cols]) == eg.dim)
     return ce_dims, bar_dims, bijective

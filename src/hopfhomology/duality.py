@@ -38,6 +38,9 @@ if TYPE_CHECKING:
     from .ce import BoundedBasis, CEResolution
     from .pbw import LieModule
 
+# how many PBW degrees above a kernel's window its preimage is looked for
+_SLACK = 2
+
 
 # ---------------------------------------------------------------------------
 # underived case
@@ -288,7 +291,7 @@ def _dual_cols(res: CEResolution, n):
     return cols
 
 
-def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
+def detect_duality_ug(g, bound=4) -> DualityData:
     """Certify the duality-module structure of the trivial U(g)-module.
 
     Checks, on coefficient degree windows up to `bound`: Ext^n(A, U)
@@ -320,7 +323,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
                 bad_degrees.append((0, m, kern.dim))
                 continue
             dual_in = _dual_cols(res, n)
-            if not _hit_in_window(g, dual_in, res.rank(n - 1), kern, src, slack, "left"):
+            if not _hit_in_window(g, dual_in, res.rank(n - 1), kern, src, "left"):
                 bad_degrees.append((n, m, kern.dim))
     if bad_degrees:
         raise NotDualityError(
@@ -382,7 +385,7 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
             if n == d:
                 primal_ok = False
                 continue
-            if not _hit_in_window(g, res.diff_cols(n + 1), res.rank(n + 1), kern, src, slack, "right"):
+            if not _hit_in_window(g, res.diff_cols(n + 1), res.rank(n + 1), kern, src, "right"):
                 primal_ok = False
     report.record("primal_resolution_exact", primal_ok)
 
@@ -417,16 +420,16 @@ def detect_duality_ug(g, bound=4, slack=2) -> DualityData:
                        report, bound)
 
 
-def _hit_in_window(g, cols, rank, kern, src: BoundedBasis, slack, entries_act):
+def _hit_in_window(g, cols, rank, kern, src: BoundedBasis, entries_act):
     """Whether every echelon row of the Subspace kern lies in the image of the free map cols.
 
     The map runs from rank generators to the generators of src; the
-    image is taken on coefficient windows raised by up to slack.
+    image is taken on coefficient windows raised by up to _SLACK.
     """
     from .ce import BoundedBasis, bounded_free_map
 
     keys = list(src.index)
-    for extra in range(slack + 1):
+    for extra in range(_SLACK + 1):
         src2 = BoundedBasis(g, rank, src.bound + extra)
         dst2 = BoundedBasis(g, src.rank, src.bound + extra + 1)
         image = Subspace(dst2.dim, bounded_free_map(g, cols, src2, dst2, entries_act=entries_act))

@@ -1,10 +1,15 @@
 """Ext and Tor over U from a resolution with recorded free generators.
 
-A resolution object must provide rank(n), diff_cols(n) (columns of the
-generator-level differential, entries are coefficients in U in whatever
-representation the carrier uses), act_left(entry, M) / act_right(entry,
-N) returning action matrices, and max_degree.  Both the bar resolution
-and the Koszul-type resolution of a universal envelope satisfy this.
+A resolution object provides rank(n), generators(n) and gen_index(n,
+generator), diff_cols(n) (columns of the generator-level differential,
+entries are coefficients in U in whatever representation the carrier
+uses), act_left(entry, M) / act_right(entry, N) returning action
+matrices, and max_degree.  For products it also provides diagonal(K,
+i), the P_i (x) P_(n-i) part of a diagonal on the generator K as
+{(front word, back word): coeff} with each word (basis key,) +
+generator, and act_basis(key, M), the action matrix of a basis key.
+Both the bar resolution and the Koszul-type resolution of a universal
+envelope satisfy this.
 
 Ext^n(A, M) is the cohomology of M^{rank(0)} -> M^{rank(1)} -> ..,
 Tor_n(N, A) the homology of .. -> N^{rank(1)} -> N^{rank(0)}.  Classes
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, WindowExceededError
-from .linalg import Matrix, sparse_add, sparse_columns, zero_vec
+from .linalg import Matrix, add_outer, sparse_add, sparse_columns, zero_vec
 
 
 def cochain_matrix(res, M, n) -> Matrix:
@@ -182,26 +187,12 @@ def tor_dims(res, N, upto):
 
 
 # ---------------------------------------------------------------------------
-# composition and evaluation along lifted chain maps, and comparison of
-# resolutions
+# products: cup and cap through the diagonal, composition and evaluation
+# along lifted chain maps, and comparison of resolutions
 #
 # A lifted map is a list over degrees j of {source generator: {generator
 # K of res_j: coefficient}}, with the source generators in resolution
 # order and each coefficient in res's own form for act_left/act_right.
-
-
-def cochain_concrete_matrix(bar, M, n, psi) -> Matrix:
-    """The U-linear map P_n -> M determined by generator values psi.
-
-    psi has length rank(n) * dim(M); the result acts on the concrete
-    word basis of the bar term.
-    """
-    dm = M.dim
-    cols = []
-    for w in bar.words(n):
-        g = bar.gen_index(n, w[1:])
-        cols.append(M.action[w[0]].apply(psi[g * dm : (g + 1) * dm]))
-    return Matrix.from_cols(cols, nrows=dm)
 
 
 def pull_cochain(res, lifts, n, psi, M) -> list:
@@ -229,6 +220,51 @@ def push_chain(res, lifts, j, z, N) -> list:
             for a, c in enumerate(res.act_right(u, N).apply(zk)):
                 if c:
                     out[base + a] += c
+    return out
+
+
+def _value(res, n, cochain, w, M):
+    """A degree n generator cochain read on the word w = (basis key,) + generator."""
+    gi = res.gen_index(n, w[1:])
+    return res.act_basis(w[0], M).apply(cochain[gi * M.dim : (gi + 1) * M.dim])
+
+
+def cup_cochain(res, m, n, phi, psi, M, N, project) -> list:
+    """(phi (x) psi) o diagonal on the generators of res_(m+n).
+
+    project takes M (x) N pair coordinates to those of the tensor module.
+    """
+    out = []
+    for K in res.generators(m + n):
+        acc = zero_vec(M.dim * N.dim)
+        for (x, y), c in res.diagonal(K, m).items():
+            add_outer(acc, c, _value(res, m, phi, x, M), _value(res, n, psi, y, N))
+        out.extend(project(acc))
+    return out
+
+
+def cap_chain(res, m, phi, z, n, M, N, T, project) -> list:
+    """phi cap z: a chain of N over res_n to one of T over res_(n-m).
+
+    phi is read on the back leg of the diagonal and the front leg acts
+    on the projected pair; T is the tensor module of M and N, project
+    takes M (x) N pair coordinates to its coordinates.
+    """
+    i = n - m
+    # moving the degree m cochain past the degree n - m front leg
+    koszul = -1 if (i * m) % 2 else 1
+    dn = N.dim
+    out = zero_vec(res.rank(i) * T.dim)
+    for k, K in enumerate(res.generators(n)):
+        zk = z[k * dn : (k + 1) * dn]
+        pairs = {}
+        for (x, y), c in res.diagonal(K, i).items():
+            pair = pairs.setdefault(x, zero_vec(M.dim * dn))
+            add_outer(pair, koszul * c, _value(res, m, phi, y, M), zk)
+        for x, pair in pairs.items():
+            base = res.gen_index(i, x[1:]) * T.dim
+            for t, d in enumerate(res.act_basis(x[0], T).apply(project(pair))):
+                out[base + t] += d
     return out
 
 

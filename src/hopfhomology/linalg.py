@@ -80,11 +80,11 @@ def vec_is_zero(u):
     return all(a == 0 for a in u)
 
 
-def add_outer(acc, c, x, y, offset=0):
-    """acc[offset + a * len(y) + b] += c * x[a] * y[b]: c (x (x) y) on pair coordinates."""
+def add_outer(acc, c, x, y):
+    """acc[a * len(y) + b] += c * x[a] * y[b]: c (x (x) y) on pair coordinates."""
     for a, xa in enumerate(x):
         if xa:
-            base = offset + a * len(y)
+            base = a * len(y)
             for b, yb in enumerate(y):
                 if yb:
                     acc[base + b] += c * xa * yb

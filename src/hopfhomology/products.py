@@ -2,28 +2,36 @@
 
 Two contexts implement the same four products: the bar resolution over
 a finite dimensional U and the Koszul resolution of a universal
-envelope.  Composition and evaluation have one shape on both.  A class
-phi of degree m lifts to chain maps f_j : P_(m+j) -> P_j, stored per
-degree as {source generator: {target generator: coefficient}} with each
+envelope.  Each product has one body in homology, shared by both.  Cup
+and cap (homology.cup_cochain, homology.cap_chain) evaluate a
+closed-form diagonal on free generators: the Alexander-Whitney one
+built from the coproduct (BarResolution.diagonal) and the
+subset-splitting comultiplication (CEResolution.diagonal).  A class phi
+of degree m lifts to chain maps f_j : P_(m+j) -> P_j, stored per degree
+as {source generator: {target generator: coefficient}} with each
 coefficient in its resolution's own form (U-coordinates on the bar
-side, a PBW dict over U(g)).  homology.pull_cochain composes a cochain
+side, a PBW dict over U(g)); homology.pull_cochain composes a cochain
 with such a map and homology.push_chain evaluates a chain along it.
-Cup and cap stay per context: both evaluate a closed-form diagonal on
-free generators, the Alexander-Whitney one built from the coproduct
-(BarResolution.diagonal) and the subset-splitting comultiplication
-(CEResolution.diagonal), and their tensor modules differ.  Signs flow
-from exactly two conventions fixed elsewhere: the totalization sign
-(-1)^(horizontal degree) and the shift sign (-1)^m on a lifted degree m
-class.  The graded commutation rule between composition and cup, and
-the agreement of evaluation and cap against classes of the base, are
-theorems the test suite checks; nothing here inserts them.
+The classes here keep the windows and build the tensor modules, which
+differ between the contexts.  Signs flow from two conventions fixed
+elsewhere: the totalization sign (-1)^(horizontal degree) and the shift
+sign (-1)^m on a lifted degree m class; cap_chain reads a degree m
+cochain past the front leg with the Koszul sign.  The graded
+commutation rule between composition and cup, and the agreement of
+evaluation and cap against classes of the base, are theorems the test
+suite checks; nothing here inserts them.
 """
 
 from __future__ import annotations
 
 from .errors import LiftFailedError, WindowExceededError
-from .homology import cochain_concrete_matrix, pull_cochain, push_chain
-from .linalg import Matrix, add_outer, sparse_axpy, sparse_columns, zero_vec
+from .homology import cap_chain, cup_cochain, pull_cochain, push_chain
+from .linalg import Matrix, sparse_axpy, sparse_columns
+
+# PBW degree windows of the U(g) chain lifts: the first bound tried, and
+# the last one before the lift is given up (raised by 2 in between)
+_LIFT_BOUND = 6
+_MAX_LIFT_BOUND = 14
 
 # BarProducts imports bialgebroid and CEProducts ce and pbw where they run,
 # so a command loads only its own side; these serve the annotations alone.
@@ -71,17 +79,8 @@ class BarProducts:
 
         if m + n > self.total_degree:
             raise WindowExceededError("cup exceeds the prepared total degree")
-        bar = self.bar
         tm = module_tensor_left(self.data, M, N)
-        ev_m = cochain_concrete_matrix(bar, M, m, phi)
-        ev_n = cochain_concrete_matrix(bar, N, n, psi)
-        out = []
-        for g in bar.generators(m + n):
-            acc = zero_vec(M.dim * N.dim)
-            for (x, y), c in bar.diagonal(g, m).items():
-                add_outer(acc, c, ev_m.col(bar.word_index(m, x)), ev_n.col(bar.word_index(n, y)))
-            out.extend(tm.space.project(acc))
-        return out, tm
+        return cup_cochain(self.bar, m, n, phi, psi, M, N, tm.space.project), tm
 
     # -- lifting a class of Ext(A, A) to a chain self-map --------------------
 
@@ -131,27 +130,8 @@ class BarProducts:
             raise WindowExceededError("cap needs n >= m")
         if n > self.total_degree:
             raise WindowExceededError("cap exceeds the prepared total degree")
-        bar = self.bar
         tm = self.tensor_right(M, N)
-        ev_m = cochain_concrete_matrix(bar, M, m, phi)
-        i_deg = n - m
-        dn = N.dim
-        # Koszul sign for moving the degree m shift past the first leg
-        koszul = -1 if (i_deg * m) % 2 else 1
-        out = zero_vec(bar.rank(i_deg) * tm.space.dim)
-        for k, g in enumerate(bar.generators(n)):
-            zk = z[k * dn : (k + 1) * dn]
-            # (phi(y) (x) z_k) . u at the generator of the front leg u[..]
-            pairs = {}
-            for (x, y), c in bar.diagonal(g, i_deg).items():
-                pair = pairs.setdefault(x, zero_vec(M.dim * dn))
-                add_outer(pair, koszul * c, ev_m.col(bar.word_index(m, y)), zk)
-            for x, pair in pairs.items():
-                acted = tm.module.action[x[0]].apply(tm.space.project(pair))
-                base = bar.gen_index(i_deg, x[1:]) * tm.space.dim
-                for t, d in enumerate(acted):
-                    out[base + t] += d
-        return out, tm
+        return cap_chain(self.bar, m, phi, z, n, M, N, tm.module, tm.space.project), tm
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +141,17 @@ class BarProducts:
 class CEProducts:
     """Products over U(g) through the Koszul resolution, in closed form."""
 
-    def __init__(self, ce: CEResolution, lift_bound=6, max_lift_bound=14):
+    def __init__(self, ce: CEResolution):
         self.ce = ce
         self.g = ce.g
-        self.lift_bound = lift_bound
-        self.max_lift_bound = max_lift_bound
         self._lift_cache = {}
 
     def cup(self, m, n, phi, psi, M: LieModule, N: LieModule):
         from .pbw import tensor_left_lie
 
-        ce = self.ce
         tm = tensor_left_lie(self.g, M, N)
-        dm, dn = M.dim, N.dim
-        out = []
-        for K in ce.generators(m + n):
-            acc = zero_vec(dm * dn)
-            for I, J, sgn in ce.diagonal(K):
-                if len(I) != m:
-                    continue
-                gi = ce.gen_index(m, I)
-                gj = ce.gen_index(n, J)
-                add_outer(acc, sgn, phi[gi * dm : (gi + 1) * dm], psi[gj * dn : (gj + 1) * dn])
-            out.extend(acc)
-        return out, tm
+        # the Lie tensor module is M (x) N itself: list is its projection
+        return cup_cochain(self.ce, m, n, phi, psi, M, N, list), tm
 
     def lift_class(self, m, phi):
         """f_j : P_{m+j} -> P_j with d f = (-1)^m f d, f over phi.
@@ -227,7 +194,7 @@ class CEProducts:
 
         g = self.g
         ce = self.ce
-        bound = self.lift_bound
+        bound = _LIFT_BOUND
         while True:
             src = BoundedBasis(g, ce.rank(j), bound)
             dst = BoundedBasis(g, ce.rank(j - 1), bound + 1)
@@ -242,7 +209,7 @@ class CEProducts:
                         out.setdefault(ce.generators(j)[k], {})[mo] = sol[idx]
                 return out
             bound += 2
-            if bound > self.max_lift_bound:
+            if bound > _MAX_LIFT_BOUND:
                 raise LiftFailedError("chain lift not found within the degree bound")
 
     def yoneda(self, m, n, phi, psi, M: LieModule):
@@ -258,19 +225,5 @@ class CEProducts:
 
         if n < m:
             raise WindowExceededError("cap needs n >= m")
-        ce = self.ce
         tm = tensor_right_lie(self.g, M, N)
-        dm, dn = M.dim, N.dim
-        # evaluating the degree m cocycle on the second leg moves the
-        # shift past the degree n - m first leg: Koszul sign
-        koszul = -1 if ((n - m) * m) % 2 else 1
-        out = zero_vec(ce.rank(n - m) * dm * dn)
-        for k, G in enumerate(ce.generators(n)):
-            zk = z[k * dn : (k + 1) * dn]
-            for I, J, sgn in ce.diagonal(G):
-                if len(J) != m:
-                    continue
-                gi = ce.gen_index(n - m, I)
-                gj = ce.gen_index(m, J)
-                add_outer(out, koszul * sgn, phi[gj * dm : (gj + 1) * dm], zk, gi * dm * dn)
-        return out, tm
+        return cap_chain(self.ce, m, phi, z, n, M, N, tm, list), tm

@@ -306,6 +306,9 @@ class BarResolution:
 
     act_right = act_left
 
+    def act_basis(self, p, M: ModuleRep):
+        return M.action[p]
+
     # -- comparison maps --------------------------------------------------
 
     def lift(self, src, m, values, top):
@@ -482,15 +485,13 @@ class TotalTensorComplex:
             cols.append(acc)
         self.aug = Matrix.from_cols(cols, nrows=na)
 
-    def check_resolution(self, through_degree=None):
+    def check_resolution(self):
         """Exactness of the augmented total complex in checked degrees."""
-        top = self.upto if through_degree is None else through_degree
         report = {}
-        h0 = self.complex.homology(0) if top >= 1 else None
-        if h0 is not None:
+        if self.upto >= 1:
             # H_0 must be A through the augmentation
-            report[0] = (h0.dim == self.data.A.dim)
-        for n in range(1, top):
+            report[0] = self.complex.homology(0).dim == self.data.A.dim
+        for n in range(1, self.upto):
             report[n] = self.complex.betti(n) == 0
         if not (self.aug @ self.complex.d(1)).is_zero():
             report["aug"] = False

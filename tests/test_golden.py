@@ -31,6 +31,8 @@ COMMANDS = {
     "verify-hopf-lie-nonabelian2": ["verify-hopf", "lie-nonabelian2"],
     "tor-lie-abelian2": ["tor", "lie-abelian2", "--module", "trivial", "--max-degree", "2"],
     "cup-lie-abelian2": ["cup", "lie-abelian2", "--max-total", "2"],
+    "cup-lie-nonabelian2": ["cup", "lie-nonabelian2", "--max-total", "2"],
+    "cup-lie-sl2": ["cup", "lie-sl2", "--max-total", "3"],
     "cap-lie-nonabelian2": ["cap", "lie-nonabelian2", "--max-degree", "2"],
     "duality-lie-nonabelian2": ["duality", "lie-nonabelian2", "--module", "trivial"],
     "oracle-hochschild-qeps": ["oracle", "hochschild", "qeps", "--max-degree", "3"],

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hopfhomology.bialgebroid import unit_iso
-from hopfhomology.ce import ce_resolution
+from hopfhomology.ce import CEResolution, ce_resolution
 from hopfhomology.errors import WindowExceededError
 from hopfhomology.homology import TorGroup, ext, tor
 from hopfhomology.instances import (
@@ -11,10 +11,40 @@ from hopfhomology.instances import (
     bimodule_a_right,
     lie_abelian,
     lie_nonabelian2,
+    lie_sl2,
 )
 from hopfhomology.linalg import Matrix
 from hopfhomology.pbw import LieModule
 from hopfhomology.products import BarProducts, CEProducts, transport_cochain
+from hopfhomology.resolutions import bar_resolution
+
+
+@pytest.mark.parametrize("side", ["bar-sweedler", "ce-lie-sl2"])
+def test_diagonal_contract(side, catalog):
+    # homology.cup_cochain and cap_chain read every diagonal the same way:
+    # diagonal(K, i) is {(front word, back word): coeff}, a word is
+    # (basis key,) + generator, and act_basis acts by the basis key
+    if side == "bar-sweedler":
+        inst = catalog["sweedler"]
+        res, M, top = bar_resolution(inst.data, 3), inst.modules["trivial"], 3
+    else:
+        g = lie_sl2()
+        res, M, top = CEResolution(g, validate=False), LieModule.trivial(g), g.dim
+    for n in range(top + 1):
+        for K in res.generators(n):
+            count = 0
+            for i in range(n + 1):
+                part = res.diagonal(K, i)
+                count += len(part)
+                for front, back in part:
+                    assert front[1:] in res.generators(i)
+                    assert back[1:] in res.generators(n - i)
+                    for key in (front[0], back[0]):
+                        act = res.act_basis(key, M)
+                        assert (act.nrows, act.ncols) == (M.dim, M.dim)
+            if side == "ce-lie-sl2":
+                # the subset-splitting comultiplication has one term per subset of K
+                assert count == 2 ** len(K)
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import NotInvertibleError, NotProjectiveError, ValidationError, WindowExceededError
+from .errors import HopfHomologyError, NotInvertibleError
 from .instances import builtin_instances
 from .linalg import frac_str
 
@@ -33,8 +33,10 @@ def _fail_usage(msg):
     return 2
 
 
-class _UsageError(Exception):
+class _UsageError(HopfHomologyError):
     """An input error; run() prints its message and exits 2."""
+
+    exit_code = 2
 
 
 def _get_instance(name):
@@ -189,53 +191,46 @@ def cmd_cup(args):
     from .homology import ext
 
     inst = _get_instance(args.instance)
+    if inst.kind == "lie":
+        from .ce import ce_resolution
+        from .pbw import LieModule
+        from .products import CEProducts
+
+        res = ce_resolution(inst.data, validate=False)
+        pr = CEProducts(res)
+        M = LieModule.trivial(inst.data)
+
+        def moved(c, degree):
+            return c
+
+    else:
+        from .bialgebroid import galois_map, unit_iso
+        from .products import BarProducts, transport_cochain
+        from .resolutions import bar_resolution
+
+        h = galois_map(inst.data)
+        M = inst.modules.get("A") or inst.modules["trivial"]
+        res = bar_resolution(inst.data, args.max_total + 1)
+        pr = BarProducts(h, res, args.max_total)
+        # every cup lands in the one tensor module M (x) M, moved back onto M
+        tm = pr.tensor(M, M, left=True)
+        iso = unit_iso(inst.data, M, tm)
+
+        def moved(c, degree):
+            return transport_cochain(res.rank(degree), iso, c, tm.space.dim)
+
+    groups = {n: ext(res, M, n) for n in range(args.max_total + 1)}
     tables = []
-    try:
-        if inst.kind == "lie":
-            from .ce import ce_resolution
-            from .pbw import LieModule
-            from .products import CEProducts
-
-            res = ce_resolution(inst.data, validate=False)
-            pr = CEProducts(res)
-            triv = LieModule.trivial(inst.data)
-            groups = {n: ext(res, triv, n) for n in range(args.max_total + 1)}
-            for m in range(args.max_total + 1):
-                for n in range(args.max_total + 1 - m):
-                    table = []
-                    for phi in groups[m].basis_cocycles():
-                        row = []
-                        for psi in groups[n].basis_cocycles():
-                            c, _ = pr.cup(m, n, phi, psi, triv, triv)
-                            row.append([frac_str(x) for x in groups[m + n].class_of(c)])
-                        table.append(row)
-                    tables.append({"op": "cup", "m": m, "n": n, "table": table})
-        else:
-            from .bialgebroid import galois_map, unit_iso
-            from .products import BarProducts, transport_cochain
-            from .resolutions import bar_resolution
-
-            data = inst.data
-            h = galois_map(data)
-            M = inst.modules.get("A") or inst.modules["trivial"]
-            bar = bar_resolution(data, args.max_total + 1)
-            pr = BarProducts(h, bar, args.max_total)
-            groups = {n: ext(bar, M, n) for n in range(args.max_total + 1)}
-            for m in range(args.max_total + 1):
-                for n in range(args.max_total + 1 - m):
-                    table = []
-                    for phi in groups[m].basis_cocycles():
-                        row = []
-                        for psi in groups[n].basis_cocycles():
-                            c, tm = pr.cup(m, n, phi, psi, M, M)
-                            iso = unit_iso(data, M, tm)
-                            moved = transport_cochain(bar.rank(m + n), iso, c, tm.space.dim)
-                            row.append([frac_str(x) for x in groups[m + n].class_of(moved)])
-                        table.append(row)
-                    tables.append({"op": "cup", "m": m, "n": n, "table": table})
-    except WindowExceededError as e:
-        sys.stderr.write(str(e) + "\n")
-        return 3
+    for m in range(args.max_total + 1):
+        for n in range(args.max_total + 1 - m):
+            table = []
+            for phi in groups[m].basis_cocycles():
+                row = []
+                for psi in groups[n].basis_cocycles():
+                    c = moved(pr.cup(m, n, phi, psi, M, M)[0], m + n)
+                    row.append([frac_str(x) for x in groups[m + n].class_of(c)])
+                table.append(row)
+            tables.append({"op": "cup", "m": m, "n": n, "table": table})
     _emit({"command": "cup", "instance": inst.name, "tables": tables})
     return 0
 
@@ -255,23 +250,19 @@ def cmd_cap(args):
     triv = LieModule.trivial(g)
     trivr = LieModule.trivial(g, side="right")
     tables = []
-    try:
-        for m in range(args.max_degree + 1):
-            eg = ext(res, triv, m)
-            for n in range(m, args.max_degree + 1):
-                tg = tor(res, trivr, n)
-                table = []
-                for phi in eg.basis_cocycles():
-                    row = []
-                    for z in tg.basis_cycles():
-                        c, tm = pr.cap(m, phi, z, n, triv, trivr)
-                        out = TorGroup(res, tm, n - m)
-                        row.append([frac_str(x) for x in out.class_of(c)])
-                    table.append(row)
-                tables.append({"op": "cap", "m": m, "n": n, "table": table})
-    except WindowExceededError as e:
-        sys.stderr.write(str(e) + "\n")
-        return 3
+    for m in range(args.max_degree + 1):
+        eg = ext(res, triv, m)
+        for n in range(m, args.max_degree + 1):
+            tg = tor(res, trivr, n)
+            table = []
+            for phi in eg.basis_cocycles():
+                row = []
+                for z in tg.basis_cycles():
+                    c, tm = pr.cap(m, phi, z, n, triv, trivr)
+                    out = TorGroup(res, tm, n - m)
+                    row.append([frac_str(x) for x in out.class_of(c)])
+                table.append(row)
+            tables.append({"op": "cap", "m": m, "n": n, "table": table})
     _emit({"command": "cap", "instance": inst.name, "tables": tables})
     return 0
 
@@ -442,22 +433,17 @@ def run(argv) -> int:
             return cmd_duality(args)
         if args.cmd == "oracle":
             return cmd_oracle(args)
-    except _UsageError as e:
-        return _fail_usage(str(e))
-    except WindowExceededError as e:
-        sys.stderr.write(str(e) + "\n")
-        return 3
-    except (NotInvertibleError, NotProjectiveError, ValidationError) as e:
-        # a structural check failed on valid input: report its witness
-        witness = str(e)
-        if isinstance(e, NotInvertibleError):
-            witness += f": rank {e.rank} of {e.dims}"
+    except HopfHomologyError as e:
+        if e.exit_code != 1:
+            sys.stderr.write(str(e) + "\n")
+            return e.exit_code
+        # a structural check failed: report its witness
         _emit(
             {
                 "command": args.cmd,
                 "instance": getattr(args, "instance", None),
                 "failure": type(e).__name__,
-                "witnesses": [witness],
+                "witnesses": [e.witness],
             }
         )
         return 1

@@ -18,6 +18,7 @@ from .linalg import (
     _integer_row,
     QuotientSpace,
     Subspace,
+    modular_rank,
     sparse_columns,
     sparse_kernel,
     sparse_rank,
@@ -87,19 +88,31 @@ def homology_dims(dims, maps):
     dims[i] is the dimension of V_i and maps[i] the sparse rows of
     V_i -> V_{i+1}, one row per coordinate of V_{i+1}; the maps beyond
     either end are zero.  d d = 0 is checked on the rows, then each map
-    is ranked once.  Returns dim V_i - rank in - rank out for every i.
+    is ranked.  Returns dim V_i - rank in - rank out for every i.
 
     The check runs in integers on one map at a time: every row is scaled
     by the lcm of its denominators, and each composite row by the lcm of
     the scales of the inner rows it combines.  Only the inner map is held
     in integers; each outer row is scaled as it is used.
+
+    The ranks rest on that check.  It gives rank in + rank out <= dim V_i
+    over Q, and a rank mod p (modular_rank) is at most the rank over Q.
+    So where the two ranks mod p sum to dim V_i, the complex is exact
+    there mod p and both are the ranks over Q (the universal coefficient
+    bound dim H(C (x) F_p) >= dim H(C (x) Q)).  A map with neither end
+    exact mod p is ranked by the certified sparse_rank.
     """
     for i in range(1, len(maps)):
         inner = {j: _integer_row(row) for j, row in enumerate(maps[i - 1])}
         for row in maps[i]:
             if any(_integer_combination(_integer_row(row)[1], inner)[1].values()):
                 raise ValidationError(f"d d != 0 from position {i - 1} to {i + 1}")
-    ranks = [0] + [sparse_rank(rows) for rows in maps] + [0]
+    ranks = [0] + [modular_rank(rows) for rows in maps] + [0]
+    exact = {0, len(ranks) - 1}
+    for i, c in enumerate(dims):
+        if ranks[i] + ranks[i + 1] == c:
+            exact |= {i, i + 1}
+    ranks = [r if k in exact else sparse_rank(maps[k - 1]) for k, r in enumerate(ranks)]
     return [c - ranks[i] - ranks[i + 1] for i, c in enumerate(dims)]
 
 

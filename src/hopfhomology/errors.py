@@ -5,31 +5,42 @@ tests can assert the precise failure mode.  A plain unsolvable linear
 system is not an error (solve returns None); these exceptions mark
 structural defects in the input data or certified-window violations;
 checks that report rather than raise record into a TakeuchiReport.
+Each class carries the exit code of the command line in exit_code.
 """
 
 
-class ValidationError(ValueError):
+class HopfHomologyError(ValueError):
+    """A package error; exit_code 1 marks a structural failure with this witness."""
+
+    exit_code = 1
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness or message
+
+
+class ValidationError(HopfHomologyError):
     """Constructor rejected data that violates a structural axiom."""
 
 
-class NotWellDefinedError(ValueError):
+class NotWellDefinedError(HopfHomologyError):
     """A map does not descend to the requested quotient."""
 
 
-class NotInvertibleError(ValueError):
+class NotInvertibleError(HopfHomologyError):
     """The Galois map is not bijective, so the bialgebroid is not Hopf."""
 
     def __init__(self, message, rank=None, dims=None):
-        super().__init__(message)
+        super().__init__(message, f"{message}: rank {rank} of {dims}")
         self.rank = rank
         self.dims = dims
 
 
-class NotProjectiveError(ValueError):
+class NotProjectiveError(HopfHomologyError):
     """No splitting exists, so the module is not projective."""
 
 
-class NotDualityError(ValueError):
+class NotDualityError(HopfHomologyError):
     """Ext against the ring does not concentrate in a single degree."""
 
     def __init__(self, message, degrees=None):
@@ -37,15 +48,17 @@ class NotDualityError(ValueError):
         self.degrees = degrees
 
 
-class LiftFailedError(ValueError):
+class LiftFailedError(HopfHomologyError):
     """A chain-map lift was inconsistent (target not exact in range)."""
 
 
-class WindowExceededError(ValueError):
+class WindowExceededError(HopfHomologyError):
     """A homological degree outside the certified window was requested."""
 
+    exit_code = 3
 
-class DegreeOverflowError(ValueError):
+
+class DegreeOverflowError(HopfHomologyError):
     """A normal-form computation exceeded its certified degree bound."""
 
     def __init__(self, message, bound=None):

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .algebras import FinDimAlgebra, ModuleRep
 from .linalg import Matrix, unit_vec, zero_vec
 
-# The finite builders import bialgebroid and the Lie builders pbw where
-# they run, so a command loads only the side its instance lives on.
+# The finite builders import algebras and bialgebroid and the Lie
+# builders pbw where they run, so a command loads only the side its
+# instance lives on.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from .algebras import FinDimAlgebra
     from .bialgebroid import BialgebroidData
 
 
@@ -33,6 +34,7 @@ def _perm_mul(p, q):
 
 def group_algebra_from_table(labels, table, inverse, name):
     """Group algebra from a multiplication table of element indices."""
+    from .algebras import FinDimAlgebra
     from .bialgebroid import BialgebroidData
 
     n = len(labels)
@@ -51,6 +53,8 @@ def group_algebra_from_table(labels, table, inverse, name):
 
 
 def ground_field():
+    from .algebras import FinDimAlgebra
+
     return FinDimAlgebra(1, ["1"], [[[1]]], [1])
 
 
@@ -83,11 +87,20 @@ def sign_character_s3():
     return [1, -1, -1, -1, 1, 1]
 
 
+def _character(U, values, side="left"):
+    """The one dimensional module on which the k-th basis element of U acts by values[k]."""
+    from .algebras import ModuleRep
+
+    return ModuleRep(U, 1, side, [Matrix([[c]]) for c in values])
+
+
 def s3_modules(data):
     """Left modules over QS3: trivial, sign, the 2 dim irreducible, regular."""
+    from .algebras import ModuleRep
+
     U = data.U
-    triv = ModuleRep(U, 1, "left", [Matrix([[1]]) for _ in range(6)])
-    sgn = ModuleRep(U, 1, "left", [Matrix([[s]]) for s in sign_character_s3()])
+    triv = _character(U, [1] * 6)
+    sgn = _character(U, sign_character_s3())
     # standard representation on v1 = e1 - e2, v2 = e2 - e3;
     # a e1 + b e2 + c e3 with a + b + c = 0 reads (a, a + b) on (v1, v2)
     mats = []
@@ -109,6 +122,7 @@ def s3_modules(data):
 
 def sweedler_algebra():
     """Basis 1, g, x, gx with g^2 = 1, x^2 = 0, xg = -gx."""
+    from .algebras import FinDimAlgebra
     from .bialgebroid import BialgebroidData
 
     labels = ["1", "g", "x", "gx"]
@@ -161,18 +175,18 @@ def sweedler_algebra():
 
 
 def sweedler_modules(data):
+    from .algebras import ModuleRep
+
     U = data.U
-    triv = ModuleRep(U, 1, "left", [Matrix([[c]]) for c in (1, 1, 0, 0)])
-    sgn = ModuleRep(U, 1, "left", [Matrix([[c]]) for c in (1, -1, 0, 0)])
+    triv = _character(U, (1, 1, 0, 0))
+    sgn = _character(U, (1, -1, 0, 0))
     return {"trivial": triv, "sign": sgn, "regular": ModuleRep.regular_left(U)}
 
 
 def sweedler_right_modules(data):
     # over the ground field the counit is an algebra map, so it carries
     # a one dimensional right module as well
-    U = data.U
-    triv = ModuleRep(U, 1, "right", [Matrix([[c]]) for c in (1, 1, 0, 0)])
-    return {"trivial": triv}
+    return {"trivial": _character(data.U, (1, 1, 0, 0), "right")}
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +195,8 @@ def sweedler_right_modules(data):
 
 def dual_numbers():
     """Q[eps]/(eps^2), basis 1, eps."""
+    from .algebras import FinDimAlgebra
+
     mult = [
         [[1, 0], [0, 1]],
         [[0, 1], [0, 0]],
@@ -190,6 +206,8 @@ def dual_numbers():
 
 def q_times_q():
     """Q x Q with idempotent basis."""
+    from .algebras import FinDimAlgebra
+
     mult = [
         [[1, 0], [0, 0]],
         [[0, 0], [0, 1]],
@@ -199,6 +217,8 @@ def q_times_q():
 
 def upper_triangular2():
     """Upper triangular 2x2 matrices, basis E11, E22, E12."""
+    from .algebras import FinDimAlgebra
+
     n = 3
     E11, E22, E12 = 0, 1, 2
     z = zero_vec(n)
@@ -268,6 +288,8 @@ def bimodule_a(data: BialgebroidData):
 
 def bimodule_a_right(data: BialgebroidData):
     """A as a right module over U = A (x) A^op: a . (x (x) y) = y a x."""
+    from .algebras import ModuleRep
+
     A = data.A
     na = A.dim
     mats = []
@@ -283,6 +305,7 @@ def bimodule_a_right(data: BialgebroidData):
 
 def monoid01_bialgebra():
     """k[M] for M = ({1, 0}, *): a bialgebra whose Galois map is singular."""
+    from .algebras import FinDimAlgebra
     from .bialgebroid import BialgebroidData
 
     n = 2
@@ -353,25 +376,22 @@ class Instance:
 
 
 def _group_modules_z2(data):
-    U = data.U
-    return {
-        "trivial": ModuleRep(U, 1, "left", [Matrix([[1]]), Matrix([[1]])]),
-        "sign": ModuleRep(U, 1, "left", [Matrix([[1]]), Matrix([[-1]])]),
-    }
+    return {"trivial": _character(data.U, [1, 1]), "sign": _character(data.U, [1, -1])}
 
 
 def _group_modules_z3(data):
+    from .algebras import ModuleRep
+
     U = data.U
     rot = Matrix([[0, -1], [1, -1]])
     return {
-        "trivial": ModuleRep(U, 1, "left", [Matrix([[1]])] * 3),
+        "trivial": _character(U, [1] * 3),
         "plane": ModuleRep(U, 2, "left", [Matrix.identity(2), rot, rot @ rot]),
     }
 
 
 def _right_trivial_group(data):
-    n = data.U.dim
-    return ModuleRep(data.U, 1, "right", [Matrix([[1]]) for _ in range(n)])
+    return _character(data.U, [1] * data.U.dim, "right")
 
 
 def _entry(make, left=lambda data: {}, right=lambda data: {}):
@@ -388,10 +408,16 @@ def _right_trivial_modules(data):
     return {"trivial": _right_trivial_group(data)}
 
 
+def _envelope_modules(data):
+    from .algebras import ModuleRep
+
+    return {"A": bimodule_a(data), "U": ModuleRep.regular_left(data.U)}
+
+
 def _envelope(make, name):
     return _entry(
         lambda: enveloping_instance(make(), name),
-        lambda data: {"A": bimodule_a(data), "U": ModuleRep.regular_left(data.U)},
+        _envelope_modules,
         lambda data: {"A": bimodule_a_right(data)},
     )
 

@@ -590,13 +590,28 @@ def _eliminate(rows):
 def _rref_mod(rows, p):
     """The rref mod p of the rows as (pivot, {column: residue}) pairs.
 
-    None when p divides a denominator.  The forward pass takes the
-    columns left to right.  The active rows with an entry at column c
-    are exactly those whose leading column is c; the one with the fewest
-    nonzeros becomes the pivot, which limits fill-in (Markowitz, 1957),
-    and only the others in that bucket are updated.  Back substitution
-    then clears, last pivot row first, the pivot columns each row holds
-    with the rows below it, already reduced.
+    None when p divides a denominator.  After the forward pass, back
+    substitution clears, last pivot row first, the pivot columns each
+    row holds with the rows below it, already reduced.
+    """
+    reduced = _echelon_mod(rows, p)
+    tail_of = {}
+    for c, row in reversed(reduced or ()):
+        for q in [j for j in row if j in tail_of]:
+            _axpy_mod(row, p - row.pop(q), tail_of[q], p)
+        tail_of[c] = row
+    return reduced
+
+
+def _echelon_mod(rows, p):
+    """The forward pass mod p: a row echelon form as (pivot, {column: residue}) pairs.
+
+    None when p divides a denominator.  Each row is 1 at its pivot,
+    which its dict omits.  The columns are taken left to right.  The
+    active rows with an entry at column c are exactly those whose
+    leading column is c; the one with the fewest nonzeros becomes the
+    pivot, which limits fill-in (Markowitz, 1957), and only the others
+    in that bucket are updated.
     """
     inverse = {1: 1}
     by_lead = {}
@@ -636,11 +651,6 @@ def _rref_mod(rows, p):
                     by_lead[lead] = []
                     heapq.heappush(leads, lead)
                 by_lead[lead].append(row)
-    tail_of = {}
-    for c, row in reversed(reduced):
-        for q in [j for j in row if j in tail_of]:
-            _axpy_mod(row, p - row.pop(q), tail_of[q], p)
-        tail_of[c] = row
     return reduced
 
 
@@ -740,9 +750,28 @@ def _certify(rows, reduced):
     return True
 
 
+def _smaller_side(rows):
+    """The nonzero rows, or the nonzero columns when there are fewer of them."""
+    rows = [row for row in rows if row]
+    cols = sparse_columns(rows)
+    return list(cols.values()) if len(cols) < len(rows) else rows
+
+
 def sparse_rank(rows):
-    """Rank of the span of sparse rows."""
-    return len(_eliminate(rows))
+    """Rank of the span of sparse rows, certified; the smaller side is eliminated."""
+    return len(_eliminate(_smaller_side(rows)))
+
+
+def modular_rank(rows):
+    """The rank mod p of sparse rows, a lower bound on their rank over Q, not certified.
+
+    One forward pass on the smaller side, p the first prime dividing no denominator.
+    """
+    rows = _smaller_side(rows)
+    for p in _primes():
+        echelon = _echelon_mod(rows, p)
+        if echelon is not None:
+            return len(echelon)
 
 
 def sparse_kernel(rows, ncols) -> Subspace:

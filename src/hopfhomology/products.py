@@ -66,7 +66,7 @@ class BarProducts:
         self.bar = bar
         self.total_degree = total_degree
         self._lift_cache = {}
-        self._tensor_right_cache = {}
+        self._tensor_cache = {}
 
     # -- cup ---------------------------------------------------------------
 
@@ -75,11 +75,9 @@ class BarProducts:
 
         Returns (cochain vector, TensorModule for M (x) N).
         """
-        from .bialgebroid import module_tensor_left
-
         if m + n > self.total_degree:
             raise WindowExceededError("cup exceeds the prepared total degree")
-        tm = module_tensor_left(self.data, M, N)
+        tm = self.tensor(M, N, left=True)
         return cup_cochain(self.bar, m, n, phi, psi, M, N, tm.space.project), tm
 
     # -- lifting a class of Ext(A, A) to a chain self-map --------------------
@@ -112,13 +110,16 @@ class BarProducts:
             raise WindowExceededError("evaluation exceeds the bar window")
         return push_chain(self.bar, self.lift_class(m, phi), n - m, z, N)
 
-    def tensor_right(self, M, N):
-        key = (M, N)
-        if key not in self._tensor_right_cache:
-            from .bialgebroid import module_tensor_right
+    def tensor(self, M, N, left):
+        """The tensor module of M and N for cup (left) or cap, built once per pair."""
+        key = (M, N, left)
+        if key not in self._tensor_cache:
+            from .bialgebroid import module_tensor_left, module_tensor_right
 
-            self._tensor_right_cache[key] = module_tensor_right(self.h, M, N)
-        return self._tensor_right_cache[key]
+            self._tensor_cache[key] = (
+                module_tensor_left(self.data, M, N) if left else module_tensor_right(self.h, M, N)
+            )
+        return self._tensor_cache[key]
 
     def cap(self, m, phi, z, n, M, N):
         """phi cap z in Tor_{n-m} of the tensor module of M and N.
@@ -130,7 +131,7 @@ class BarProducts:
             raise WindowExceededError("cap needs n >= m")
         if n > self.total_degree:
             raise WindowExceededError("cap exceeds the prepared total degree")
-        tm = self.tensor_right(M, N)
+        tm = self.tensor(M, N, left=False)
         return cap_chain(self.bar, m, phi, z, n, M, N, tm.module, tm.space.project), tm
 
 

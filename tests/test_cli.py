@@ -208,6 +208,59 @@ def test_duality_failed_cap_check_reports_witness(monkeypatch, capsys):
     assert data["witnesses"] == ["cap with the degree zero class is not bijective"]
 
 
+def test_corrupted_instance_file_reports_witness(tmp_path, capsys):
+    # a coproduct entry that breaks the descent of the Galois map
+    code, out = run_capture(["instances", "export", "env-qeps"], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    blob["Delta_lift"][1][1] = 1000000
+    path = tmp_path / "env-qeps.json"
+    path.write_text(json.dumps(blob))
+    code, out, _ = _run_failure(["verify-hopf", str(path)], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["failure"] == "NotWellDefinedError"
+    assert data["witnesses"] == ["Galois map does not descend; data corrupted"]
+
+
+ERROR_CODES = [
+    ("NotWellDefinedError", 1),
+    ("NotInvertibleError", 1),
+    ("NotProjectiveError", 1),
+    ("NotDualityError", 1),
+    ("LiftFailedError", 1),
+    ("DegreeOverflowError", 1),
+    ("ValidationError", 1),
+    ("WindowExceededError", 3),
+]
+
+
+@pytest.mark.parametrize("error, code", ERROR_CODES)
+def test_every_package_error_ends_in_its_exit_code(error, code, monkeypatch, capsys):
+    from hopfhomology import errors
+
+    def failing(*args):
+        raise getattr(errors, error)("injected failure")
+
+    monkeypatch.setattr("hopfhomology.duality.cap_omega_underived", failing)
+    got, out, err = _run_failure(["duality", "qs3", "--module", "trivial"], capsys)
+    assert got == code
+    if code == 1:
+        data = json.loads(out)
+        assert data["failure"] == error
+        assert data["witnesses"][0].startswith("injected failure")
+    else:
+        assert (out, err) == ("", "injected failure\n")
+
+
+def test_every_error_class_derives_from_the_package_base():
+    from hopfhomology import errors
+
+    classes = {name: c for name, c in vars(errors).items() if name.endswith("Error")}
+    assert set(classes) == {name for name, _ in ERROR_CODES} | {"HopfHomologyError"}
+    assert all(issubclass(c, errors.HopfHomologyError) for c in classes.values())
+
+
 def _bad_shape_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"U": [1, 2]}')

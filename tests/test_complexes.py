@@ -1,8 +1,13 @@
+import io
 import json
+import random
+from contextlib import redirect_stdout
 from fractions import Fraction as Q
 
 import pytest
 
+from hopfhomology import ce, complexes, homology, linalg
+from hopfhomology.cli import run
 from hopfhomology.complexes import (
     ChainComplex,
     DoubleComplex,
@@ -10,7 +15,7 @@ from hopfhomology.complexes import (
     shuffle_transpose_iso,
 )
 from hopfhomology.errors import ValidationError
-from hopfhomology.linalg import Matrix
+from hopfhomology.linalg import Matrix, modular_rank, sparse_rank
 
 
 def test_d_squared_enforced_at_construction():
@@ -38,6 +43,101 @@ def test_homology_dims_enforce_d_squared():
     assert homology_dims([1, 2, 1], [halves_thirds, [{0: Q(2, 3), 1: Q(1)}]]) == [0, 0, 0]
     with pytest.raises(ValidationError):
         homology_dims([1, 2, 1], [halves_thirds, [{0: Q(2, 3), 1: Q(1, 2)}]])
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The maps homology_dims ranks through the certified sparse_rank, in order."""
+    ranked = []
+
+    def recording(rows):
+        ranked.append(rows)
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(complexes, "sparse_rank", recording)
+    return ranked
+
+
+def test_unlucky_prime_falls_back_to_the_certified_rank(certified):
+    # x -> (p x, 0) then (a, b) -> b, with p the first elimination prime:
+    # the first map has rank 1 over Q and 0 mod p, so no position next to
+    # it is exact mod p; the second map ends at an exact position
+    p = linalg._FIRST_PRIME
+    first = [{0: p}, {}]
+    second = [{1: 1}]
+    assert modular_rank(first) == 0 < sparse_rank(first)
+    assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
+    assert certified == [first]
+
+
+def test_denominator_divisible_by_the_first_prime_skips_to_the_next(certified, monkeypatch):
+    p = linalg._FIRST_PRIME
+    drawn = []
+    echelon = linalg._echelon_mod
+
+    def recording(rows, q):
+        drawn.append(q)
+        return echelon(rows, q)
+
+    monkeypatch.setattr(linalg, "_echelon_mod", recording)
+    first = [{0: Q(1, p)}, {0: Q(-1, p)}]
+    second = [{0: 1, 1: 1}]
+    assert modular_rank(first) == 1
+    assert drawn[0] == p and drawn[1] < p and len(drawn) == 2
+    assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
+    assert certified == []
+
+
+def _rescaled(dims, maps, rng):
+    """The same complex after scaling every basis vector by a seeded nonzero rational."""
+    scale = [[Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(c)]
+             for c in dims]
+    return [
+        [{j: a * scale[i + 1][k] / scale[i][j] for j, a in row.items()}
+         for k, row in enumerate(rows)]
+        for i, rows in enumerate(maps)
+    ]
+
+
+CATALOG_COMPLEXES = [
+    ["ext", "qs3", "--module", "std2", "--max-degree", "3"],
+    ["ext", "qs3", "--module", "trivial", "--max-degree", "2"],
+    ["tor", "qs3", "--module", "trivial", "--max-degree", "3"],
+    ["ext", "sweedler", "--module", "trivial", "--max-degree", "4"],
+    ["ext", "sweedler", "--module", "sign", "--max-degree", "4"],
+    ["tor", "sweedler", "--module", "trivial", "--max-degree", "3"],
+    ["ext", "kz3", "--module", "plane", "--max-degree", "3"],
+    ["ext", "env-qeps", "--module", "A", "--max-degree", "3"],
+    ["tor", "env-upper2", "--module", "A", "--max-degree", "3"],
+    ["ext", "lie-sl2", "--module", "adjoint", "--max-degree", "3"],
+    ["tor", "lie-nonabelian2", "--module", "trivial", "--max-degree", "2"],
+    ["ext", "lie-nonabelian2", "--module", "adjoint", "--max-degree", "2",
+     "--resolution", "bar", "--pbw-bound", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", CATALOG_COMPLEXES, ids=" ".join)
+def test_catalog_ranks_match_the_certified_rank(argv, monkeypatch):
+    # every complex ext and tor hand to homology_dims, as built and in a
+    # seeded rescaled basis (denominators included), gives the dims of
+    # the certified ranks; from those dims the ranks follow one by one
+    seen = []
+
+    def recording(dims, maps):
+        seen.append((dims, maps))
+        return homology_dims(dims, maps)
+
+    monkeypatch.setattr(homology, "homology_dims", recording)
+    monkeypatch.setattr(ce, "homology_dims", recording)
+    with redirect_stdout(io.StringIO()):
+        assert run(argv) == 0
+    assert len(seen) == 1
+    dims, maps = seen[0]
+    ranks = [0] + [sparse_rank(rows) for rows in maps] + [0]
+    expect = [c - ranks[i] - ranks[i + 1] for i, c in enumerate(dims)]
+    assert homology_dims(dims, maps) == expect
+    rng = random.Random(" ".join(argv))
+    assert homology_dims(dims, _rescaled(dims, maps, rng)) == expect
 
 
 def test_homology_of_identity_complex_vanishes():

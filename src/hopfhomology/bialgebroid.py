@@ -670,26 +670,41 @@ def module_tensor_left(data: BialgebroidData, M: ModuleRep, N: ModuleRep) -> Ten
     """M (x)_A N with the diagonal U-action through the coproduct."""
     if M.side != "left" or N.side != "left":
         raise ValidationError("module_tensor_left needs two left modules")
+    # m <| a (x) n  ~  m (x) a |> n
+    return _module_tensor(data, M, N, data.eta_source, data.delta_pure, "left")
+
+
+def module_tensor_right(h: HopfStructure, M: ModuleRep, P: ModuleRep) -> TensorModule:
+    """M (x)_A P with the right U-action (m (x) p) u = u_- m (x) p u_+."""
+    if M.side != "left" or P.side != "right":
+        raise ValidationError("module_tensor_right needs a left and a right module")
+
+    def minus_plus(u):  # u_- = e_q acts on M, u_+ = e_p on P
+        return {(q, p): c for (p, q), c in h.translation_pure(u).items()}
+
+    # m <| a (x) p  ~  m (x) a |>> p
+    return _module_tensor(h.data, M, P, h.data.eta_target, minus_plus, "right")
+
+
+def _module_tensor(data, M, N, eta_n, pure, side) -> TensorModule:
+    """M (x)_A N balanced by m <| a (x) n ~ m (x) eta_n(a) n, on the given side.
+
+    u acts by the sum of c M.action[p] (x) N.action[q] over pure(u) = {(p, q): c}.
+    """
     na = data.A.dim
     dm, dn = M.dim, N.dim
-    ambient = dm * dn
-    # m <| a (x) n  ~  m (x) a |> n
     space = balanced_tensor(
-        (
-            (M.act(data.eta_target(unit_vec(na, r))), N.act(data.eta_source(unit_vec(na, r))))
-            for r in range(na)
-        ),
+        ((M.act(data.eta_target(unit_vec(na, r))), N.act(eta_n(unit_vec(na, r)))) for r in range(na)),
         dm,
         dn,
     )
     action = []
     for u in range(data.U.dim):
-        amb = Matrix.zeros(ambient, ambient)
-        for (p, q), c in data.delta_pure(u).items():
+        amb = Matrix.zeros(dm * dn, dm * dn)
+        for (p, q), c in pure(u).items():
             _add_kron_inplace(amb, M.action[p], N.action[q], c)
         action.append(induced_map(amb, space, space))
-    module = ModuleRep(data.U, space.dim, "left", action)
-    return TensorModule(module, space, dm, dn)
+    return TensorModule(ModuleRep(data.U, space.dim, side, action), space, dm, dn)
 
 
 def _add_kron_inplace(amb: Matrix, A: Matrix, B: Matrix, c):
@@ -710,34 +725,6 @@ def _add_kron_inplace(amb: Matrix, A: Matrix, B: Matrix, c):
                 for cb in range(mb):
                     if brow[cb]:
                         target[base + cb] += ac * brow[cb]
-
-
-def module_tensor_right(h: HopfStructure, M: ModuleRep, P: ModuleRep) -> TensorModule:
-    """M (x)_A P with the right U-action (m (x) p) u = u_- m (x) p u_+."""
-    data = h.data
-    if M.side != "left" or P.side != "right":
-        raise ValidationError("module_tensor_right needs a left and a right module")
-    na = data.A.dim
-    dm, dp = M.dim, P.dim
-    ambient = dm * dp
-    # m <| a (x) p  ~  m (x) a |>> p
-    space = balanced_tensor(
-        (
-            (M.act(data.eta_target(unit_vec(na, r))), P.act(data.eta_target(unit_vec(na, r))))
-            for r in range(na)
-        ),
-        dm,
-        dp,
-    )
-    action = []
-    for u in range(data.U.dim):
-        amb = Matrix.zeros(ambient, ambient)
-        for (p, q), c in h.translation_pure(u).items():
-            # u_+ = e_p acts on P, u_- = e_q acts on M
-            _add_kron_inplace(amb, M.action[q], P.action[p], c)
-        action.append(induced_map(amb, space, space))
-    module = ModuleRep(data.U, space.dim, "right", action)
-    return TensorModule(module, space, dm, dp)
 
 
 def unit_iso(data: BialgebroidData, M: ModuleRep, tm: TensorModule, a_first=True) -> Matrix:

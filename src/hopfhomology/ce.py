@@ -10,7 +10,10 @@ with d d = 0 verified as an exact PBW identity on every generator.
 The comultiplication P -> Tot(P (x) P) is the subset-splitting map with
 unshuffle signs; it is checked to be a chain map against the diagonal
 U(g)-action (primitives act by Leibniz), so cup and cap products over
-U(g) evaluate in closed form.
+U(g) evaluate in closed form.  contract inverts d on cycles exactly: the
+Koszul homotopy of S(g) (x) Lambda g, corrected by the perturbation
+lemma (Brown 1965; Crainic, arXiv:math/0403266), so chain maps lift
+into the resolution through homology.lift with no linear solve.
 
 The same file holds the degree-truncated bar machinery for U(g): the
 cochain complex of maps on tuples of PBW monomials of bounded total
@@ -21,13 +24,14 @@ computed from them carries the bound used.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import comb
 
 from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import Matrix, _sparse, sparse_add, sparse_axpy, sparse_extend, sparse_rank, zero_vec
+from .linalg import Matrix, _sparse, frac, sparse_add, sparse_axpy, sparse_extend, sparse_rank
 from .pbw import (
     LieAlgebraData,
     LieModule,
@@ -119,6 +123,35 @@ class CEResolution:
 
     def act_basis(self, m, M: LieModule):
         return M.act_mono(m)
+
+    def times(self, u, v):
+        return pbw_multiply(self.g, u, v)
+
+    def contract(self, j, words):
+        """A preimage under d_j of the cycle words, by the Koszul contraction.
+
+        x^a e_J has weight |a| + |J|, which d keeps or lowers; the part
+        that keeps it has the homotopy h0(x^a e_J) = (1/w) sum_i a_i
+        x^(a - e_i) e_i ^ e_J.  h0 of the top-weight part of a cycle,
+        minus its boundary, leaves a cycle of lower weight (the
+        perturbation lemma), so one pass down the PBW degrees leaves 0.
+        """
+        g = self.g
+        cycle, out = dict(words), {}
+        for deg in range(max((mono_deg(w[0]) for w in cycle), default=0), 0, -1):
+            step = {}
+            for (a, *rest), c in [(w, c) for w, c in cycle.items() if mono_deg(w[0]) == deg]:
+                for i, ai in enumerate(a):
+                    if ai and i not in rest:
+                        sign, J = _insert_sign(i, tuple(rest))
+                        c2 = frac(Fraction(sign * ai * c, deg + j - 1))
+                        sparse_add(step.setdefault(J, {}), a[:i] + (ai - 1,) + a[i + 1 :], c2)
+            for J, e in step.items():
+                for k, entry in self.diff_cols(j)[self.gen_index(j, J)].items():
+                    for mono, c in pbw_multiply(g, e, entry).items():
+                        sparse_add(cycle, (mono,) + self._gens[j - 1][k], -c)
+                sparse_axpy(out.setdefault(J, {}), 1, e)
+        return {J: e for J, e in out.items() if e}
 
     def _check_square_zero(self):
         g = self.g
@@ -215,13 +248,6 @@ class BoundedBasis:
                 self.index[(j, m)] = len(self.index)
         self.dim = len(self.index)
 
-    def coords(self, elt_by_gen):
-        v = zero_vec(self.dim)
-        for j, elt in elt_by_gen.items():
-            for m, c in elt.items():
-                v[self.index[(j, m)]] += c
-        return v
-
 
 def bounded_free_map(g, cols, src: BoundedBasis, dst: BoundedBasis, entries_act="right") -> list:
     """Sparse columns of a generator-level map on bounded coefficient spaces.
@@ -297,6 +323,14 @@ class UgBarComplex:
     def act_left(self, entry, M: LieModule):
         return M.act(entry)
 
+    def times(self, u, v):
+        return pbw_multiply(self.g, u, v)
+
+    def contract(self, j, words):
+        """The bar contraction: prepend a unit slot to each word."""
+        unit = mono_one(self.g.dim)
+        return {w: {unit: c} for w, c in words.items()}
+
     def cochain_rows(self, n, M: LieModule):
         """Sparse rows of delta : C^n(M) -> C^{n+1}(M) from the bar faces."""
         g = self.g
@@ -342,40 +376,16 @@ class UgBarComplex:
 
 
 def ce_to_bar_words(ce: CEResolution, upto: int):
-    """Images of the CE generators in the bar complex of U(g).
+    """The comparison CE -> bar over U(g), as a lift pull_cochain reads.
 
-    Bar elements are dicts {tuple of monomials: coeff} (slot 0 is the
-    module coefficient).  Built by the contraction recursion
-    F(e) = s(F(d e)) with s = prepend a unit slot; exact in PBW
-    arithmetic, and verified to be a chain map by the caller's tests.
+    Degree n sends e_K to {tail: PBW coefficient of slot 0}, built by
+    homology.lift with the bar contraction; its words have total PBW
+    degree at most n, so the bar model of bound upto holds them.
     """
+    from .homology import lift
+
     unit = mono_one(ce.g.dim)
-    images = [{(): {(unit,): 1}}]
-    for n in range(1, upto + 1):
-        # contraction: prepend a unit slot to the image of d e_K
-        images.append({
-            K: {(unit,) + w: c for w, c in _image_of_boundary(ce, images[n - 1], n, K).items()}
-            for K in ce.generators(n)
-        })
-    return images
-
-
-def bar_mul_left(g, u_elt, bar_elt):
-    """u_elt times a bar element, acting on its module slot 0."""
-    out = {}
-    for w, c in bar_elt.items():
-        for m, cm in u_elt.items():
-            for m2, c2 in mono_mul(g, m, w[0]).items():
-                sparse_add(out, (m2,) + w[1:], c * cm * c2)
-    return out
-
-
-def _image_of_boundary(ce: CEResolution, prev, n, K):
-    """The bar image of d e_K, from the images prev of the degree n - 1 generators."""
-    acc = {}
-    for k, entry in ce.diff_cols(n)[ce.gen_index(n, K)].items():
-        sparse_axpy(acc, 1, bar_mul_left(ce.g, entry, prev[ce.generators(n - 1)[k]]))
-    return acc
+    return lift(ce, UgBarComplex(ce.g, upto), 0, {(): {(): {unit: 1}}}, upto)
 
 
 def bar_boundary_word_ug(g, w):
@@ -403,7 +413,7 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
     along the contraction-built map CE -> bar and reads it on CE
     generators.
     """
-    from .homology import ext as ext_generic, pull_cochain
+    from .homology import ext as ext_generic, lifted_boundary, pull_cochain
 
     ce = ce_resolution(g, validate=False)
     bar = UgBarComplex(g, bound)
@@ -411,19 +421,15 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
     bar_rows = [bar.cochain_rows(n, M) for n in range(upto + 1)]
     dims = [len(bar.tuples(n)[0]) * M.dim for n in range(upto + 2)]
     bar_dims = homology_dims(dims, bar_rows)[:-1]
-    images = ce_to_bar_words(ce, upto + 1)
+    lifts = ce_to_bar_words(ce, upto)
     # verify the comparison is a chain map degree by degree
     for n in range(1, upto + 1):
-        for K in ce.generators(n):
-            bd = sparse_extend(partial(bar_boundary_word_ug, g), images[n][K])
-            if bd != _image_of_boundary(ce, images[n - 1], n, K):
+        prev = list(lifts[n - 1].values())
+        for K, col in zip(ce.generators(n), ce.diff_cols(n)):
+            words = {(u,) + w: c for w, e in lifts[n][K].items() for u, c in e.items()}
+            bd = sparse_extend(partial(bar_boundary_word_ug, g), words)
+            if bd != lifted_boundary(bar, col, prev, 1):
                 raise LiftFailedError(f"comparison map fails at degree {n}")
-    # each image as {tail: PBW coefficient of slot 0}, a lift pull_cochain reads
-    lifts = [{K: {} for K in imgs} for imgs in images]
-    for f, imgs in zip(lifts, images):
-        for K, img in imgs.items():
-            for w, c in img.items():
-                f[K].setdefault(w[1:], {})[w[0]] = c
     bijective = []
     for n in range(upto + 1):
         eg = ext_generic(ce, M, n)

@@ -8,8 +8,12 @@ matrices, and max_degree.  For products it also provides diagonal(K,
 i), the P_i (x) P_(n-i) part of a diagonal on the generator K as
 {(front word, back word): coeff} with each word (basis key,) +
 generator, and act_basis(key, M), the action matrix of a basis key.
-Both the bar resolution and the Koszul-type resolution of a universal
-envelope satisfy this.
+As the target of a lifted chain map it provides times(u, v), a
+coefficient of the source differential times one of its own, as
+{basis key: coeff}, and contract(j, words), a preimage under d_j of a
+cycle given as {word: coeff}, as {generator: coefficient}.  Both the
+bar resolution and the Koszul-type resolution of a universal envelope
+satisfy this; the bar model of U(g) is a lift target too.
 
 Ext^n(A, M) is the cohomology of M^{rank(0)} -> M^{rank(1)} -> ..,
 Tor_n(N, A) the homology of .. -> N^{rank(1)} -> N^{rank(0)}.  Classes
@@ -193,6 +197,33 @@ def tor_dims(res, N, upto):
 # A lifted map is a list over degrees j of {source generator: {generator
 # K of res_j: coefficient}}, with the source generators in resolution
 # order and each coefficient in res's own form for act_left/act_right.
+
+
+def lift(src, dst, m, bottom, top) -> list:
+    """Chain maps f_j : src_(m+j) -> dst_j for j = 0 .. top over f_0 = bottom.
+
+    f_j(G) = (-1)^m dst.contract(j, sum_i u_i . f_(j-1)(G_i)) over the
+    column {i: u_i} of d G, so d f_j = (-1)^m f_(j-1) d.
+    """
+    sign = -1 if m % 2 else 1
+    lifts = [bottom]
+    for j in range(1, top + 1):
+        prev = list(lifts[-1].values())
+        lifts.append({
+            G: dst.contract(j, lifted_boundary(dst, col, prev, sign))
+            for G, col in zip(src.generators(m + j), src.diff_cols(m + j))
+        })
+    return lifts
+
+
+def lifted_boundary(dst, col, prev, sign) -> dict:
+    """sign * sum_i u_i . prev[i] over a differential column {i: u_i}, as {word: coeff}."""
+    out = {}
+    for i, u in col.items():
+        for K, v in prev[i].items():
+            for p, c in dst.times(u, v).items():
+                sparse_add(out, (p,) + K, sign * c)
+    return out
 
 
 def pull_cochain(res, lifts, n, psi, M) -> list:

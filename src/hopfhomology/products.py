@@ -10,8 +10,11 @@ subset-splitting comultiplication (CEResolution.diagonal).  A class phi
 of degree m lifts to chain maps f_j : P_(m+j) -> P_j, stored per degree
 as {source generator: {target generator: coefficient}} with each
 coefficient in its resolution's own form (U-coordinates on the bar
-side, a PBW dict over U(g)); homology.pull_cochain composes a cochain
-with such a map and homology.push_chain evaluates a chain along it.
+side, a PBW dict over U(g)); homology.lift builds them on both sides
+through the resolution's contraction (the bar homotopy, and the Koszul
+contraction of CEResolution.contract), homology.pull_cochain composes a
+cochain with such a map and homology.push_chain evaluates a chain along
+it.
 The classes here keep the windows and build the tensor modules, which
 differ between the contexts.  Signs flow from two conventions fixed
 elsewhere: the totalization sign (-1)^(horizontal degree) and the shift
@@ -24,14 +27,9 @@ suite checks; nothing here inserts them.
 
 from __future__ import annotations
 
-from .errors import LiftFailedError, WindowExceededError
-from .homology import cap_chain, cup_cochain, pull_cochain, push_chain
-from .linalg import Matrix, sparse_axpy, sparse_columns
-
-# PBW degree windows of the U(g) chain lifts: the first bound tried, and
-# the last one before the lift is given up (raised by 2 in between)
-_LIFT_BOUND = 6
-_MAX_LIFT_BOUND = 14
+from .errors import WindowExceededError
+from .homology import cap_chain, cup_cochain, lift, pull_cochain, push_chain
+from .linalg import Matrix
 
 # BarProducts imports bialgebroid and CEProducts ce and pbw where they run,
 # so a command loads only its own side; these serve the annotations alone.
@@ -157,61 +155,19 @@ class CEProducts:
     def lift_class(self, m, phi):
         """f_j : P_{m+j} -> P_j with d f = (-1)^m f d, f over phi.
 
-        f_j maps each generator to {generator: PBW dict}, each solved
-        degreewise on bounded PBW coefficients.
+        f_j maps each generator to {generator: PBW dict}, built by
+        homology.lift through the Koszul contraction CEResolution.contract.
         """
-        from .pbw import mono_one, pbw_multiply
+        from .pbw import mono_one
 
         key = (m, tuple(phi))
-        if key in self._lift_cache:
-            return self._lift_cache[key]
-        g = self.g
-        ce = self.ce
-        sign = -1 if m % 2 else 1
-        # f_0 sends e_G to phi(e_G) . 1
-        lifts = [{G: {ce.generators(0)[0]: {mono_one(g.dim): phi[ce.gen_index(m, G)]}}
-                  for G in ce.generators(m)}]
-        top = g.dim - m
-        for j in range(1, top + 1):
-            prev = lifts[j - 1]
-            cur = {}
-            for G in ce.generators(m + j):
-                rhs_by_gen = {}
-                for i, entry in ce.diff_cols(m + j)[ce.gen_index(m + j, G)].items():
-                    G2 = ce.generators(m + j - 1)[i]
-                    for k, u in prev[G2].items():
-                        prod = pbw_multiply(g, entry, u)
-                        tgt = rhs_by_gen.setdefault(k, {})
-                        sparse_axpy(tgt, sign, prod)
-                sol = self._solve_boundary(j, rhs_by_gen)
-                cur[G] = sol
-            lifts.append(cur)
-        self._lift_cache[key] = lifts
-        return lifts
-
-    def _solve_boundary(self, j, rhs_by_gen):
-        """Solve d_j (X) = rhs in P_{j-1} with bounded PBW coefficients."""
-        from .ce import BoundedBasis, bounded_free_map
-
-        g = self.g
-        ce = self.ce
-        bound = _LIFT_BOUND
-        while True:
-            src = BoundedBasis(g, ce.rank(j), bound)
-            dst = BoundedBasis(g, ce.rank(j - 1), bound + 1)
-            rows = sparse_columns(bounded_free_map(g, ce.diff_cols(j), src, dst))
-            mat = Matrix.from_sparse_rows([rows.get(i, {}) for i in range(dst.dim)], src.dim)
-            rhs = dst.coords({ce.gen_index(j - 1, G): e for G, e in rhs_by_gen.items()})
-            sol = mat.solve(rhs)
-            if sol is not None:
-                out = {}
-                for (k, mo), idx in src.index.items():
-                    if sol[idx]:
-                        out.setdefault(ce.generators(j)[k], {})[mo] = sol[idx]
-                return out
-            bound += 2
-            if bound > _MAX_LIFT_BOUND:
-                raise LiftFailedError("chain lift not found within the degree bound")
+        if key not in self._lift_cache:
+            ce = self.ce
+            # f_0 sends e_G to phi(e_G) . 1
+            unit = mono_one(self.g.dim)
+            bottom = {G: {(): {unit: phi[k]}} for k, G in enumerate(ce.generators(m))}
+            self._lift_cache[key] = lift(ce, ce, m, bottom, self.g.dim - m)
+        return self._lift_cache[key]
 
     def yoneda(self, m, n, phi, psi, M: LieModule):
         return pull_cochain(self.ce, self.lift_class(m, phi), n, psi, M)

@@ -35,6 +35,7 @@ from .algebras import ModuleRep
 from .bialgebroid import BialgebroidData, _expand_table, module_tensor_left
 from .complexes import DoubleComplex
 from .errors import LiftFailedError, ValidationError, WindowExceededError
+from .homology import lift
 from .linalg import Matrix, induced_map, sparse_add, sparse_extend, unit_vec, zero_vec
 
 
@@ -311,31 +312,23 @@ class BarResolution:
 
     # -- comparison maps --------------------------------------------------
 
+    def times(self, u, v):
+        return {p: c for p, c in enumerate(self.U.multiply(u, v)) if c}
+
+    def contract(self, j, words):
+        return self._by_generator(self.homotopy_elt(words))
+
     def lift(self, src, m, values, top):
         """Chain maps f_j : src_(m+j) -> P_j for j = 0 .. top, over values.
 
         values[k] is the A-value of the k-th generator of src_m.  The
-        contraction s builds f_0 = s(value) and f_j(G) = (-1)^m
-        s(f_(j-1)(d G)), so d f_j = (-1)^m f_(j-1) d.  Each f_j maps a
-        generator of src to {generator of P_j: U-coordinate tuple}.
+        contraction s builds f_0 = s(value), and homology.lift the rest
+        through contract = s.  Each f_j maps a generator of src to
+        {generator of P_j: U-coordinate tuple}.
         """
-        sign = -1 if m % 2 else 1
         gens = src.generators(m)
-        lifts = [{G: self._by_generator(self.homotopy_bottom(a)) for G, a in zip(gens, values)}]
-        for j in range(1, top + 1):
-            prev = list(lifts[-1].values())
-            cur = {}
-            for G, col in zip(src.generators(m + j), src.diff_cols(m + j)):
-                img = {}
-                for i, u in col.items():
-                    for K, v in prev[i].items():
-                        for p, c in enumerate(self.U.multiply(u, v)):
-                            if c:
-                                for w, d in self.homotopy_word((p,) + K).items():
-                                    sparse_add(img, w, sign * c * d)
-                cur[G] = self._by_generator(img)
-            lifts.append(cur)
-        return lifts
+        bottom = {G: self._by_generator(self.homotopy_bottom(a)) for G, a in zip(gens, values)}
+        return lift(src, self, m, bottom, top)
 
     def u_linear_matrix(self, f, n):
         """The concrete matrix of the U-linear map with generator values f in P_n.

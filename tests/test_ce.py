@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction as Q
 from math import comb
+
+import pytest
 
 from hopfhomology.ce import (
     CEResolution,
@@ -13,7 +16,8 @@ from hopfhomology.homology import ext, tor
 from hopfhomology.instances import lie_abelian, lie_nonabelian2, lie_sl2
 from hopfhomology.oracles import lie_chain_matrix, lie_cohomology_dims, lie_homology_dims
 from hopfhomology.homology import chain_matrix
-from hopfhomology.pbw import LieModule
+from hopfhomology.pbw import LieModule, monomials_upto, mono_deg, pbw_multiply
+from hopfhomology.products import CEProducts
 
 
 def test_ranks_are_binomials():
@@ -97,7 +101,8 @@ def test_comparison_map_is_chain_map():
     images = ce_to_bar_words(res, 2)
     for n in (1, 2):
         for K in res.generators(n):
-            img = images[n][K]
+            # each image as bar words, slot 0 the PBW monomial of its coefficient
+            img = {(u,) + w: c for w, e in images[n][K].items() for u, c in e.items()}
             bd = {}
             for w, c in img.items():
                 for w2, d in bar_boundary_word_ug(g, w).items():
@@ -126,9 +131,100 @@ def test_ce_vs_truncated_bar_abelian2():
     )
 
 
+def test_ce_vs_truncated_bar_with_brackets():
+    # the comparison lift and its chain-map check with bracket terms in d
+    for g, upto, expect in ((lie_nonabelian2(), 2, [1, 1, 0]), (lie_sl2(), 3, [1, 0, 0, 1])):
+        ce_d, bar_d, bij = ce_vs_bar_ext(g, LieModule.trivial(g), upto, upto)
+        assert ce_d == bar_d == expect
+        assert all(bij)
+
+
 def test_truncated_bar_stability_under_bound_growth():
     g = lie_abelian(2)
     triv = LieModule.trivial(g)
     d4 = UgBarComplex(g, 4).ext_dims(triv, 2)
     d5 = UgBarComplex(g, 5).ext_dims(triv, 2)
     assert d4 == d5
+
+
+LIE = (lie_abelian(2), lie_nonabelian2(), lie_sl2())
+
+
+def _boundary(res, j, elt):
+    """d_j of {(monomial,) + generator: coeff}: the coefficient times the column entry."""
+    out = {}
+    for (a, *J), c in elt.items():
+        for k, entry in res.diff_cols(j)[res.gen_index(j, tuple(J))].items():
+            for m, d in pbw_multiply(res.g, {a: c}, entry).items():
+                w = (m,) + res.generators(j - 1)[k]
+                out[w] = out.get(w, 0) + d
+    return {w: c for w, c in out.items() if c}
+
+
+def _words(by_gen):
+    """{generator: PBW dict} as {(monomial,) + generator: coeff}."""
+    return {(m,) + J: c for J, e in by_gen.items() for m, c in e.items()}
+
+
+@pytest.mark.parametrize("g", LIE, ids=lambda g: g.name)
+def test_contract_is_a_preimage_of_seeded_boundaries(g):
+    # d(contract(y)) = y on boundaries y = d x of seeded random x, in
+    # every degree; x has PBW degree up to 3, so several weights occur
+    res = ce_resolution(g, validate=False)
+    rng = random.Random(g.name)
+    monos = monomials_upto(g.dim, 3)
+    for j in range(1, g.dim + 1):
+        for _ in range(15):
+            x = {}
+            for _ in range(rng.randint(1, 4)):
+                w = (rng.choice(monos),) + rng.choice(res.generators(j))
+                x[w] = x.get(w, 0) + rng.choice([-3, -2, -1, 1, 2, Q(1, 2)])
+            y = _boundary(res, j, x)
+            assert _boundary(res, j, _words(res.contract(j, y))) == y
+
+
+@pytest.mark.parametrize("g", LIE, ids=lambda g: g.name)
+def test_lifted_ce_class_satisfies_shifted_chain_identity(g):
+    # d f_j = (-1)^m f_(j-1) d on every generator, for every Ext(k, k)
+    # basis class: the lifts that composition and evaluation read
+    res = ce_resolution(g, validate=False)
+    pr = CEProducts(res)
+    triv = LieModule.trivial(g)
+    checked = 0
+    for m in range(g.dim + 1):
+        for phi in ext(res, triv, m).basis_cocycles():
+            lifts = pr.lift_class(m, phi)
+            assert len(lifts) == g.dim - m + 1
+            for j in range(1, len(lifts)):
+                prev = list(lifts[j - 1].values())
+                for G, col in zip(res.generators(m + j), res.diff_cols(m + j)):
+                    rhs = {}
+                    for i, u in col.items():
+                        for w, c in _words(prev[i]).items():
+                            for m2, d in pbw_multiply(g, u, {w[0]: c}).items():
+                                key = (m2,) + w[1:]
+                                rhs[key] = rhs.get(key, 0) + (-1) ** m * d
+                    rhs = {w: c for w, c in rhs.items() if c}
+                    assert _boundary(res, j, _words(lifts[j][G])) == rhs
+                    checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("g", LIE, ids=lambda g: g.name)
+def test_bar_boundary_ug_squares_to_zero(g):
+    # b' b' = 0 on every word (m,) + t of the bound 2 bar model, with
+    # words ending in the unit monomial, where the last face acts
+    bar = UgBarComplex(g, 2)
+    last_face = 0
+    for n in (1, 2, 3):
+        for m in monomials_upto(g.dim, 2):
+            for t in bar.tuples(n)[0]:
+                w = (m,) + t
+                once = bar_boundary_word_ug(g, w)
+                twice = {}
+                for w2, c in once.items():
+                    for w3, d in bar_boundary_word_ug(g, w2).items():
+                        twice[w3] = twice.get(w3, 0) + c * d
+                assert not any(twice.values()), w
+                last_face += mono_deg(t[-1]) == 0
+    assert last_face

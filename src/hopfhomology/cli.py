@@ -12,6 +12,7 @@ them, so no input ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -451,7 +452,11 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # the process ends here: frozen objects are skipped by the collection
+    # that interpreter finalization runs, and run() never freezes its caller
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,15 +13,16 @@ from .errors import ValidationError
 from .linalg import (
     Matrix,
     _dense_rows,
+    _certified_rank,
     _eliminate,
+    _first_echelon,
     _integer_combination,
     _integer_row,
     QuotientSpace,
     Subspace,
-    modular_rank,
+    _smaller_side,
     sparse_columns,
     sparse_kernel,
-    sparse_rank,
     vec_is_zero,
 )
 
@@ -100,19 +101,25 @@ def homology_dims(dims, maps):
     So where the two ranks mod p sum to dim V_i, the complex is exact
     there mod p and both are the ranks over Q (the universal coefficient
     bound dim H(C (x) F_p) >= dim H(C (x) Q)).  A map with neither end
-    exact mod p is ranked by the certified sparse_rank.
+    exact mod p is ranked by the certified sparse_rank, continuing from
+    the forward pass that gave its rank mod p.
     """
     for i in range(1, len(maps)):
         inner = {j: _integer_row(row) for j, row in enumerate(maps[i - 1])}
         for row in maps[i]:
             if any(_integer_combination(_integer_row(row)[1], inner)[1].values()):
                 raise ValidationError(f"d d != 0 from position {i - 1} to {i + 1}")
-    ranks = [0] + [modular_rank(rows) for rows in maps] + [0]
-    exact = {0, len(ranks) - 1}
-    for i, c in enumerate(dims):
-        if ranks[i] + ranks[i + 1] == c:
-            exact |= {i, i + 1}
-    ranks = [r if k in exact else sparse_rank(maps[k - 1]) for k, r in enumerate(ranks)]
+    # ranks[k] is that of maps[k - 1] (the zero map past the end for the last k);
+    # a forward pass is kept until a position beside its map is exact
+    ranks, passes = [0], {}
+    for k, rows in enumerate(maps + [[]], 1):
+        passes[k] = rows, _first_echelon(_smaller_side(rows))
+        ranks.append(len(passes[k][1][1]))
+        if ranks[k - 1] + ranks[k] == dims[k - 1]:
+            passes.pop(k - 1, None)
+            del passes[k]
+    for k, (rows, first) in passes.items():
+        ranks[k] = _certified_rank(rows, first)
     return [c - ranks[i] - ranks[i + 1] for i, c in enumerate(dims)]
 
 

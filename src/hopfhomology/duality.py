@@ -27,8 +27,8 @@ from .errors import (
     ValidationError,
 )
 from .homology import TorGroup, chain_matrix, ext, tor
-from .linalg import (Matrix, Subspace, add_outer, lincomb, sparse_columns, sparse_kernel,
-                     unit_vec, vec_is_zero, zero_vec)
+from .linalg import (Matrix, Subspace, add_outer, lincomb, modular_rank, sparse_columns,
+                     sparse_extend, sparse_kernel, unit_vec, vec_is_zero, zero_vec)
 
 # The underived functions import bialgebroid and the U(g) ones ce and pbw where
 # they run, so a command loads only its own side; these serve the annotations alone.
@@ -301,21 +301,50 @@ def detect_duality_ug(g, bound=4) -> DualityData:
     the dualized complex is exact off its augmentation end, and the
     double dual returns the trivial module.  NotDualityError reports
     nonvanishing degrees.
+
+    Windows are certified from ranks mod p (modular_rank), which are at
+    most the ranks over Q: a window map of full rank mod p has no kernel,
+    and a kernel at window m is hit once some window V of degree
+    m + extra + 1 <= m + _SLACK + 1 has rank_p(in) + rank_p(out) = dim V
+    and out . in = 0 exactly, for then the complex is exact at V over Q.
+    Any other window gets its exact kernel and _hit_in_window.
     """
     from .ce import BoundedBasis, CEResolution, bounded_free_map
     from .pbw import LieModule, mono_one, monomials_upto
 
     res = CEResolution(g, validate=True)
     d = g.dim
+    windows = {}
+
+    def window(n, m, act):
+        """(source basis, columns, rank mod p) of P*_n -> P*_(n+1) ("left") or P_n -> P_(n-1) on window m."""
+        if (n, m, act) not in windows:
+            to = n + 1 if act == "left" else n - 1
+            cols = _dual_cols(res, to) if act == "left" else res.diff_cols(n)
+            src = BoundedBasis(g, res.rank(n), m)
+            columns = bounded_free_map(g, cols, src, BoundedBasis(g, res.rank(to), m + 1), act)
+            windows[n, m, act] = src, columns, modular_rank(columns)
+        return windows[n, m, act]
+
+    def hit_mod_p(n, m, act):
+        """Whether a window V above m is exact mod p between the maps into and out of degree n."""
+        for extra in range(_SLACK + 1):
+            V, out, rank_out = window(n, m + extra + 1, act)
+            _, into, rank_in = window(n - 1 if act == "left" else n + 1, m + extra, act)
+            if any(sparse_extend(out.__getitem__, col) for col in into):
+                raise ValidationError("consecutive window maps do not compose to zero")
+            if rank_in + rank_out == V.dim:
+                return True
+        return False
+
     report = TakeuchiReport()
     bad_degrees = []
     # Ext^n(A, U) for n < d: bounded kernels must be hit by bounded images
     for n in range(d):
-        dual_out = _dual_cols(res, n + 1)  # P*_n -> P*_{n+1}
         for m in range(bound + 1):
-            src = BoundedBasis(g, res.rank(n), m)
-            dst = BoundedBasis(g, res.rank(n + 1), m + 1)
-            columns = bounded_free_map(g, dual_out, src, dst, entries_act="left")
+            src, columns, rank = window(n, m, "left")  # P*_n -> P*_{n+1}
+            if rank == src.dim or n and hit_mod_p(n, m, "left"):
+                continue
             kern = sparse_kernel(sparse_columns(columns).values(), src.dim)
             if kern.dim == 0:
                 continue
@@ -331,6 +360,7 @@ def detect_duality_ug(g, bound=4) -> DualityData:
             degrees=sorted({n for n, _, _ in bad_degrees}),
         )
     report.record("ext_vanishing_below_top", True)
+    windows.clear()  # the primal windows below share none of these
 
     # the cokernel at the top: one dimensional with the adjoint trace twist
     weights = [g.adjoint_trace(i) for i in range(g.dim)]
@@ -376,9 +406,9 @@ def detect_duality_ug(g, bound=4) -> DualityData:
     primal_ok = True
     for n in range(1, d + 1):
         for m in range(bound + 1):
-            src = BoundedBasis(g, res.rank(n), m)
-            dst = BoundedBasis(g, res.rank(n - 1), m + 1)
-            columns = bounded_free_map(g, res.diff_cols(n), src, dst, entries_act="right")
+            src, columns, rank = window(n, m, "right")
+            if rank == src.dim or n < d and hit_mod_p(n, m, "right"):
+                continue
             kern = sparse_kernel(sparse_columns(columns).values(), src.dim)
             if kern.dim == 0:
                 continue

@@ -544,14 +544,15 @@ def _primes():
         n -= 1
 
 
-def _eliminate(rows):
+def _eliminate(rows, first=(None, None)):
     """Certified modular Gauss-Jordan elimination: the package's one row reduction.
 
     rows are dicts {column: int or Fraction} without zero values; they are not
-    mutated.  Returns the nonzero rows of the reduced row echelon form as
-    (pivot column, tail) pairs in increasing pivot order: the row is 1 at
-    its pivot, the sparse exact tail elsewhere, and 0 at every other
-    pivot.
+    mutated; first may be what _first_echelon(rows) returned, whose forward
+    pass is then not run again.  Returns the nonzero rows of the reduced
+    row echelon form as (pivot column, tail) pairs in increasing pivot
+    order: the row is 1 at its pivot, the sparse exact tail elsewhere, and
+    0 at every other pivot.
 
     The rows are reduced mod a prime p (_rref_mod), skipping any prime
     that divides an input denominator, and each tail entry is recovered
@@ -570,7 +571,7 @@ def _eliminate(rows):
     rows = [row for row in rows if row]
     best = best_pivots = modulus = None
     for p in _primes():
-        reduced = _rref_mod(rows, p)
+        reduced = _back_substitute(first[1], p) if p == first[0] else _rref_mod(rows, p)
         if reduced is None:  # p divides a denominator
             continue
         pivots = [c for c, _ in reduced]
@@ -588,13 +589,13 @@ def _eliminate(rows):
 
 
 def _rref_mod(rows, p):
-    """The rref mod p of the rows as (pivot, {column: residue}) pairs.
+    """The rref mod p as (pivot, {column: residue}) pairs; None when p divides a denominator."""
+    return _back_substitute(_echelon_mod(rows, p), p)
 
-    None when p divides a denominator.  After the forward pass, back
-    substitution clears, last pivot row first, the pivot columns each
-    row holds with the rows below it, already reduced.
-    """
-    reduced = _echelon_mod(rows, p)
+
+def _back_substitute(reduced, p):
+    """Reduce _echelon_mod's result in place (None passes through): last pivot row
+    first, each row's pivot columns are cleared with the rows below it, already reduced."""
     tail_of = {}
     for c, row in reversed(reduced or ()):
         for q in [j for j in row if j in tail_of]:
@@ -762,16 +763,25 @@ def sparse_rank(rows):
     return len(_eliminate(_smaller_side(rows)))
 
 
+def _certified_rank(rows, first):
+    """sparse_rank(rows), continuing from first = _first_echelon(_smaller_side(rows))."""
+    return len(_eliminate(_smaller_side(rows), first))
+
+
 def modular_rank(rows):
     """The rank mod p of sparse rows, a lower bound on their rank over Q, not certified.
 
     One forward pass on the smaller side, p the first prime dividing no denominator.
     """
-    rows = _smaller_side(rows)
+    return len(_first_echelon(_smaller_side(rows))[1])
+
+
+def _first_echelon(rows):
+    """(p, _echelon_mod(rows, p)) for the first prime p dividing no denominator."""
     for p in _primes():
         echelon = _echelon_mod(rows, p)
         if echelon is not None:
-            return len(echelon)
+            return p, echelon
 
 
 def sparse_kernel(rows, ncols) -> Subspace:

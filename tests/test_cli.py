@@ -1,4 +1,8 @@
+import copy
+import functools
 import json
+import operator
+import random
 import subprocess
 import sys
 
@@ -259,6 +263,48 @@ def test_every_error_class_derives_from_the_package_base():
     classes = {name: c for name, c in vars(errors).items() if name.endswith("Error")}
     assert set(classes) == {name for name, _ in ERROR_CODES} | {"HopfHomologyError"}
     assert all(issubclass(c, errors.HopfHomologyError) for c in classes.values())
+
+
+# what the corruption sweep sets a single field of an exported instance to
+CORRUPT_VALUES = ["0", "1", "-1", "2", "1/2", "1000000", "x", "1/0", "1e3", "", None, True,
+                  3, -1, 0, 0.5, [], {}, ["1"], [[]], {"dim": 1}]
+
+
+def _fields(blob, path=()):
+    """The path of every dict entry and list element below blob, lists included."""
+    items = blob.items() if isinstance(blob, dict) else enumerate(blob) if isinstance(blob, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def test_seeded_corruption_sweep_ends_in_an_exit_code(tmp_path, capsys):
+    # 200 seeded single-field corruptions (a new value or a deleted field) of
+    # three exported instances; each must end in exit 0, 1 or 2, never raise
+    blobs = {}
+    for name in ("kz2", "sweedler", "env-qeps"):
+        assert run(["instances", "export", name]) == 0
+        blobs[name] = json.loads(capsys.readouterr().out)
+    rng = random.Random(0)
+    path = tmp_path / "corrupted.json"
+    codes = set()
+    for _ in range(200):
+        name = rng.choice(sorted(blobs))
+        blob = copy.deepcopy(blobs[name])
+        *parents, last = field = rng.choice(list(_fields(blob)))
+        holder = functools.reduce(operator.getitem, parents, blob)
+        if rng.random() < 0.25:
+            del holder[last]
+            case = (name, field, "deleted")
+        else:
+            holder[last] = rng.choice(CORRUPT_VALUES)
+            case = (name, field, holder[last])
+        path.write_text(json.dumps(blob))
+        code = run(["verify-hopf", str(path)])
+        assert code in (0, 1, 2), case
+        assert "Traceback" not in capsys.readouterr().err, case
+        codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 def _bad_shape_file(tmp_path):

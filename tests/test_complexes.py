@@ -47,14 +47,20 @@ def test_homology_dims_enforce_d_squared():
 
 @pytest.fixture
 def certified(monkeypatch):
-    """The maps homology_dims ranks through the certified sparse_rank, in order."""
+    """The maps homology_dims ranks through the certified sparse_rank, in order.
+
+    The fallback continues from the forward pass of modular_rank, through
+    linalg._certified_rank; its rank must still be sparse_rank's.
+    """
     ranked = []
 
-    def recording(rows):
+    def recording(rows, first):
         ranked.append(rows)
-        return sparse_rank(rows)
+        rank = linalg._certified_rank(rows, first)
+        assert rank == sparse_rank(rows)
+        return rank
 
-    monkeypatch.setattr(complexes, "sparse_rank", recording)
+    monkeypatch.setattr(complexes, "_certified_rank", recording)
     return ranked
 
 
@@ -68,6 +74,24 @@ def test_unlucky_prime_falls_back_to_the_certified_rank(certified):
     assert modular_rank(first) == 0 < sparse_rank(first)
     assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
     assert certified == [first]
+
+
+def test_fallback_continues_from_the_forward_pass_of_its_rank_mod_p(monkeypatch):
+    # the unlucky-prime complex again: no forward pass runs twice on the
+    # same rows with the same prime
+    p = linalg._FIRST_PRIME
+    passes = []
+    echelon = linalg._echelon_mod
+
+    def recording(rows, q):
+        passes.append((repr(rows), q))
+        return echelon(rows, q)
+
+    monkeypatch.setattr(linalg, "_echelon_mod", recording)
+    first = [{0: p}, {}]
+    assert homology_dims([1, 2, 1], [first, [{1: 1}]]) == [0, 0, 0]
+    assert (repr([{0: p}]), p) in passes
+    assert len(passes) == len(set(passes))
 
 
 def test_denominator_divisible_by_the_first_prime_skips_to_the_next(certified, monkeypatch):

@@ -18,7 +18,8 @@ from hopfhomology.duality import (
     dual_bases,
     duality_isomorphism_ug,
 )
-from hopfhomology.errors import NotDualityError, NotProjectiveError
+from hopfhomology import duality
+from hopfhomology.errors import NotDualityError, NotProjectiveError, ValidationError
 from hopfhomology.homology import tor
 from hopfhomology.instances import (
     cyclic_group_algebra,
@@ -26,7 +27,7 @@ from hopfhomology.instances import (
     lie_nonabelian2,
     s3_modules,
 )
-from hopfhomology.linalg import Matrix
+from hopfhomology.linalg import Matrix, modular_rank
 from hopfhomology.oracles import lie_cohomology_dims, lie_homology_dims
 from hopfhomology.pbw import LieAlgebraData, LieModule, tensor_right_lie
 from hopfhomology.products import CEProducts
@@ -168,6 +169,56 @@ def test_detect_duality_rejects_truncated_complex(monkeypatch):
     # detect_duality_ug imports CEResolution from its home module when it runs
     monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
     with pytest.raises(NotDualityError):
+        detect_duality_ug(g, bound=3)
+
+
+@pytest.mark.parametrize("name", ["lie-abelian2", "lie-nonabelian2", "lie-sl2"])
+def test_exact_fallback_gives_the_same_report(name, catalog, monkeypatch):
+    """Ranks mod p one short certify no window, so every window takes the exact fallback."""
+    g = catalog[name].data
+    certified = detect_duality_ug(g, bound=3)
+    fallbacks = []
+    hit = duality._hit_in_window
+
+    def recording(*args):
+        fallbacks.append(args)
+        return hit(*args)
+
+    monkeypatch.setattr(duality, "modular_rank", lambda rows: modular_rank(rows) - 1)
+    monkeypatch.setattr(duality, "_hit_in_window", recording)
+    exact = detect_duality_ug(g, bound=3)
+    assert fallbacks
+    assert (exact.report.checks, exact.report.failures) == (
+        certified.report.checks, certified.report.failures)
+    assert exact.weights == certified.weights
+
+
+def test_zero_differential_reports_every_window(monkeypatch):
+    # with d_1 = 0 on k, every window F_m of P*_0 is kernel, of dimension m + 1
+    g = lie_abelian(1)
+
+    class Zero(CEResolution):
+        def diff_cols(self, n):
+            return [{} for _ in super().diff_cols(n)]
+
+    res = Zero(g, validate=False)
+    monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
+    with pytest.raises(NotDualityError, match=r"\[\(0, 0, 1\), \(0, 1, 2\), \(0, 2, 3\)\]"):
+        detect_duality_ug(g, bound=2)
+
+
+def test_window_maps_that_do_not_compose_to_zero_raise(monkeypatch):
+    # d_1 d_2 != 0: one entry of the top ce differential of k^2 is doubled
+    g = lie_abelian(2)
+
+    class Corrupted(CEResolution):
+        def diff_cols(self, n):
+            cols = super().diff_cols(n)
+            return [{1: {(1, 0): 2}, 0: cols[0][0]}] if n == 2 else cols
+
+    res = Corrupted(g, validate=False)
+    monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
+    with pytest.raises(ValidationError, match="compose to zero"):
         detect_duality_ug(g, bound=3)
 
 

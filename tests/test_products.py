@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import prod
 
 import pytest
 
@@ -339,3 +340,87 @@ def test_bar_products_window_enforced(env_qeps, env_qeps_hopf, env_qeps_bar, env
         env_qeps_products.yoneda(2, bar.depth - 1, phi, phi, A)
     with pytest.raises(WindowExceededError):
         env_qeps_products.bullet(2, phi, [], bar.depth + 1, A)
+
+
+# ---------------------------------------------------------------------------
+# Sweedler with the sign character: a finite witness for the cap sign.
+# Ext^*(k, k) is k[y^2] and Ext^*(k, sign) is y k[y^2], so the degree one
+# class y is odd, and Tor_n(trivial, k) is one dimensional in even n.  Every
+# module below is one dimensional, and the explicit unit isomorphisms send
+# the tensor of the basis vectors to the basis vector.
+
+
+@pytest.fixture(scope="module")
+def sweedler_sign(sweedler, sweedler_hopf):
+    bar = bar_resolution(sweedler.data, 5)
+    mods = sweedler.modules
+    classes = {
+        1: (ext(bar, mods["sign"], 1).basis_cocycles()[0], mods["sign"]),
+        2: (ext(bar, mods["trivial"], 2).basis_cocycles()[0], mods["trivial"]),
+    }
+    return bar, BarProducts(sweedler_hopf, bar, 4), classes
+
+
+def _unit_iso(tm, target):
+    """The tensor module tm of two characters onto target, e (x) f -> the basis vector."""
+    assert tm.module.action == target.action
+    (scale,) = tm.project_pair(0, 0)
+    return lambda vec: [Q(x) / scale for x in vec]
+
+
+@pytest.mark.parametrize("m, q, n", [(1, 1, 2), (1, 1, 4), (1, 2, 4), (2, 1, 4)])
+def test_cap_associates_with_cup_on_sweedler(sweedler, sweedler_sign, m, q, n):
+    # cup_cochain evaluates phi (x) psi on the two legs of the diagonal with
+    # no sign, while cap_chain moves each cochain past its front leg with the
+    # Koszul sign; together they give (phi cup psi) cap z = (-1)^(mq)
+    # phi cap (psi cap z), exactly.  Where mq is odd only the Koszul sign of
+    # psi cap z makes the two sides agree.
+    bar, pr, classes = sweedler_sign
+    (phi, M), (psi, N) = classes[m], classes[q]
+    right = sweedler.right_modules["trivial"]
+    (z,) = tor(bar, right, n).basis_cycles()
+    inner, t_inner = pr.cap(q, psi, z, n, N, right)
+    nested, t_nested = pr.cap(m, phi, inner, n - q, M, t_inner.module)
+    cup, t_cup = pr.cup(m, q, phi, psi, M, N)
+    direct, t_direct = pr.cap(m + q, cup, z, n, t_cup.module, right)
+    # both sides land in one character module; the pure tensors e (x) (f (x) 1)
+    # and (e (x) f) (x) 1 both go to its basis vector, and each tensor step
+    # has e (x) f = scale times its basis vector
+    target = t_nested.module
+    assert t_direct.module.action == target.action
+    group = TorGroup(bar, target, n - m - q)
+
+    def pure(vec, *steps):
+        scale = prod(tm.project_pair(0, 0)[0] for tm in steps)
+        return group.class_of([Q(x) / scale for x in vec])
+
+    lhs, rhs = pure(direct, t_cup, t_direct), pure(nested, t_inner, t_nested)
+    assert rhs == [Q(1)]
+    assert lhs == [Q(-1) ** (m * q) * x for x in rhs]
+
+
+def test_bar_cup_is_braided_graded_commutative_on_sweedler(sweedler, sweedler_sign):
+    # phi cup psi = (-1)^(mq) beta(M, N) psi cup phi through the unit
+    # isomorphisms, where beta is Sweedler's R-matrix
+    # R = (1 (x) 1 + 1 (x) g + g (x) 1 - g (x) g) / 2 on the characters:
+    # 1 on sign (x) trivial and -1 on sign (x) sign, so the odd class y has
+    # the nonzero square [1] that plain graded commutativity would forbid
+    bar, pr, classes = sweedler_sign
+    g = sweedler.data.U.labels.index("g")
+    chars = {"trivial": sweedler.modules["trivial"], "sign": sweedler.modules["sign"]}
+    squares = []
+    for m, q in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        (phi, M), (psi, N) = classes[m], classes[q]
+        a, b = M.action[g].rows[0][0], N.action[g].rows[0][0]
+        beta = (1 + a + b - a * b) / Q(2)
+        target = chars["trivial" if a * b == 1 else "sign"]
+        group = ext(bar, target, m + q)
+        c1, t1 = pr.cup(m, q, phi, psi, M, N)
+        c2, t2 = pr.cup(q, m, psi, phi, N, M)
+        one = group.class_of(_unit_iso(t1, target)(c1))
+        other = group.class_of(_unit_iso(t2, target)(c2))
+        assert any(one)
+        assert one == [Q(-1) ** (m * q) * beta * x for x in other]
+        if (m, q) == (1, 1):
+            squares.append(one)
+    assert squares == [[Q(1)]]

@@ -3,8 +3,9 @@
 `import hopfhomology` loads no module of the package, `hopfhomology.cli`
 loads only what every command shares, a command loads only the modules
 of its own side (algebras, bialgebroid and resolutions for a finite U,
-pbw and ce for U(g)) and builds only the catalog instances it names, and
-nothing loads `dataclasses`.
+pbw and ce for U(g)) and builds only the catalog instances it names,
+nothing loads `dataclasses`, and `cli.main` freezes the heap before the
+interpreter's exit-time collection while `cli.run` leaves it alone.
 """
 
 import importlib
@@ -91,6 +92,33 @@ def test_no_dataclass_in_the_package():
                 if tok.type == tokenize.NAME and tok.string in ("dataclass", "dataclasses"):
                     found.append(f"{path.name}:{tok.start[0]}")
     assert not found, "dataclasses costs start-up time: " + ", ".join(found)
+
+
+def _exit_probe(call, argv):
+    """(stdout, exit code, gc.get_freeze_count()) after cli.<call> runs argv in a fresh interpreter."""
+    probe = (
+        "import gc, sys\n"
+        "from hopfhomology import cli\n"
+        f"sys.argv = ['hopfhomology', *{argv!r}]\n"
+        "try:\n"
+        f"    code = cli.run(sys.argv[1:]) if {call!r} == 'run' else cli.main()\n"
+        "except SystemExit as e:\n"
+        "    code = e.code\n"
+        "sys.stderr.write(f'{code} {gc.get_freeze_count()}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=ENV)
+    code, frozen = proc.stderr.rsplit("\n", 1)[-1].split()
+    return proc.stdout, int(code), int(frozen)
+
+
+@pytest.mark.parametrize("argv", [["instances", "list"], ["verify-hopf", "kz2"]])
+def test_main_freezes_the_heap_before_exit_and_run_does_not(argv, capsys):
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    out, code, frozen = _exit_probe("main", argv)
+    assert (out, code) == (expected, 0) and frozen > 0
+    out, code, frozen = _exit_probe("run", argv)
+    assert (out, code, frozen) == (expected, 0, 0)
 
 
 @pytest.fixture

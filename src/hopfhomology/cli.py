@@ -149,6 +149,8 @@ def cmd_ext_tor(args, which):
     resolution = args.resolution
     if resolution is None:
         resolution = "ce" if inst.kind == "lie" else "bar"
+    if inst.kind != "lie" and resolution == "ce":
+        return _fail_usage("the Koszul resolution serves a universal envelope only")
     if inst.kind == "lie" and resolution == "bar":
         from .ce import UgBarComplex
 

@@ -13,14 +13,12 @@ from .errors import ValidationError
 from .linalg import (
     Matrix,
     _dense_rows,
-    _certified_rank,
     _eliminate,
     _first_echelon,
     _integer_combination,
     _integer_row,
     QuotientSpace,
     Subspace,
-    _smaller_side,
     sparse_columns,
     sparse_kernel,
     vec_is_zero,
@@ -88,38 +86,43 @@ def homology_dims(dims, maps):
 
     dims[i] is the dimension of V_i and maps[i] the sparse rows of
     V_i -> V_{i+1}, one row per coordinate of V_{i+1}; the maps beyond
-    either end are zero.  d d = 0 is checked on the rows, then each map
-    is ranked.  Returns dim V_i - rank in - rank out for every i.
+    either end are zero.  Returns dim V_i - rank in - rank out for every i.
 
-    The check runs in integers on one map at a time: every row is scaled
-    by the lcm of its denominators, and each composite row by the lcm of
-    the scales of the inner rows it combines.  Only the inner map is held
-    in integers; each outer row is scaled as it is used.
+    The maps are walked once, as columns.  Each must kill the kept
+    columns of the map before it, checked in integers; once that map has
+    passed its own check they span its image, so d d = 0 holds in full.
+    Then the columns at the pivots of the echelon mod p of the map before
+    are dropped ("clearing": Chen and Kerber, "Persistent homology
+    computation with a twist", 2011; Bauer, "Ripser", J. Appl. Comput.
+    Topol. 2021).  That echelon's pivot minor is a unit mod p, so nonzero
+    over Q: the image arriving maps onto the pivot coordinates, and as the
+    map kills it, each dropped column is a combination of kept ones, over
+    Q and mod the same p.  So the kept columns have the map's rank.
 
-    The ranks rest on that check.  It gives rank in + rank out <= dim V_i
-    over Q, and a rank mod p (modular_rank) is at most the rank over Q.
-    So where the two ranks mod p sum to dim V_i, the complex is exact
-    there mod p and both are the ranks over Q (the universal coefficient
-    bound dim H(C (x) F_p) >= dim H(C (x) Q)).  A map with neither end
-    exact mod p is ranked by the certified sparse_rank, continuing from
-    the forward pass that gave its rank mod p.
+    d d = 0 gives rank in + rank out <= dim V_i over Q, and a rank mod p
+    is at most the rank over Q, so where the two ranks mod p sum to dim
+    V_i both are the ranks over Q (dim H(C (x) F_p) >= dim H(C (x) Q)).
+    Any other map is ranked on its kept columns by the certified
+    _eliminate, resuming the forward pass of its rank mod p.
     """
-    for i in range(1, len(maps)):
-        inner = {j: _integer_row(row) for j, row in enumerate(maps[i - 1])}
-        for row in maps[i]:
-            if any(_integer_combination(_integer_row(row)[1], inner)[1].values()):
-                raise ValidationError(f"d d != 0 from position {i - 1} to {i + 1}")
     # ranks[k] is that of maps[k - 1] (the zero map past the end for the last k);
     # a forward pass is kept until a position beside its map is exact
-    ranks, passes = [0], {}
+    ranks, passes, kept, pivots = [0], {}, [], set()
     for k, rows in enumerate(maps + [[]], 1):
-        passes[k] = rows, _first_echelon(_smaller_side(rows))
-        ranks.append(len(passes[k][1][1]))
+        cols = sparse_columns(rows)
+        inner = {j: _integer_row(col) for j, col in cols.items()}
+        for col in kept:
+            if any(_integer_combination(_integer_row(col)[1], inner)[1].values()):
+                raise ValidationError(f"d d != 0 from position {k - 2} to {k}")
+        kept = [col for j, col in cols.items() if j not in pivots]
+        passes[k] = kept, _first_echelon(kept)
+        pivots = {c for c, _ in passes[k][1][1]}
+        ranks.append(len(pivots))
         if ranks[k - 1] + ranks[k] == dims[k - 1]:
             passes.pop(k - 1, None)
             del passes[k]
-    for k, (rows, first) in passes.items():
-        ranks[k] = _certified_rank(rows, first)
+    for k, (kept, first) in passes.items():
+        ranks[k] = len(_eliminate(kept, first))
     return [c - ranks[i] - ranks[i + 1] for i, c in enumerate(dims)]
 
 

@@ -763,11 +763,6 @@ def sparse_rank(rows):
     return len(_eliminate(_smaller_side(rows)))
 
 
-def _certified_rank(rows, first):
-    """sparse_rank(rows), continuing from first = _first_echelon(_smaller_side(rows))."""
-    return len(_eliminate(_smaller_side(rows), first))
-
-
 def modular_rank(rows):
     """The rank mod p of sparse rows, a lower bound on their rank over Q, not certified.
 

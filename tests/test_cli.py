@@ -376,6 +376,23 @@ def test_unknown_module_usage_error_names_the_choices(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tor", "lie-nonabelian2", "--resolution", "bar"], "serves ext only"),
+        (["ext", "lie-sl2", "--resolution", "bar"], "Koszul resolution only"),
+        (["ext", "env-qeps", "--module", "A", "--resolution", "ce"], "universal envelope only"),
+        (["tor", "qs3", "--resolution", "ce"], "universal envelope only"),
+    ],
+)
+def test_resolution_the_instance_does_not_serve_usage_error(argv, message, capsys):
+    code, out, err = _run_failure(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv, computation",
     [
         (["duality", "lie-sl2", "--module", "nope"], "hopfhomology.duality.detect_duality_ug"),

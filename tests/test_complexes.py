@@ -47,20 +47,32 @@ def test_homology_dims_enforce_d_squared():
 
 @pytest.fixture
 def certified(monkeypatch):
-    """The maps homology_dims ranks through the certified sparse_rank, in order.
+    """The kept columns homology_dims ranks through the certified _eliminate, in order.
 
-    The fallback continues from the forward pass of modular_rank, through
-    linalg._certified_rank; its rank must still be sparse_rank's.
+    The fallback continues from the forward pass of the kept columns' rank
+    mod p; its rank must still be sparse_rank of the full, uncleared map,
+    which is the map whose columns homology_dims took last before that pass.
     """
-    ranked = []
+    ranked, taken, full = [], [], {}
 
-    def recording(rows, first):
-        ranked.append(rows)
-        rank = linalg._certified_rank(rows, first)
-        assert rank == sparse_rank(rows)
-        return rank
+    def columns(rows):
+        taken.append(rows)
+        return linalg.sparse_columns(rows)
 
-    monkeypatch.setattr(complexes, "_certified_rank", recording)
+    def first_echelon(kept):
+        first = linalg._first_echelon(kept)
+        full[id(first)] = taken[-1]
+        return first
+
+    def recording(kept, first):
+        ranked.append(kept)
+        reduced = linalg._eliminate(kept, first)
+        assert len(reduced) == sparse_rank(full[id(first)])
+        return reduced
+
+    monkeypatch.setattr(complexes, "sparse_columns", columns)
+    monkeypatch.setattr(complexes, "_first_echelon", first_echelon)
+    monkeypatch.setattr(complexes, "_eliminate", recording)
     return ranked
 
 
@@ -73,7 +85,7 @@ def test_unlucky_prime_falls_back_to_the_certified_rank(certified):
     second = [{1: 1}]
     assert modular_rank(first) == 0 < sparse_rank(first)
     assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
-    assert certified == [first]
+    assert certified == [[{0: p}]]
 
 
 def test_fallback_continues_from_the_forward_pass_of_its_rank_mod_p(monkeypatch):
@@ -108,6 +120,18 @@ def test_denominator_divisible_by_the_first_prime_skips_to_the_next(certified, m
     second = [{0: 1, 1: 1}]
     assert modular_rank(first) == 1
     assert drawn[0] == p and drawn[1] < p and len(drawn) == 2
+    assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
+    assert certified == []
+
+
+def test_clearing_drops_the_pivots_mod_p_not_over_q(certified):
+    # x -> (p x, x) then (a, b) -> a - p b, with p the first elimination
+    # prime: over Q the first map's echelon pivots on a, mod p on b, so
+    # clearing keeps the column of a, which has rank 1 mod p, and no map
+    # falls back; keeping the column of b (-p) would leave rank 0 mod p
+    p = linalg._FIRST_PRIME
+    first = [{0: p}, {0: 1}]
+    second = [{0: 1, 1: -p}]
     assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
     assert certified == []
 
@@ -162,6 +186,21 @@ def test_catalog_ranks_match_the_certified_rank(argv, monkeypatch):
     assert homology_dims(dims, maps) == expect
     rng = random.Random(" ".join(argv))
     assert homology_dims(dims, _rescaled(dims, maps, rng)) == expect
+    # clearing: the forward passes come in order, one per map and one for
+    # the zero map past the end; where the homology vanishes, the map out
+    # of that position is left exactly as many columns as its rank
+    echelon, fed = linalg._echelon_mod, []
+
+    def feeding(rows, p):
+        fed.append(len(rows))
+        return echelon(rows, p)
+
+    monkeypatch.setattr(linalg, "_echelon_mod", feeding)
+    for complex_maps in (maps, _rescaled(dims, maps, random.Random(" ".join(argv)))):
+        fed.clear()
+        homology_dims(dims, complex_maps)
+        assert [fed[i] for i, dim in enumerate(expect) if dim == 0] == [
+            ranks[i + 1] for i, dim in enumerate(expect) if dim == 0]
 
 
 def test_homology_of_identity_complex_vanishes():

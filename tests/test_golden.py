@@ -48,6 +48,7 @@ COMMANDS = {
     "verify-hopf-lie-sl2": ["verify-hopf", "lie-sl2"],
     "ext-qs3-std2": ["ext", "qs3", "--module", "std2", "--max-degree", "3"],
     "ext-qs3-std2-degree4": ["ext", "qs3", "--module", "std2", "--max-degree", "4"],
+    "ext-qs3-std2-degree5": ["ext", "qs3", "--module", "std2", "--max-degree", "5"],
     "tor-qs3": ["tor", "qs3", "--module", "trivial", "--max-degree", "3"],
     "tor-qs3-degree5": ["tor", "qs3", "--module", "trivial", "--max-degree", "5"],
     "ext-env-upper2": ["ext", "env-upper2", "--module", "A", "--max-degree", "5"],

@@ -31,7 +31,8 @@ from math import comb
 
 from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import Matrix, _sparse, frac, sparse_add, sparse_axpy, sparse_extend, sparse_rank
+from .linalg import (Matrix, _sparse, frac, sparse_add, sparse_axpy, sparse_columns, sparse_extend,
+                     sparse_rank)
 from .pbw import (
     LieAlgebraData,
     LieModule,
@@ -331,44 +332,44 @@ class UgBarComplex:
         unit = mono_one(self.g.dim)
         return {w: {unit: c} for w, c in words.items()}
 
-    def cochain_rows(self, n, M: LieModule):
-        """Sparse rows of delta : C^n(M) -> C^{n+1}(M) from the bar faces."""
+    def cochain_cols(self, n, M: LieModule):
+        """Sparse columns of delta : C^n(M) -> C^{n+1}(M) from the bar faces."""
         g = self.g
         dm = M.dim
         src, src_idx = self.tuples(n)
         dst, _ = self.tuples(n + 1)
-        rows = [dict() for _ in range(len(dst) * dm)]
+        cols = [dict() for _ in range(len(src) * dm)]
         for ti, t in enumerate(dst):
-            out = rows[ti * dm : (ti + 1) * dm]
+            row = ti * dm
             # u_1 . phi(u_2 ..)
             act = M.act_mono(t[0])
             k = src_idx[t[1:]]
             for a in range(dm):
                 for b, c in enumerate(act.rows[a]):
                     if c:
-                        sparse_add(out[a], k * dm + b, c)
+                        sparse_add(cols[k * dm + b], row + a, c)
             # inner faces
             for i in range(1, n + 1):
                 sign = -1 if i % 2 else 1
                 for m, c in mono_mul(g, t[i - 1], t[i]).items():
                     k = src_idx[t[: i - 1] + (m,) + t[i + 1 :]]
                     for a in range(dm):
-                        sparse_add(out[a], k * dm + a, sign * c)
+                        sparse_add(cols[k * dm + a], row + a, sign * c)
             # counit face kills positive degree in the last slot
             if mono_deg(t[-1]) == 0:
                 sign = -1 if (n + 1) % 2 else 1
                 k = src_idx[t[:-1]]
                 for a in range(dm):
-                    sparse_add(out[a], k * dm + a, sign)
-        return rows
+                    sparse_add(cols[k * dm + a], row + a, sign)
+        return cols
 
     def cochain_matrix(self, n, M: LieModule) -> Matrix:
         """delta : C^n(M) -> C^{n+1}(M) as a dense matrix."""
-        return Matrix.from_sparse_rows(self.cochain_rows(n, M), len(self.tuples(n)[0]) * M.dim)
+        return Matrix.from_sparse_cols(self.cochain_cols(n, M), len(self.tuples(n + 1)[0]) * M.dim)
 
     def ext_dims(self, M: LieModule, upto) -> list:
         dims = [len(self.tuples(n)[0]) * M.dim for n in range(upto + 2)]
-        return homology_dims(dims, [self.cochain_rows(n, M) for n in range(upto + 1)])[:-1]
+        return homology_dims(dims, (self.cochain_cols(n, M) for n in range(upto + 1)))[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +418,6 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
 
     ce = ce_resolution(g, validate=False)
     bar = UgBarComplex(g, bound)
-    ce_dims = []
-    bar_rows = [bar.cochain_rows(n, M) for n in range(upto + 1)]
-    dims = [len(bar.tuples(n)[0]) * M.dim for n in range(upto + 2)]
-    bar_dims = homology_dims(dims, bar_rows)[:-1]
     lifts = ce_to_bar_words(ce, upto)
     # verify the comparison is a chain map degree by degree
     for n in range(1, upto + 1):
@@ -430,11 +427,14 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
             bd = sparse_extend(partial(bar_boundary_word_ug, g), words)
             if bd != lifted_boundary(bar, col, prev, 1):
                 raise LiftFailedError(f"comparison map fails at degree {n}")
-    bijective = []
+    ce_dims, bar_dims, bijective, d_in = [], [], [], []
     for n in range(upto + 1):
         eg = ext_generic(ce, M, n)
+        d_out = bar.cochain_cols(n, M)
+        bar_h = HomologySpace(len(d_out), sparse_columns(d_out).values(), d_in)
+        d_in = d_out
         ce_dims.append(eg.dim)
-        bar_h = HomologySpace(dims[n], bar_rows[n], bar_rows[n - 1] if n else [])
+        bar_dims.append(bar_h.dim)
         if eg.dim != bar_h.dim:
             bijective.append(False)
             continue

@@ -9,20 +9,11 @@ rule d = d_h + (-1)^i d_v where i is the first (horizontal) index.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import ValidationError
-from .linalg import (
-    Matrix,
-    _dense_rows,
-    _eliminate,
-    _first_echelon,
-    _integer_combination,
-    _integer_row,
-    QuotientSpace,
-    Subspace,
-    sparse_columns,
-    sparse_kernel,
-    vec_is_zero,
-)
+from .linalg import (Matrix, QuotientSpace, Subspace, _dense_rows, _eliminate, _first_echelon,
+                     _integer_combination, _integer_row, sparse_kernel, vec_is_zero)
 
 
 class ChainComplex:
@@ -58,7 +49,8 @@ class ChainComplex:
         return sorted(self.spaces)
 
     def homology(self, n):
-        return HomologySpace(self.dim(n), self.d(n).sparse_rows(), self.d(n + 1).sparse_rows())
+        in_cols = self.d(n + 1).transpose().sparse_rows()
+        return HomologySpace(self.dim(n), self.d(n).sparse_rows(), in_cols)
 
     def betti(self, n):
         return self.homology(n).dim
@@ -84,20 +76,23 @@ class ChainComplex:
 def homology_dims(dims, maps):
     """Homology dimensions of the complex V_0 -> V_1 -> .. -> V_m.
 
-    dims[i] is the dimension of V_i and maps[i] the sparse rows of
-    V_i -> V_{i+1}, one row per coordinate of V_{i+1}; the maps beyond
-    either end are zero.  Returns dim V_i - rank in - rank out for every i.
+    dims[i] is the dimension of V_i and maps[i] the sparse columns of
+    V_i -> V_{i+1}, one per coordinate of V_i; the maps beyond either
+    end are zero.  Returns dim V_i - rank in - rank out for every i.
 
-    The maps are walked once, as columns.  Each must kill the kept
+    The maps are walked once and may come from a generator: each is
+    dropped once walked, and its kept columns once the next map is
+    checked unless the fallback needs them.  Each map must kill the kept
     columns of the map before it, checked in integers; once that map has
     passed its own check they span its image, so d d = 0 holds in full.
-    Then the columns at the pivots of the echelon mod p of the map before
-    are dropped ("clearing": Chen and Kerber, "Persistent homology
-    computation with a twist", 2011; Bauer, "Ripser", J. Appl. Comput.
-    Topol. 2021).  That echelon's pivot minor is a unit mod p, so nonzero
-    over Q: the image arriving maps onto the pivot coordinates, and as the
-    map kills it, each dropped column is a combination of kept ones, over
-    Q and mod the same p.  So the kept columns have the map's rank.
+    Then the columns at the pivots of the echelon mod p of the map
+    before are dropped ("clearing": Chen and Kerber, "Persistent
+    homology computation with a twist", 2011; Bauer, "Ripser", J. Appl.
+    Comput. Topol. 2021).  That echelon's pivot minor is a unit mod p, so
+    nonzero over Q: the image arriving maps onto the pivot coordinates,
+    and as the map kills it, each dropped column is a combination of
+    kept ones, over Q and mod the same p.  So the kept columns have the
+    map's rank.
 
     d d = 0 gives rank in + rank out <= dim V_i over Q, and a rank mod p
     is at most the rank over Q, so where the two ranks mod p sum to dim
@@ -108,13 +103,14 @@ def homology_dims(dims, maps):
     # ranks[k] is that of maps[k - 1] (the zero map past the end for the last k);
     # a forward pass is kept until a position beside its map is exact
     ranks, passes, kept, pivots = [0], {}, [], set()
-    for k, rows in enumerate(maps + [[]], 1):
-        cols = sparse_columns(rows)
-        inner = {j: _integer_row(col) for j, col in cols.items()}
+    for cols in chain(maps, [[]]):
+        k = len(ranks)
+        inner = {j: _integer_row(col) for j, col in enumerate(cols) if col}
         for col in kept:
             if any(_integer_combination(_integer_row(col)[1], inner)[1].values()):
                 raise ValidationError(f"d d != 0 from position {k - 2} to {k}")
-        kept = [col for j, col in cols.items() if j not in pivots]
+        kept = [col for j, col in enumerate(cols) if col and j not in pivots]
+        del cols, inner  # the next map is built while the loop still names this one
         passes[k] = kept, _first_echelon(kept)
         pivots = {c for c, _ in passes[k][1][1]}
         ranks.append(len(pivots))
@@ -129,20 +125,20 @@ def homology_dims(dims, maps):
 class HomologySpace:
     """ker(d_out) / im(d_in) with canonical cycle coordinates.
 
-    Built from the sparse rows of the two differentials at an ambient
-    space of the given dimension: d_out leaves it, d_in arrives in it,
-    so the columns of d_in span the boundaries.  Classes are stored as
+    Built at an ambient space of the given dimension from the sparse rows
+    of d_out, which leaves it, and the sparse columns of d_in, which
+    arrives in it and so spans the boundaries.  Classes are stored as
     coordinates on the canonical rref basis of the cycle space; the
     boundary space is a quotient in those coordinates, again with
     canonical representatives.  Only the rref basis of the image span is
     taken into cycle coordinates.
     """
 
-    def __init__(self, ambient, out_rows, in_rows):
+    def __init__(self, ambient, out_rows, in_cols):
         self.ambient = ambient
         self.cycles = sparse_kernel(out_rows, ambient)
         relations = []
-        for p, tail in _eliminate(sparse_columns(in_rows).values()):
+        for p, tail in _eliminate(in_cols):
             coords, rest = self.cycles.decompose({p: 1, **tail})
             if rest:
                 raise ValidationError("image vector is not a cycle; complex corrupted")

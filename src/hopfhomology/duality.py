@@ -19,21 +19,15 @@ each report records the bound it used.
 
 from __future__ import annotations
 
-from .algebras import ModuleRep, hom_basis_matrices, hom_over, tensor_over
-from .errors import (
-    NotDualityError,
-    NotProjectiveError,
-    TakeuchiReport,
-    ValidationError,
-)
-from .homology import TorGroup, chain_matrix, ext, tor
+from .errors import NotDualityError, NotProjectiveError, TakeuchiReport, ValidationError
 from .linalg import (Matrix, Subspace, add_outer, lincomb, modular_rank, sparse_columns,
                      sparse_extend, sparse_kernel, unit_vec, vec_is_zero, zero_vec)
 
-# The underived functions import bialgebroid and the U(g) ones ce and pbw where
-# they run, so a command loads only its own side; these serve the annotations alone.
+# The underived functions import algebras and bialgebroid and the U(g) ones ce, homology
+# and pbw where they run, so a command loads only its own side; these serve annotations.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from .algebras import ModuleRep
     from .bialgebroid import BialgebroidData, HopfStructure
     from .ce import BoundedBasis, CEResolution
     from .pbw import LieModule
@@ -69,6 +63,8 @@ def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> Dual
     generators default to the full basis of A.  NotProjectiveError when
     no U-linear splitting exists.
     """
+    from .algebras import ModuleRep, hom_basis_matrices, hom_over, tensor_over
+
     U = data.U
     if generators is None:
         generators = [unit_vec(A_mod.dim, i) for i in range(A_mod.dim)]
@@ -121,11 +117,11 @@ def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> Dual
     omega = omega_space.project(amb)
     db = DualBases(data, A_mod, [list(g) for g in generators], duals, homs,
                    astar_module, omega_space, omega, dual_coords)
-    _check_dual_bases(db)
+    _check_dual_bases(db, hom_mats)
     return db
 
 
-def _check_dual_bases(db: DualBases):
+def _check_dual_bases(db: DualBases, hom_mats):
     A_mod = db.module
     U = db.data.U
     for a in range(A_mod.dim):
@@ -139,7 +135,6 @@ def _check_dual_bases(db: DualBases):
             raise ValidationError("dual system fails sum e^i(a) e_i = a")
     # second identity: sum_i e^i . alpha(e_i) = alpha on a basis of the
     # dual module, exercising the right action on Hom_U(A, U)
-    hom_mats = hom_basis_matrices(db.hom_space, U.dim, A_mod.dim)
     for alpha in hom_mats:
         acc = Matrix.zeros(U.dim, A_mod.dim)
         for i, g in enumerate(db.generators):
@@ -154,6 +149,8 @@ def delta_underived(db: DualBases, M: ModuleRep):
 
     Returns (forward, inverse, source quotient, target subspace).
     """
+    from .algebras import hom_basis_matrices, hom_over, tensor_over
+
     if M.side != "right":
         raise ValidationError("delta takes a right module")
     U = db.data.U
@@ -209,6 +206,8 @@ def bullet_omega_underived(db: DualBases, M: ModuleRep):
     (matrix, source hom subspace, target quotient) with the matrix a
     bijection.
     """
+    from .algebras import hom_basis_matrices, hom_over, tensor_over
+
     if M.side != "left":
         raise ValidationError("the evaluation takes a left module")
     U = db.data.U
@@ -237,6 +236,7 @@ def cap_omega_underived(h: HopfStructure, M: ModuleRep, db: DualBases):
     Returns (matrix, source hom subspace, target quotient, tensor
     module); the matrix is checked bijective.
     """
+    from .algebras import hom_basis_matrices, hom_over, tensor_over
     from .bialgebroid import module_tensor_right
 
     data = h.data
@@ -310,6 +310,7 @@ def detect_duality_ug(g, bound=4) -> DualityData:
     Any other window gets its exact kernel and _hit_in_window.
     """
     from .ce import BoundedBasis, CEResolution, bounded_free_map
+    from .homology import tor
     from .pbw import LieModule, mono_one, monomials_upto
 
     res = CEResolution(g, validate=True)
@@ -483,6 +484,8 @@ def delta_chain_check_ug(dd: DualityData, Mr: LieModule) -> bool:
     original generator matrix, the other from the transposed dual
     columns, so equality exercises the dualization plumbing.
     """
+    from .homology import chain_matrix
+
     res = dd.resolution
     for i in range(1, dd.dimension + 1):
         tor_side = chain_matrix(res, Mr, i)
@@ -509,6 +512,7 @@ def duality_isomorphism_ug(products, dd: DualityData, M: LieModule, m: int):
     ValidationError if the matrix is not a bijection (that would
     falsify the implementation, not the inputs).
     """
+    from .homology import TorGroup, ext
     from .pbw import tensor_right_lie
 
     res = dd.resolution

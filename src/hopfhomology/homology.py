@@ -29,42 +29,40 @@ from .linalg import Matrix, add_outer, sparse_add, sparse_columns, zero_vec
 
 def cochain_matrix(res, M, n) -> Matrix:
     """delta^n : Hom(P_n, M) -> Hom(P_{n+1}, M) on generator coordinates."""
-    return Matrix.from_sparse_rows(cochain_rows_sparse(res, M, n), res.rank(n) * M.dim)
+    return Matrix.from_sparse_cols(cochain_cols(res, M, n), res.rank(n + 1) * M.dim)
 
 
-def cochain_rows_sparse(res, M, n):
-    """Rows of delta^n as sparse dicts (rank computations at scale)."""
+def cochain_cols(res, M, n):
+    """Columns of delta^n, one sparse dict per coordinate of Hom(P_n, M); no two blocks overlap."""
     dm = M.dim
-    rows = [dict() for _ in range(res.rank(n + 1) * dm)]
+    cols = [dict() for _ in range(res.rank(n) * dm)]
     for k, col in enumerate(res.diff_cols(n + 1)):
         for j, entry in col.items():
-            act = res.act_left(entry, M)
+            act = res.act_left(entry, M).rows
             for a in range(dm):
-                arow = act.rows[a]
-                target = rows[k * dm + a]
-                for b in range(dm):
-                    if arow[b]:
-                        sparse_add(target, j * dm + b, arow[b])
-    return rows
+                for b, c in enumerate(act[a]):
+                    if c:
+                        cols[j * dm + b][k * dm + a] = c
+    return cols
 
 
 def chain_matrix(res, N, n) -> Matrix:
     """boundary_n : N^{rank(n)} -> N^{rank(n-1)} on generator coordinates."""
-    return Matrix.from_sparse_rows(chain_rows_sparse(res, N, n), res.rank(n) * N.dim)
+    return Matrix.from_sparse_cols(chain_rows_sparse(res, N, n), res.rank(n) * N.dim).transpose()
 
 
 def chain_rows_sparse(res, N, n):
+    """Rows of boundary_n, one sparse dict per coordinate of N^{rank(n-1)}; no two blocks overlap."""
     dn = N.dim
     rows = [dict() for _ in range(res.rank(n - 1) * dn)]
     for k, col in enumerate(res.diff_cols(n)):
         for j, entry in col.items():
-            act = res.act_right(entry, N)
+            act = res.act_right(entry, N).rows
             for a in range(dn):
-                arow = act.rows[a]
                 target = rows[j * dn + a]
-                for b in range(dn):
-                    if arow[b]:
-                        sparse_add(target, k * dn + b, arow[b])
+                for b, c in enumerate(act[a]):
+                    if c:
+                        target[k * dn + b] = c
     return rows
 
 
@@ -105,8 +103,9 @@ class ExtGroup:
         self.res = res
         self.module = M
         self.degree = n
-        d_in = cochain_rows_sparse(res, M, n - 1) if n >= 1 else []
-        self.space = HomologySpace(res.rank(n) * M.dim, cochain_rows_sparse(res, M, n), d_in)
+        d_out = sparse_columns(cochain_cols(res, M, n)).values()
+        d_in = cochain_cols(res, M, n - 1) if n >= 1 else []
+        self.space = HomologySpace(res.rank(n) * M.dim, d_out, d_in)
 
     @property
     def dim(self):
@@ -138,7 +137,8 @@ class TorGroup:
         self.module = N
         self.degree = n
         d_out = chain_rows_sparse(res, N, n) if n >= 1 else []
-        self.space = HomologySpace(res.rank(n) * N.dim, d_out, chain_rows_sparse(res, N, n + 1))
+        d_in = sparse_columns(chain_rows_sparse(res, N, n + 1)).values()
+        self.space = HomologySpace(res.rank(n) * N.dim, d_out, d_in)
 
     @property
     def dim(self):
@@ -172,22 +172,18 @@ def ext_dims(res, M, upto):
     """
     _check_window(res, min(upto, res.max_degree), "Ext")
     dims = [res.rank(n) * M.dim for n in range(upto + 2)]
-    return homology_dims(dims, [cochain_rows_sparse(res, M, n) for n in range(upto + 1)])[:-1]
+    return homology_dims(dims, (cochain_cols(res, M, n) for n in range(upto + 1)))[:-1]
 
 
 def tor_dims(res, N, upto):
     """Tor dimensions for degrees 0..upto, one sparse rank per boundary.
 
-    Each boundary enters transposed: its columns, the boundaries of
-    single generators, are sparse where its rows are not.
+    The ranks are those of the transposed complex V_(n-1) -> V_n, whose
+    columns are the rows of each boundary.
     """
     _check_window(res, min(upto, res.max_degree), "Tor")
     dims = [res.rank(n) * N.dim for n in range(upto + 2)]
-    maps = []
-    for n in range(1, upto + 2):
-        cols = sparse_columns(chain_rows_sparse(res, N, n))
-        maps.append([cols.get(j, {}) for j in range(dims[n])])
-    return homology_dims(dims, maps)[:-1]
+    return homology_dims(dims, (chain_rows_sparse(res, N, n) for n in range(1, upto + 2)))[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -130,12 +130,12 @@ class Matrix:
         return cls._own([zero_vec(ncols) for _ in range(nrows)], ncols)
 
     @classmethod
-    def from_sparse_rows(cls, rows, ncols):
-        """Dense matrix from rows given as dicts {column: entry}."""
-        out = cls.zeros(len(rows), ncols)
-        for dense, sparse in zip(out.rows, rows):
-            for j, c in sparse.items():
-                dense[j] = c
+    def from_sparse_cols(cls, cols, nrows):
+        """Dense matrix from columns given as dicts {row: entry}."""
+        out = cls.zeros(nrows, len(cols))
+        for j, sparse in enumerate(cols):
+            for i, c in sparse.items():
+                out.rows[i][j] = c
         return out
 
     @classmethod

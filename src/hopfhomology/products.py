@@ -19,10 +19,13 @@ The classes here keep the windows and build the tensor modules, which
 differ between the contexts.  Signs flow from two conventions fixed
 elsewhere: the totalization sign (-1)^(horizontal degree) and the shift
 sign (-1)^m on a lifted degree m class; cap_chain reads a degree m
-cochain past the front leg with the Koszul sign.  The graded
-commutation rule between composition and cup, and the agreement of
-evaluation and cap against classes of the base, are theorems the test
-suite checks; nothing here inserts them.
+cochain past the front leg with the Koszul sign and cup_cochain reads
+its cochains with none, so cup and cap associate only up to sign:
+(phi cup psi) cap z = (-1)^(mq) phi cap (psi cap z) in degrees m and q
+(tests/test_products.py::test_cap_associates_with_cup_on_sweedler).
+The graded commutation rule between composition and cup, and the
+agreement of evaluation and cap against classes of the base, are
+theorems the test suite checks; nothing here inserts them.
 """
 
 from __future__ import annotations

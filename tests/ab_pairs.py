@@ -1,6 +1,7 @@
 """Alternating benchmark pairs of two checkouts, and the claim rule on them.
 
     python tests/ab_pairs.py PARENT CHANGE --workload W --seeds A-B
+    python tests/ab_pairs.py PARENT CHANGE --command "ext qs3 --max-degree 5" --pairs N
 
 For each seed S from A to B the script runs
 
@@ -13,17 +14,28 @@ of both sides, the pairs in which the change is better (a tie counts
 for neither side) and whether the claim rule holds: the change is better
 in at least 9 of every 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range.  The exit code
-is 1 when a run fails.  The name has no test_ prefix, so pytest does not
-collect it.
+is 1 when a run fails.
+
+With --command, each pair instead runs `python -m hopfhomology.cli ARGV`
+once in each checkout, fresh, with that checkout's src on PYTHONPATH,
+and reads its wall time and the peak RSS that wait4 reports for it.
+The two sides' stdout must have one sha256; the exit code is 1 when it
+differs or a run fails.  The script imports little, so the RSS a child
+inherits from it stays small next to that of a frontier command.  The
+name has no test_ prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
+import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +53,22 @@ def one_run(root, workload, seed):
     if not result["correct"]:
         sys.stderr.write(f"{root}: {result['failed']} of {result['attempted']} commands failed\n")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def one_command(root, argv):
+    """(stdout sha256, wall seconds, peak RSS in MB) of one fresh CLI run in root, or None."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "hopfhomology.cli", *argv], cwd=root,
+                             env=env, stdout=subprocess.PIPE)
+    out = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.stdout.close()
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        return None
+    return hashlib.sha256(out).hexdigest(), wall, usage.ru_maxrss / 1024
 
 
 def quartiles(values):
@@ -68,9 +96,16 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path, help="root of the parent checkout")
     p.add_argument("change", type=Path, help="root of the changed checkout")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, help="A-B, an inclusive range, or one seed")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload")
+    mode.add_argument("--command", help="the CLI arguments, as one shell-quoted string")
+    p.add_argument("--seeds", help="A-B, an inclusive range, or one seed (with --workload)")
+    p.add_argument("--pairs", type=int, default=5, help="pairs of runs (with --command)")
     args = p.parse_args(argv)
+    if args.command:
+        return compare_command(args.parent, args.change, shlex.split(args.command), args.pairs)
+    if args.seeds is None:
+        p.error("--workload needs --seeds")
     first, _, last = args.seeds.partition("-")
     seeds = range(int(first), int(last or first) + 1)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -91,6 +126,27 @@ def main(argv=None):
                        m["better"] == "lower")
         print(f"{name} ({m['better']} is better): {line}")
     return 0
+
+
+def compare_command(parent, change, argv, pairs):
+    """Alternate fresh runs of one CLI command in two checkouts; print wall time and peak RSS."""
+    runs = {"parent": [], "change": []}
+    for k in range(pairs):
+        for side in ["parent", "change"] if k % 2 == 0 else ["change", "parent"]:
+            got = one_command(parent if side == "parent" else change, argv)
+            if got is None:
+                sys.stderr.write(f"{side} run {k} failed\n")
+                return 1
+            runs[side].append(got)
+            print(f"pair {k} {side}: sha256 {got[0][:12]} wall_s={got[1]:.4g} "
+                  f"peak_rss_mb={got[2]:.4g}", flush=True)
+    digests = {digest for side in runs.values() for digest, _, _ in side}
+    print(f"stdout sha256 {'equal' if len(digests) == 1 else 'DIFFERS'}: "
+          + " ".join(sorted(d[:12] for d in digests)))
+    for i, name in ((1, "wall_s"), (2, "peak_rss_mb")):
+        line = verdict([r[i] for r in runs["parent"]], [r[i] for r in runs["change"]], True)
+        print(f"{name} (lower is better): {line}")
+    return 0 if len(digests) == 1 else 1
 
 
 if __name__ == "__main__":

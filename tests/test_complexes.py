@@ -1,8 +1,10 @@
 import io
 import json
 import random
+import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
+from itertools import chain
 
 import pytest
 
@@ -26,10 +28,10 @@ def test_d_squared_enforced_at_construction():
 
 
 def test_homology_dims_enforce_d_squared():
-    # V_0 -> V_1 -> V_2 -> V_3 on rows: x -> (x, -x) then (a, b) -> a + b
+    # V_0 -> V_1 -> V_2 -> V_3 as columns: x -> (x, -x) then (a, b) -> a + b
     # compose to zero; c -> 2c after them leaves (a, b) -> 2a + 2b != 0
-    first = [{0: Q(1)}, {0: Q(-1)}]
-    second = [{0: Q(1), 1: Q(1)}]
+    first = [{0: Q(1), 1: Q(-1)}]
+    second = [{0: Q(1)}, {0: Q(1)}]
     assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
     third = [{0: Q(2)}]
     with pytest.raises(ValidationError):
@@ -39,10 +41,34 @@ def test_homology_dims_enforce_d_squared():
     assert homology_dims([1, 1, 1], [[{0: Q(1)}], [{}]]) == [0, 0, 1]
     # rational entries: x -> (x/2, -x/3), then (a, b) -> 2a/3 + b composes
     # to 1/3 - 1/3 = 0, while (a, b) -> 2a/3 + b/2 leaves 1/3 - 1/6 = 1/6
-    halves_thirds = [{0: Q(1, 2)}, {0: Q(-1, 3)}]
-    assert homology_dims([1, 2, 1], [halves_thirds, [{0: Q(2, 3), 1: Q(1)}]]) == [0, 0, 0]
+    halves_thirds = [{0: Q(1, 2), 1: Q(-1, 3)}]
+    assert homology_dims([1, 2, 1], [halves_thirds, [{0: Q(2, 3)}, {0: Q(1)}]]) == [0, 0, 0]
     with pytest.raises(ValidationError):
-        homology_dims([1, 2, 1], [halves_thirds, [{0: Q(2, 3), 1: Q(1, 2)}]])
+        homology_dims([1, 2, 1], [halves_thirds, [{0: Q(2, 3)}, {0: Q(1, 2)}]])
+    # the identity Q^2 -> Q^2 then (a, b) -> b: only the second kept column
+    # of the identity is not killed
+    with pytest.raises(ValidationError):
+        homology_dims([2, 2, 1], [[{0: 1}, {1: 1}], [{}, {0: 1}]])
+
+
+def test_homology_dims_drops_each_map_before_the_next_is_built():
+    # the maps come from a generator; when it is asked for the next map, no
+    # earlier map is referenced any more (their kept columns may be)
+    class Map(list):
+        pass
+
+    built = []
+
+    def maps():
+        for cols in ([{0: 1, 1: -1}], [{0: 1}, {0: 1}], [{}]):
+            assert all(ref() is None for ref in built)
+            m = Map(cols)
+            built.append(weakref.ref(m))
+            yield m
+            del m
+
+    assert homology_dims([1, 2, 1, 1], maps()) == [0, 0, 0, 1]
+    assert len(built) == 3
 
 
 @pytest.fixture
@@ -51,13 +77,14 @@ def certified(monkeypatch):
 
     The fallback continues from the forward pass of the kept columns' rank
     mod p; its rank must still be sparse_rank of the full, uncleared map,
-    which is the map whose columns homology_dims took last before that pass.
+    which is the map homology_dims took last before that pass.
     """
     ranked, taken, full = [], [], {}
 
-    def columns(rows):
-        taken.append(rows)
-        return linalg.sparse_columns(rows)
+    def walked(*maps):
+        for cols in chain(*maps):
+            taken.append(cols)
+            yield cols
 
     def first_echelon(kept):
         first = linalg._first_echelon(kept)
@@ -70,7 +97,7 @@ def certified(monkeypatch):
         assert len(reduced) == sparse_rank(full[id(first)])
         return reduced
 
-    monkeypatch.setattr(complexes, "sparse_columns", columns)
+    monkeypatch.setattr(complexes, "chain", walked)
     monkeypatch.setattr(complexes, "_first_echelon", first_echelon)
     monkeypatch.setattr(complexes, "_eliminate", recording)
     return ranked
@@ -81,8 +108,8 @@ def test_unlucky_prime_falls_back_to_the_certified_rank(certified):
     # the first map has rank 1 over Q and 0 mod p, so no position next to
     # it is exact mod p; the second map ends at an exact position
     p = linalg._FIRST_PRIME
-    first = [{0: p}, {}]
-    second = [{1: 1}]
+    first = [{0: p}]
+    second = [{}, {0: 1}]
     assert modular_rank(first) == 0 < sparse_rank(first)
     assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
     assert certified == [[{0: p}]]
@@ -100,8 +127,8 @@ def test_fallback_continues_from_the_forward_pass_of_its_rank_mod_p(monkeypatch)
         return echelon(rows, q)
 
     monkeypatch.setattr(linalg, "_echelon_mod", recording)
-    first = [{0: p}, {}]
-    assert homology_dims([1, 2, 1], [first, [{1: 1}]]) == [0, 0, 0]
+    first = [{0: p}]
+    assert homology_dims([1, 2, 1], [first, [{}, {0: 1}]]) == [0, 0, 0]
     assert (repr([{0: p}]), p) in passes
     assert len(passes) == len(set(passes))
 
@@ -116,8 +143,8 @@ def test_denominator_divisible_by_the_first_prime_skips_to_the_next(certified, m
         return echelon(rows, q)
 
     monkeypatch.setattr(linalg, "_echelon_mod", recording)
-    first = [{0: Q(1, p)}, {0: Q(-1, p)}]
-    second = [{0: 1, 1: 1}]
+    first = [{0: Q(1, p), 1: Q(-1, p)}]
+    second = [{0: 1}, {0: 1}]
     assert modular_rank(first) == 1
     assert drawn[0] == p and drawn[1] < p and len(drawn) == 2
     assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
@@ -130,8 +157,8 @@ def test_clearing_drops_the_pivots_mod_p_not_over_q(certified):
     # clearing keeps the column of a, which has rank 1 mod p, and no map
     # falls back; keeping the column of b (-p) would leave rank 0 mod p
     p = linalg._FIRST_PRIME
-    first = [{0: p}, {0: 1}]
-    second = [{0: 1, 1: -p}]
+    first = [{0: p, 1: 1}]
+    second = [{0: 1}, {0: -p}]
     assert homology_dims([1, 2, 1], [first, second]) == [0, 0, 0]
     assert certified == []
 
@@ -141,9 +168,9 @@ def _rescaled(dims, maps, rng):
     scale = [[Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(c)]
              for c in dims]
     return [
-        [{j: a * scale[i + 1][k] / scale[i][j] for j, a in row.items()}
-         for k, row in enumerate(rows)]
-        for i, rows in enumerate(maps)
+        [{j: a * scale[i + 1][j] / scale[i][k] for j, a in col.items()}
+         for k, col in enumerate(cols)]
+        for i, cols in enumerate(maps)
     ]
 
 
@@ -172,6 +199,7 @@ def test_catalog_ranks_match_the_certified_rank(argv, monkeypatch):
     seen = []
 
     def recording(dims, maps):
+        maps = list(maps)
         seen.append((dims, maps))
         return homology_dims(dims, maps)
 
@@ -181,7 +209,7 @@ def test_catalog_ranks_match_the_certified_rank(argv, monkeypatch):
         assert run(argv) == 0
     assert len(seen) == 1
     dims, maps = seen[0]
-    ranks = [0] + [sparse_rank(rows) for rows in maps] + [0]
+    ranks = [0] + [sparse_rank(cols) for cols in maps] + [0]
     expect = [c - ranks[i] - ranks[i + 1] for i, c in enumerate(dims)]
     assert homology_dims(dims, maps) == expect
     rng = random.Random(" ".join(argv))

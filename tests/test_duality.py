@@ -18,7 +18,7 @@ from hopfhomology.duality import (
     dual_bases,
     duality_isomorphism_ug,
 )
-from hopfhomology import duality
+from hopfhomology import ce, duality
 from hopfhomology.errors import NotDualityError, NotProjectiveError, ValidationError
 from hopfhomology.homology import tor
 from hopfhomology.instances import (
@@ -220,6 +220,27 @@ def test_window_maps_that_do_not_compose_to_zero_raise(monkeypatch):
     monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
     with pytest.raises(ValidationError, match="compose to zero"):
         detect_duality_ug(g, bound=3)
+
+
+def test_top_primal_window_with_a_kernel_fails_primal_exactness(monkeypatch):
+    # P_2 -> P_1 of k^2 on the coefficient window of degree 1 loses its last
+    # column, so that window has a one dimensional kernel and no other
+    g = lie_abelian(2)
+    free_map = ce.bounded_free_map
+    hit = []
+
+    def one_column_lost(g, cols, src, dst, entries_act="right"):
+        out = free_map(g, cols, src, dst, entries_act)
+        if entries_act == "right" and src.rank == 1 and src.bound == 1:
+            hit.append(len(out))
+            out[-1] = {}
+        return out
+
+    monkeypatch.setattr(ce, "bounded_free_map", one_column_lost)
+    dd = detect_duality_ug(g, bound=3)
+    assert hit
+    assert dd.report.checks["primal_resolution_exact"] is False
+    assert dd.report.failures == ["primal_resolution_exact"]
 
 
 def test_delta_chain_check(qs3):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfhomology.homology import cochain_rows_sparse
+from hopfhomology.homology import cochain_cols
 from hopfhomology.linalg import _eliminate
 from hopfhomology.resolutions import bar_resolution
 
@@ -64,8 +64,8 @@ def test_bar_coefficients_are_exact(catalog, name, module, depth):
             bad = [c for c in res.boundary_word(w).values() if not exact(c)]
             assert not bad, (n, w, bad)
     for n in range(depth):
-        rows = cochain_rows_sparse(res, M, n)
-        assert all(exact(c) for row in rows for c in row.values()), n
-        reduced = _eliminate(rows)
+        cols = cochain_cols(res, M, n)
+        assert all(exact(c) for col in cols for c in col.values()), n
+        reduced = _eliminate(cols)
         assert reduced
         assert all(exact(c) for _, tail in reduced for c in tail.values()), n

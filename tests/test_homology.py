@@ -137,13 +137,13 @@ def _ext_tor_cases(catalog):
 
 
 def test_ext_tor_match_dense_homology_spaces(catalog):
-    # Ext and Tor build their cycles and boundaries from the sparse rows of
-    # their differentials; the reference reads the rows of the dense
-    # coboundary and boundary matrices
+    # Ext and Tor build their cycles and boundaries from their sparse
+    # differentials; the reference reads the dense coboundary and boundary
+    # matrices, rows for the cycles and columns for the boundaries
     for bar, lefts, rights in _ext_tor_cases(catalog):
         for M in lefts.values():
             for n in range(3):
-                d_in = cochain_matrix(bar, M, n - 1).sparse_rows() if n else []
+                d_in = cochain_matrix(bar, M, n - 1).transpose().sparse_rows() if n else []
                 d_out = cochain_matrix(bar, M, n)
                 dense = HomologySpace(d_out.ncols, d_out.sparse_rows(), d_in)
                 eg = ext(bar, M, n)
@@ -153,7 +153,7 @@ def test_ext_tor_match_dense_homology_spaces(catalog):
         for N in rights.values():
             for n in range(3):
                 d_out = chain_matrix(bar, N, n) if n else Matrix.zeros(0, bar.rank(0) * N.dim)
-                d_in = chain_matrix(bar, N, n + 1).sparse_rows()
+                d_in = chain_matrix(bar, N, n + 1).transpose().sparse_rows()
                 dense = HomologySpace(d_out.ncols, d_out.sparse_rows(), d_in)
                 tg = tor(bar, N, n)
                 assert tg.dim == dense.dim

@@ -63,15 +63,16 @@ def test_import_cli_loads_no_computation_module():
 
 FINITE = {"hopfhomology.bialgebroid", "hopfhomology.resolutions"}
 LIE = {"hopfhomology.pbw", "hopfhomology.ce"}
-# (command, modules it must load, modules of the other side it must not);
-# duality still imports algebras for the finite route, so only the other
-# U(g) commands are held to leaving it unloaded
+# (command, modules it must load, modules of the other side it must not)
 PROBES = [
     (["verify-hopf", "kz2"], {"hopfhomology.bialgebroid"}, LIE),
     (["cup", "kz3"], FINITE | {"hopfhomology.products"}, LIE),
+    (["duality", "qs3", "--module", "trivial"], {"hopfhomology.duality"},
+     LIE | {"hopfhomology.homology", "hopfhomology.complexes"}),
     (["verify-hopf", "lie-sl2"], {"hopfhomology.pbw"}, FINITE | {"hopfhomology.algebras"}),
     (["cap", "lie-sl2"], LIE | {"hopfhomology.products"}, FINITE | {"hopfhomology.algebras"}),
-    (["duality", "lie-sl2", "--module", "adjoint"], LIE | {"hopfhomology.duality"}, FINITE),
+    (["duality", "lie-sl2", "--module", "adjoint"], LIE | {"hopfhomology.duality"},
+     FINITE | {"hopfhomology.algebras"}),
 ]
 
 

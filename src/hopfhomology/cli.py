@@ -172,7 +172,7 @@ def cmd_ext_tor(args, which):
         from .ce import ce_resolution
 
         M = _module(inst, _lie_modules(inst, "left" if which == "ext" else "right"), args.module)
-        res = ce_resolution(inst.data, validate=False)
+        res = ce_resolution(inst.data)
         window = None  # a complete resolution certifies every degree
     else:
         from .resolutions import bar_resolution
@@ -199,7 +199,7 @@ def cmd_cup(args):
         from .pbw import LieModule
         from .products import CEProducts
 
-        res = ce_resolution(inst.data, validate=False)
+        res = ce_resolution(inst.data)
         pr = CEProducts(res)
         M = LieModule.trivial(inst.data)
 
@@ -248,7 +248,7 @@ def cmd_cap(args):
     from .products import CEProducts
 
     g = inst.data
-    res = ce_resolution(g, validate=False)
+    res = ce_resolution(g)
     pr = CEProducts(res)
     triv = LieModule.trivial(g)
     trivr = LieModule.trivial(g, side="right")

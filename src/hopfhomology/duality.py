@@ -12,9 +12,11 @@ right modules whose differential left-multiplies coordinates by the
 transposed generator matrix.  Everything about it is certified on
 bounded PBW coefficient windows: vanishing of Ext^n(A, U) off the top
 degree, exactness of the dualized resolution, the one dimensional
-cokernel carrying the adjoint-trace twist, and the double dual.  Those
-windows are honest finite certificates, not proofs for all degrees;
-each report records the bound it used.
+cokernel carrying the adjoint-trace twist, and the double dual.  Each
+window map is built once, into one table that the exactness walks,
+their exact fallback and both cokernel checks read.  The windows are
+honest finite certificates, not proofs for all degrees; each report
+records the bound it used.
 """
 
 from __future__ import annotations
@@ -302,12 +304,13 @@ def detect_duality_ug(g, bound=4) -> DualityData:
     double dual returns the trivial module.  NotDualityError reports
     nonvanishing degrees.
 
-    Windows are certified from ranks mod p (modular_rank), which are at
-    most the ranks over Q: a window map of full rank mod p has no kernel,
-    and a kernel at window m is hit once some window V of degree
-    m + extra + 1 <= m + _SLACK + 1 has rank_p(in) + rank_p(out) = dim V
-    and out . in = 0 exactly, for then the complex is exact at V over Q.
-    Any other window gets its exact kernel and _hit_in_window.
+    Each window map is built once, by window(), and certified from ranks
+    mod p (modular_rank), which are at most the ranks over Q: a window
+    map of full rank mod p has no kernel, and a kernel at window m is
+    hit once some window V of degree m + extra + 1 <= m + _SLACK + 1 has
+    rank_p(in) + rank_p(out) = dim V and out . in = 0 exactly, for then
+    the complex is exact at V over Q.  Any other window gets its exact
+    kernel, which _hit_in_window looks for in the images into those V.
     """
     from .ce import BoundedBasis, CEResolution, bounded_free_map
     from .homology import tor
@@ -327,69 +330,69 @@ def detect_duality_ug(g, bound=4) -> DualityData:
             windows[n, m, act] = src, columns, modular_rank(columns)
         return windows[n, m, act]
 
-    def hit_mod_p(n, m, act):
-        """Whether a window V above m is exact mod p between the maps into and out of degree n."""
-        for extra in range(_SLACK + 1):
+    def unhit(n, m, act):
+        """0 if the kernel of window(n, m, act) is hit by window maps into degree n, else its dimension.
+
+        Nothing maps into the edge degree, 0 for "left" and d for "right".
+        """
+        src, columns, rank = window(n, m, act)
+        if rank == src.dim:
+            return 0
+        edge = n == (0 if act == "left" else d)
+        above = []  # (V, columns of the window map into V)
+        for extra in range(0 if edge else _SLACK + 1):
             V, out, rank_out = window(n, m + extra + 1, act)
             _, into, rank_in = window(n - 1 if act == "left" else n + 1, m + extra, act)
             if any(sparse_extend(out.__getitem__, col) for col in into):
                 raise ValidationError("consecutive window maps do not compose to zero")
             if rank_in + rank_out == V.dim:
-                return True
-        return False
+                return 0
+            above.append((V, into))
+        kern = sparse_kernel(sparse_columns(columns).values(), src.dim)
+        if edge or not kern.dim:
+            return kern.dim
+        return 0 if _hit_in_window(kern, src, above) else kern.dim
+
+    def top_class(act, twist):
+        """(rank one, twisted) for the cokernel of the window maps onto the rank one end P*_d or P_0.
+
+        Rank one: in every window m the unit's class is nonzero and the
+        monomials of degree <= m span one class.  Twisted: in every
+        window the unit's class is nonzero and x_i sends it to twist[i]
+        times itself.
+        """
+        n = d - 1 if act == "left" else 1
+        gens = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+        rank_one = twisted = True
+        for m in range(bound + 1):
+            dst = BoundedBasis(g, 1, m + 1)  # the end has rank one
+            image = Subspace(dst.dim, window(n, m, act)[1])
+
+            def cls(mono):
+                return image.decompose({dst.index[0, mono]: 1})[1]
+
+            unit = cls(mono_one(d))
+            rank_one = rank_one and bool(unit) and Subspace(dst.dim, map(cls, monomials_upto(d, m))).dim == 1
+            twisted = twisted and bool(unit) and all(
+                cls(x) == {k: w * c for k, c in unit.items() if w} for x, w in zip(gens, twist))
+        return rank_one, twisted
 
     report = TakeuchiReport()
-    bad_degrees = []
     # Ext^n(A, U) for n < d: bounded kernels must be hit by bounded images
-    for n in range(d):
-        for m in range(bound + 1):
-            src, columns, rank = window(n, m, "left")  # P*_n -> P*_{n+1}
-            if rank == src.dim or n and hit_mod_p(n, m, "left"):
-                continue
-            kern = sparse_kernel(sparse_columns(columns).values(), src.dim)
-            if kern.dim == 0:
-                continue
-            if n == 0:
-                bad_degrees.append((0, m, kern.dim))
-                continue
-            dual_in = _dual_cols(res, n)
-            if not _hit_in_window(g, dual_in, res.rank(n - 1), kern, src, "left"):
-                bad_degrees.append((n, m, kern.dim))
+    bad_degrees = [(n, m, k) for n in range(d) for m in range(bound + 1) if (k := unhit(n, m, "left"))]
     if bad_degrees:
         raise NotDualityError(
             f"Ext(A, U) does not vanish below the top degree: {bad_degrees}",
             degrees=sorted({n for n, _, _ in bad_degrees}),
         )
     report.record("ext_vanishing_below_top", True)
-    windows.clear()  # the primal windows below share none of these
 
-    # the cokernel at the top: one dimensional with the adjoint trace twist
-    weights = [g.adjoint_trace(i) for i in range(g.dim)]
-    coker_ok = True
-    twist_ok = True
-    dual_top = _dual_cols(res, d)  # P*_{d-1} -> P*_d, rank(P*_d) = 1
-    for m in range(bound + 1):
-        src = BoundedBasis(g, res.rank(d - 1), m)
-        dst = BoundedBasis(g, res.rank(d), m + 1)
-        image = Subspace(dst.dim, bounded_free_map(g, dual_top, src, dst, entries_act="left"))
-        # classes of monomials of degree <= m in the cokernel
-        inside = [unit_vec(dst.dim, dst.index[(0, mono)]) for mono in monomials_upto(g.dim, m)]
-        reduced = [image.reduce(v) for v in inside]
-        span = Subspace.from_vectors([r for r in reduced if not vec_is_zero(r)], dst.dim)
-        if span.dim != 1:
-            coker_ok = False
-        one_idx = dst.index[(0, mono_one(g.dim))]
-        unit_red = image.reduce(unit_vec(dst.dim, one_idx))
-        if vec_is_zero(unit_red):
-            coker_ok = False
-            continue
-        for i in range(g.dim):
-            gen_mono = tuple(1 if k == i else 0 for k in range(g.dim))
-            v = unit_vec(dst.dim, dst.index[(0, gen_mono)])
-            acted = image.reduce(v)
-            expect = [weights[i] * x for x in unit_red]
-            if acted != expect:
-                twist_ok = False
+    # the cokernel at the top: one dimensional with the adjoint trace twist;
+    # only the maps it reads stay in the table, so the peak stays the walk's
+    windows = {key: w for key, w in windows.items() if key[0] == d - 1 and key[1] <= bound}
+    weights = [g.adjoint_trace(i) for i in range(d)]
+    coker_ok, twist_ok = top_class("left", weights)
+    windows.clear()  # the primal windows below share none of these
     report.record("dualizing_module_rank_one", coker_ok)
     report.record("adjoint_trace_twist", twist_ok)
     if not coker_ok:
@@ -403,41 +406,14 @@ def detect_duality_ug(g, bound=4) -> DualityData:
 
     # exactness of the primal resolution in positive degrees (this is
     # also Ext of the dualizing module against the ring vanishing off
-    # the top, by double dualization)
-    primal_ok = True
-    for n in range(1, d + 1):
-        for m in range(bound + 1):
-            src, columns, rank = window(n, m, "right")
-            if rank == src.dim or n < d and hit_mod_p(n, m, "right"):
-                continue
-            kern = sparse_kernel(sparse_columns(columns).values(), src.dim)
-            if kern.dim == 0:
-                continue
-            if n == d:
-                primal_ok = False
-                continue
-            if not _hit_in_window(g, res.diff_cols(n + 1), res.rank(n + 1), kern, src, "right"):
-                primal_ok = False
-    report.record("primal_resolution_exact", primal_ok)
+    # the top, by double dualization); the sum walks every window, so
+    # every composition is checked
+    unhit_dims = sum(unhit(n, m, "right") for n in range(1, d + 1) for m in range(bound + 1))
+    report.record("primal_resolution_exact", not unhit_dims)
 
     # double dual: the re-dualized complex is the original one; its top
     # cokernel is the trivial module
-    dd_ok = True
-    for m in range(bound + 1):
-        src = BoundedBasis(g, res.rank(1), m)
-        dst = BoundedBasis(g, res.rank(0), m + 1)
-        image = Subspace(dst.dim, bounded_free_map(g, res.diff_cols(1), src, dst, entries_act="right"))
-        one_idx = dst.index[(0, mono_one(g.dim))]
-        unit_red = image.reduce(unit_vec(dst.dim, one_idx))
-        if vec_is_zero(unit_red):
-            dd_ok = False
-            continue
-        for i in range(g.dim):
-            gen_mono = tuple(1 if k == i else 0 for k in range(g.dim))
-            acted = image.reduce(unit_vec(dst.dim, dst.index[(0, gen_mono)]))
-            if not vec_is_zero(acted):
-                dd_ok = False
-    report.record("double_dual_trivial", dd_ok)
+    report.record("double_dual_trivial", top_class("right", [0] * d)[1])
 
     # the fundamental class: coordinates of the identity under delta,
     # i.e. the class of the dual top generator; rank(P_d) = 1 so the
@@ -451,20 +427,17 @@ def detect_duality_ug(g, bound=4) -> DualityData:
                        report, bound)
 
 
-def _hit_in_window(g, cols, rank, kern, src: BoundedBasis, entries_act):
-    """Whether every echelon row of the Subspace kern lies in the image of the free map cols.
+def _hit_in_window(kern, src: BoundedBasis, above) -> bool:
+    """Whether every echelon row of the Subspace kern lies in the image of one window map above.
 
-    The map runs from rank generators to the generators of src; the
-    image is taken on coefficient windows raised by up to _SLACK.
+    kern lives on the coordinates of src; above lists (V, columns) of
+    the window maps into the windows V of degree src.bound + 1 up to
+    src.bound + _SLACK + 1.
     """
-    from .ce import BoundedBasis, bounded_free_map
-
     keys = list(src.index)
-    for extra in range(_SLACK + 1):
-        src2 = BoundedBasis(g, rank, src.bound + extra)
-        dst2 = BoundedBasis(g, src.rank, src.bound + extra + 1)
-        image = Subspace(dst2.dim, bounded_free_map(g, cols, src2, dst2, entries_act=entries_act))
-        if all(not image.decompose(_repad(row, keys, dst2))[1] for row in kern.echelon):
+    for V, into in above:
+        image = Subspace(V.dim, into)
+        if all(not image.decompose(_repad(row, keys, V))[1] for row in kern.echelon):
             return True
     return False
 

@@ -1,0 +1,130 @@
+"""Weaken each certification check of the package alone and run Tier-1.
+
+    python tests/cert_sweep.py
+
+A check that can be weakened without a test failing guards nothing.
+MUTANTS names each check with one exact (file, old text, new text)
+edit.  For each, the script applies the edit alone to a temporary copy
+of the repository, runs the Tier-1 suite there with -x under a timeout
+of TIMEOUT_S seconds, and prints whether some test failed (the mutant
+is killed), the run timed out (counted as killed, but listed apart) or
+every test passed (it survives, or is listed as equivalent when
+EQUIVALENT explains why it cannot change a result).  The exit code is
+the number of survivors that are not equivalent.  The name has no test_ prefix, so pytest does not collect
+it; a full sweep takes several minutes.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+DUALITY = "src/hopfhomology/duality.py"
+COMPLEXES = "src/hopfhomology/complexes.py"
+LINALG = "src/hopfhomology/linalg.py"
+ERRORS = "src/hopfhomology/errors.py"
+PBW = "src/hopfhomology/pbw.py"
+UG_HOPF_KEYS = ["translation_1", "translation_2", "counit_laws", "coassociative",
+                "delta_multiplicative", "translation_multiplicative"]
+
+# (name, file, old text, new text); the old text occurs once in its file
+MUTANTS = [
+    # detect_duality_ug: the walker, its fallback and the rank one end
+    ("walker injectivity off by one", DUALITY,
+     "if rank == src.dim:", "if rank >= src.dim - 1:"),
+    ("walker exactness sum at most", DUALITY,
+     "if rank_in + rank_out == V.dim:", "if rank_in + rank_out <= V.dim:"),
+    ("walker composition check off", DUALITY,
+     "if any(sparse_extend(out.__getitem__, col) for col in into):",
+     "if False and any(sparse_extend(out.__getitem__, col) for col in into):"),
+    ("fallback membership on the first row only", DUALITY,
+     "for row in kern.echelon):", "for row in kern.echelon[:1]):"),
+    ("fallback membership of any row", DUALITY,
+     "if all(not image.decompose(", "if any(not image.decompose("),
+    ("rank one at least one", DUALITY,
+     "monomials_upto(d, m))).dim == 1", "monomials_upto(d, m))).dim >= 1"),
+    ("twist sign flipped", DUALITY,
+     "{k: w * c for k, c in unit.items() if w}", "{k: -w * c for k, c in unit.items() if w}"),
+    ("double dual against the dualizing twist", DUALITY,
+     'top_class("right", [0] * d)', 'top_class("right", weights)'),
+    # homology_dims: exactness, d d = 0 and clearing
+    ("homology_dims exactness at most", COMPLEXES,
+     "if ranks[k - 1] + ranks[k] == dims[k - 1]:", "if ranks[k - 1] + ranks[k] <= dims[k - 1]:"),
+    ("homology_dims d d check off", COMPLEXES,
+     "if any(_integer_combination(", "if False and any(_integer_combination("),
+    ("homology_dims d d check on the first kept column", COMPLEXES,
+     "for col in kept:", "for col in kept[:1]:"),
+    ("homology_dims clearing set shifted", COMPLEXES,
+     "pivots = {c for c, _ in passes[k][1][1]}", "pivots = {c + 1 for c, _ in passes[k][1][1]}"),
+    ("HomologySpace image cycle check off", COMPLEXES,
+     "if rest:\n                raise ValidationError(\"image vector",
+     "if False:\n                raise ValidationError(\"image vector"),
+    # the certified elimination
+    ("_certify always true", LINALG,
+     "        if any(acc.values()):\n            return False",
+     "        if False:\n            return False"),
+    ("_reconstruct without its size bound", LINALG,
+     "if abs(s1) > bound:", "if False:"),
+    ("_first_echelon takes a prime dividing a denominator", LINALG,
+     "if echelon is not None:\n            return p, echelon", "if True:\n            return p, echelon"),
+    ("CRT step drops the new prime", LINALG,
+     "x = a + m * ((tail.get(j, 0) - a) * inv % p)", "x = a"),
+    # the axiom sweeps
+    ("TakeuchiReport.sweep sees no witness", ERRORS,
+     "witness = next(iter(witnesses), None)", "witness = None"),
+] + [(f"ug_hopf_report {key} always true", PBW, f'"{key}": all(', f'"{key}": True or all(')
+     for key in UG_HOPF_KEYS]
+
+# survivors that cannot change a result, with the reason
+EQUIVALENT = {
+    "_reconstruct without its size bound":
+        "_eliminate returns a candidate only once _certify has checked it exactly, and the"
+        " certified reduced echelon form is unique; the bound only saves failed certificates",
+}
+
+
+def killed(copy: Path) -> str:
+    """'killed', 'timeout' or 'SURVIVED' for one Tier-1 run in copy."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors"]
+    try:
+        run = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "killed" if run.returncode else "SURVIVED"
+
+
+def main() -> int:
+    outcomes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
+        for name, rel, old, new in MUTANTS:
+            target = copy / rel
+            original = target.read_text()
+            if original.count(old) != 1:
+                raise SystemExit(f"{name}: the old text occurs {original.count(old)} times in {rel}")
+            target.write_text(original.replace(old, new))
+            try:
+                outcomes[name] = killed(copy)
+            finally:
+                target.write_text(original)
+            if outcomes[name] == "SURVIVED" and name in EQUIVALENT:
+                outcomes[name] = "equivalent"
+            print(f"{outcomes[name]:10}  {name}", flush=True)
+    for outcome in ("timeout", "equivalent", "SURVIVED"):
+        names = [name for name, got in outcomes.items() if got == outcome]
+        print(f"{len(names)} {outcome.lower()}: {', '.join(names) or 'none'}")
+    return sum(got == "SURVIVED" for got in outcomes.values())
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -212,6 +212,27 @@ def test_duality_failed_cap_check_reports_witness(monkeypatch, capsys):
     assert data["witnesses"] == ["cap with the degree zero class is not bijective"]
 
 
+def test_lie_commands_validate_the_koszul_diagonal(monkeypatch, capsys):
+    # cup and cap read the diagonal of the Koszul resolution, so its chain map check stays on
+    from hopfhomology.ce import CEResolution
+
+    diagonal = CEResolution.diagonal
+
+    def one_sign_flipped(self, K, i):
+        out = diagonal(self, K, i)
+        if len(K) == 2 and i == 1:
+            key = next(iter(out))
+            out[key] = -out[key]
+        return out
+
+    monkeypatch.setattr(CEResolution, "diagonal", one_sign_flipped)
+    code, out, _ = _run_failure(["cup", "lie-abelian2", "--max-total", "2"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["failure"] == "ValidationError"
+    assert data["witnesses"] == ["comultiplication is not a chain map at (0, 1)"]
+
+
 def test_corrupted_instance_file_reports_witness(tmp_path, capsys):
     # a coproduct entry that breaks the descent of the Galois map
     code, out = run_capture(["instances", "export", "env-qeps"], capsys)

@@ -386,3 +386,53 @@ def test_semidirect_products_match_oracles_and_adjoint_trace(name):
     trace = sum(Q(D[i][i]) for i in range(len(D)))
     assert dd.weights == [trace] + [Q(0)] * len(D)
     assert dd.report.ok
+
+
+@pytest.mark.parametrize("name, bound, short, want", [
+    ("lie-sl2", 4, False, 34),
+    ("lie-nonabelian2", 6, False, 30),
+    ("lie-abelian2", 3, True, 26),
+])
+def test_each_window_map_is_built_once(name, bound, short, want, catalog, monkeypatch):
+    """The walks, the fallback, the top cokernel and the double dual share one window table."""
+    free_map = ce.bounded_free_map
+    built = []
+
+    def counting(g, cols, src, dst, entries_act="right"):
+        built.append((entries_act, src.bound, dst.bound, repr(cols)))
+        return free_map(g, cols, src, dst, entries_act)
+
+    monkeypatch.setattr(ce, "bounded_free_map", counting)
+    if short:  # every window takes the exact fallback
+        monkeypatch.setattr(duality, "modular_rank", lambda rows: modular_rank(rows) - 1)
+    assert detect_duality_ug(catalog[name].data, bound=bound).report.ok
+    assert len(set(built)) == len(built) == want
+
+
+@pytest.mark.parametrize("cols, match", [
+    # d_2 = 0: every window of P*_1 is kernel, and the image of P*_0 hits none of it
+    ({2: [{}]}, r"below the top degree: \[\(1, 0, 2\), \(1, 1, 6\), \(1, 2, 12\)\]"),
+    # d_1 = (1, 0), d_2 = (0, x_0): exact below the top, whose cokernel U / x_0 U is not one dimensional
+    ({1: [{0: {(0, 0): 1}}, {}], 2: [{1: {(1, 0): 1}}]}, "top cokernel is not one dimensional"),
+])
+def test_complexes_that_are_not_dualizing_raise(cols, match, monkeypatch):
+    g = lie_abelian(2)
+
+    class Replaced(CEResolution):
+        def diff_cols(self, n):
+            return cols.get(n) or super().diff_cols(n)
+
+    res = Replaced(g, validate=False)
+    monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
+    with pytest.raises(NotDualityError, match=match):
+        detect_duality_ug(g, bound=2)
+
+
+def test_a_kernel_is_hit_only_when_every_row_is():
+    from hopfhomology.linalg import Subspace
+
+    g = lie_abelian(1)
+    src, V = ce.BoundedBasis(g, 1, 1), ce.BoundedBasis(g, 1, 2)  # coefficients 1, x and 1, x, x^2
+    into = [{V.index[0, (0,)]: 1}]  # the map into V hits the constants only
+    assert duality._hit_in_window(Subspace(src.dim, [{src.index[0, (0,)]: 1}]), src, [(V, into)])
+    assert not duality._hit_in_window(Subspace(src.dim, [{0: 1}, {1: 1}]), src, [(V, into)])

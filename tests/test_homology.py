@@ -2,7 +2,7 @@ import pytest
 
 from hopfhomology.algebras import FinDimAlgebra, ModuleRep, hom_over, tensor_over
 from hopfhomology.ce import ce_resolution
-from hopfhomology.errors import WindowExceededError
+from hopfhomology.errors import ValidationError, WindowExceededError
 from hopfhomology.complexes import HomologySpace
 from hopfhomology.homology import (
     chain_matrix,
@@ -159,6 +159,13 @@ def test_ext_tor_match_dense_homology_spaces(catalog):
                 assert tg.dim == dense.dim
                 assert tg.space.cycles == dense.cycles
                 assert tg.basis_cycles() == dense.representatives()
+
+
+def test_homology_space_rejects_a_boundary_that_is_not_a_cycle():
+    # d_out = (a, b) -> a leaves the cycles span(e_1), and d_in sends its one coordinate to e_0
+    with pytest.raises(ValidationError, match="image vector is not a cycle"):
+        HomologySpace(2, [{0: 1}], [{0: 1}])
+    assert HomologySpace(2, [{0: 1}], [{1: 1}]).dim == 0
 
 
 def _product_group_algebra(a, b):

@@ -232,3 +232,18 @@ def test_corrupted_memo_entries_fail_the_hopf_report():
     _double(g._memo["delta_mono"], (h,))
     assert ug_hopf_report(g, 3)["coassociative"] is False
     assert all(ug_hopf_report(lie_sl2(), 3).values())
+
+
+def test_every_hopf_report_key_fails_on_some_corrupted_memo_entry():
+    h = (1, 0, 0)
+    failed = set()
+    for table, key, fill in (
+        ("translation_mono", (h,), translation_mono),
+        ("mono_mul", (h, (0, 1, 0)), mono_mul),
+        ("delta_mono", (h,), delta_mono),
+    ):
+        g = lie_sl2()
+        fill(g, *key)
+        _double(g._memo[table], key)
+        failed |= {name for name, ok in ug_hopf_report(g, 3).items() if not ok}
+    assert failed == set(ug_hopf_report(lie_sl2(), 3))

@@ -13,13 +13,12 @@ from importlib import import_module
 
 _EXPORTS = {
     "linalg": ("Matrix", "Subspace", "QuotientSpace", "quotient", "induced_map"),
-    "algebras": ("FinDimAlgebra", "ModuleRep", "BimoduleRep", "tensor_over", "hom_over"),
+    "algebras": ("FinDimAlgebra", "ModuleRep", "tensor_over", "hom_over"),
     "bialgebroid": (
         "BialgebroidData", "HopfStructure", "check_takeuchi", "galois_map", "check_schauenburg",
         "module_tensor_left", "module_tensor_right", "tensor_flip", "galois_module",
     ),
-    "complexes": ("ChainComplex", "DoubleComplex"),
-    "resolutions": ("bar_resolution", "lift_to_bar"),
+    "resolutions": ("bar_resolution",),
     "homology": ("ext", "tor", "ext_dims", "tor_dims", "resolution_independence"),
     "products": ("BarProducts", "CEProducts"),
     "duality": (

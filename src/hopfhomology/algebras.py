@@ -17,7 +17,6 @@ from .linalg import (
     _sparse,
     frac,
     frac_str,
-    induced_map,
     lincomb,
     sparse_add,
     sparse_kernel,
@@ -105,12 +104,6 @@ class FinDimAlgebra:
                 for j in range(self.dim)
             ]
         return lincomb(zip(u, self._right_mult), self.dim, self.dim)
-
-    def opposite(self):
-        """Same space, product reversed."""
-        n = self.dim
-        mult = [[self.mult[j][i] for j in range(n)] for i in range(n)]
-        return FinDimAlgebra(n, [f"{l}^op" for l in self.labels], mult, self.unit, validate=False)
 
     def enveloping(self):
         """A tensor A^op with basis b_i (x) b_j ordered lexicographically."""
@@ -240,26 +233,6 @@ class ModuleRep:
         return f"ModuleRep({self.side}, dim {self.dim} over {self.algebra!r})"
 
 
-class BimoduleRep:
-    """Commuting left and right module structures on one space."""
-
-    def __init__(self, left: ModuleRep, right: ModuleRep, validate=True):
-        if left.dim != right.dim:
-            raise ValidationError("left and right structures live on different spaces")
-        if left.side != "left" or right.side != "right":
-            raise ValidationError("sides are wrong")
-        self.left = left
-        self.right = right
-        self.dim = left.dim
-        if validate:
-            for i in range(left.algebra.dim):
-                for j in range(right.algebra.dim):
-                    a = left.action[i]
-                    b = right.action[j]
-                    if a @ b != b @ a:
-                        raise ValidationError("left and right actions do not commute")
-
-
 def balanced_tensor(pairs, left_dim, right_dim) -> QuotientSpace:
     """Plain tensor product modulo the balancing relations of pairs.
 
@@ -293,15 +266,6 @@ def tensor_over(algebra, m_right: ModuleRep, n_left: ModuleRep) -> QuotientSpace
     if m_right.side != "right" or n_left.side != "left":
         raise ValidationError("tensor_over needs a right and a left module")
     return balanced_tensor(zip(m_right.action, n_left.action), m_right.dim, n_left.dim)
-
-
-def descend_outer_action(space: QuotientSpace, ambient_matrices) -> list:
-    """Push commuting outer action matrices down to the quotient.
-
-    Raises NotWellDefinedError if any matrix fails to preserve the
-    relations (which signals corrupted input data, not a soft failure).
-    """
-    return [induced_map(m, space, space) for m in ambient_matrices]
 
 
 def hom_over(algebra, m: ModuleRep, n: ModuleRep) -> Subspace:

@@ -1,10 +1,16 @@
-"""Chain complexes of finite dimensional spaces, totalization, homology.
+"""Homology of complexes of finite dimensional spaces given by sparse maps.
 
-Chain complexes are homological: d_n maps degree n to degree n - 1 and
-d d = 0 is asserted at construction.  The cochain convention C^n =
-C_{-n} is applied only at the homology query boundary, never mixed
-into the internal indexing.  Double complexes totalize with the sign
-rule d = d_h + (-1)^i d_v where i is the first (horizontal) index.
+A complex is never stored as an object: homology_dims takes the
+dimensions and the sparse columns of each map and returns the homology
+dimensions, and HomologySpace takes the sparse rows of the map leaving
+one space and the sparse columns of the map arriving in it and keeps
+the classes with canonical representatives.  Both reject d d != 0.
+Cochain and chain complexes alike are read in the direction their maps
+run; callers index degrees.  The one total complex of the package,
+resolutions.TotalTensorComplex (the reference for the product
+diagonals), has the differential d = d_h + (-1)^i d_v on its block
+(i, j), i the degree of the front (horizontal) factor: the
+totalization sign (-1)^(horizontal degree) of the products module.
 """
 
 from __future__ import annotations
@@ -12,65 +18,8 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import ValidationError
-from .linalg import (Matrix, QuotientSpace, Subspace, _dense_rows, _eliminate, _first_echelon,
-                     _integer_combination, _integer_row, sparse_kernel, vec_is_zero)
-
-
-class ChainComplex:
-    """spaces: {degree: dim}; diff: {n: matrix C_n -> C_{n-1}}."""
-
-    def __init__(self, spaces, diff, validate=True):
-        self.spaces = dict(spaces)
-        self.diff = dict(diff)
-        if validate:
-            self._validate()
-
-    def dim(self, n):
-        return self.spaces.get(n, 0)
-
-    def d(self, n):
-        """Differential out of degree n, a dim(n-1) x dim(n) matrix."""
-        m = self.diff.get(n)
-        if m is None:
-            return Matrix.zeros(self.dim(n - 1), self.dim(n))
-        return m
-
-    def _validate(self):
-        for n, m in self.diff.items():
-            if m.ncols != self.dim(n) or m.nrows != self.dim(n - 1):
-                raise ValidationError(f"differential at degree {n} has wrong shape")
-        for n in self.diff:
-            if (n + 1) in self.diff:
-                comp = self.d(n) @ self.d(n + 1)
-                if not comp.is_zero():
-                    raise ValidationError(f"d d != 0 between degrees {n + 1} and {n - 1}")
-
-    def degrees(self):
-        return sorted(self.spaces)
-
-    def homology(self, n):
-        in_cols = self.d(n + 1).transpose().sparse_rows()
-        return HomologySpace(self.dim(n), self.d(n).sparse_rows(), in_cols)
-
-    def betti(self, n):
-        return self.homology(n).dim
-
-    def shift(self, m):
-        """Degrees move by m, differentials pick up the sign (-1)^m."""
-        sign = -1 if m % 2 else 1
-        spaces = {n + m: d for n, d in self.spaces.items()}
-        diff = {n + m: mat.scale(sign) for n, mat in self.diff.items()}
-        return ChainComplex(spaces, diff, validate=False)
-
-    def to_json(self):
-        return {
-            "spaces": {str(n): self.dim(n) for n in self.degrees()},
-            "diff": {str(n): self.diff[n].to_json() for n in sorted(self.diff)},
-        }
-
-    def __repr__(self):
-        dims = ", ".join(f"{n}:{self.dim(n)}" for n in self.degrees())
-        return f"ChainComplex({dims})"
+from .linalg import (QuotientSpace, Subspace, _dense_rows, _eliminate, _first_echelon,
+                     _integer_combination, _integer_row, sparse_kernel)
 
 
 def homology_dims(dims, maps):
@@ -156,133 +105,9 @@ class HomologySpace:
             raise ValidationError("vector is not a cycle")
         return self.quotient.project(coords)
 
-    def is_boundary(self, v):
-        return vec_is_zero(self.class_of(v))
-
     def representative(self, k):
         """Ambient cycle representing the k-th canonical basis class."""
         return _dense_rows([self.cycles.echelon[self.quotient.reps[k]]], self.ambient)[0]
 
     def representatives(self):
         return [self.representative(k) for k in range(self.dim)]
-
-
-class DoubleComplex:
-    """Bigraded spaces with commuting horizontal and vertical squares.
-
-    spaces: {(i, j): dim}; dh: {(i, j): matrix to (i-1, j)};
-    dv: {(i, j): matrix to (i, j-1)}.  The two differentials commute on
-    the nose; the anticommuting sign enters at totalization.
-    """
-
-    def __init__(self, spaces, dh, dv, validate=True):
-        self.spaces = dict(spaces)
-        self.dh = dict(dh)
-        self.dv = dict(dv)
-        if validate:
-            self._validate()
-
-    def dim(self, ij):
-        return self.spaces.get(ij, 0)
-
-    def _get(self, table, ij, target):
-        m = table.get(ij)
-        if m is None:
-            return Matrix.zeros(self.dim(target), self.dim(ij))
-        return m
-
-    def h(self, i, j):
-        return self._get(self.dh, (i, j), (i - 1, j))
-
-    def v(self, i, j):
-        return self._get(self.dv, (i, j), (i, j - 1))
-
-    def _validate(self):
-        for (i, j) in self.spaces:
-            if self.dim((i, j)) == 0:
-                continue
-            hh = self.h(i - 1, j) @ self.h(i, j)
-            if not hh.is_zero():
-                raise ValidationError(f"horizontal square fails at {(i, j)}")
-            vv = self.v(i, j - 1) @ self.v(i, j)
-            if not vv.is_zero():
-                raise ValidationError(f"vertical square fails at {(i, j)}")
-            sq = self.h(i, j - 1) @ self.v(i, j) - self.v(i - 1, j) @ self.h(i, j)
-            if not sq.is_zero():
-                raise ValidationError(f"squares do not commute at {(i, j)}")
-
-    def transpose(self):
-        spaces = {(j, i): d for (i, j), d in self.spaces.items()}
-        dh = {(j, i): m for (i, j), m in self.dv.items()}
-        dv = {(j, i): m for (i, j), m in self.dh.items()}
-        return DoubleComplex(spaces, dh, dv, validate=False)
-
-    def total_degree_blocks(self, n):
-        """Blocks (i, j) with i + j = n, ordered by increasing i."""
-        return sorted((ij for ij in self.spaces if sum(ij) == n and self.dim(ij)), key=lambda ij: ij[0])
-
-    def totalize(self):
-        """Total complex with d = d_h + (-1)^i d_v; returns (complex, offsets).
-
-        offsets maps (i, j) to the starting coordinate of that block in
-        total degree i + j.
-        """
-        degrees = sorted({i + j for (i, j) in self.spaces})
-        offsets = {}
-        spaces = {}
-        for n in degrees:
-            pos = 0
-            for ij in self.total_degree_blocks(n):
-                offsets[ij] = pos
-                pos += self.dim(ij)
-            spaces[n] = pos
-        diff = {}
-        for n in degrees:
-            if spaces.get(n, 0) == 0 or spaces.get(n - 1, 0) == 0:
-                continue
-            mat = Matrix.zeros(spaces[n - 1], spaces[n])
-            for (i, j) in self.total_degree_blocks(n):
-                src = offsets[(i, j)]
-                h = self.h(i, j)
-                if self.dim((i - 1, j)):
-                    dst = offsets[(i - 1, j)]
-                    for r in range(h.nrows):
-                        row = mat.rows[dst + r]
-                        hrow = h.rows[r]
-                        for c in range(h.ncols):
-                            if hrow[c]:
-                                row[src + c] += hrow[c]
-                v = self.v(i, j)
-                if self.dim((i, j - 1)):
-                    sign = -1 if i % 2 else 1
-                    dst = offsets[(i, j - 1)]
-                    for r in range(v.nrows):
-                        row = mat.rows[dst + r]
-                        vrow = v.rows[r]
-                        for c in range(v.ncols):
-                            if vrow[c]:
-                                row[src + c] += sign * vrow[c]
-            diff[n] = mat
-        total = ChainComplex(spaces, diff)
-        return total, offsets
-
-
-def shuffle_transpose_iso(dc: DoubleComplex):
-    """Chain isomorphism Tot(dc) -> Tot(dc^T) given by (-1)^{ij} on blocks.
-
-    Returns (forward matrices per degree, total, total of transpose).
-    """
-    total, offs = dc.totalize()
-    tdc = dc.transpose()
-    ttotal, toffs = tdc.totalize()
-    isos = {}
-    for n in total.degrees():
-        m = Matrix.zeros(ttotal.dim(n), total.dim(n))
-        for (i, j) in dc.total_degree_blocks(n):
-            sign = -1 if (i * j) % 2 else 1
-            src = offs[(i, j)]
-            dst = toffs[(j, i)]
-            for k in range(dc.dim((i, j))):
-                m.rows[dst + k][src + k] = sign
-        isos[n] = m
-    return isos, total, ttotal

@@ -302,7 +302,8 @@ def detect_duality_ug(g, bound=4) -> DualityData:
     window (this is the dualizing module with its adjoint-trace twist),
     the dualized complex is exact off its augmentation end, and the
     double dual returns the trivial module.  NotDualityError reports
-    nonvanishing degrees.
+    nonvanishing degrees, and names each failed twist or double dual
+    check before the fundamental class is computed.
 
     Each window map is built once, by window(), and certified from ranks
     mod p (modular_rank), which are at most the ranks over Q: a window
@@ -414,6 +415,9 @@ def detect_duality_ug(g, bound=4) -> DualityData:
     # double dual: the re-dualized complex is the original one; its top
     # cokernel is the trivial module
     report.record("double_dual_trivial", top_class("right", [0] * d)[1])
+    failed = [name for name in ("adjoint_trace_twist", "double_dual_trivial") if not report.checks[name]]
+    if failed:
+        raise NotDualityError(f"failed checks: {', '.join(failed)}")
 
     # the fundamental class: coordinates of the identity under delta,
     # i.e. the class of the dual top generator; rank(P_d) = 1 so the

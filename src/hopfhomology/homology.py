@@ -73,28 +73,6 @@ def _check_window(res, n, group):
         )
 
 
-class CohomologyClass:
-    def __init__(self, degree: int, vector: tuple, resolution, module):
-        self.degree, self.vector, self.resolution, self.module = degree, vector, resolution, module
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohomologyClass)
-            and self.degree == other.degree
-            and self.vector == other.vector
-        )
-
-
-class HomologyClass:
-    def __init__(self, degree: int, vector: tuple, resolution, module):
-        self.degree, self.vector, self.resolution, self.module = degree, vector, resolution, module
-
-    def __eq__(self, other):
-        if other.__class__ is not HomologyClass:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
 class ExtGroup:
     """Ext^n with a canonical class basis and decomposition queries."""
 
@@ -118,15 +96,6 @@ class ExtGroup:
     def basis_cocycles(self):
         return self.space.representatives()
 
-    def classes(self):
-        return [
-            CohomologyClass(self.degree, tuple(v), self.res, self.module)
-            for v in self.basis_cocycles()
-        ]
-
-    def is_coboundary(self, cochain):
-        return self.space.is_boundary(list(cochain))
-
 
 class TorGroup:
     """Tor_n with a canonical class basis."""
@@ -149,12 +118,6 @@ class TorGroup:
 
     def basis_cycles(self):
         return self.space.representatives()
-
-    def classes(self):
-        return [
-            HomologyClass(self.degree, tuple(v), self.res, self.module)
-            for v in self.basis_cycles()
-        ]
 
 
 def ext(res, M, n) -> ExtGroup:

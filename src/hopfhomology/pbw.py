@@ -29,7 +29,7 @@ from operator import eq
 
 from .errors import DegreeOverflowError, ValidationError
 from .linalg import (Matrix, coassociators, frac, lincomb, pair_compose, pair_product, sparse_add,
-                     sparse_axpy, sparse_extend, zero_vec)
+                     sparse_extend, zero_vec)
 
 
 class LieAlgebraData:
@@ -72,11 +72,6 @@ class LieAlgebraData:
     def adjoint_trace(self, i):
         m = self.adjoint_matrix(i)
         return sum(m.rows[k][k] for k in range(self.dim))
-
-    def opposite(self):
-        d = self.dim
-        neg = [[[-x for x in self.bracket[i][j]] for j in range(d)] for i in range(d)]
-        return LieAlgebraData(d, neg, name=self.name + "-op", labels=self.labels, validate=False)
 
     def __repr__(self):
         return f"LieAlgebraData({self.name}, dim {self.dim})"
@@ -367,25 +362,3 @@ def ug_hopf_report(g: LieAlgebraData, bound=3) -> dict:
             pair_product(mul, tau(a), tau(b), flip=True) == sparse_extend(tau, mul(a, b)) for a, b in pairs
         ),
     }
-
-
-def transport_to_opposite(g: LieAlgebraData, gop: LieAlgebraData, elt):
-    """Image of an element under U(g) -> U(g^op), x -> x (antihomomorphism).
-
-    A PBW monomial maps to the product of its generator word reversed,
-    straightened in the opposite algebra.
-    """
-    out = {}
-    for m, c in elt.items():
-        factors = []
-        for i in range(g.dim):
-            factors.extend([i] * m[i])
-        acc = {mono_one(g.dim): 1}
-        for i in factors:  # reversed word means multiply on the left in order
-            nxt = {}
-            for mm, cc in acc.items():
-                for m2, d in _xmul(gop, i, mm).items():
-                    sparse_add(nxt, m2, cc * d)
-            acc = nxt
-        sparse_axpy(out, c, acc)
-    return out

@@ -33,7 +33,7 @@ from itertools import product as iproduct
 
 from .algebras import ModuleRep
 from .bialgebroid import BialgebroidData, _expand_table, module_tensor_left
-from .complexes import DoubleComplex
+from .complexes import homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
 from .homology import lift
 from .linalg import Matrix, induced_map, sparse_add, sparse_extend, unit_vec, zero_vec
@@ -407,56 +407,54 @@ def bar_resolution(data: BialgebroidData, depth: int) -> BarResolution:
 class TotalTensorComplex:
     """Tot of the levelwise monoidal product of a bar resolution with itself.
 
-    Carries the quotient presentation of each block, the induced module
-    structure per total degree, the totalized differential and the
-    augmentation through A (x) A = A.  Certified through total degree
-    `upto`.  Products do not build it: it is the reference against which
-    the tests check that BarResolution.diagonal is a chain map.
+    Block (i, j) is the quotient presentation of P_i (x)_A P_j with its
+    module structure (module_tensor_left).  Total degree n stacks the
+    blocks (i, n - i) by increasing i, the block starting at coordinate
+    offsets[i, n - i] of a space of dimension dims[n], and action[n] is
+    the block diagonal module structure.  diff[n] : Tot_n -> Tot_(n-1)
+    is d (x) 1 + (-1)^i 1 (x) d on block (i, j), the totalization sign
+    of the products module, and d d = 0 is checked at construction; aug
+    is the augmentation through A (x) A = A.  Certified through total
+    degree `upto`.  Products do not build it: it is the reference
+    against which the tests check that BarResolution.diagonal is a
+    chain map.
     """
 
     def __init__(self, bar: BarResolution, upto: int):
         if upto > bar.depth:
             raise WindowExceededError("total degree exceeds the bar window")
         self.bar = bar
-        self.data = bar.data
+        self.data = data = bar.data
         self.upto = upto
-        data = bar.data
-        U = data.U
-        self.blocks = {}
         reps = {n: bar.module_rep(n) for n in range(upto + 1)}
         chain = {n: bar.chain_matrix(n) for n in range(1, upto + 1)}
-        spaces = {}
-        dh = {}
-        dv = {}
-        for i in range(upto + 1):
-            for j in range(upto + 1 - i):
-                tm = module_tensor_left(data, reps[i], reps[j])
-                self.blocks[(i, j)] = tm
-                spaces[(i, j)] = tm.space.dim
-        for (i, j), tm in self.blocks.items():
-            if i >= 1:
-                amb = chain[i].kron(Matrix.identity(reps[j].dim))
-                dh[(i, j)] = induced_map(amb, tm.space, self.blocks[(i - 1, j)].space)
-            if j >= 1:
-                amb = Matrix.identity(reps[i].dim).kron(chain[j])
-                dv[(i, j)] = induced_map(amb, tm.space, self.blocks[(i, j - 1)].space)
-        self.double = DoubleComplex(spaces, dh, dv)
-        self.complex, self.offsets = self.double.totalize()
-        # module structure per total degree: block diagonal of tensor actions
-        self.action = {}
+        self.blocks, self.offsets, self.dims, self.diff, self.action = {}, {}, [], {}, {}
         for n in range(upto + 1):
-            mats = []
-            for u in range(U.dim):
-                m = Matrix.zeros(self.complex.dim(n), self.complex.dim(n))
-                for ij in self.double.total_degree_blocks(n):
-                    off = self.offsets[ij]
-                    blk = self.blocks[ij].module.action[u]
-                    for r in range(blk.nrows):
-                        for c in range(blk.ncols):
-                            if blk.rows[r][c]:
-                                m.rows[off + r][off + c] = blk.rows[r][c]
-                mats.append(m)
-            self.action[n] = mats
+            pos = 0
+            for i in range(n + 1):
+                block = self.blocks[i, n - i] = module_tensor_left(data, reps[i], reps[n - i])
+                self.offsets[i, n - i] = pos
+                pos += block.space.dim
+            self.dims.append(pos)
+            self.action[n] = [Matrix.zeros(self.dims[n], self.dims[n]) for _ in range(data.U.dim)]
+            for i in range(n + 1):
+                off = self.offsets[i, n - i]
+                for mat, blk in zip(self.action[n], self.blocks[i, n - i].module.action):
+                    _place(mat, blk, off, off)
+        for n in range(1, upto + 1):
+            out = self.diff[n] = Matrix.zeros(self.dims[n - 1], self.dims[n])
+            for i in range(n + 1):
+                j, src, col = n - i, self.blocks[i, n - i].space, self.offsets[i, n - i]
+                if i:  # d (x) 1 into block (i - 1, j)
+                    amb = chain[i].kron(Matrix.identity(reps[j].dim))
+                    dst = self.blocks[i - 1, j].space
+                    _place(out, induced_map(amb, src, dst), self.offsets[i - 1, j], col)
+                if j:  # (-1)^i 1 (x) d into block (i, j - 1)
+                    amb = Matrix.identity(reps[i].dim).kron(chain[j])
+                    dst = self.blocks[i, j - 1].space
+                    _place(out, induced_map(amb, src, dst), self.offsets[i, j - 1], col, -1 if i % 2 else 1)
+            if n >= 2 and not (self.diff[n - 1] @ out).is_zero():
+                raise ValidationError(f"d d != 0 from total degree {n} to {n - 2}")
         # augmentation through A (x) A -> A
         tm00 = self.blocks[(0, 0)]
         na = data.A.dim
@@ -480,30 +478,31 @@ class TotalTensorComplex:
 
     def check_resolution(self):
         """Exactness of the augmented total complex in checked degrees."""
+        # homology_dims reads Tot_upto -> .. -> Tot_0 from its top
+        maps = [self.diff[n].transpose().sparse_rows() for n in range(self.upto, 0, -1)]
+        betti = homology_dims(self.dims[::-1], maps)[::-1]
         report = {}
         if self.upto >= 1:
             # H_0 must be A through the augmentation
-            report[0] = self.complex.homology(0).dim == self.data.A.dim
+            report[0] = betti[0] == self.data.A.dim
         for n in range(1, self.upto):
-            report[n] = self.complex.betti(n) == 0
-        if not (self.aug @ self.complex.d(1)).is_zero():
+            report[n] = betti[n] == 0
+        if self.upto >= 1 and not (self.aug @ self.diff[1]).is_zero():
             report["aug"] = False
         return report
 
 
+def _place(mat, block, row, col, sign=1):
+    """Add sign * block into mat with its top left corner at (row, col)."""
+    for r, entries in enumerate(block.rows):
+        target = mat.rows[row + r]
+        for c, x in enumerate(entries):
+            if x:
+                target[col + c] += sign * x
+
+
 # ---------------------------------------------------------------------------
 # chain map lifting
-
-
-def lift_to_bar(src: BarResolution, dst: BarResolution, upto: int):
-    """Chain map src -> dst over the identity of A, via the homotopy.
-
-    The comparison dst.lift builds over the counit, extended U-linearly:
-    one concrete matrix per degree.
-    """
-    top = min(src.depth, dst.depth) if upto is None else upto
-    lifts = dst.lift(src, 0, [src.data.counit(src.U.unit)], top)
-    return [dst.u_linear_matrix(f, n) for n, f in enumerate(lifts)]
 
 
 def lift_into_total(bar: BarResolution, tot: TotalTensorComplex, upto: int):
@@ -531,10 +530,10 @@ def lift_into_total(bar: BarResolution, tot: TotalTensorComplex, upto: int):
     for w in bar.words(0):
         # w = (u,): image is u . (1 (x) 1)
         cols.append(tot.action[0][w[0]].apply(base))
-    mats.append(Matrix.from_cols(cols, nrows=tot.complex.dim(0)))
+    mats.append(Matrix.from_cols(cols, nrows=tot.dims[0]))
     for n in range(1, upto + 1):
         prev = mats[n - 1]
-        d_tot = tot.complex.d(n)
+        d_tot = tot.diff[n]
         gen_sol = {}
         for g in bar.generators(n):
             gv = bar.generator_vector(n, g)
@@ -551,5 +550,5 @@ def lift_into_total(bar: BarResolution, tot: TotalTensorComplex, upto: int):
         cols = []
         for w in bar.words(n):
             cols.append(tot.action[n][w[0]].apply(gen_sol[w[1:]]))
-        mats.append(Matrix.from_cols(cols, nrows=tot.complex.dim(n)))
+        mats.append(Matrix.from_cols(cols, nrows=tot.dims[n]))
     return mats

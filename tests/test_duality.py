@@ -1,4 +1,5 @@
 import io
+import json
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
 from math import comb
@@ -426,6 +427,29 @@ def test_complexes_that_are_not_dualizing_raise(cols, match, monkeypatch):
     monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
     with pytest.raises(NotDualityError, match=match):
         detect_duality_ug(g, bound=2)
+
+
+def test_a_resolution_of_a_nontrivial_character_names_the_failed_checks(monkeypatch):
+    # the Koszul complex of x_0 - 1 resolves the character x_0 -> 1 of
+    # U(lie-abelian1): Ext vanishes below the top and the top cokernel is
+    # one dimensional, but x_0 acts on it by 1, not by the trace 0, and
+    # the fundamental class of the trivial twist is no cycle
+    g = lie_abelian(1)
+
+    class Shifted(CEResolution):
+        def diff_cols(self, n):
+            return [{0: {(1,): 1, (0,): -1}}] if n == 1 else super().diff_cols(n)
+
+    res = Shifted(g, validate=False)
+    monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
+    with pytest.raises(NotDualityError, match="adjoint_trace_twist, double_dual_trivial"):
+        detect_duality_ug(g, bound=2)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["duality", "lie-abelian1", "--pbw-bound", "2"]) == 1
+    report = json.loads(out.getvalue())
+    assert report["failure"] == "NotDualityError"
+    assert "adjoint_trace_twist" in report["witnesses"][0]
 
 
 def test_a_kernel_is_hit_only_when_every_row_is():

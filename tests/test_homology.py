@@ -111,7 +111,7 @@ def test_classes_carry_cocycle_representatives(env_qeps, env_qeps_bar):
     delta = cochain_matrix(env_qeps_bar, M, 2)
     for v in eg.basis_cocycles():
         assert all(x == 0 for x in delta.apply(v))
-        assert not eg.is_coboundary(v)
+        assert any(eg.class_of(v))
 
 
 def test_resolution_independence_same_resolution(env_qeps, env_qeps_bar):

@@ -17,7 +17,6 @@ from hopfhomology.pbw import (
     pbw_multiply,
     tensor_left_lie,
     tensor_right_lie,
-    transport_to_opposite,
     translation_mono,
     ug_hopf_report,
 )
@@ -151,22 +150,6 @@ def test_left_tensor_primitive_action():
     tm = tensor_left_lie(g, M, N)
     for i in range(g.dim):
         assert tm.gen[i] == M.gen[i].kron(Matrix.identity(1))
-
-
-def test_transport_to_opposite_antihomomorphism():
-    g = lie_sl2()
-    gop = g.opposite()
-    monos = [m for m in monomials_upto(3, 2) if sum(m)]
-    for a in monos:
-        for b in monos:
-            prod = pbw_multiply(g, {a: Q(1)}, {b: Q(1)})
-            lhs = transport_to_opposite(g, gop, prod)
-            rhs = pbw_multiply(
-                gop,
-                transport_to_opposite(g, gop, {b: Q(1)}),
-                transport_to_opposite(g, gop, {a: Q(1)}),
-            )
-            assert lhs == rhs
 
 
 def lie_half():

@@ -1,13 +1,9 @@
 """The small record classes keep their contract.
 
-Each object gets its own containers, Instance keeps its short repr, and
-the homology classes keep their equality and stay unhashable.
+Each object gets its own containers and Instance keeps its short repr.
 """
 
-import pytest
-
 from hopfhomology.errors import TakeuchiReport
-from hopfhomology.homology import CohomologyClass, HomologyClass
 from hopfhomology.instances import Instance
 
 
@@ -36,26 +32,3 @@ def test_instance_fields_and_repr():
     assert repr(inst) == "Instance(kz2)"
     plain = Instance("lie-sl2", "lie", None)
     assert (plain.description, plain.expect_hopf) == ("", True)
-
-
-def test_homology_class_compares_all_four_fields():
-    h = HomologyClass(1, (1, 0), "res", "M")
-    assert h == HomologyClass(1, (1, 0), "res", "M")
-    for other in [(2, (1, 0), "res", "M"), (1, (0, 1), "res", "M"), (1, (1, 0), "bar", "M"),
-                  (1, (1, 0), "res", "N")]:
-        assert h != HomologyClass(*other)
-    assert h != CohomologyClass(1, (1, 0), "res", "M")
-
-
-def test_cohomology_class_compares_degree_and_vector():
-    c = CohomologyClass(1, (1, 0), "res", "M")
-    assert c == CohomologyClass(1, (1, 0), "bar", "N")
-    assert c != CohomologyClass(2, (1, 0), "res", "M")
-    assert c != CohomologyClass(1, (0, 1), "res", "M")
-    assert c != HomologyClass(1, (1, 0), "res", "M")
-
-
-@pytest.mark.parametrize("cls", [HomologyClass, CohomologyClass])
-def test_homology_classes_are_unhashable(cls):
-    with pytest.raises(TypeError):
-        hash(cls(0, (1,), "res", "M"))

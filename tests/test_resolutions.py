@@ -8,12 +8,7 @@ from hopfhomology.errors import LiftFailedError, ValidationError, WindowExceeded
 from hopfhomology.homology import ext_dims, tor_dims
 from hopfhomology.instances import cyclic_group_algebra
 from hopfhomology.linalg import Matrix, zero_vec
-from hopfhomology.resolutions import (
-    TotalTensorComplex,
-    bar_resolution,
-    lift_into_total,
-    lift_to_bar,
-)
+from hopfhomology.resolutions import TotalTensorComplex, bar_resolution, lift_into_total
 
 
 def _homotopy_identity_holds(bar, n):
@@ -107,7 +102,7 @@ def closed_form_diagonal(bar, tot, upto):
     for n in range(upto + 1):
         on_gens = {}
         for g in bar.generators(n):
-            v = zero_vec(tot.complex.dim(n))
+            v = zero_vec(tot.dims[n])
             for i in range(n + 1):
                 block = tot.blocks[(i, n - i)]
                 dim_back = bar.concrete_dim(n - i)
@@ -118,7 +113,7 @@ def closed_form_diagonal(bar, tot, upto):
                 v[off : off + block.space.dim] = block.space.project(amb)
             on_gens[g] = v
         cols = [tot.action[n][w[0]].apply(on_gens[w[1:]]) for w in bar.words(n)]
-        mats.append(Matrix.from_cols(cols, nrows=tot.complex.dim(n)))
+        mats.append(Matrix.from_cols(cols, nrows=tot.dims[n]))
     return mats
 
 
@@ -138,7 +133,7 @@ def test_diagonal_lift_is_chain_map(catalog):
             diag = diagonal(bar, tot, upto)
             where = f"{diagonal.__name__} on {name}"
             for n in range(1, upto + 1):
-                lhs = tot.complex.d(n) @ diag[n]
+                lhs = tot.diff[n] @ diag[n]
                 rhs = diag[n - 1] @ bar.chain_matrix(n)
                 assert lhs == rhs, f"{where}: d Delta != Delta d in degree {n}"
             # augmentation compatibility at the bottom
@@ -150,9 +145,29 @@ def test_lift_failed_on_corrupted_target(env_qeps_bar):
     tot = TotalTensorComplex(bar, 2)
     # corrupting the degree 2 differential makes the lift equations
     # inconsistent (the target stops being exact there)
-    tot.complex.diff[2] = Matrix.zeros(tot.complex.dim(1), tot.complex.dim(2))
+    tot.diff[2] = Matrix.zeros(tot.dims[1], tot.dims[2])
     with pytest.raises(LiftFailedError):
         lift_into_total(bar, tot, 2)
+
+
+def test_total_complex_rejects_a_corrupted_bar_differential(catalog, monkeypatch):
+    # d_1 doubled on one of the two free generators of kz3 stays U-linear,
+    # so every block map still descends to the tensor quotients, but
+    # d_1 d_2 != 0, and so d d != 0 from total degree 2 to 0
+    bar = bar_resolution(catalog["kz3"].data, 2)
+    chain_matrix, g = bar.chain_matrix, bar.generators(1)[0]
+
+    def corrupted(n):
+        m = chain_matrix(n)
+        if n == 1:
+            m = Matrix.from_cols([[2 * x for x in m.col(j)] if w[1:] == g else m.col(j)
+                                  for j, w in enumerate(bar.words(1))], nrows=m.nrows)
+        return m
+
+    monkeypatch.setattr(bar, "chain_matrix", corrupted)
+    assert not (corrupted(1) @ corrupted(2)).is_zero()
+    with pytest.raises(ValidationError, match="d d != 0"):
+        TotalTensorComplex(bar, 2)
 
 
 def test_lift_to_bar_self_comparison_is_identity_on_ext(env_qeps, env_qeps_bar):
@@ -166,44 +181,12 @@ def test_lift_to_bar_self_comparison_is_identity_on_ext(env_qeps, env_qeps_bar):
     assert (iso.forward @ iso.backward) == Matrix.identity(iso.forward.nrows)
 
 
-def test_hom_tensor_double_complex_euler_characteristic(env_qeps, env_qeps_bar):
-    # C^1_{mn} = Hom_U(P_m, M) (x) Hom_U(P_n, N) over the truncated range;
-    # the Euler characteristic of the total complex factors
-    from hopfhomology.complexes import DoubleComplex
-    from hopfhomology.homology import cochain_matrix
-    from hopfhomology.instances import bimodule_a
-
-    bar = env_qeps_bar
-    M = bimodule_a(env_qeps.data)
-    top = 3
-    dims = [bar.rank(n) * M.dim for n in range(top + 1)]
-    deltas = {n: cochain_matrix(bar, M, n) for n in range(top)}
-    spaces = {}
-    dh = {}
-    dv = {}
-    # cochain double complex encoded homologically: position (i, j)
-    # holds cochain bidegree (top - i, top - j)
-    for i in range(top + 1):
-        for j in range(top + 1):
-            spaces[(i, j)] = dims[top - i] * dims[top - j]
-    ident = {n: Matrix.identity(dims[n]) for n in range(top + 1)}
-    for i in range(top + 1):
-        for j in range(top + 1):
-            if i >= 1:
-                dh[(i, j)] = deltas[top - i].kron(ident[top - j])
-            if j >= 1:
-                dv[(i, j)] = ident[top - i].kron(deltas[top - j])
-    dc = DoubleComplex(spaces, dh, dv)
-    total, offs = dc.totalize()
-    euler_total = sum((-1) ** n * total.dim(n) for n in total.degrees())
-    euler_row = sum((-1) ** n * dims[n] for n in range(top + 1))
-    assert euler_total == euler_row * euler_row
-
-
 def test_lift_to_bar_chain_property(env_qeps_bar):
     bar = env_qeps_bar
     other = bar_resolution(bar.data, 4)
-    mats = lift_to_bar(bar, other, 3)
+    # the comparison over the counit, extended U-linearly
+    lifts = other.lift(bar, 0, [bar.data.counit(bar.U.unit)], 3)
+    mats = [other.u_linear_matrix(f, n) for n, f in enumerate(lifts)]
     for n in range(1, 4):
         assert other.chain_matrix(n) @ mats[n] == mats[n - 1] @ bar.chain_matrix(n)
     assert other.augmentation_matrix() @ mats[0] == bar.augmentation_matrix()

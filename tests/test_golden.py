@@ -43,6 +43,8 @@ COMMANDS = {
     "ext-env-qeps": ["ext", "env-qeps", "--module", "A", "--max-degree", "3"],
     "tor-sweedler": ["tor", "sweedler", "--module", "trivial", "--max-degree", "3"],
     "instances-export-qs3": ["instances", "export", "qs3"],
+    "instances-export-env-qxq": ["instances", "export", "env-qxq"],
+    "instances-export-env-upper2": ["instances", "export", "env-upper2"],
     "verify-hopf-qs3": ["verify-hopf", "qs3"],
     "verify-hopf-env-upper2": ["verify-hopf", "env-upper2"],
     "verify-hopf-lie-sl2": ["verify-hopf", "lie-sl2"],

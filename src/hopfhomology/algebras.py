@@ -9,6 +9,8 @@ so the sweeps are not optional.
 
 from __future__ import annotations
 
+from math import prod
+
 from .errors import ValidationError
 from .linalg import (
     Matrix,
@@ -233,26 +235,30 @@ class ModuleRep:
         return f"ModuleRep({self.side}, dim {self.dim} over {self.algebra!r})"
 
 
-def balanced_tensor(pairs, left_dim, right_dim) -> QuotientSpace:
-    """Plain tensor product modulo the balancing relations of pairs.
+def balanced_tensor(shape, glues) -> QuotientSpace:
+    """Plain tensor product of spaces of dimensions shape, modulo glues.
 
-    Ambient basis is (i, j) -> i * right_dim + j.  Each pair (L, R) of
-    matrices, L acting on the left factor and R on the right one,
-    contributes the relations { L x (x) y  -  x (x) R y }.
+    The ambient basis is row major: a tuple of slot indices (x_0, ..)
+    sits at sum x_k * stride_k.  Each glue (i, j, pairs) and each pair
+    (L, R) in it, L acting on slot i and R on slot j, contributes the
+    relations { .. L x_i .. (x) .. x_j ..  -  .. x_i .. (x) .. R x_j .. }
+    over every basis tuple.
     """
-    ambient = left_dim * right_dim
+    strides = [prod(shape[k + 1:]) for k in range(len(shape))]
+    ambient = prod(shape)
     relations = []
-    for L, R in pairs:
-        for i in range(left_dim):
-            li = L.col(i)
-            for j in range(right_dim):
+    for i, j, pairs in glues:
+        si, sj = strides[i], strides[j]
+        for L, R in pairs:
+            lcols = [_sparse(L.col(x)) for x in range(shape[i])]
+            rcols = [_sparse(R.col(y)) for y in range(shape[j])]
+            for flat in range(ambient):
+                x, y = flat // si % shape[i], flat // sj % shape[j]
                 rel = {}
-                for p, c in enumerate(li):
-                    if c:
-                        sparse_add(rel, p * right_dim + j, c)
-                for q, c in enumerate(R.col(j)):
-                    if c:
-                        sparse_add(rel, i * right_dim + q, -c)
+                for p, c in lcols[x].items():
+                    sparse_add(rel, flat + (p - x) * si, c)
+                for q, c in rcols[y].items():
+                    sparse_add(rel, flat + (q - y) * sj, -c)
                 relations.append(rel)
     return QuotientSpace(ambient, Subspace(ambient, relations))
 
@@ -265,7 +271,7 @@ def tensor_over(algebra, m_right: ModuleRep, n_left: ModuleRep) -> QuotientSpace
     """
     if m_right.side != "right" or n_left.side != "left":
         raise ValidationError("tensor_over needs a right and a left module")
-    return balanced_tensor(zip(m_right.action, n_left.action), m_right.dim, n_left.dim)
+    return balanced_tensor((m_right.dim, n_left.dim), [(0, 1, zip(m_right.action, n_left.action))])
 
 
 def hom_over(algebra, m: ModuleRep, n: ModuleRep) -> Subspace:

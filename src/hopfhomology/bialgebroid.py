@@ -16,25 +16,25 @@ and the Galois map beta(u (x) v) = u_(1) (x) u_(2) v is defined on
 
     U (x)_Aop U = U (x) U / span{ a |>> u (x) v - u (x) v <| a }.
 
-Rather than row reducing those relation spans, both quotients (and the
-triple products needed for coassociativity and the translation-map
-identities) are given closed-form normal forms: U is decomposed as a
-free module over the <| action (and over the |>> action), and relations
-push base-algebra coefficients onto the next tensor factor.  This keeps
-every projection exact and cheap even when U (x) U (x) U is large.
+Both quotients, and the two triple products on which coassociativity
+and the translation-coproduct identity are compared, are built by
+algebras.balanced_tensor, the builder every module tensor uses: the
+relation span is row reduced, and each quotient coordinate stands for
+one pure tensor of U-basis elements.  U must be free over the <| and
+the |>> actions; the free <| generators (tails) seed the bar resolution.
 
 The identities that U(g) shares with these finite bialgebroids (the two
 translation identities, coassociativity, and the multiplicativity of the
 coproduct and of the translation) are evaluated by the sparse pair
 helpers of linalg on mul = FinDimAlgebra.product, and compared after
-projecting to the glued spaces; pbw.ug_hopf_report calls the same
+projecting to these quotients; pbw.ug_hopf_report calls the same
 helpers on PBW monomials.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebras import FinDimAlgebra, ModuleRep, balanced_tensor, tensor_over
 from .errors import (
@@ -54,6 +54,7 @@ from .linalg import (
     pair_compose,
     pair_product,
     sparse_add,
+    sparse_axpy,
     sparse_extend,
     sparse_kernel,
     unit_vec,
@@ -97,98 +98,31 @@ def _expand_table(U: FinDimAlgebra, mats, candidates):
     return gens, table
 
 
-class GluedTensorSpace:
-    """Tensor power of U glued by base-algebra actions, in normal form.
+class TensorQuotient:
+    """A balanced_tensor quotient of a tensor power of U, read in pure tensors.
 
-    words are tuples (t_1, .., t_{k-1}, j): all slots except the last
-    hold generator indices of a free decomposition of U over one of the
-    base actions, the last slot holds a U-basis index.  Rewriting slot
-    i expels a base-algebra coefficient which acts on slot
-    push_target[i] through push[i] (a list of matrices indexed by the
-    A-basis); in chains the target is the next slot, in the mixed
-    translation triple the outer glue skips the middle slot.
+    Sparse vectors are dicts {tuple of U-basis indices: coeff}.  The
+    representatives of the quotient are single pure tensors, words[k]
+    for coordinate k, so lifting coordinates only relabels them.
     """
 
-    def __init__(self, U, nslots, expand_tables, push_matrices, push_targets, gens):
-        self.U = U
-        self.nslots = nslots
-        self.expand = expand_tables  # per inner slot
-        self.push = push_matrices  # per inner slot
-        self.push_target = push_targets  # per inner slot
-        self.gens = gens  # generator vectors per inner slot
-        shape = [len(g) for g in gens] + [U.dim]
-        self.words = []
-        self.index = {}
-
-        def rec(prefix, k):
-            if k == nslots:
-                self.index[tuple(prefix)] = len(self.words)
-                self.words.append(tuple(prefix))
-                return
-            for t in range(shape[k]):
-                rec(prefix + [t], k + 1)
-
-        rec([], 0)
-        self.dim = len(self.words)
-        self._proj_cache = {}
-
-    def project_pure(self, idxs):
-        """Normal form of a pure tensor of U-basis elements, sparse."""
-        idxs = tuple(idxs)
-        cached = self._proj_cache.get(idxs)
-        if cached is not None:
-            return cached
-        out = self._normalize(0, idxs, 1)
-        self._proj_cache[idxs] = out
-        return out
-
-    def _normalize(self, slot, idxs, coef):
-        if slot == self.nslots - 1:
-            return {idxs: coef}
-        out = {}
-        i = idxs[slot]
-        tgt = self.push_target[slot]
-        for t, r, c in self.expand[slot][i]:
-            pushed = self.push[slot][r].col(idxs[tgt])
-            for q, d in enumerate(pushed):
-                if d:
-                    new = list(idxs)
-                    new[slot] = t
-                    new[tgt] = q
-                    sub = self._normalize(slot + 1, tuple(new), coef * c * d)
-                    for w, cc in sub.items():
-                        sparse_add(out, w, cc)
-        return out
+    def __init__(self, nu, nslots, glues):
+        self.space = balanced_tensor((nu,) * nslots, glues)
+        self.dim = self.space.dim
+        cells = list(product(range(nu), repeat=nslots))
+        self._flat = {w: n for n, w in enumerate(cells)}
+        self.words = [cells[j] for j in self.space.reps]
 
     def project_sparse(self, elem):
         """elem: dict {pure index tuple: coeff} -> dense coordinates."""
-        v = zero_vec(self.dim)
-        for w, c in sparse_extend(self.project_pure, elem).items():
-            v[self.index[w]] = c
-        return v
-
-    def lift_word(self, word):
-        """Canonical pure-tensor representative of a normal word, sparse."""
-        vecs = [self.gens[k][word[k]] for k in range(self.nslots - 1)]
-        out = {}
-
-        def rec(k, idxs, coef):
-            if k == self.nslots - 1:
-                sparse_add(out, tuple(idxs) + (word[-1],), coef)
-                return
-            for p, c in enumerate(vecs[k]):
-                if c:
-                    rec(k + 1, idxs + [p], coef * c)
-
-        rec(0, [], 1)
-        return out
-
-    def lift_coords(self, coords):
-        return sparse_extend(lambda k: self.lift_word(self.words[k]), coords)
+        v = zero_vec(self.space.ambient_dim)
+        for w, c in elem.items():
+            v[self._flat[w]] += c
+        return self.space.project(v)
 
     def pure_lift(self, matrix):
-        """i -> lift_coords of column i of matrix (rows on this space), cached."""
-        return cache(lambda i: self.lift_coords(matrix.col(i)))
+        """i -> column i of matrix (rows on this space) as pure tensors, cached."""
+        return cache(lambda i: {self.words[k]: c for k, c in enumerate(matrix.col(i)) if c})
 
 
 class BialgebroidData:
@@ -224,36 +158,27 @@ class BialgebroidData:
         self.bl_l = [U.right_mult_matrix(self.eta_target(unit_vec(na, i))) for i in range(na)]
         self.bl_r = [U.right_mult_matrix(self.eta_source(unit_vec(na, i))) for i in range(na)]
 
-        # free decompositions of U over <| and over |>>
+        # U must be free over <| and over |>>; the <| tails seed the bar resolution
         candidates = list(tail_basis) if tail_basis else []
         candidates += [unit_vec(nu, i) for i in range(nu)]
         left = _expand_table(U, self.tri_r, candidates)
         if left is None:
             raise ValidationError("U is not free over the <| action on the given candidates")
         self.tails_l, self.expand_l = left
-        right = _expand_table(U, self.bl_l, candidates)
-        if right is None:
+        if _expand_table(U, self.bl_l, candidates) is None:
             raise ValidationError("U is not free over the |>> action on the given candidates")
-        self.tails_r, self.expand_r = right
 
-        self.uau = self._make_space([(self.expand_l, self.tri_l, self.tails_l)])
-        self.uaopu = self._make_space([(self.expand_r, self.tri_r, self.tails_r)])
+        # u <| a (x) v ~ u (x) a |> v  and  a |>> u (x) v ~ u (x) v <| a
+        self._a_glue = list(zip(self.tri_r, self.tri_l))
+        self._aop_glue = list(zip(self.bl_l, self.tri_r))
+        self.uau = TensorQuotient(nu, 2, [(0, 1, self._a_glue)])
+        self.uaopu = TensorQuotient(nu, 2, [(0, 1, self._aop_glue)])
 
-        delta_lift = delta_lift if isinstance(delta_lift, Matrix) else Matrix(delta_lift, ncols=nu)
-        if delta_lift.nrows != nu * nu or delta_lift.ncols != nu:
+        self.delta_lift = delta_lift if isinstance(delta_lift, Matrix) else Matrix(delta_lift, ncols=nu)
+        if self.delta_lift.nrows != nu * nu or self.delta_lift.ncols != nu:
             raise ValidationError("delta lift has the wrong shape")
         self.delta = Matrix.from_cols(
-            [
-                self.uau.project_sparse(
-                    {
-                        (k // nu, k % nu): c
-                        for k, c in enumerate(delta_lift.col(i))
-                        if c
-                    }
-                )
-                for i in range(nu)
-            ],
-            nrows=self.uau.dim,
+            [self.uau.space.project(self.delta_lift.col(i)) for i in range(nu)], nrows=self.uau.dim
         )
         # counit from eps_hat
         self.eps = Matrix.from_cols(
@@ -283,34 +208,21 @@ class BialgebroidData:
 
     # -- spaces -------------------------------------------------------
 
-    def _make_space(self, slot_specs, push_targets=None):
-        expands = [s[0] for s in slot_specs]
-        pushes = [s[1] for s in slot_specs]
-        gens = [s[2] for s in slot_specs]
-        if push_targets is None:
-            push_targets = [k + 1 for k in range(len(slot_specs))]
-        return GluedTensorSpace(self.U, len(slot_specs) + 1, expands, pushes, push_targets, gens)
-
     def triple_a_space(self):
-        """U (x)_A U (x)_A U in normal form."""
+        """U (x)_A U (x)_A U: the A glue between slots 0 and 1 and between 1 and 2."""
         if not hasattr(self, "_triple_a"):
-            spec = (self.expand_l, self.tri_l, self.tails_l)
-            self._triple_a = self._make_space([spec, spec])
+            self._triple_a = TensorQuotient(self.U.dim, 3, [(0, 1, self._a_glue), (1, 2, self._a_glue)])
         return self._triple_a
 
     def translation_triple_space(self):
-        """Triple with Aop glue between slots 1 and 3, A glue between 2 and 3.
+        """Triple with the Aop glue between slots 0 and 2, the A glue between 1 and 2.
 
-        Rewriting slot 1 expels a <| action onto slot 3 (skipping the
-        middle slot); rewriting slot 2 expels a |> action onto slot 3.
+        a |>> u (x) v (x) w ~ u (x) v (x) w <| a skips the middle slot;
+        u (x) v <| a (x) w ~ u (x) v (x) a |> w.
         """
         if not hasattr(self, "_triple_mixed"):
-            self._triple_mixed = self._make_space(
-                [
-                    (self.expand_r, self.tri_r, self.tails_r),
-                    (self.expand_l, self.tri_l, self.tails_l),
-                ],
-                push_targets=[2, 2],
+            self._triple_mixed = TensorQuotient(
+                self.U.dim, 3, [(0, 2, self._aop_glue), (1, 2, self._a_glue)]
             )
         return self._triple_mixed
 
@@ -334,20 +246,11 @@ class BialgebroidData:
 
     def _centralizer(self, space, first_family, second_family):
         rows = []
-        for r in range(self.A.dim):
-            f = first_family[r]
-            s = second_family[r]
+        for f, s in zip(first_family, second_family):
             block = [{} for _ in range(space.dim)]
-            for k in range(space.dim):
-                amb = space.lift_word(space.words[k])
-                diff = {}
-                for (p, q), c in amb.items():
-                    for p2, d in enumerate(f.col(p)):
-                        if d:
-                            sparse_add(diff, (p2, q), c * d)
-                    for q2, d in enumerate(s.col(q)):
-                        if d:
-                            sparse_add(diff, (p, q2), -c * d)
+            for k, word in enumerate(space.words):
+                diff = _act_leg({word: 1}, 0, f.col)
+                sparse_axpy(diff, -1, _act_leg({word: 1}, 1, s.col))
                 for i, c in enumerate(space.project_sparse(diff)):
                     if c:
                         block[i][k] = c
@@ -367,26 +270,18 @@ class BialgebroidData:
         return self._a_module
 
     def to_json(self):
-        """Serialise U, A, eta, a coproduct lift and eps_hat.
+        """Serialise U, A, eta, the coproduct lift, eps_hat and the <| tails.
 
-        The stored coproduct is the projection of the lift, so any lift
-        with the same projection reproduces identical data.
+        The lift is written as it was given, so from_json(to_json())
+        exports the same blob again.
         """
-        nu = self.U.dim
-        lift_cols = []
-        for i in range(nu):
-            col = [0] * (nu * nu)
-            for (p, q), c in self.delta_pure(i).items():
-                col[p * nu + q] += c
-            lift_cols.append(col)
-        lift = Matrix.from_cols(lift_cols, nrows=nu * nu)
         from .linalg import frac_str
 
         return {
             "U": self.U.to_json(),
             "A": self.A.to_json(),
             "eta": self.eta.to_json(),
-            "Delta_lift": lift.to_json(),
+            "Delta_lift": self.delta_lift.to_json(),
             "epsilon_hat": [m.to_json() for m in self.eps_hat],
             "tail_basis": [[frac_str(x) for x in t] for t in self.tails_l],
         }
@@ -432,7 +327,7 @@ def _act_leg(elem, leg, image):
 
 
 def _agree(space, lhs, rhs):
-    """Whether two sparse sums of pure tensors have the same normal form in space."""
+    """Whether two sparse sums of pure tensors have the same coordinates in space."""
     return space.project_sparse(lhs) == space.project_sparse(rhs)
 
 
@@ -579,7 +474,7 @@ def galois_map(data: BialgebroidData) -> HopfStructure:
                 if lhs != beta_of(_outer(unit_vec(nu, i), data.tri_r[r].col(j))):
                     raise NotWellDefinedError("Galois map does not descend; data corrupted")
 
-    beta = Matrix.from_cols([beta_of(uaopu.lift_word(word)) for word in uaopu.words], nrows=uau.dim)
+    beta = Matrix.from_cols([beta_pure(*word) for word in uaopu.words], nrows=uau.dim)
     if uau.dim != uaopu.dim or beta.rank() != uau.dim:
         raise NotInvertibleError(
             "Galois map is not bijective",
@@ -693,11 +588,8 @@ def _module_tensor(data, M, N, eta_n, pure, side) -> TensorModule:
     """
     na = data.A.dim
     dm, dn = M.dim, N.dim
-    space = balanced_tensor(
-        ((M.act(data.eta_target(unit_vec(na, r))), N.act(eta_n(unit_vec(na, r)))) for r in range(na)),
-        dm,
-        dn,
-    )
+    pairs = ((M.act(data.eta_target(unit_vec(na, r))), N.act(eta_n(unit_vec(na, r)))) for r in range(na))
+    space = balanced_tensor((dm, dn), [(0, 1, pairs)])
     action = []
     for u in range(data.U.dim):
         amb = Matrix.zeros(dm * dn, dm * dn)
@@ -810,9 +702,8 @@ def galois_module(h: HopfStructure, M: ModuleRep):
     nu, na, dm = U.dim, data.A.dim, M.dim
     # source: U (x) M / span{ a |>> u (x) m - u (x) m <| a }
     ambient = nu * dm
-    source = balanced_tensor(
-        ((data.bl_l[r], M.act(data.eta_target(unit_vec(na, r)))) for r in range(na)), nu, dm
-    )
+    pairs = ((data.bl_l[r], M.act(data.eta_target(unit_vec(na, r)))) for r in range(na))
+    source = balanced_tensor((nu, dm), [(0, 1, pairs)])
     # the source is a left U-module by multiplication on the first leg
     src_action = [
         induced_map(U.left_mult_matrix(unit_vec(nu, u)).kron(Matrix.identity(dm)), source, source)

@@ -50,10 +50,6 @@ def frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def vec(entries) -> list:
-    return [frac(e) for e in entries]
-
-
 def zero_vec(n) -> list:
     return [0] * n
 

@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 
+BIALGEBROID = "src/hopfhomology/bialgebroid.py"
 DUALITY = "src/hopfhomology/duality.py"
 COMPLEXES = "src/hopfhomology/complexes.py"
 LINALG = "src/hopfhomology/linalg.py"
@@ -83,6 +84,11 @@ MUTANTS = [
      "if echelon is not None:\n            return p, echelon", "if True:\n            return p, echelon"),
     ("CRT step drops the new prime", LINALG,
      "x = a + m * ((tail.get(j, 0) - a) * inv % p)", "x = a"),
+    # the glues of the translation triple, on which translation_coproduct is compared
+    ("translation triple Aop glue moved to slots 0, 1", BIALGEBROID,
+     "(0, 2, self._aop_glue)", "(0, 1, self._aop_glue)"),
+    ("translation triple Aop glue dropped", BIALGEBROID,
+     "[(0, 2, self._aop_glue), (1, 2, self._a_glue)]", "[(1, 2, self._a_glue)]"),
     # the axiom sweeps
     ("TakeuchiReport.sweep sees no witness", ERRORS,
      "witness = next(iter(witnesses), None)", "witness = None"),

@@ -1,5 +1,5 @@
 from fractions import Fraction as Q
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -421,68 +421,57 @@ def test_galois_module_enveloping(env_qeps, env_qeps_hopf):
         assert fwd @ src_mod.action[u] == target.module.action[u] @ fwd
 
 
+def _relation_sides(nu, nslots, i, j, first, second):
+    """Both sides of first[r] acting on slot i  ~  second[r] acting on slot j.
+
+    One (lhs, rhs) pair of sparse tuple-keyed vectors per r and per
+    pure tensor of U-basis elements.
+    """
+    for f, s in zip(first, second):
+        for cell in product(range(nu), repeat=nslots):
+            lhs = {cell[:i] + (p,) + cell[i + 1:]: c for p, c in enumerate(f.col(cell[i])) if c}
+            rhs = {cell[:j] + (q,) + cell[j + 1:]: c for q, c in enumerate(s.col(cell[j])) if c}
+            yield lhs, rhs
+
+
 def test_glued_spaces_match_row_reduction_quotients(catalog):
-    # the closed-form normal forms must give the same dimensions as the
-    # generic quotient by the relation span, and must kill every relation
+    # each of the four U-tensor spaces is U (x) .. (x) U modulo exactly
+    # the relations written out here: both sides of every relation have
+    # the same coordinates, and nothing else is glued
     from hopfhomology.linalg import sparse_rank
 
-    for name in ("env-qeps", "env-upper2", "sweedler"):
+    for name in ("env-qeps", "env-qxq", "env-upper2", "sweedler"):
         data = catalog[name].data
-        U, A = data.U, data.A
-        nu, na = U.dim, A.dim
-        for space, first, second, swap in (
-            (data.uau, data.tri_r, data.tri_l, False),   # u <| a (x) v - u (x) a |> v
-            (data.uaopu, data.bl_l, data.tri_r, False),  # a |>> u (x) v - u (x) v <| a
+        nu = data.U.dim
+        a_glue = (data.tri_r, data.tri_l)    # u <| a (x) v  ~  u (x) a |> v
+        aop_glue = (data.bl_l, data.tri_r)   # a |>> u (x) v  ~  u (x) v <| a
+        for space, nslots, glues in (
+            (data.uau, 2, [(0, 1, *a_glue)]),
+            (data.uaopu, 2, [(0, 1, *aop_glue)]),
+            # u <| a (x) v (x) w  ~  u (x) a |> v (x) w,  u (x) v <| a (x) w  ~  u (x) v (x) a |> w
+            (data.triple_a_space(), 3, [(0, 1, *a_glue), (1, 2, *a_glue)]),
+            # a |>> u (x) v (x) w  ~  u (x) v (x) w <| a,  u (x) v <| a (x) w  ~  u (x) v (x) a |> w
+            (data.translation_triple_space(), 3, [(0, 2, *aop_glue), (1, 2, *a_glue)]),
         ):
+            flat = {cell: n for n, cell in enumerate(product(range(nu), repeat=nslots))}
             rels = []
-            for r in range(na):
-                f, s = first[r], second[r]
-                for i in range(nu):
-                    for j in range(nu):
-                        rel = {}
-                        for p, c in enumerate(f.col(i)):
-                            if c:
-                                rel[p * nu + j] = rel.get(p * nu + j, 0) + c
-                        for q, c in enumerate(s.col(j)):
-                            if c:
-                                rel[i * nu + q] = rel.get(i * nu + q, 0) - c
-                        rel = {k: v for k, v in rel.items() if v}
-                        if rel:
-                            rels.append(rel)
-                        # the normal form sends both sides to equal coordinates
-                        lhs = {}
-                        for p, c in enumerate(f.col(i)):
-                            if c:
-                                lhs[(p, j)] = c
-                        rhs = {}
-                        for q, c in enumerate(s.col(j)):
-                            if c:
-                                rhs[(i, q)] = c
-                        assert space.project_sparse(lhs) == space.project_sparse(rhs)
-        # dimension agreement with the generic quotient
-        rels = []
-        for r in range(na):
-            f, s = data.tri_r[r], data.tri_l[r]
-            for i in range(nu):
-                for j in range(nu):
+            for glue in glues:
+                for lhs, rhs in _relation_sides(nu, nslots, *glue):
+                    assert space.project_sparse(lhs) == space.project_sparse(rhs), (name, glue[:2])
                     rel = {}
-                    for p, c in enumerate(f.col(i)):
-                        if c:
-                            rel[p * nu + j] = rel.get(p * nu + j, 0) + c
-                    for q, c in enumerate(s.col(j)):
-                        if c:
-                            rel[i * nu + q] = rel.get(i * nu + q, 0) - c
-                    rel = {k: v for k, v in rel.items() if v}
-                    if rel:
-                        rels.append(rel)
-        assert data.uau.dim == nu * nu - sparse_rank(rels)
+                    for side, sign in ((lhs, 1), (rhs, -1)):
+                        for cell, c in side.items():
+                            rel[flat[cell]] = rel.get(flat[cell], 0) + sign * c
+                    rels.append({k: v for k, v in rel.items() if v})
+            assert space.dim == nu ** nslots - sparse_rank(rels), (name, nslots, glues[0][:2])
 
 
 def test_glued_space_project_lift_round_trip(catalog):
     data = catalog["env-upper2"].data
     for space in (data.uau, data.uaopu, data.triple_a_space(), data.translation_triple_space()):
+        lift = space.pure_lift(Matrix.identity(space.dim))
         for k in range(space.dim):
-            v = space.project_sparse(space.lift_word(space.words[k]))
+            v = space.project_sparse(lift(k))
             expect = [0] * space.dim
             expect[k] = 1
             assert [int(x) for x in v] == expect

@@ -58,14 +58,19 @@ def test_module_json_round_trip():
 
 def test_bialgebroid_json_round_trip(catalog):
     from hopfhomology.bialgebroid import BialgebroidData, check_takeuchi
+    from hopfhomology.instances import CATALOG
 
-    for name in ("sweedler", "env-upper2"):
+    finite = [name for name, (kind, *_) in CATALOG.items() if kind != "lie"]
+    assert len(finite) == 8
+    for name in finite:
         data = catalog[name].data
-        blob = json.dumps(data.to_json(), sort_keys=True)
-        back = BialgebroidData.from_json(json.loads(blob), name=name)
+        blob = json.loads(json.dumps(data.to_json(), sort_keys=True))
+        back = BialgebroidData.from_json(blob, name=name)
+        # export is a fixed point: reading a blob back exports it unchanged
+        assert back.to_json() == blob, name
         assert back.delta == data.delta
         assert back.eps == data.eps
-        assert check_takeuchi(back).ok
+        assert check_takeuchi(back).ok, name
 
 
 def test_sweedler_structure(catalog):

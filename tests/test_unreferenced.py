@@ -6,7 +6,9 @@ listed in TEST_ONLY with the reason the package keeps it although only
 tests/ call it.  Names are counted as Python identifier tokens, so
 mentions in strings and comments do not count, an import (for example
 in __init__.py) does, and a method name shared with another definition
-counts as used.
+counts as used.  A function's own parameters, and the names it assigns
+(its locals), do not count inside it: a local kernel = ... does not
+refer to a method kernel.
 """
 
 import ast
@@ -36,6 +38,8 @@ TEST_ONLY = {
     "resolutions.check_resolution": "reference check: exactness of the total complex of P (x) P",
     "resolutions.u_linear_matrix": "reference check: lifted chain maps as concrete matrices",
     "linalg.reduce": "reference check: the rref property tests compare it with a dense oracle",
+    "linalg.kernel": "reference check: the rref property tests compare the dense kernel with an oracle",
+    "homology.bijective": "reference check: tests assert a comparison of resolutions is invertible on Ext",
     # test inputs: tests build the right regular module and PBW generators with them
     "algebras.regular_right": "test input: the right regular module",
     "pbw.generator": "test input: a PBW generator",
@@ -45,12 +49,48 @@ TEST_ONLY = {
 }
 
 
+def _scope(func):
+    """(parameters and assigned names, names of nested definitions) of func's own scope."""
+    args = func.args
+    assigned = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+    defined = set()
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            assigned.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return assigned, defined
+
+
+def _local_tokens(node, local=frozenset()):
+    """(line, column) of each token under node naming a parameter or a local of its function.
+
+    A nested definition shadows an outer local of the same name, and is
+    itself counted where it is used.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        assigned, defined = _scope(node)
+        local = (local - defined) | assigned
+    if isinstance(node, ast.arg) or isinstance(node, ast.Name) and node.id in local:
+        yield node.lineno, node.col_offset
+    for child in ast.iter_child_nodes(node):
+        yield from _local_tokens(child, local)
+
+
 def _name_counts(tops):
     counts = Counter()
     for top in tops:
         for path in sorted(top.rglob("*.py")):
-            tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-            counts.update(t.string for t in tokens if t.type == tokenize.NAME)
+            source = path.read_text()
+            local = set(_local_tokens(ast.parse(source)))
+            tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+            # ast columns count UTF-8 bytes, tokenize columns count characters
+            counts.update(t.string for t in tokens if t.type == tokenize.NAME
+                          and (t.start[0], len(t.line[:t.start[1]].encode())) not in local)
     return counts
 
 

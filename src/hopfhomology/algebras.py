@@ -235,18 +235,49 @@ class ModuleRep:
         return f"ModuleRep({self.side}, dim {self.dim} over {self.algebra!r})"
 
 
-def balanced_tensor(shape, glues) -> QuotientSpace:
+class TensorSpace(QuotientSpace):
+    """A balanced tensor product, read by its pure tensors.
+
+    The ambient space is the plain tensor product of spaces of
+    dimensions shape, row major: the pure tensor of slot indices
+    (x_0, ..) sits at sum x_k * strides[k].  Each representative is one
+    ambient basis vector, so coordinate k is the pure tensor words[k].
+    This class is the only code that converts between such tuples and
+    flat indices.
+    """
+
+    __slots__ = ("strides", "words")
+
+    def __init__(self, shape, strides, relations: Subspace):
+        super().__init__(prod(shape), relations)
+        self.strides = strides
+        self.words = [tuple(j // s % n for s, n in zip(strides, shape)) for j in self.reps]
+
+    def project_pure(self, elem):
+        """Coordinates of a sparse sum {tuple of slot indices: coeff} of pure tensors."""
+        v = zero_vec(self.ambient_dim)
+        for word, c in elem.items():
+            v[sum(x * s for x, s in zip(word, self.strides))] += c
+        return self.project(v)
+
+
+def pure_tensor(s, t):
+    """The pure tensor s (x) t of two dense vectors, as a sparse sum {(p, q): coeff}."""
+    return {(p, q): c * d for p, c in enumerate(s) if c for q, d in enumerate(t) if d}
+
+
+def balanced_tensor(shape, glues) -> TensorSpace:
     """Plain tensor product of spaces of dimensions shape, modulo glues.
 
-    The ambient basis is row major: a tuple of slot indices (x_0, ..)
-    sits at sum x_k * stride_k.  Each glue (i, j, pairs) and each pair
-    (L, R) in it, L acting on slot i and R on slot j, contributes the
-    relations { .. L x_i .. (x) .. x_j ..  -  .. x_i .. (x) .. R x_j .. }
-    over every basis tuple.
+    Each glue (i, j, pairs) and each pair (L, R) in it, L acting on slot
+    i and R on slot j, contributes the relations
+    { .. L x_i .. (x) .. x_j ..  -  .. x_i .. (x) .. R x_j .. } over every
+    basis tuple.  Empty and repeated relations are dropped before the
+    span is row reduced; they do not change it.
     """
     strides = [prod(shape[k + 1:]) for k in range(len(shape))]
     ambient = prod(shape)
-    relations = []
+    relations = {}
     for i, j, pairs in glues:
         si, sj = strides[i], strides[j]
         for L, R in pairs:
@@ -259,15 +290,15 @@ def balanced_tensor(shape, glues) -> QuotientSpace:
                     sparse_add(rel, flat + (p - x) * si, c)
                 for q, c in rcols[y].items():
                     sparse_add(rel, flat + (q - y) * sj, -c)
-                relations.append(rel)
-    return QuotientSpace(ambient, Subspace(ambient, relations))
+                if rel:
+                    relations.setdefault(frozenset(rel.items()), rel)
+    return TensorSpace(shape, strides, Subspace(ambient, list(relations.values())))
 
 
-def tensor_over(algebra, m_right: ModuleRep, n_left: ModuleRep) -> QuotientSpace:
+def tensor_over(algebra, m_right: ModuleRep, n_left: ModuleRep) -> TensorSpace:
     """m (x)_algebra n as a quotient of the plain tensor product.
 
-    Ambient basis is (i, j) -> i * dim(n) + j.  Relations span
-    { m.a (x) n  -  m (x) a.n } over all basis elements.
+    Relations span { m.a (x) n  -  m (x) a.n } over all basis elements.
     """
     if m_right.side != "right" or n_left.side != "left":
         raise ValidationError("tensor_over needs a right and a left module")

@@ -19,9 +19,12 @@ and the Galois map beta(u (x) v) = u_(1) (x) u_(2) v is defined on
 Both quotients, and the two triple products on which coassociativity
 and the translation-coproduct identity are compared, are built by
 algebras.balanced_tensor, the builder every module tensor uses: the
-relation span is row reduced, and each quotient coordinate stands for
-one pure tensor of U-basis elements.  U must be free over the <| and
-the |>> actions; the free <| generators (tails) seed the bar resolution.
+relation span is row reduced, and the TensorSpace it returns reads
+every balanced tensor the same way.  Coordinate k is the pure tensor
+words[k], so a map out of the quotient is its value on words, and a
+sparse sum {tuple: coeff} of pure tensors is read with project_pure.
+U must be free over the <| and the |>> actions; the free <| generators
+(tails) seed the bar resolution.
 
 The identities that U(g) shares with these finite bialgebroids (the two
 translation identities, coassociativity, and the multiplicativity of the
@@ -34,9 +37,9 @@ helpers on PBW monomials.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 
-from .algebras import FinDimAlgebra, ModuleRep, balanced_tensor, tensor_over
+from .algebras import FinDimAlgebra, ModuleRep, TensorSpace, balanced_tensor, pure_tensor, tensor_over
 from .errors import (
     NotInvertibleError,
     NotWellDefinedError,
@@ -45,7 +48,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    QuotientSpace,
     Subspace,
     add_outer,
     coassociators,
@@ -98,31 +100,9 @@ def _expand_table(U: FinDimAlgebra, mats, candidates):
     return gens, table
 
 
-class TensorQuotient:
-    """A balanced_tensor quotient of a tensor power of U, read in pure tensors.
-
-    Sparse vectors are dicts {tuple of U-basis indices: coeff}.  The
-    representatives of the quotient are single pure tensors, words[k]
-    for coordinate k, so lifting coordinates only relabels them.
-    """
-
-    def __init__(self, nu, nslots, glues):
-        self.space = balanced_tensor((nu,) * nslots, glues)
-        self.dim = self.space.dim
-        cells = list(product(range(nu), repeat=nslots))
-        self._flat = {w: n for n, w in enumerate(cells)}
-        self.words = [cells[j] for j in self.space.reps]
-
-    def project_sparse(self, elem):
-        """elem: dict {pure index tuple: coeff} -> dense coordinates."""
-        v = zero_vec(self.space.ambient_dim)
-        for w, c in elem.items():
-            v[self._flat[w]] += c
-        return self.space.project(v)
-
-    def pure_lift(self, matrix):
-        """i -> column i of matrix (rows on this space) as pure tensors, cached."""
-        return cache(lambda i: {self.words[k]: c for k, c in enumerate(matrix.col(i)) if c})
+def _pure_lift(space, matrix):
+    """i -> column i of matrix (rows on the TensorSpace space) as pure tensors, cached."""
+    return cache(lambda i: {space.words[k]: c for k, c in enumerate(matrix.col(i)) if c})
 
 
 class BialgebroidData:
@@ -164,28 +144,28 @@ class BialgebroidData:
         left = _expand_table(U, self.tri_r, candidates)
         if left is None:
             raise ValidationError("U is not free over the <| action on the given candidates")
-        self.tails_l, self.expand_l = left
+        self.tails_l = left[0]
         if _expand_table(U, self.bl_l, candidates) is None:
             raise ValidationError("U is not free over the |>> action on the given candidates")
 
         # u <| a (x) v ~ u (x) a |> v  and  a |>> u (x) v ~ u (x) v <| a
         self._a_glue = list(zip(self.tri_r, self.tri_l))
         self._aop_glue = list(zip(self.bl_l, self.tri_r))
-        self.uau = TensorQuotient(nu, 2, [(0, 1, self._a_glue)])
-        self.uaopu = TensorQuotient(nu, 2, [(0, 1, self._aop_glue)])
+        self.uau = balanced_tensor((nu, nu), [(0, 1, self._a_glue)])
+        self.uaopu = balanced_tensor((nu, nu), [(0, 1, self._aop_glue)])
 
         self.delta_lift = delta_lift if isinstance(delta_lift, Matrix) else Matrix(delta_lift, ncols=nu)
         if self.delta_lift.nrows != nu * nu or self.delta_lift.ncols != nu:
             raise ValidationError("delta lift has the wrong shape")
         self.delta = Matrix.from_cols(
-            [self.uau.space.project(self.delta_lift.col(i)) for i in range(nu)], nrows=self.uau.dim
+            [self.uau.project(self.delta_lift.col(i)) for i in range(nu)], nrows=self.uau.dim
         )
         # counit from eps_hat
         self.eps = Matrix.from_cols(
             [self.eps_hat[i].apply(A.unit) for i in range(nu)], nrows=na
         )
         # canonical pure-tensor lift of Delta(e_i), sparse
-        self.delta_pure = self.uau.pure_lift(self.delta)
+        self.delta_pure = _pure_lift(self.uau, self.delta)
 
     # -- eta helpers --------------------------------------------------
 
@@ -211,7 +191,7 @@ class BialgebroidData:
     def triple_a_space(self):
         """U (x)_A U (x)_A U: the A glue between slots 0 and 1 and between 1 and 2."""
         if not hasattr(self, "_triple_a"):
-            self._triple_a = TensorQuotient(self.U.dim, 3, [(0, 1, self._a_glue), (1, 2, self._a_glue)])
+            self._triple_a = balanced_tensor((self.U.dim,) * 3, [(0, 1, self._a_glue), (1, 2, self._a_glue)])
         return self._triple_a
 
     def translation_triple_space(self):
@@ -221,8 +201,8 @@ class BialgebroidData:
         u (x) v <| a (x) w ~ u (x) v (x) a |> w.
         """
         if not hasattr(self, "_triple_mixed"):
-            self._triple_mixed = TensorQuotient(
-                self.U.dim, 3, [(0, 2, self._aop_glue), (1, 2, self._a_glue)]
+            self._triple_mixed = balanced_tensor(
+                (self.U.dim,) * 3, [(0, 2, self._aop_glue), (1, 2, self._a_glue)]
             )
         return self._triple_mixed
 
@@ -251,7 +231,7 @@ class BialgebroidData:
             for k, word in enumerate(space.words):
                 diff = _act_leg({word: 1}, 0, f.col)
                 sparse_axpy(diff, -1, _act_leg({word: 1}, 1, s.col))
-                for i, c in enumerate(space.project_sparse(diff)):
+                for i, c in enumerate(space.project_pure(diff)):
                     if c:
                         block[i][k] = c
             rows.extend(block)
@@ -308,11 +288,6 @@ class BialgebroidData:
 # axioms
 
 
-def _outer(s, t):
-    """The pure tensor s (x) t of two dense vectors as a sparse pair vector."""
-    return {(p, q): c * d for p, c in enumerate(s) if c for q, d in enumerate(t) if d}
-
-
 def _act_leg(elem, leg, image):
     """Apply a linear map to one leg (0 or 1) of a sparse pair vector.
 
@@ -328,7 +303,7 @@ def _act_leg(elem, leg, image):
 
 def _agree(space, lhs, rhs):
     """Whether two sparse sums of pure tensors have the same coordinates in space."""
-    return space.project_sparse(lhs) == space.project_sparse(rhs)
+    return space.project_pure(lhs) == space.project_pure(rhs)
 
 
 def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
@@ -378,7 +353,7 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
         f"Delta not {side}-equivariant at a_{r}, u_{i}"
         for r in range(na) for i in range(nu)
         for leg, side, act in ((0, "|>", data.tri_l[r]), (1, "<|", data.tri_r[r]))
-        if uau.project_sparse(_act_leg(delta(i), leg, act.col)) != data.delta.apply(act.col(i))
+        if uau.project_pure(_act_leg(delta(i), leg, act.col)) != data.delta.apply(act.col(i))
     ))
 
     # counit laws: eta(eps(first) (x) 1) second = u = eta(1 (x) eps(second)) first
@@ -408,20 +383,20 @@ def check_takeuchi(data: BialgebroidData) -> TakeuchiReport:
     ))
 
     # Delta respects unit, eta and multiplication
-    rep.record("delta_unit", _agree(uau, data.delta_of_vec(U.unit), _outer(U.unit, U.unit)))
+    rep.record("delta_unit", _agree(uau, data.delta_of_vec(U.unit), pure_tensor(U.unit, U.unit)))
     rep.sweep("delta_eta", (
         f"Delta(eta) fails at ({A.labels[i]},{A.labels[j]})"
         for i in range(na) for j in range(na)
         if not _agree(
             uau,
             data.delta_of_vec(data._eta_img[(i, j)]),
-            _outer(data.eta_source(unit_vec(na, i)), data.eta_target(unit_vec(na, j))),
+            pure_tensor(data.eta_source(unit_vec(na, i)), data.eta_target(unit_vec(na, j))),
         )
     ))
     rep.sweep("delta_multiplicative", (
         f"Delta not multiplicative at ({U.labels[i]},{U.labels[j]})"
         for i in range(nu) for j in range(nu)
-        if uau.project_sparse(pair_product(U.product, delta(i), delta(j))) != data.delta.apply(U.mult[i][j])
+        if uau.project_pure(pair_product(U.product, delta(i), delta(j))) != data.delta.apply(U.mult[i][j])
     ))
     return rep
 
@@ -444,7 +419,7 @@ class HopfStructure:
         self.beta_inv = beta_inv
         self.translation = translation
         # canonical pure-tensor lift of tau(e_i), sparse
-        self.translation_pure = data.uaopu.pure_lift(translation)
+        self.translation_pure = _pure_lift(data.uaopu, translation)
 
 
 def galois_map(data: BialgebroidData) -> HopfStructure:
@@ -455,7 +430,7 @@ def galois_map(data: BialgebroidData) -> HopfStructure:
 
     @cache
     def beta_pure(p, q):
-        return uau.project_sparse(_act_leg(data.delta_pure(p), 1, lambda y: U.mult[y][q]))
+        return uau.project_pure(_act_leg(data.delta_pure(p), 1, lambda y: U.mult[y][q]))
 
     def beta_of(pairs):
         """beta on a sparse pair vector, in U (x)_A U coordinates."""
@@ -470,8 +445,8 @@ def galois_map(data: BialgebroidData) -> HopfStructure:
     for r in range(data.A.dim):
         for i in range(nu):
             for j in range(nu):
-                lhs = beta_of(_outer(data.bl_l[r].col(i), unit_vec(nu, j)))
-                if lhs != beta_of(_outer(unit_vec(nu, i), data.tri_r[r].col(j))):
+                lhs = beta_of(pure_tensor(data.bl_l[r].col(i), unit_vec(nu, j)))
+                if lhs != beta_of(pure_tensor(unit_vec(nu, i), data.tri_r[r].col(j))):
                     raise NotWellDefinedError("Galois map does not descend; data corrupted")
 
     beta = Matrix.from_cols([beta_pure(*word) for word in uaopu.words], nrows=uau.dim)
@@ -482,7 +457,7 @@ def galois_map(data: BialgebroidData) -> HopfStructure:
             dims=(uaopu.dim, uau.dim),
         )
     beta_inv = beta.inverse()
-    tau_cols = [beta_inv.apply(uau.project_sparse(_outer(unit_vec(nu, i), U.unit))) for i in range(nu)]
+    tau_cols = [beta_inv.apply(uau.project_pure(pure_tensor(unit_vec(nu, i), U.unit))) for i in range(nu)]
     translation = Matrix.from_cols(tau_cols, nrows=uaopu.dim)
     return HopfStructure(data, beta, beta_inv, translation)
 
@@ -501,7 +476,9 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
     for k, space, outer, inner in ((1, data.uau, tau, delta), (2, uaopu, delta, tau)):
         rep.sweep(f"translation_{k}", (
             f"translation identity {k} fails on u_{i}" for i in range(nu)
-            if not _agree(space, pair_compose(U.product, outer(i), inner), _outer(unit_vec(nu, i), U.unit))
+            if not _agree(
+                space, pair_compose(U.product, outer(i), inner), pure_tensor(unit_vec(nu, i), U.unit)
+            )
         ))
 
     # identity 3: the translation lands in the computed Aop centre
@@ -539,7 +516,7 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
         if not _agree(
             uaopu,
             sparse_extend(tau, data._eta_img[(i, j)]),
-            _outer(data.eta_source(unit_vec(na, i)), data.eta_source(unit_vec(na, j))),
+            pure_tensor(data.eta_source(unit_vec(na, i)), data.eta_source(unit_vec(na, j))),
         )
     ))
     return rep
@@ -550,15 +527,10 @@ def check_schauenburg(h: HopfStructure) -> TakeuchiReport:
 
 
 class TensorModule:
-    """A tensor product module together with its quotient presentation."""
+    """A tensor product module together with its quotient presentation (a TensorSpace)."""
 
-    def __init__(self, module: ModuleRep, space: QuotientSpace, left_dim: int, right_dim: int):
-        self.module, self.space, self.left_dim, self.right_dim = module, space, left_dim, right_dim
-
-    def project_pair(self, i, j):
-        v = zero_vec(self.left_dim * self.right_dim)
-        v[i * self.right_dim + j] = 1
-        return self.space.project(v)
+    def __init__(self, module: ModuleRep, space: TensorSpace):
+        self.module, self.space = module, space
 
 
 def module_tensor_left(data: BialgebroidData, M: ModuleRep, N: ModuleRep) -> TensorModule:
@@ -596,7 +568,7 @@ def _module_tensor(data, M, N, eta_n, pure, side) -> TensorModule:
         for (p, q), c in pure(u).items():
             _add_kron_inplace(amb, M.action[p], N.action[q], c)
         action.append(induced_map(amb, space, space))
-    return TensorModule(ModuleRep(data.U, space.dim, side, action), space, dm, dn)
+    return TensorModule(ModuleRep(data.U, space.dim, side, action), space)
 
 
 def _add_kron_inplace(amb: Matrix, A: Matrix, B: Matrix, c):
@@ -627,23 +599,16 @@ def unit_iso(data: BialgebroidData, M: ModuleRep, tm: TensorModule, a_first=True
     counit-side unit law, U-linear by the translation identities).
     Otherwise tm is M (x) A and m (x) a -> eta(1 (x) a) m.
     """
-    na, dm = data.A.dim, M.dim
+    na = data.A.dim
     eta = data.eta_source if a_first and M.side == "left" else data.eta_target
-    amb = Matrix.zeros(dm, na * dm)
-    for i in range(na):
-        act = M.act(eta(unit_vec(na, i)))
-        for j in range(dm):
-            col = i * dm + j if a_first else j * na + i
-            for k, c in enumerate(act.col(j)):
-                amb.rows[k][col] = c
-    return Matrix.from_cols(
-        [amb.apply(tm.space.lift(unit_vec(tm.space.dim, k))) for k in range(tm.space.dim)],
-        nrows=dm,
-    )
+    acts = [M.act(eta(unit_vec(na, i))) for i in range(na)]
+    # the word of a coordinate is (a, m) with a_first, else (m, a)
+    words = tm.space.words if a_first else [w[::-1] for w in tm.space.words]
+    return Matrix.from_cols([acts[a].col(m) for a, m in words], nrows=M.dim)
 
 
 class FlipIso:
-    def __init__(self, forward: Matrix, inverse: Matrix, source: QuotientSpace, target: QuotientSpace):
+    def __init__(self, forward: Matrix, inverse: Matrix, source: TensorSpace, target: TensorSpace):
         self.forward, self.inverse, self.source, self.target = forward, inverse, source, target
 
 
@@ -654,34 +619,11 @@ def tensor_flip(h: HopfStructure, M: ModuleRep, P: ModuleRep, N: ModuleRep) -> F
     lhs = tensor_over(data.U, mp.module, N)
     nm = module_tensor_left(data, N, M)
     rhs = tensor_over(data.U, P, nm.module)
-    dm, dp, dn = M.dim, P.dim, N.dim
-
-    def rhs_coord(i, j, k):
-        pair = nm.project_pair(k, i)
-        v = zero_vec(dp * nm.space.dim)
-        for z, c in enumerate(pair):
-            if c:
-                v[j * nm.space.dim + z] += c
-        return rhs.project(v)
-
     cols = []
-    for idx in range(lhs.dim):
-        amb = lhs.lift(unit_vec(lhs.dim, idx))
-        # lift once more through mp.space
-        acc = zero_vec(rhs.dim)
-        for z, c in enumerate(amb):
-            if not c:
-                continue
-            pair_idx, k = divmod(z, dn)
-            mp_amb = mp.space.lift(unit_vec(mp.space.dim, pair_idx))
-            for w, d in enumerate(mp_amb):
-                if d:
-                    i, j = divmod(w, dp)
-                    r = rhs_coord(i, j, k)
-                    for t, e in enumerate(r):
-                        if e:
-                            acc[t] += c * d * e
-        cols.append(acc)
+    for z, n in lhs.words:
+        m, p = mp.space.words[z]
+        nm_coords = nm.space.project_pure({(n, m): 1})
+        cols.append(rhs.project_pure({(p, y): c for y, c in enumerate(nm_coords) if c}))
     forward = Matrix.from_cols(cols, nrows=rhs.dim)
     if lhs.dim != rhs.dim or forward.rank() != lhs.dim:
         raise NotInvertibleError("tensor flip is not bijective", rank=forward.rank(), dims=(lhs.dim, rhs.dim))
@@ -693,7 +635,7 @@ def galois_module(h: HopfStructure, M: ModuleRep):
 
     Maps U (x)_Aop M -> U (x)_A M (the latter with the diagonal action),
     u (x) m -> u_(1) (x) u_(2) m.  Returns (forward, inverse, source
-    space, target TensorModule).
+    module, target TensorModule).
     """
     data = h.data
     if M.side != "left":
@@ -701,7 +643,6 @@ def galois_module(h: HopfStructure, M: ModuleRep):
     U = data.U
     nu, na, dm = U.dim, data.A.dim, M.dim
     # source: U (x) M / span{ a |>> u (x) m - u (x) m <| a }
-    ambient = nu * dm
     pairs = ((data.bl_l[r], M.act(data.eta_target(unit_vec(na, r)))) for r in range(na))
     source = balanced_tensor((nu, dm), [(0, 1, pairs)])
     # the source is a left U-module by multiplication on the first leg
@@ -712,16 +653,11 @@ def galois_module(h: HopfStructure, M: ModuleRep):
     src_module = ModuleRep(U, source.dim, "left", src_action)
     target = module_tensor_left(data, ModuleRep.regular_left(U), M)
 
-    amb = Matrix.zeros(target.space.ambient_dim, ambient)
-    for i in range(nu):
-        for (p, q), c in data.delta_pure(i).items():
-            act = M.action[q]
-            for j in range(dm):
-                col = act.col(j)
-                for k, d in enumerate(col):
-                    if d:
-                        amb.rows[p * dm + k][i * dm + j] += c * d
-    cols = [target.space.project(amb.apply(source.lift(unit_vec(source.dim, k)))) for k in range(source.dim)]
+    # u (x) m  ->  u_(1) (x) u_(2) m on the pure tensor of each source coordinate
+    cols = [
+        target.space.project_pure(_act_leg(data.delta_pure(u), 1, lambda q: M.action[q].col(m)))
+        for u, m in source.words
+    ]
     forward = Matrix.from_cols(cols, nrows=target.space.dim)
     if forward.nrows != forward.ncols or forward.rank() != forward.nrows:
         raise NotInvertibleError("module Galois map not bijective", rank=forward.rank())

@@ -278,6 +278,8 @@ def cmd_duality(args):
 
         M = _module(inst, _lie_modules(inst), args.module)
         dd = detect_duality_ug(inst.data, bound=args.pbw_bound)
+        # the table caps through the Koszul diagonal, so check it as ext, tor, cup and cap do
+        dd.resolution.check_diagonal_chain_map()
         pr = CEProducts(dd.resolution)
         table = []
         ok = True

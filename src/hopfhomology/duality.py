@@ -22,7 +22,7 @@ records the bound it used.
 from __future__ import annotations
 
 from .errors import NotDualityError, NotProjectiveError, TakeuchiReport, ValidationError
-from .linalg import (Matrix, Subspace, add_outer, lincomb, modular_rank, sparse_columns,
+from .linalg import (Matrix, Subspace, lincomb, modular_rank, sparse_axpy, sparse_columns,
                      sparse_extend, sparse_kernel, unit_vec, vec_is_zero, zero_vec)
 
 # The underived functions import algebras and bialgebroid and the U(g) ones ce, homology
@@ -65,7 +65,7 @@ def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> Dual
     generators default to the full basis of A.  NotProjectiveError when
     no U-linear splitting exists.
     """
-    from .algebras import ModuleRep, hom_basis_matrices, hom_over, tensor_over
+    from .algebras import ModuleRep, hom_basis_matrices, hom_over, pure_tensor, tensor_over
 
     U = data.U
     if generators is None:
@@ -113,10 +113,10 @@ def dual_bases(data: BialgebroidData, A_mod: ModuleRep, generators=None) -> Dual
     # omega_0 in A* (x)_U A
     omega_space = tensor_over(U, astar_module, A_mod)
     dual_coords = [homs.coordinates([x for row in d.rows for x in row]) for d in duals]
-    amb = zero_vec(astar_dim * A_mod.dim)
+    amb = {}
     for coords, g in zip(dual_coords, generators):
-        add_outer(amb, 1, coords, g)
-    omega = omega_space.project(amb)
+        sparse_axpy(amb, 1, pure_tensor(coords, g))
+    omega = omega_space.project_pure(amb)
     db = DualBases(data, A_mod, [list(g) for g in generators], duals, homs,
                    astar_module, omega_space, omega, dual_coords)
     _check_dual_bases(db, hom_mats)
@@ -151,7 +151,7 @@ def delta_underived(db: DualBases, M: ModuleRep):
 
     Returns (forward, inverse, source quotient, target subspace).
     """
-    from .algebras import hom_basis_matrices, hom_over, tensor_over
+    from .algebras import hom_basis_matrices, hom_over, pure_tensor, tensor_over
 
     if M.side != "right":
         raise ValidationError("delta takes a right module")
@@ -163,38 +163,21 @@ def delta_underived(db: DualBases, M: ModuleRep):
     hom_mats = hom_basis_matrices(db.hom_space, U.dim, A_mod.dim)
 
     def delta_pure(m_idx, a_idx):
-        # the map alpha -> m . alpha(a)
-        cols = []
-        for k, hm in enumerate(hom_mats):
-            u_val = hm.col(a_idx)
-            acted = M.act(u_val).col(m_idx)
-            cols.append(acted)
-        flat_matrix = Matrix.from_cols(cols, nrows=M.dim)
-        flat = [flat_matrix.rows[r][c] for r in range(M.dim) for c in range(db.astar_module.dim)]
-        coords = target.coordinates(flat)
+        # the map alpha -> m . alpha(a), as a dim M x dim A* matrix flattened row major
+        image = Matrix.from_cols([M.act(hm.col(a_idx)).col(m_idx) for hm in hom_mats], nrows=M.dim)
+        coords = target.coordinates([x for row in image.rows for x in row])
         if coords is None:
             raise ValidationError("delta image leaves Hom_{U^op}(A*, M)")
         return coords
 
-    cols = []
-    for k in range(src.dim):
-        amb = src.lift(unit_vec(src.dim, k))
-        acc = zero_vec(target.dim)
-        for z, c in enumerate(amb):
-            if not c:
-                continue
-            m_idx, a_idx = divmod(z, A_mod.dim)
-            for t, d in enumerate(delta_pure(m_idx, a_idx)):
-                acc[t] += c * d
-        cols.append(acc)
-    forward = Matrix.from_cols(cols, nrows=target.dim)
+    forward = Matrix.from_cols([delta_pure(*w) for w in src.words], nrows=target.dim)
     # inverse: phi -> sum_i phi(e^i) (x) e_i
     inv_cols = []
-    for k, tm in enumerate(target_mats):
-        amb = zero_vec(M.dim * A_mod.dim)
+    for tm in target_mats:
+        amb = {}
         for coords, g in zip(db.dual_coords, db.generators):
-            add_outer(amb, 1, tm.apply(coords), g)
-        inv_cols.append(src.project(amb))
+            sparse_axpy(amb, 1, pure_tensor(tm.apply(coords), g))
+        inv_cols.append(src.project_pure(amb))
     inverse = Matrix.from_cols(inv_cols, nrows=src.dim)
     if forward.nrows != forward.ncols or (forward @ inverse) != Matrix.identity(target.dim):
         raise ValidationError("delta is not bijective")
@@ -208,7 +191,7 @@ def bullet_omega_underived(db: DualBases, M: ModuleRep):
     (matrix, source hom subspace, target quotient) with the matrix a
     bijection.
     """
-    from .algebras import hom_basis_matrices, hom_over, tensor_over
+    from .algebras import hom_basis_matrices, hom_over, pure_tensor, tensor_over
 
     if M.side != "left":
         raise ValidationError("the evaluation takes a left module")
@@ -219,10 +202,10 @@ def bullet_omega_underived(db: DualBases, M: ModuleRep):
     target = tensor_over(U, db.astar_module, M)
     cols = []
     for phi in src_mats:
-        amb = zero_vec(db.astar_module.dim * M.dim)
+        amb = {}
         for alpha, g in zip(db.dual_coords, db.generators):
-            add_outer(amb, 1, alpha, phi.apply(g))
-        cols.append(target.project(amb))
+            sparse_axpy(amb, 1, pure_tensor(alpha, phi.apply(g)))
+        cols.append(target.project_pure(amb))
     forward = Matrix.from_cols(cols, nrows=target.dim)
     if forward.nrows != forward.ncols or forward.rank() != forward.nrows:
         raise ValidationError("evaluation against the degree zero class is not bijective")
@@ -238,7 +221,7 @@ def cap_omega_underived(h: HopfStructure, M: ModuleRep, db: DualBases):
     Returns (matrix, source hom subspace, target quotient, tensor
     module); the matrix is checked bijective.
     """
-    from .algebras import hom_basis_matrices, hom_over, tensor_over
+    from .algebras import hom_basis_matrices, hom_over, pure_tensor, tensor_over
     from .bialgebroid import module_tensor_right
 
     data = h.data
@@ -250,18 +233,12 @@ def cap_omega_underived(h: HopfStructure, M: ModuleRep, db: DualBases):
     target = tensor_over(U, tm.module, A_mod)
     cols = []
     for phi in src_mats:
-        acc = zero_vec(target.dim)
         # second diagonal leg of the generator is the unit of A
         val = phi.apply(data.A.unit)
+        amb = {}
         for alpha, g in zip(db.dual_coords, db.generators):
-            pair = zero_vec(M.dim * db.astar_module.dim)
-            add_outer(pair, 1, val, alpha)
-            coords = tm.space.project(pair)
-            amb2 = zero_vec(tm.space.dim * A_mod.dim)
-            add_outer(amb2, 1, coords, g)
-            for t, d in enumerate(target.project(amb2)):
-                acc[t] += d
-        cols.append(acc)
+            sparse_axpy(amb, 1, pure_tensor(tm.space.project_pure(pure_tensor(val, alpha)), g))
+        cols.append(target.project_pure(amb))
     forward = Matrix.from_cols(cols, nrows=target.dim)
     if forward.nrows != forward.ncols or forward.rank() != forward.nrows:
         raise ValidationError("cap with the degree zero class is not bijective")

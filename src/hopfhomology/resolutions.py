@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebras import ModuleRep
+from .algebras import ModuleRep, pure_tensor
 from .bialgebroid import BialgebroidData, _expand_table, module_tensor_left
 from .complexes import homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
@@ -455,26 +455,12 @@ class TotalTensorComplex:
                     _place(out, induced_map(amb, src, dst), self.offsets[i, j - 1], col, -1 if i % 2 else 1)
             if n >= 2 and not (self.diff[n - 1] @ out).is_zero():
                 raise ValidationError(f"d d != 0 from total degree {n} to {n - 2}")
-        # augmentation through A (x) A -> A
-        tm00 = self.blocks[(0, 0)]
-        na = data.A.dim
+        # augmentation through A (x) A -> A, on the pure tensor of each coordinate
         aug0 = bar.augmentation_matrix()
-        cols = []
-        for k in range(tm00.space.dim):
-            amb = tm00.space.lift(unit_vec(tm00.space.dim, k))
-            acc = zero_vec(na)
-            dim0 = bar.concrete_dim(0)
-            for z, c in enumerate(amb):
-                if not c:
-                    continue
-                p, q = divmod(z, dim0)
-                ea = aug0.col(p)
-                eb = aug0.col(q)
-                prod = data.A.multiply(ea, eb)
-                for t, d in enumerate(prod):
-                    acc[t] += c * d
-            cols.append(acc)
-        self.aug = Matrix.from_cols(cols, nrows=na)
+        self.aug = Matrix.from_cols(
+            [data.A.multiply(aug0.col(p), aug0.col(q)) for p, q in self.blocks[0, 0].space.words],
+            nrows=data.A.dim,
+        )
 
     def check_resolution(self):
         """Exactness of the augmented total complex in checked degrees."""
@@ -516,16 +502,8 @@ def lift_into_total(bar: BarResolution, tot: TotalTensorComplex, upto: int):
     data = bar.data
     U = data.U
     mats = []
-    tm00 = tot.blocks[(0, 0)]
-    dim0 = bar.concrete_dim(0)
-    one_one = zero_vec(dim0 * dim0)
-    for p, c in enumerate(U.unit):
-        if not c:
-            continue
-        for q, d in enumerate(U.unit):
-            if d:
-                one_one[p * dim0 + q] += c * d
-    base = tm00.space.project(one_one)
+    # the degree zero basis of the bar resolution is the U-basis
+    base = tot.blocks[0, 0].space.project_pure(pure_tensor(U.unit, U.unit))
     cols = []
     for w in bar.words(0):
         # w = (u,): image is u . (1 (x) 1)

@@ -10,6 +10,7 @@ Tor, which is what the tests check.
 
 from itertools import product as iproduct
 
+from hopfhomology.bialgebroid import _expand_table
 from hopfhomology.linalg import unit_vec
 from hopfhomology.resolutions import BarResolution
 
@@ -88,7 +89,7 @@ class UnnormalizedBar(BarResolution):
 
     def __init__(self, data, depth):
         super().__init__(data, depth)
-        self.tails, self.expand = data.tails_l, data.expand_l
+        self.tails, self.expand = _expand_table(data.U, data.tri_r, data.tails_l)
         self.s = len(self.tails)
         self._gens = {n: list(iproduct(range(self.s), repeat=n)) for n in range(depth + 1)}
         self._gen_index = {n: {g: k for k, g in enumerate(gs)} for n, gs in self._gens.items()}

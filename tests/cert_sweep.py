@@ -26,7 +26,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 
+ALGEBRAS = "src/hopfhomology/algebras.py"
 BIALGEBROID = "src/hopfhomology/bialgebroid.py"
+CLI = "src/hopfhomology/cli.py"
 DUALITY = "src/hopfhomology/duality.py"
 COMPLEXES = "src/hopfhomology/complexes.py"
 LINALG = "src/hopfhomology/linalg.py"
@@ -89,6 +91,12 @@ MUTANTS = [
      "(0, 2, self._aop_glue)", "(0, 1, self._aop_glue)"),
     ("translation triple Aop glue dropped", BIALGEBROID,
      "[(0, 2, self._aop_glue), (1, 2, self._a_glue)]", "[(1, 2, self._a_glue)]"),
+    # every balanced tensor reads coordinate k as the pure tensor words[k]
+    ("pure-tensor words misread", ALGEBRAS,
+     "zip(strides, shape)) for j in self.reps]", "zip(strides[::-1], shape)) for j in self.reps]"),
+    # the duality command caps through the Koszul diagonal it checks
+    ("duality diagonal check off", CLI,
+     "dd.resolution.check_diagonal_chain_map()", "None"),
     # the axiom sweeps
     ("TakeuchiReport.sweep sees no witness", ERRORS,
      "witness = next(iter(witnesses), None)", "witness = None"),

@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from hopfhomology.algebras import ModuleRep
+from hopfhomology.algebras import ModuleRep, tensor_over
 from hopfhomology.bialgebroid import (
     BialgebroidData,
     HopfStructure,
@@ -142,7 +142,7 @@ def test_galois_enveloping_translation(env_qeps, env_qeps_hopf):
     for i in range(na):
         for j in range(na):
             uidx = i * na + j
-            lhs = uaopu.project_sparse(h.translation_pure(uidx))
+            lhs = uaopu.project_pure(h.translation_pure(uidx))
             expect = {}
             for p, c in enumerate(data.A.unit):
                 if not c:
@@ -151,7 +151,7 @@ def test_galois_enveloping_translation(env_qeps, env_qeps_hopf):
                     if d:
                         key = (i * na + p, j * na + q)
                         expect[key] = expect.get(key, 0) + c * d
-            assert lhs == uaopu.project_sparse(expect)
+            assert lhs == uaopu.project_pure(expect)
 
 
 def test_galois_sweedler_matches_classical_antipode(sweedler, sweedler_hopf):
@@ -169,7 +169,7 @@ def test_galois_sweedler_matches_classical_antipode(sweedler, sweedler_hopf):
         GX: {(GX, G): Q(1), (I, X): Q(1)},
     }
     for u, pairs in expected.items():
-        assert uaopu.project_sparse(h.translation_pure(u)) == uaopu.project_sparse(pairs)
+        assert uaopu.project_pure(h.translation_pure(u)) == uaopu.project_pure(pairs)
 
 
 def test_galois_not_invertible_on_monoid_control():
@@ -217,6 +217,16 @@ def test_module_tensor_left_right_unit_law(sweedler):
         assert iso @ tm.module.action[u] == M.action[u] @ iso
 
 
+def _associator(xy_z, xy, yz, x_yz):
+    """(x (x) y) (x) z -> x (x) (y (x) z) on the pure tensor of each coordinate of xy_z."""
+    cols = []
+    for k, z in xy_z.space.words:
+        x, y = xy.space.words[k]
+        inner = yz.space.project_pure({(y, z): 1})
+        cols.append(x_yz.space.project_pure({(x, t): c for t, c in enumerate(inner) if c}))
+    return Matrix.from_cols(cols, nrows=x_yz.space.dim)
+
+
 def test_module_tensor_left_associator(sweedler):
     data = sweedler.data
     mods = sweedler_modules(data)
@@ -226,41 +236,7 @@ def test_module_tensor_left_associator(sweedler):
     mn = module_tensor_left(data, M, N)
     l_mn = module_tensor_left(data, L, mn.module)
     assert lm_n.space.dim == l_mn.space.dim
-
-    def left_coord(i, j, k):
-        pair = lm.project_pair(i, j)
-        v = zero_vec(lm.space.dim * N.dim)
-        for z, c in enumerate(pair):
-            if c:
-                v[z * N.dim + k] += c
-        return lm_n.space.project(v)
-
-    def right_coord(i, j, k):
-        pair = mn.project_pair(j, k)
-        v = zero_vec(L.dim * mn.space.dim)
-        for z, c in enumerate(pair):
-            if c:
-                v[i * mn.space.dim + z] += c
-        return l_mn.space.project(v)
-
-    cols = []
-    for idx in range(lm_n.space.dim):
-        amb = lm_n.space.lift(unit_vec(lm_n.space.dim, idx))
-        acc = zero_vec(l_mn.space.dim)
-        for z, c in enumerate(amb):
-            if not c:
-                continue
-            pair_idx, k = divmod(z, N.dim)
-            inner = lm.space.lift(unit_vec(lm.space.dim, pair_idx))
-            for w, d in enumerate(inner):
-                if d:
-                    i, j = divmod(w, M.dim)
-                    r = right_coord(i, j, k)
-                    for t, e in enumerate(r):
-                        if e:
-                            acc[t] += c * d * e
-        cols.append(acc)
-    assoc = Matrix.from_cols(cols, nrows=l_mn.space.dim)
+    assoc = _associator(lm_n, lm, mn, l_mn)
     assert assoc.rank() == lm_n.space.dim
     for u in range(data.U.dim):
         assert assoc @ lm_n.module.action[u] == l_mn.module.action[u] @ assoc
@@ -317,33 +293,7 @@ def test_module_tensor_right_mixed_associator(sweedler, sweedler_hopf):
     np_ = module_tensor_right(h, N, P)
     m_np = module_tensor_right(h, M, np_.module)
     assert mn_p.space.dim == m_np.space.dim
-
-    def right_coord(i, j, k):
-        pair = np_.project_pair(j, k)
-        v = zero_vec(M.dim * np_.space.dim)
-        for z, c in enumerate(pair):
-            if c:
-                v[i * np_.space.dim + z] += c
-        return m_np.space.project(v)
-
-    cols = []
-    for idx in range(mn_p.space.dim):
-        amb = mn_p.space.lift(unit_vec(mn_p.space.dim, idx))
-        acc = zero_vec(m_np.space.dim)
-        for z, c in enumerate(amb):
-            if not c:
-                continue
-            pair_idx, k = divmod(z, P.dim)
-            inner = mn.space.lift(unit_vec(mn.space.dim, pair_idx))
-            for w, d in enumerate(inner):
-                if d:
-                    i, j = divmod(w, N.dim)
-                    r = right_coord(i, j, k)
-                    for t, e in enumerate(r):
-                        if e:
-                            acc[t] += c * d * e
-        cols.append(acc)
-    assoc = Matrix.from_cols(cols, nrows=m_np.space.dim)
+    assoc = _associator(mn_p, mn, np_, m_np)
     assert assoc.rank() == mn_p.space.dim
     for u in range(data.U.dim):
         assert assoc @ mn_p.module.action[u] == m_np.module.action[u] @ assoc
@@ -438,7 +388,7 @@ def test_glued_spaces_match_row_reduction_quotients(catalog):
     # each of the four U-tensor spaces is U (x) .. (x) U modulo exactly
     # the relations written out here: both sides of every relation have
     # the same coordinates, and nothing else is glued
-    from hopfhomology.linalg import sparse_rank
+    from hopfhomology.linalg import Subspace, sparse_rank
 
     for name in ("env-qeps", "env-qxq", "env-upper2", "sweedler"):
         data = catalog[name].data
@@ -457,24 +407,43 @@ def test_glued_spaces_match_row_reduction_quotients(catalog):
             rels = []
             for glue in glues:
                 for lhs, rhs in _relation_sides(nu, nslots, *glue):
-                    assert space.project_sparse(lhs) == space.project_sparse(rhs), (name, glue[:2])
+                    assert space.project_pure(lhs) == space.project_pure(rhs), (name, glue[:2])
                     rel = {}
                     for side, sign in ((lhs, 1), (rhs, -1)):
                         for cell, c in side.items():
                             rel[flat[cell]] = rel.get(flat[cell], 0) + sign * c
                     rels.append({k: v for k, v in rel.items() if v})
             assert space.dim == nu ** nslots - sparse_rank(rels), (name, nslots, glues[0][:2])
+            # dropping empty and repeated relations leaves the reduced echelon as it is
+            assert space.relations.echelon == Subspace(nu ** nslots, rels).echelon, (name, glues[0][:2])
+
+
+FINITE = ("kz2", "kz3", "qs3", "sweedler", "env-qeps", "env-qxq", "env-upper2", "monoid01")
 
 
 def test_glued_space_project_lift_round_trip(catalog):
-    data = catalog["env-upper2"].data
-    for space in (data.uau, data.uaopu, data.triple_a_space(), data.translation_triple_space()):
-        lift = space.pure_lift(Matrix.identity(space.dim))
-        for k in range(space.dim):
-            v = space.project_sparse(lift(k))
-            expect = [0] * space.dim
-            expect[k] = 1
-            assert [int(x) for x in v] == expect
+    # every balanced tensor reads coordinate k as the pure tensor words[k]:
+    # projecting that pure tensor gives e_k, and lifting e_k gives the ambient
+    # unit vector at its row-major index
+    for name in FINITE:
+        inst = catalog[name]
+        data = inst.data
+        nu = data.U.dim
+        left = [data.a_module(), *inst.modules.values()]
+        spaces = [
+            ((nu, nu), data.uau),
+            ((nu, nu), data.uaopu),
+            ((nu,) * 3, data.triple_a_space()),
+            ((nu,) * 3, data.translation_triple_space()),
+            *(((M.dim, N.dim), module_tensor_left(data, M, N).space) for M in left for N in left),
+            *(((P.dim, N.dim), tensor_over(data.U, P, N)) for P in inst.right_modules.values() for N in left),
+        ]
+        for shape, space in spaces:
+            flat = {cell: n for n, cell in enumerate(product(*map(range, shape)))}
+            assert len(space.words) == space.dim
+            for k, word in enumerate(space.words):
+                assert space.project_pure({word: 1}) == unit_vec(space.dim, k), (name, shape, word)
+                assert space.lift(unit_vec(space.dim, k)) == unit_vec(space.ambient_dim, flat[word])
 
 
 def test_centralizer_subspaces(env_qeps, env_qeps_hopf):

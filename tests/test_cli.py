@@ -212,8 +212,12 @@ def test_duality_failed_cap_check_reports_witness(monkeypatch, capsys):
     assert data["witnesses"] == ["cap with the degree zero class is not bijective"]
 
 
-def test_lie_commands_validate_the_koszul_diagonal(monkeypatch, capsys):
-    # cup and cap read the diagonal of the Koszul resolution, so its chain map check stays on
+@pytest.mark.parametrize("argv", [
+    ["cup", "lie-abelian2", "--max-total", "2"],
+    ["duality", "lie-abelian2"],
+], ids=["cup", "duality"])
+def test_lie_commands_validate_the_koszul_diagonal(monkeypatch, capsys, argv):
+    # cup, cap and duality read the diagonal of the Koszul resolution, so its chain map check stays on
     from hopfhomology.ce import CEResolution
 
     diagonal = CEResolution.diagonal
@@ -226,7 +230,7 @@ def test_lie_commands_validate_the_koszul_diagonal(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(CEResolution, "diagonal", one_sign_flipped)
-    code, out, _ = _run_failure(["cup", "lie-abelian2", "--max-total", "2"], capsys)
+    code, out, _ = _run_failure(argv, capsys)
     assert code == 1
     data = json.loads(out)
     assert data["failure"] == "ValidationError"

@@ -364,7 +364,7 @@ def sweedler_sign(sweedler, sweedler_hopf):
 def _unit_iso(tm, target):
     """The tensor module tm of two characters onto target, e (x) f -> the basis vector."""
     assert tm.module.action == target.action
-    (scale,) = tm.project_pair(0, 0)
+    (scale,) = tm.space.project_pure({(0, 0): 1})
     return lambda vec: [Q(x) / scale for x in vec]
 
 
@@ -391,7 +391,7 @@ def test_cap_associates_with_cup_on_sweedler(sweedler, sweedler_sign, m, q, n):
     group = TorGroup(bar, target, n - m - q)
 
     def pure(vec, *steps):
-        scale = prod(tm.project_pair(0, 0)[0] for tm in steps)
+        scale = prod(tm.space.project_pure({(0, 0): 1})[0] for tm in steps)
         return group.class_of([Q(x) / scale for x in vec])
 
     lhs, rhs = pure(direct, t_cup, t_direct), pure(nested, t_inner, t_nested)

@@ -104,13 +104,11 @@ def closed_form_diagonal(bar, tot, upto):
         for g in bar.generators(n):
             v = zero_vec(tot.dims[n])
             for i in range(n + 1):
-                block = tot.blocks[(i, n - i)]
-                dim_back = bar.concrete_dim(n - i)
-                amb = zero_vec(bar.concrete_dim(i) * dim_back)
-                for (x, y), c in bar.diagonal(g, i).items():
-                    amb[bar.word_index(i, x) * dim_back + bar.word_index(n - i, y)] += c
+                space = tot.blocks[(i, n - i)].space
+                pure = {(bar.word_index(i, x), bar.word_index(n - i, y)): c
+                        for (x, y), c in bar.diagonal(g, i).items()}
                 off = tot.offsets[(i, n - i)]
-                v[off : off + block.space.dim] = block.space.project(amb)
+                v[off : off + space.dim] = space.project_pure(pure)
             on_gens[g] = v
         cols = [tot.action[n][w[0]].apply(on_gens[w[1:]]) for w in bar.words(n)]
         mats.append(Matrix.from_cols(cols, nrows=tot.dims[n]))

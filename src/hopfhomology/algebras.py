@@ -19,6 +19,7 @@ from .linalg import (
     _sparse,
     frac,
     frac_str,
+    induced_map,
     lincomb,
     sparse_add,
     sparse_kernel,
@@ -210,16 +211,6 @@ class ModuleRep:
             validate=False,
         )
 
-    @classmethod
-    def regular_right(cls, algebra):
-        return cls(
-            algebra,
-            algebra.dim,
-            "right",
-            [algebra.right_mult_matrix(unit_vec(algebra.dim, i)) for i in range(algebra.dim)],
-            validate=False,
-        )
-
     def to_json(self):
         return {
             "dim": self.dim,
@@ -242,23 +233,40 @@ class TensorSpace(QuotientSpace):
     dimensions shape, row major: the pure tensor of slot indices
     (x_0, ..) sits at sum x_k * strides[k].  Each representative is one
     ambient basis vector, so coordinate k is the pure tensor words[k].
-    This class is the only code that converts between such tuples and
-    flat indices.
+    A map out of the space is its value on pure tensors (map_to).  This
+    class is the only code that converts between such tuples and flat
+    indices (word and flat).
     """
 
-    __slots__ = ("strides", "words")
+    __slots__ = ("shape", "strides", "words")
 
     def __init__(self, shape, strides, relations: Subspace):
         super().__init__(prod(shape), relations)
-        self.strides = strides
-        self.words = [tuple(j // s % n for s, n in zip(strides, shape)) for j in self.reps]
+        self.shape, self.strides = shape, strides
+        self.words = [self.word(j) for j in self.reps]
+
+    def word(self, j):
+        """The tuple of slot indices of the ambient basis vector j."""
+        return tuple(j // s % n for s, n in zip(self.strides, self.shape))
+
+    def flat(self, elem):
+        """The sparse ambient vector {flat index: coeff} of a sparse sum {tuple: coeff} of pure tensors."""
+        out = {}
+        for word, c in elem.items():
+            sparse_add(out, sum(x * s for x, s in zip(word, self.strides)), c)
+        return out
 
     def project_pure(self, elem):
         """Coordinates of a sparse sum {tuple of slot indices: coeff} of pure tensors."""
-        v = zero_vec(self.ambient_dim)
-        for word, c in elem.items():
-            v[sum(x * s for x, s in zip(word, self.strides))] += c
-        return self.project(v)
+        return self.project(self.flat(elem))
+
+    def map_to(self, target: TensorSpace, image) -> Matrix:
+        """Matrix of the map to target sending each pure tensor w to image(w).
+
+        image(w) is a sparse sum {tuple: coeff} of target's pure tensors;
+        induced_map checks that the map descends to the balanced tensors.
+        """
+        return induced_map(lambda j: target.flat(image(self.word(j))), self, target)
 
 
 def pure_tensor(s, t):

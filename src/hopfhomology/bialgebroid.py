@@ -20,9 +20,13 @@ Both quotients, and the two triple products on which coassociativity
 and the translation-coproduct identity are compared, are built by
 algebras.balanced_tensor, the builder every module tensor uses: the
 relation span is row reduced, and the TensorSpace it returns reads
-every balanced tensor the same way.  Coordinate k is the pure tensor
-words[k], so a map out of the quotient is its value on words, and a
-sparse sum {tuple: coeff} of pure tensors is read with project_pure.
+every balanced tensor the same way: coordinate k is the pure tensor
+words[k], and a sparse sum {tuple: coeff} of pure tensors is read with
+project_pure.  A map between two balanced tensors (the diagonal
+actions, the Galois maps, the flip) is given by its value on pure
+tensors and built by TensorSpace.map_to, whose linalg.induced_map
+checks that it descends; the Takeuchi property of the coproduct is
+what makes these maps well defined.
 U must be free over the <| and the |>> actions; the free <| generators
 (tails) seed the bar resolution.
 
@@ -49,9 +53,9 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
+    _sparse,
     add_outer,
     coassociators,
-    induced_map,
     lincomb,
     pair_compose,
     pair_product,
@@ -89,14 +93,7 @@ def _expand_table(U: FinDimAlgebra, mats, candidates):
         return None
     basis = Matrix.from_cols(cols, nrows=n)
     inv = basis.inverse()
-    table = []
-    for i in range(n):
-        coords = inv.apply(unit_vec(n, i))
-        entry = []
-        for k, c in enumerate(coords):
-            if c:
-                entry.append((k // na, k % na, c))
-        table.append(entry)
+    table = [[(k // na, k % na, c) for k, c in _sparse(inv.col(i)).items()] for i in range(n)]
     return gens, table
 
 
@@ -225,16 +222,12 @@ class BialgebroidData:
         return self._centralizer_aop
 
     def _centralizer(self, space, first_family, second_family):
+        """The common kernel on space of f (x) 1 - 1 (x) s over the pairs (f, s) of the families."""
         rows = []
         for f, s in zip(first_family, second_family):
-            block = [{} for _ in range(space.dim)]
-            for k, word in enumerate(space.words):
-                diff = _act_leg({word: 1}, 0, f.col)
-                sparse_axpy(diff, -1, _act_leg({word: 1}, 1, s.col))
-                for i, c in enumerate(space.project_pure(diff)):
-                    if c:
-                        block[i][k] = c
-            rows.extend(block)
+            rows += space.map_to(
+                space, lambda w: sparse_axpy(_act_leg({w: 1}, 0, f.col), -1, _act_leg({w: 1}, 1, s.col))
+            ).sparse_rows()
         return sparse_kernel(rows, space.dim)
 
     def delta_of_vec(self, u):
@@ -428,28 +421,11 @@ def galois_map(data: BialgebroidData) -> HopfStructure:
     nu = U.dim
     uau, uaopu = data.uau, data.uaopu
 
-    @cache
-    def beta_pure(p, q):
-        return uau.project_pure(_act_leg(data.delta_pure(p), 1, lambda y: U.mult[y][q]))
-
-    def beta_of(pairs):
-        """beta on a sparse pair vector, in U (x)_A U coordinates."""
-        acc = zero_vec(uau.dim)
-        for (p, q), c in pairs.items():
-            for z, d in enumerate(beta_pure(p, q)):
-                if d:
-                    acc[z] += c * d
-        return acc
-
-    # well-definedness over the Aop relations: a |>> u (x) v ~ u (x) v <| a
-    for r in range(data.A.dim):
-        for i in range(nu):
-            for j in range(nu):
-                lhs = beta_of(pure_tensor(data.bl_l[r].col(i), unit_vec(nu, j)))
-                if lhs != beta_of(pure_tensor(unit_vec(nu, i), data.tri_r[r].col(j))):
-                    raise NotWellDefinedError("Galois map does not descend; data corrupted")
-
-    beta = Matrix.from_cols([beta_pure(*word) for word in uaopu.words], nrows=uau.dim)
+    # u (x) v -> u_(1) (x) u_(2) v, which descends over a |>> u (x) v ~ u (x) v <| a
+    try:
+        beta = uaopu.map_to(uau, lambda w: _act_leg(data.delta_pure(w[0]), 1, lambda y: U.mult[y][w[1]]))
+    except NotWellDefinedError:
+        raise NotWellDefinedError("Galois map does not descend; data corrupted") from None
     if uau.dim != uaopu.dim or beta.rank() != uau.dim:
         raise NotInvertibleError(
             "Galois map is not bijective",
@@ -556,39 +532,18 @@ def module_tensor_right(h: HopfStructure, M: ModuleRep, P: ModuleRep) -> TensorM
 def _module_tensor(data, M, N, eta_n, pure, side) -> TensorModule:
     """M (x)_A N balanced by m <| a (x) n ~ m (x) eta_n(a) n, on the given side.
 
-    u acts by the sum of c M.action[p] (x) N.action[q] over pure(u) = {(p, q): c}.
+    u sends the pure tensor m (x) n to the sum of c (p m) (x) (q n) over
+    pure(u) = {(p, q): c}.
     """
     na = data.A.dim
-    dm, dn = M.dim, N.dim
     pairs = ((M.act(data.eta_target(unit_vec(na, r))), N.act(eta_n(unit_vec(na, r)))) for r in range(na))
-    space = balanced_tensor((dm, dn), [(0, 1, pairs)])
-    action = []
-    for u in range(data.U.dim):
-        amb = Matrix.zeros(dm * dn, dm * dn)
-        for (p, q), c in pure(u).items():
-            _add_kron_inplace(amb, M.action[p], N.action[q], c)
-        action.append(induced_map(amb, space, space))
-    return TensorModule(ModuleRep(data.U, space.dim, side, action), space)
+    space = balanced_tensor((M.dim, N.dim), [(0, 1, pairs)])
 
+    def action(u):
+        return space.map_to(space, lambda w: sparse_extend(
+            lambda pq: pure_tensor(M.action[pq[0]].col(w[0]), N.action[pq[1]].col(w[1])), pure(u)))
 
-def _add_kron_inplace(amb: Matrix, A: Matrix, B: Matrix, c):
-    """amb += c * (A kron B), iterating only nonzero entries."""
-    nb = B.nrows
-    mb = B.ncols
-    for ra in range(A.nrows):
-        arow = A.rows[ra]
-        for ca in range(A.ncols):
-            a = arow[ca]
-            if not a:
-                continue
-            ac = a * c
-            for rb in range(nb):
-                brow = B.rows[rb]
-                target = amb.rows[ra * nb + rb]
-                base = ca * mb
-                for cb in range(mb):
-                    if brow[cb]:
-                        target[base + cb] += ac * brow[cb]
+    return TensorModule(ModuleRep(data.U, space.dim, side, [action(u) for u in range(data.U.dim)]), space)
 
 
 def unit_iso(data: BialgebroidData, M: ModuleRep, tm: TensorModule, a_first=True) -> Matrix:
@@ -619,12 +574,12 @@ def tensor_flip(h: HopfStructure, M: ModuleRep, P: ModuleRep, N: ModuleRep) -> F
     lhs = tensor_over(data.U, mp.module, N)
     nm = module_tensor_left(data, N, M)
     rhs = tensor_over(data.U, P, nm.module)
-    cols = []
-    for z, n in lhs.words:
-        m, p = mp.space.words[z]
-        nm_coords = nm.space.project_pure({(n, m): 1})
-        cols.append(rhs.project_pure({(p, y): c for y, c in enumerate(nm_coords) if c}))
-    forward = Matrix.from_cols(cols, nrows=rhs.dim)
+
+    def flip(w):  # the pure tensor z (x) n, where z is the coordinate of m (x) p
+        m, p = mp.space.words[w[0]]
+        return pure_tensor(unit_vec(P.dim, p), nm.space.project_pure({(w[1], m): 1}))
+
+    forward = lhs.map_to(rhs, flip)
     if lhs.dim != rhs.dim or forward.rank() != lhs.dim:
         raise NotInvertibleError("tensor flip is not bijective", rank=forward.rank(), dims=(lhs.dim, rhs.dim))
     return FlipIso(forward, forward.inverse(), lhs, rhs)
@@ -647,18 +602,15 @@ def galois_module(h: HopfStructure, M: ModuleRep):
     source = balanced_tensor((nu, dm), [(0, 1, pairs)])
     # the source is a left U-module by multiplication on the first leg
     src_action = [
-        induced_map(U.left_mult_matrix(unit_vec(nu, u)).kron(Matrix.identity(dm)), source, source)
+        source.map_to(source, lambda w: {(k, w[1]): c for k, c in U.product(u, w[0]).items()})
         for u in range(nu)
     ]
     src_module = ModuleRep(U, source.dim, "left", src_action)
     target = module_tensor_left(data, ModuleRep.regular_left(U), M)
-
-    # u (x) m  ->  u_(1) (x) u_(2) m on the pure tensor of each source coordinate
-    cols = [
-        target.space.project_pure(_act_leg(data.delta_pure(u), 1, lambda q: M.action[q].col(m)))
-        for u, m in source.words
-    ]
-    forward = Matrix.from_cols(cols, nrows=target.space.dim)
+    # u (x) m  ->  u_(1) (x) u_(2) m
+    forward = source.map_to(
+        target.space, lambda w: _act_leg(data.delta_pure(w[0]), 1, lambda q: M.action[q].col(w[1]))
+    )
     if forward.nrows != forward.ncols or forward.rank() != forward.nrows:
         raise NotInvertibleError("module Galois map not bijective", rank=forward.rank())
     return forward, forward.inverse(), src_module, target

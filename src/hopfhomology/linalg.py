@@ -11,6 +11,11 @@ row echelon form.  All results are exact, and all bases are canonical
 (reduced row echelon form, leftmost pivot first), so repeated runs of
 any computation produce byte-identical output.
 
+A map between quotient spaces is given by the sparse images of the
+source's ambient basis vectors.  induced_map is the one place that
+checks such a map descends (it sends every source relation into the
+target relations) and the one place that reads off its matrix.
+
 Matrices act on column vectors; vectors are plain lists of exact
 numbers: an int where the value is integral, a Fraction otherwise, never
 a float.  Python keeps mixed int and Fraction arithmetic exact.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 
 from .errors import NotWellDefinedError
@@ -365,13 +371,6 @@ class Subspace:
                 sparse_axpy(rest, -c, self.echelon[k][1])
         return coords, rest
 
-    def reduce(self, v):
-        """v minus its projection onto the subspace along the non-pivot columns."""
-        out = zero_vec(self.ambient_dim)
-        for j, c in self.decompose(_sparse(v))[1].items():
-            out[j] = c
-        return out
-
     def contains(self, v):
         return not self.decompose(_sparse(v))[1]
 
@@ -416,7 +415,8 @@ class QuotientSpace:
         return len(self.reps)
 
     def project(self, v):
-        rest = self.relations.decompose(_sparse(v))[1]
+        """Coordinates of the class of v, a sparse dict or a dense list."""
+        rest = self.relations.decompose(v if isinstance(v, dict) else _sparse(v))[1]
         return [rest.get(j, _ZERO) for j in self.reps]
 
     def lift(self, coords):
@@ -434,18 +434,20 @@ def quotient(ambient_dim, relation_vectors):
     return QuotientSpace(ambient_dim, Subspace.from_vectors(relation_vectors, ambient_dim))
 
 
-def induced_map(f: Matrix, source: QuotientSpace, target: QuotientSpace) -> Matrix:
-    """Matrix of the map induced by f on quotient coordinates.
+def induced_map(image, source: QuotientSpace, target: QuotientSpace) -> Matrix:
+    """Matrix of the map induced on quotient coordinates by a map of ambient spaces.
 
-    Raises NotWellDefinedError unless f maps the source relations into
-    the target relations.
+    image(j) is the sparse value {target ambient index: coeff} of the
+    j-th ambient basis vector of the source, called at most once per j.
+    Raises NotWellDefinedError unless every echelon row of the source
+    relations maps into the target relations; the columns are then the
+    projected images of the representatives.
     """
-    if f.ncols != source.ambient_dim or f.nrows != target.ambient_dim:
-        raise ValueError("ambient shape mismatch")
-    for row in _dense_rows(source.relations.echelon, source.ambient_dim):
-        if not target.relations.contains(f.apply(row)):
+    image = cache(image)
+    for p, tail in source.relations.echelon:
+        if target.relations.decompose(sparse_axpy(sparse_extend(image, tail), 1, image(p)))[1]:
             raise NotWellDefinedError("map does not preserve the relation subspace")
-    return Matrix.from_cols([target.project(f.col(j)) for j in source.reps], nrows=target.dim)
+    return Matrix.from_cols([target.project(image(j)) for j in source.reps], nrows=target.dim)
 
 
 # ---------------------------------------------------------------------------

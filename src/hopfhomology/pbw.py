@@ -174,12 +174,6 @@ def pbw_multiply(g: LieAlgebraData, u, v, bound=None):
     return out
 
 
-def generator(g: LieAlgebraData, i):
-    m = [0] * g.dim
-    m[i] = 1
-    return {tuple(m): 1}
-
-
 # ---------------------------------------------------------------------------
 # the Hopf structure on generators, extended to monomials
 

@@ -36,7 +36,7 @@ from .bialgebroid import BialgebroidData, _expand_table, module_tensor_left
 from .complexes import homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
 from .homology import lift
-from .linalg import Matrix, induced_map, sparse_add, sparse_extend, unit_vec, zero_vec
+from .linalg import Matrix, _sparse, sparse_add, sparse_extend, unit_vec, zero_vec
 
 
 class BarResolution:
@@ -118,7 +118,7 @@ class BarResolution:
                 col = self.push[r].col(word[0])
             else:
                 col = self.push[r].apply(self.tails[word[k]])
-            out = {p: c for p, c in enumerate(col) if c}
+            out = _sparse(col)
             self._pushed_cache[key] = out
         return out
 
@@ -160,7 +160,7 @@ class BarResolution:
         out = self._mul_cache.get(key)
         if out is None:
             prod = self.U.left_mult_matrix(unit_vec(self.U.dim, u)).apply(self.tails[t])
-            out = {p: c for p, c in enumerate(prod) if c}
+            out = _sparse(prod)
             self._mul_cache[key] = out
         return out
 
@@ -169,7 +169,7 @@ class BarResolution:
         out = self._mul_cache.get(key)
         if out is None:
             prod = self.U.multiply(self.tails[t1], self.tails[t2])
-            out = {p: c for p, c in enumerate(prod) if c}
+            out = _sparse(prod)
             self._mul_cache[key] = out
         return out
 
@@ -221,7 +221,7 @@ class BarResolution:
         out = self._mul_cache.get(key)
         if out is None:
             acted = self._counit_face(t2).apply(self.tails[t1])
-            out = {p: c for p, c in enumerate(acted) if c}
+            out = _sparse(acted)
             self._mul_cache[key] = out
         return out
 
@@ -238,7 +238,7 @@ class BarResolution:
     def homotopy_bottom(self, a_vec):
         """s on the augmentation: a -> eta(1 (x) a)."""
         v = self.data.eta_target(a_vec)
-        return {(p,): c for p, c in enumerate(v) if c}
+        return {(p,): c for p, c in _sparse(v).items()}
 
     def augmentation_word(self, w):
         return self.data.counit(unit_vec(self.U.dim, w[0]))
@@ -255,7 +255,7 @@ class BarResolution:
         key = (g, i)
         out = self._diag_cache.get(key)
         if out is None:
-            one = {p: c for p, c in enumerate(self.U.unit) if c}
+            one = _sparse(self.U.unit)
             legs = {((p,), q): c * d for p, c in one.items() for q, d in one.items()}
             for k in range(1, i + 1):
                 step = {}
@@ -280,12 +280,7 @@ class BarResolution:
             raise WindowExceededError(f"differential {n} outside bar window")
         cols = []
         for g in self._gens[n]:
-            acc = {}
-            for p, c in enumerate(self.U.unit):
-                if not c:
-                    continue
-                for w2, d in self.boundary_word((p,) + g).items():
-                    sparse_add(acc, w2, c * d)
+            acc = sparse_extend(lambda p: self.boundary_word((p,) + g), self.U.unit)
             cols.append({self.gen_index(n - 1, K): v for K, v in self._by_generator(acc).items()})
         self._diff_cols[n] = cols
         return cols
@@ -313,7 +308,7 @@ class BarResolution:
     # -- comparison maps --------------------------------------------------
 
     def times(self, u, v):
-        return {p: c for p, c in enumerate(self.U.multiply(u, v)) if c}
+        return _sparse(self.U.multiply(u, v))
 
     def contract(self, j, words):
         return self._by_generator(self.homotopy_elt(words))
@@ -427,7 +422,8 @@ class TotalTensorComplex:
         self.data = data = bar.data
         self.upto = upto
         reps = {n: bar.module_rep(n) for n in range(upto + 1)}
-        chain = {n: bar.chain_matrix(n) for n in range(1, upto + 1)}
+        # d_n on each concrete word, as sparse columns
+        chain = {n: bar.chain_matrix(n).transpose().sparse_rows() for n in range(1, upto + 1)}
         self.blocks, self.offsets, self.dims, self.diff, self.action = {}, {}, [], {}, {}
         for n in range(upto + 1):
             pos = 0
@@ -446,13 +442,13 @@ class TotalTensorComplex:
             for i in range(n + 1):
                 j, src, col = n - i, self.blocks[i, n - i].space, self.offsets[i, n - i]
                 if i:  # d (x) 1 into block (i - 1, j)
-                    amb = chain[i].kron(Matrix.identity(reps[j].dim))
-                    dst = self.blocks[i - 1, j].space
-                    _place(out, induced_map(amb, src, dst), self.offsets[i - 1, j], col)
+                    d_1 = src.map_to(self.blocks[i - 1, j].space,
+                                     lambda w: {(x, w[1]): c for x, c in chain[i][w[0]].items()})
+                    _place(out, d_1, self.offsets[i - 1, j], col)
                 if j:  # (-1)^i 1 (x) d into block (i, j - 1)
-                    amb = Matrix.identity(reps[i].dim).kron(chain[j])
-                    dst = self.blocks[i, j - 1].space
-                    _place(out, induced_map(amb, src, dst), self.offsets[i, j - 1], col, -1 if i % 2 else 1)
+                    one_d = src.map_to(self.blocks[i, j - 1].space,
+                                       lambda w: {(w[0], y): c for y, c in chain[j][w[1]].items()})
+                    _place(out, one_d, self.offsets[i, j - 1], col, -1 if i % 2 else 1)
             if n >= 2 and not (self.diff[n - 1] @ out).is_zero():
                 raise ValidationError(f"d d != 0 from total degree {n} to {n - 2}")
         # augmentation through A (x) A -> A, on the pure tensor of each coordinate

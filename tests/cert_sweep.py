@@ -93,7 +93,12 @@ MUTANTS = [
      "[(0, 2, self._aop_glue), (1, 2, self._a_glue)]", "[(1, 2, self._a_glue)]"),
     # every balanced tensor reads coordinate k as the pure tensor words[k]
     ("pure-tensor words misread", ALGEBRAS,
-     "zip(strides, shape)) for j in self.reps]", "zip(strides[::-1], shape)) for j in self.reps]"),
+     "zip(self.strides, self.shape))", "zip(self.strides[::-1], self.shape))"),
+    # every map between quotients, and so between balanced tensors, is checked to descend
+    ("induced_map descent check off", LINALG,
+     "        if target.relations.decompose(", "        if False and target.relations.decompose("),
+    ("descent on the first relation row only", LINALG,
+     "for p, tail in source.relations.echelon:", "for p, tail in source.relations.echelon[:1]:"),
     # the duality command caps through the Koszul diagonal it checks
     ("duality diagonal check off", CLI,
      "dd.resolution.check_diagonal_chain_map()", "None"),

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from builders import regular_right
 from hopfhomology.algebras import (
     FinDimAlgebra,
     ModuleRep,
@@ -18,7 +19,7 @@ from hopfhomology.instances import (
     s3_modules,
     upper_triangular2,
 )
-from hopfhomology.linalg import Matrix, induced_map, unit_vec
+from hopfhomology.linalg import Matrix, unit_vec
 
 
 def test_constructor_rejects_broken_associativity():
@@ -64,7 +65,7 @@ def test_tensor_over_ground_field_is_plain_tensor():
 
 def test_tensor_over_regular_gives_unit_isomorphism():
     A = upper_triangular2()
-    reg = ModuleRep.regular_right(A)
+    reg = regular_right(A)
     for N_dim, N in (
         (3, ModuleRep.regular_left(A)),
     ):
@@ -74,7 +75,7 @@ def test_tensor_over_regular_gives_unit_isomorphism():
 
 def test_tensor_over_dual_numbers_bimodule():
     A = dual_numbers()
-    right = ModuleRep.regular_right(A)
+    right = regular_right(A)
     left = ModuleRep.regular_left(A)
     q = tensor_over(A, right, left)
     # A (x)_A A = A: relation span has rank 2 inside dimension 4
@@ -86,20 +87,19 @@ def test_tensor_over_outer_action_descends():
     from hopfhomology.errors import NotWellDefinedError
 
     A = dual_numbers()
-    right = ModuleRep.regular_right(A)
+    right = regular_right(A)
     left = ModuleRep.regular_left(A)
     q = tensor_over(A, right, left)
     # outer left multiplication on the first factor commutes with the
     # inner relations and descends to multiplication on the quotient
-    outer = [A.left_mult_matrix(unit_vec(2, i)).kron(Matrix.identity(2)) for i in range(2)]
-    induced = [induced_map(m, q, q) for m in outer]
+    induced = [q.map_to(q, lambda w: {(k, w[1]): c for k, c in A.product(i, w[0]).items()}) for i in range(2)]
     assert induced[0] == Matrix.identity(q.dim)
     ModuleRep(A, q.dim, "left", induced)  # satisfies the module axioms
-    # a map that does not preserve the relations is rejected
-    bad = Matrix.zeros(4, 4)
-    bad.rows[0][3] = Q(1)
+    # x (x) x -> 1 (x) 1 breaks the relation x (x) x ~ 1 (x) x^2 = 0,
+    # the second echelon row after 1 (x) x - x (x) 1
+    assert [p for p, _ in q.relations.echelon] == [1, 3]
     with pytest.raises(NotWellDefinedError):
-        induced_map(bad, q, q)
+        q.map_to(q, lambda w: {(0, 0): 1} if w == (1, 1) else {})
 
 
 def test_hom_over_free_module():
@@ -142,7 +142,7 @@ def test_hom_tensor_unit_isomorphisms_natural():
             [N.act(unit_vec(A.dim, j)).apply(v) for j in range(A.dim)], nrows=N.dim
         )
         assert rebuilt == m
-    q = tensor_over(A, ModuleRep.regular_right(A), N)
+    q = tensor_over(A, regular_right(A), N)
     assert q.dim == N.dim
     # 1 (x) n and its canonical coordinates are mutually inverse
     for j in range(N.dim):

@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from builders import regular_right
 from hopfhomology.algebras import ModuleRep, tensor_over
 from hopfhomology.bialgebroid import (
     BialgebroidData,
@@ -16,7 +17,7 @@ from hopfhomology.bialgebroid import (
     tensor_flip,
     unit_iso,
 )
-from hopfhomology.errors import NotInvertibleError
+from hopfhomology.errors import NotInvertibleError, NotWellDefinedError
 from hopfhomology.instances import (
     bimodule_a_right,
     cyclic_group_algebra,
@@ -172,6 +173,15 @@ def test_galois_sweedler_matches_classical_antipode(sweedler, sweedler_hopf):
         assert uaopu.project_pure(h.translation_pure(u)) == uaopu.project_pure(pairs)
 
 
+def test_map_to_rejects_an_image_that_does_not_descend(env_qeps):
+    # u (x) v -> u (x) v is the identity on U (x)_Aop U, but it does not
+    # descend to U (x)_A U: a |>> u (x) v ~ u (x) v <| a is no relation there
+    data = env_qeps.data
+    assert data.uaopu.map_to(data.uaopu, lambda w: {w: 1}) == Matrix.identity(data.uaopu.dim)
+    with pytest.raises(NotWellDefinedError):
+        data.uaopu.map_to(data.uau, lambda w: {w: 1})
+
+
 def test_galois_not_invertible_on_monoid_control():
     with pytest.raises(NotInvertibleError) as exc:
         galois_map(monoid01_bialgebra())
@@ -270,7 +280,7 @@ def test_module_tensor_right_action_is_associative(sweedler, sweedler_hopf):
     data = sweedler.data
     mods = sweedler_modules(data)
     M = mods["regular"]
-    P = ModuleRep.regular_right(data.U)
+    P = regular_right(data.U)
     tm = module_tensor_right(sweedler_hopf, M, P)
     U = data.U
     for i in range(U.dim):
@@ -287,7 +297,7 @@ def test_module_tensor_right_mixed_associator(sweedler, sweedler_hopf):
     h = sweedler_hopf
     mods = sweedler_modules(data)
     M, N = mods["regular"], mods["sign"]
-    P = ModuleRep.regular_right(data.U)
+    P = regular_right(data.U)
     mn = module_tensor_left(data, M, N)
     mn_p = module_tensor_right(h, mn.module, P)
     np_ = module_tensor_right(h, N, P)
@@ -314,7 +324,7 @@ def test_tensor_flip_sweedler_dims_and_inverse(sweedler, sweedler_hopf):
     data = sweedler.data
     mods = sweedler_modules(data)
     M = mods["regular"]
-    P = ModuleRep.regular_right(data.U)
+    P = regular_right(data.U)
     N = mods["sign"]
     flip = tensor_flip(sweedler_hopf, M, P, N)
     assert flip.source.dim == flip.target.dim

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from builders import generator
 from hopfhomology.duality import detect_duality_ug
 from hopfhomology.errors import DegreeOverflowError, ValidationError
 from hopfhomology.instances import lie_abelian, lie_nonabelian2, lie_sl2
@@ -11,7 +12,6 @@ from hopfhomology.pbw import (
     LieAlgebraData,
     LieModule,
     delta_mono,
-    generator,
     mono_mul,
     monomials_upto,
     pbw_multiply,

@@ -118,7 +118,7 @@ def closed_form_diagonal(bar, tot, upto):
 # (instance, top total degree); the base algebras have dimension 1, 1, 2, 3
 # and 2.  env-upper2 stops at degree 2: on the normalized resolution its
 # reference total complex takes about 10 s to build there.
-CHAIN_MAP_CASES = [("kz3", 2), ("sweedler", 2), ("env-qeps", 3), ("env-upper2", 2), ("env-qxq", 2)]
+CHAIN_MAP_CASES = [("kz3", 2), ("sweedler", 2), ("env-qeps", 3), ("env-upper2", 3), ("env-qxq", 2)]
 
 
 def test_diagonal_lift_is_chain_map(catalog):

@@ -5,20 +5,26 @@ sparse kernel replaced it: first nonzero entry as pivot, every row
 updated.  The reduced row echelon form is unique, so both must agree
 exactly, pivots included.  The kernel of sparse rows is checked against
 the dense kernel built on that oracle, Subspace and QuotientSpace on
-their echelon pairs against the dense Subspace they replaced, and
-lincomb against the fold out + c * m that it replaced.
+their echelon pairs against the dense Subspace they replaced, the
+sparse induced_map against the dense one it replaced, and lincomb
+against the fold out + c * m that it replaced.
 """
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hopfhomology.errors import NotWellDefinedError
 from hopfhomology.linalg import (
     Matrix,
     QuotientSpace,
     Subspace,
+    _dense_rows,
+    induced_map,
     lincomb,
+    quotient,
     sparse_kernel,
     sparse_rank,
 )
@@ -241,10 +247,52 @@ def test_subspace_and_quotient_match_dense_oracle(data):
     coefficients = data.draw(vectors(A.nrows))
     inside = [sum((c * row[j] for c, row in zip(coefficients, A.rows)), Q(0)) for j in range(A.ncols)]
     for v in (data.draw(vectors(A.ncols)), inside, [Q(0)] * A.ncols):
-        assert sub.reduce(v) == oracle.reduce(v)
         assert sub.contains(v) == oracle.contains(v)
         assert sub.coordinates(v) == oracle.coordinates(v)
         assert quotient.project(v) == oracle.project(v)
+
+
+def dense_induced_map(f, source, target):
+    """The induced_map that took the ambient map as a dense Matrix f."""
+    if f.ncols != source.ambient_dim or f.nrows != target.ambient_dim:
+        raise ValueError("ambient shape mismatch")
+    for row in _dense_rows(source.relations.echelon, source.ambient_dim):
+        if not target.relations.contains(f.apply(row)):
+            raise NotWellDefinedError("map does not preserve the relation subspace")
+    return Matrix.from_cols([target.project(f.col(j)) for j in source.reps], nrows=target.dim)
+
+
+@st.composite
+def quotient_maps(draw):
+    """(f, source, target, preserved): an ambient map f between two random quotients.
+
+    With preserved, the target relations include the image under f of
+    the source relations, so f descends; otherwise it may or may not.
+    """
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(Q(0)), VALUES)
+    f = Matrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)), ncols=n)
+    source_rels = draw(st.lists(vectors(n), max_size=4))
+    target_rels = draw(st.lists(st.lists(entry, min_size=m, max_size=m), max_size=3))
+    preserved = draw(st.booleans())
+    if preserved:
+        target_rels += [f.apply(r) for r in source_rels]
+    return f, quotient(n, source_rels), quotient(m, target_rels), preserved
+
+
+@given(quotient_maps())
+@example((Matrix([[1, 0], [0, 2]]), quotient(2, [[1, -1]]), quotient(2, [[1, -1]]), False))
+def test_induced_map_matches_dense_oracle(case):
+    f, source, target, preserved = case
+    image = f.transpose().sparse_rows().__getitem__  # column j of f, sparse
+    try:
+        expect = dense_induced_map(f, source, target)
+    except NotWellDefinedError:
+        assert not preserved
+        with pytest.raises(NotWellDefinedError):
+            induced_map(image, source, target)
+    else:
+        assert induced_map(image, source, target) == expect
 
 
 def lincomb_fold(terms, nrows, ncols):

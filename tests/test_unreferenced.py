@@ -37,12 +37,8 @@ TEST_ONLY = {
     # reference checks: tests compare the engine against these
     "resolutions.check_resolution": "reference check: exactness of the total complex of P (x) P",
     "resolutions.u_linear_matrix": "reference check: lifted chain maps as concrete matrices",
-    "linalg.reduce": "reference check: the rref property tests compare it with a dense oracle",
     "linalg.kernel": "reference check: the rref property tests compare the dense kernel with an oracle",
     "homology.bijective": "reference check: tests assert a comparison of resolutions is invertible on Ext",
-    # test inputs: tests build the right regular module and PBW generators with them
-    "algebras.regular_right": "test input: the right regular module",
-    "pbw.generator": "test input: a PBW generator",
     # acceptance criteria
     "resolutions.boundary_elt": "acceptance criterion 02 (bar contractibility)",
     "homology.resolution_independence": "acceptance criterion 09",

@@ -41,8 +41,8 @@ def main():
     h = galois_map(env)
     pr = BarProducts(h, bar, 3)
     groups = {n: ext(bar, M, n) for n in range(4)}
-    u = groups[1].basis_cocycles()[0]
-    v = groups[2].basis_cocycles()[0]
+    u = groups[1].representatives()[0]
+    v = groups[2].representatives()[0]
 
     sq, tm = pr.cup(1, 1, u, u, M, M)
     iso = unit_iso(env, M, tm)

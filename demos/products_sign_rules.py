@@ -16,7 +16,7 @@ basis class pair in every admissible degree.
 from fractions import Fraction as Q
 
 from hopfhomology.ce import ce_resolution
-from hopfhomology.homology import TorGroup, ext, tor
+from hopfhomology.homology import ext, tor
 from hopfhomology.instances import lie_abelian
 from hopfhomology.pbw import LieModule
 from hopfhomology.products import CEProducts
@@ -29,7 +29,7 @@ def main():
     triv = LieModule.trivial(g)
     trivr = LieModule.trivial(g, side="right")
     groups = {n: ext(res, triv, n) for n in range(3)}
-    xi = groups[1].basis_cocycles()
+    xi = groups[1].representatives()
 
     print("cup products of the degree one classes (classes in Ext^2):")
     for i, a in enumerate(xi):
@@ -42,8 +42,8 @@ def main():
     agree = True
     for m in range(3):
         for n in range(3 - m):
-            for a in groups[m].basis_cocycles():
-                for b in groups[n].basis_cocycles():
+            for a in groups[m].representatives():
+                for b in groups[n].representatives():
                     y = pr.yoneda(m, n, a, b, triv)
                     c1, _ = pr.cup(m, n, a, b, triv, triv)
                     c2, _ = pr.cup(n, m, b, a, triv, triv)
@@ -58,12 +58,12 @@ def main():
     for m in range(3):
         for n in range(m, 3):
             tg = tor(res, trivr, n)
-            for phi in groups[m].basis_cocycles():
-                for z in tg.basis_cycles():
+            for phi in groups[m].representatives():
+                for z in tg.representatives():
                     b = pr.bullet(m, phi, z, n, trivr)
                     cp, tm = pr.cap(m, phi, z, n, triv, trivr)
                     out1 = tor(res, trivr, n - m)
-                    out2 = TorGroup(res, tm, n - m)
+                    out2 = tor(res, tm, n - m)
                     agree &= out1.class_of(b) == out2.class_of(cp)
     print("  evaluation = cap classwise:", agree)
 

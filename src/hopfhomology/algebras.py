@@ -17,6 +17,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     _sparse,
+    add_outer,
     frac,
     frac_str,
     induced_map,
@@ -119,23 +120,11 @@ class FinDimAlgebra:
                 for k in range(n):
                     for l in range(n):
                         # (x (x) y)(x' (x) y') = xx' (x) y'y
-                        first = self.mult[i][k]
-                        second = self.mult[l][j]
                         out = zero_vec(dim)
-                        for p, a in enumerate(first):
-                            if not a:
-                                continue
-                            for q, b in enumerate(second):
-                                if b:
-                                    out[p * n + q] += a * b
+                        add_outer(out, 1, self.mult[i][k], self.mult[l][j])
                         mult[i * n + j][k * n + l] = out
         unit = zero_vec(dim)
-        for p, a in enumerate(self.unit):
-            if not a:
-                continue
-            for q, b in enumerate(self.unit):
-                if b:
-                    unit[p * n + q] += a * b
+        add_outer(unit, 1, self.unit, self.unit)
         return FinDimAlgebra(dim, labels, mult, unit, validate=False)
 
     def to_json(self):

@@ -120,8 +120,6 @@ class CEResolution:
     def act_left(self, entry, M: LieModule):
         return M.act(entry)
 
-    act_right = act_left
-
     def act_basis(self, m, M: LieModule):
         return M.act_mono(m)
 

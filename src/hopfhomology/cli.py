@@ -227,9 +227,9 @@ def cmd_cup(args):
     for m in range(args.max_total + 1):
         for n in range(args.max_total + 1 - m):
             table = []
-            for phi in groups[m].basis_cocycles():
+            for phi in groups[m].representatives():
                 row = []
-                for psi in groups[n].basis_cocycles():
+                for psi in groups[n].representatives():
                     c = moved(pr.cup(m, n, phi, psi, M, M)[0], m + n)
                     row.append([frac_str(x) for x in groups[m + n].class_of(c)])
                 table.append(row)
@@ -243,7 +243,7 @@ def cmd_cap(args):
     if inst.kind != "lie":
         return _fail_usage("cap tables are emitted for universal envelope instances")
     from .ce import ce_resolution
-    from .homology import TorGroup, ext, tor
+    from .homology import ext, tor
     from .pbw import LieModule
     from .products import CEProducts
 
@@ -258,11 +258,11 @@ def cmd_cap(args):
         for n in range(m, args.max_degree + 1):
             tg = tor(res, trivr, n)
             table = []
-            for phi in eg.basis_cocycles():
+            for phi in eg.representatives():
                 row = []
-                for z in tg.basis_cycles():
+                for z in tg.representatives():
                     c, tm = pr.cap(m, phi, z, n, triv, trivr)
-                    out = TorGroup(res, tm, n - m)
+                    out = tor(res, tm, n - m)
                     row.append([frac_str(x) for x in out.class_of(c)])
                 table.append(row)
             tables.append({"op": "cap", "m": m, "n": n, "table": table})

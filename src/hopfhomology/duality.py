@@ -466,16 +466,16 @@ def duality_isomorphism_ug(products, dd: DualityData, M: LieModule, m: int):
     ValidationError if the matrix is not a bijection (that would
     falsify the implementation, not the inputs).
     """
-    from .homology import TorGroup, ext
+    from .homology import ext, tor
     from .pbw import tensor_right_lie
 
     res = dd.resolution
     d = dd.dimension
     eg = ext(res, M, m)
     tm = tensor_right_lie(res.g, M, dd.astar)
-    tg = TorGroup(res, tm, d - m)
+    tg = tor(res, tm, d - m)
     cols = []
-    for phi in eg.basis_cocycles():
+    for phi in eg.representatives():
         z, _ = products.cap(m, phi, dd.omega, d, M, dd.astar)
         cols.append(tg.class_of(z))
     mat = Matrix.from_cols(cols, nrows=tg.dim)

@@ -3,11 +3,12 @@
 A resolution object provides rank(n), generators(n) and gen_index(n,
 generator), diff_cols(n) (columns of the generator-level differential,
 entries are coefficients in U in whatever representation the carrier
-uses), act_left(entry, M) / act_right(entry, N) returning action
-matrices, and max_degree.  For products it also provides diagonal(K,
-i), the P_i (x) P_(n-i) part of a diagonal on the generator K as
-{(front word, back word): coeff} with each word (basis key,) +
-generator, and act_basis(key, M), the action matrix of a basis key.
+uses), act_left(entry, M) returning the action matrix of an entry on
+a module of either side, and max_degree.  For products it also
+provides diagonal(K, i), the P_i (x) P_(n-i) part of a diagonal on the
+generator K as {(front word, back word): coeff} with each word (basis
+key,) + generator, and act_basis(key, M), the action matrix of a basis
+key.
 As the target of a lifted chain map it provides times(u, v), a
 coefficient of the source differential times one of its own, as
 {basis key: coeff}, and contract(j, words), a preimage under d_j of a
@@ -16,14 +17,18 @@ bar resolution and the Koszul-type resolution of a universal envelope
 satisfy this; the bar model of U(g) is a lift target too.
 
 Ext^n(A, M) is the cohomology of M^{rank(0)} -> M^{rank(1)} -> ..,
-Tor_n(N, A) the homology of .. -> N^{rank(1)} -> N^{rank(0)}.  Classes
-always carry explicit representatives in generator coordinates.
+Tor_n(N, A) the homology of .. -> N^{rank(1)} -> N^{rank(0)}.  One
+builder, cochain_cols, writes the blocks of both and reads them by the
+module's side: for a right module the two module indices swap, so the
+columns it writes are the rows of the Tor boundary.  Both groups are a
+HomologySpace, whose classes carry explicit representatives in
+generator coordinates.
 """
 
 from __future__ import annotations
 
 from .complexes import HomologySpace, homology_dims
-from .errors import LiftFailedError, WindowExceededError
+from .errors import LiftFailedError, ValidationError, WindowExceededError
 from .linalg import Matrix, add_outer, sparse_add, sparse_columns, zero_vec
 
 
@@ -32,121 +37,90 @@ def cochain_matrix(res, M, n) -> Matrix:
     return Matrix.from_sparse_cols(cochain_cols(res, M, n), res.rank(n + 1) * M.dim)
 
 
+def chain_matrix(res, N, n) -> Matrix:
+    """boundary_n : N^{rank(n)} -> N^{rank(n-1)} on generator coordinates."""
+    return cochain_matrix(res, N, n - 1).transpose()
+
+
 def cochain_cols(res, M, n):
-    """Columns of delta^n, one sparse dict per coordinate of Hom(P_n, M); no two blocks overlap."""
+    """Sparse columns of the map between the blocks of generators n and n + 1.
+
+    One dict per coordinate of M^{rank(n)}; no two blocks overlap.  For
+    a left module they are the columns of delta^n : Hom(P_n, M) ->
+    Hom(P_(n+1), M).  For a right module the two module indices swap,
+    and they are the rows of the Tor boundary M (x) P_(n+1) -> M (x) P_n.
+    """
     dm = M.dim
+    right = M.side == "right"
     cols = [dict() for _ in range(res.rank(n) * dm)]
     for k, col in enumerate(res.diff_cols(n + 1)):
         for j, entry in col.items():
-            act = res.act_left(entry, M).rows
-            for a in range(dm):
-                for b, c in enumerate(act[a]):
+            for a, row in enumerate(res.act_left(entry, M).rows):
+                for b, c in enumerate(row):
                     if c:
-                        cols[j * dm + b][k * dm + a] = c
+                        if right:
+                            cols[j * dm + a][k * dm + b] = c
+                        else:
+                            cols[j * dm + b][k * dm + a] = c
     return cols
 
 
-def chain_matrix(res, N, n) -> Matrix:
-    """boundary_n : N^{rank(n)} -> N^{rank(n-1)} on generator coordinates."""
-    return Matrix.from_sparse_cols(chain_rows_sparse(res, N, n), res.rank(n) * N.dim).transpose()
-
-
-def chain_rows_sparse(res, N, n):
-    """Rows of boundary_n, one sparse dict per coordinate of N^{rank(n-1)}; no two blocks overlap."""
-    dn = N.dim
-    rows = [dict() for _ in range(res.rank(n - 1) * dn)]
-    for k, col in enumerate(res.diff_cols(n)):
-        for j, entry in col.items():
-            act = res.act_right(entry, N).rows
-            for a in range(dn):
-                target = rows[j * dn + a]
-                for b, c in enumerate(act[a]):
-                    if c:
-                        target[k * dn + b] = c
-    return rows
-
-
-def _check_window(res, n, group):
+def _check(res, M, n, side):
+    group = "Ext" if side == "left" else "Tor"
+    if M.side != side:
+        raise ValidationError(f"{group} takes a {side} module, not a {M.side} one")
     if n < 0 or n > res.max_degree - 1:
         raise WindowExceededError(
             f"{group} degree {n} outside certified window 0..{res.max_degree - 1}"
         )
 
 
-class ExtGroup:
-    """Ext^n with a canonical class basis and decomposition queries."""
+def _space(res, M, n, side) -> HomologySpace:
+    """Degree n of Ext (a left M) or Tor (a right M), classes with representatives.
 
-    def __init__(self, res, M, n):
-        _check_window(res, n, "Ext")
-        self.res = res
-        self.module = M
-        self.degree = n
-        d_out = sparse_columns(cochain_cols(res, M, n)).values()
-        d_in = cochain_cols(res, M, n - 1) if n >= 1 else []
-        self.space = HomologySpace(res.rank(n) * M.dim, d_out, d_in)
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def class_of(self, cochain):
-        """Canonical class coordinates of a cocycle."""
-        return self.space.class_of(list(cochain))
-
-    def basis_cocycles(self):
-        return self.space.representatives()
-
-
-class TorGroup:
-    """Tor_n with a canonical class basis."""
-
-    def __init__(self, res, N, n):
-        _check_window(res, n, "Tor")
-        self.res = res
-        self.module = N
-        self.degree = n
-        d_out = chain_rows_sparse(res, N, n) if n >= 1 else []
-        d_in = sparse_columns(chain_rows_sparse(res, N, n + 1)).values()
-        self.space = HomologySpace(res.rank(n) * N.dim, d_out, d_in)
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def class_of(self, cycle):
-        return self.space.class_of(list(cycle))
-
-    def basis_cycles(self):
-        return self.space.representatives()
-
-
-def ext(res, M, n) -> ExtGroup:
-    return ExtGroup(res, M, n)
-
-
-def tor(res, N, n) -> TorGroup:
-    return TorGroup(res, N, n)
-
-
-def ext_dims(res, M, upto):
-    """Ext dimensions for degrees 0..upto, one sparse rank per coboundary.
-
-    A window error names the lowest degree outside the window.
+    Ext leaves by the rows of the blocks n -> n + 1 and is reached by
+    the columns of n - 1 -> n; Tor's boundaries run against the blocks,
+    so it leaves by the columns of n - 1 -> n and is reached by the rows
+    of n -> n + 1.
     """
-    _check_window(res, min(upto, res.max_degree), "Ext")
+    _check(res, M, n, side)
+    rows = sparse_columns(cochain_cols(res, M, n)).values()
+    cols = cochain_cols(res, M, n - 1) if n >= 1 else []
+    if side == "right":
+        rows, cols = cols, rows
+    return HomologySpace(res.rank(n) * M.dim, rows, cols)
+
+
+def ext(res, M, n) -> HomologySpace:
+    """Ext^n(A, M) of a left module M, as classes of generator cochains."""
+    return _space(res, M, n, "left")
+
+
+def tor(res, N, n) -> HomologySpace:
+    """Tor_n(N, A) of a right module N, as classes of generator chains."""
+    return _space(res, N, n, "right")
+
+
+def _dims(res, M, upto, side):
+    """Dimensions for degrees 0..upto, one sparse rank per map between blocks.
+
+    Tor is ranked on the transposed complex, whose columns are the rows
+    of each boundary.  A window error names the lowest degree outside
+    the window.
+    """
+    _check(res, M, min(upto, res.max_degree), side)
     dims = [res.rank(n) * M.dim for n in range(upto + 2)]
     return homology_dims(dims, (cochain_cols(res, M, n) for n in range(upto + 1)))[:-1]
 
 
-def tor_dims(res, N, upto):
-    """Tor dimensions for degrees 0..upto, one sparse rank per boundary.
+def ext_dims(res, M, upto):
+    """Ext dimensions of a left module for degrees 0..upto."""
+    return _dims(res, M, upto, "left")
 
-    The ranks are those of the transposed complex V_(n-1) -> V_n, whose
-    columns are the rows of each boundary.
-    """
-    _check_window(res, min(upto, res.max_degree), "Tor")
-    dims = [res.rank(n) * N.dim for n in range(upto + 2)]
-    return homology_dims(dims, (chain_rows_sparse(res, N, n) for n in range(1, upto + 2)))[:-1]
+
+def tor_dims(res, N, upto):
+    """Tor dimensions of a right module for degrees 0..upto."""
+    return _dims(res, N, upto, "right")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +129,7 @@ def tor_dims(res, N, upto):
 #
 # A lifted map is a list over degrees j of {source generator: {generator
 # K of res_j: coefficient}}, with the source generators in resolution
-# order and each coefficient in res's own form for act_left/act_right.
+# order and each coefficient in res's own form for act_left.
 
 
 def lift(src, dst, m, bottom, top) -> list:
@@ -207,7 +181,7 @@ def push_chain(res, lifts, j, z, N) -> list:
         zk = z[k * dn : (k + 1) * dn]
         for K, u in img.items():
             base = res.gen_index(j, K) * dn
-            for a, c in enumerate(res.act_right(u, N).apply(zk)):
+            for a, c in enumerate(res.act_left(u, N).apply(zk)):
                 if c:
                     out[base + a] += c
     return out
@@ -287,7 +261,7 @@ def resolution_independence(p, q, M, n) -> ExtIsomorphism:
 
     def induced(src, dst, e_src, e_dst):
         lifts = dst.lift(src, 0, [src.data.counit(src.U.unit)], n)
-        cols = [e_src.class_of(pull_cochain(dst, lifts, n, v, M)) for v in e_dst.basis_cocycles()]
+        cols = [e_src.class_of(pull_cochain(dst, lifts, n, v, M)) for v in e_dst.representatives()]
         return Matrix.from_cols(cols, nrows=e_src.dim)
 
     fwd = induced(p, q, ep, eq)

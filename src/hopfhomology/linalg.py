@@ -147,7 +147,7 @@ class Matrix:
                 raise ValueError("empty column list needs a row count")
             return cls.zeros(nrows, 0)
         n = len(cols[0])
-        return cls([[frac(col[i]) for col in cols] for i in range(n)], ncols=len(cols))
+        return cls._own([[frac(col[i]) for col in cols] for i in range(n)], len(cols))
 
     def col(self, j):
         return [row[j] for row in self.rows]

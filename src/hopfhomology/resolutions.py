@@ -300,8 +300,6 @@ class BarResolution:
             self._action_cache[key] = out
         return out
 
-    act_right = act_left
-
     def act_basis(self, p, M: ModuleRep):
         return M.action[p]
 

@@ -55,20 +55,23 @@ def one_run(root, workload, seed):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def one_command(root, argv):
-    """(stdout sha256, wall seconds, peak RSS in MB) of one fresh CLI run in root, or None."""
-    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+def run_child(cmd, root, env=None):
+    """(exit code, stdout bytes, wall seconds, peak RSS in MB) of one fresh child run in root."""
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "hopfhomology.cli", *argv], cwd=root,
-                             env=env, stdout=subprocess.PIPE)
+    child = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.PIPE)
     out = child.stdout.read()
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
     child.stdout.close()
     child.returncode = os.waitstatus_to_exitcode(status)
-    if child.returncode:
-        return None
-    return hashlib.sha256(out).hexdigest(), wall, usage.ru_maxrss / 1024
+    return child.returncode, out, wall, usage.ru_maxrss / 1024
+
+
+def one_command(root, argv):
+    """(exit code, stdout sha256, wall seconds, peak RSS in MB) of one fresh CLI run in root."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+    code, out, wall, rss = run_child([sys.executable, "-m", "hopfhomology.cli", *argv], root, env)
+    return code, hashlib.sha256(out).hexdigest(), wall, rss
 
 
 def quartiles(values):
@@ -133,9 +136,9 @@ def compare_command(parent, change, argv, pairs):
     runs = {"parent": [], "change": []}
     for k in range(pairs):
         for side in ["parent", "change"] if k % 2 == 0 else ["change", "parent"]:
-            got = one_command(parent if side == "parent" else change, argv)
-            if got is None:
-                sys.stderr.write(f"{side} run {k} failed\n")
+            code, *got = one_command(parent if side == "parent" else change, argv)
+            if code:
+                sys.stderr.write(f"{side} run {k} failed with exit code {code}\n")
                 return 1
             runs[side].append(got)
             print(f"pair {k} {side}: sha256 {got[0][:12]} wall_s={got[1]:.4g} "

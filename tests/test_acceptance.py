@@ -29,7 +29,7 @@ from hopfhomology.duality import (
     duality_isomorphism_ug,
 )
 from hopfhomology.errors import NotInvertibleError
-from hopfhomology.homology import TorGroup, ext, tor
+from hopfhomology.homology import ext, tor
 from hopfhomology.instances import (
     bimodule_a,
     bimodule_a_right,
@@ -124,8 +124,8 @@ def test_criterion_04_composition_cup_sign_rule(env_qeps, env_qeps_bar, env_qeps
     groups = {n: ext(bar, A, n) for n in range(4)}
     for m in range(4):
         for n in range(4 - m):
-            for phi in groups[m].basis_cocycles():
-                for psi in groups[n].basis_cocycles():
+            for phi in groups[m].representatives():
+                for psi in groups[n].representatives():
                     y = pr.yoneda(m, n, phi, psi, A)
                     c1, tm1 = pr.cup(m, n, phi, psi, A, A)
                     c2, tm2 = pr.cup(n, m, psi, phi, A, A)
@@ -148,8 +148,8 @@ def test_criterion_04_composition_cup_sign_rule(env_qeps, env_qeps_bar, env_qeps
     cgroups = {n: ext(res, triv, n) for n in range(4)}
     for m in range(4):
         for n in range(4 - m):
-            for phi in cgroups[m].basis_cocycles():
-                for psi in cgroups[n].basis_cocycles():
+            for phi in cgroups[m].representatives():
+                for psi in cgroups[n].representatives():
                     y = cpr.yoneda(m, n, phi, psi, triv)
                     c1, _ = cpr.cup(m, n, phi, psi, triv, triv)
                     c2, _ = cpr.cup(n, m, psi, phi, triv, triv)
@@ -173,12 +173,12 @@ def test_criterion_05_evaluation_equals_cap(env_qeps, env_qeps_bar, env_qeps_pro
         for m in range(g.dim + 1):
             for n in range(m, g.dim + 1):
                 tg = tor(res, trivr, n)
-                for phi in groups[m].basis_cocycles():
-                    for z in tg.basis_cycles():
+                for phi in groups[m].representatives():
+                    for z in tg.representatives():
                         b = pr.bullet(m, phi, z, n, trivr)
                         cp, tm = pr.cap(m, phi, z, n, triv, trivr)
                         tout = tor(res, trivr, n - m)
-                        tout2 = TorGroup(res, tm, n - m)
+                        tout2 = tor(res, tm, n - m)
                         assert tout.class_of(b) == tout2.class_of(cp)
                         checked += 1
     _report(5, f"evaluation and cap agree on {checked} pairs over both envelopes")

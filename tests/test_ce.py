@@ -192,7 +192,7 @@ def test_lifted_ce_class_satisfies_shifted_chain_identity(g):
     triv = LieModule.trivial(g)
     checked = 0
     for m in range(g.dim + 1):
-        for phi in ext(res, triv, m).basis_cocycles():
+        for phi in ext(res, triv, m).representatives():
             lifts = pr.lift_class(m, phi)
             assert len(lifts) == g.dim - m + 1
             for j in range(1, len(lifts)):

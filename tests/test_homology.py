@@ -103,13 +103,38 @@ def test_window_exceeded(env_qeps_bar):
         tor(env_qeps_bar, bimodule_a_right(env_qeps_bar.data), 4)
 
 
+def test_ext_and_tor_refuse_a_module_of_the_other_side(env_qeps_bar):
+    left = bimodule_a(env_qeps_bar.data)
+    right = bimodule_a_right(env_qeps_bar.data)
+    for call, M in ((ext, right), (ext_dims, right), (tor, left), (tor_dims, left)):
+        with pytest.raises(ValidationError, match="module"):
+            call(env_qeps_bar, M, 1)
+
+
+def test_tor_boundary_is_the_right_action_on_each_block(catalog):
+    # the boundary of n (x) g_k is the sum over d g_k = sum_j u_j g_j of
+    # n.u_j (x) g_j, written here from the right action matrices alone
+    for bar, _, rights in _ext_tor_cases(catalog):
+        for N in rights.values():
+            dn = N.dim
+            for n in range(1, 3):
+                expect = Matrix.zeros(bar.rank(n - 1) * dn, bar.rank(n) * dn)
+                for k, col in enumerate(bar.diff_cols(n)):
+                    for j, u in col.items():
+                        act = N.act(list(u))
+                        for a in range(dn):
+                            for b in range(dn):
+                                expect.rows[j * dn + a][k * dn + b] += act.rows[a][b]
+                assert chain_matrix(bar, N, n) == expect
+
+
 def test_classes_carry_cocycle_representatives(env_qeps, env_qeps_bar):
     M = bimodule_a(env_qeps.data)
     eg = ext(env_qeps_bar, M, 2)
     from hopfhomology.homology import cochain_matrix
 
     delta = cochain_matrix(env_qeps_bar, M, 2)
-    for v in eg.basis_cocycles():
+    for v in eg.representatives():
         assert all(x == 0 for x in delta.apply(v))
         assert any(eg.class_of(v))
 
@@ -148,8 +173,8 @@ def test_ext_tor_match_dense_homology_spaces(catalog):
                 dense = HomologySpace(d_out.ncols, d_out.sparse_rows(), d_in)
                 eg = ext(bar, M, n)
                 assert eg.dim == dense.dim
-                assert eg.space.cycles == dense.cycles
-                assert eg.basis_cocycles() == dense.representatives()
+                assert eg.cycles == dense.cycles
+                assert eg.representatives() == dense.representatives()
         for N in rights.values():
             for n in range(3):
                 d_out = chain_matrix(bar, N, n) if n else Matrix.zeros(0, bar.rank(0) * N.dim)
@@ -157,8 +182,8 @@ def test_ext_tor_match_dense_homology_spaces(catalog):
                 dense = HomologySpace(d_out.ncols, d_out.sparse_rows(), d_in)
                 tg = tor(bar, N, n)
                 assert tg.dim == dense.dim
-                assert tg.space.cycles == dense.cycles
-                assert tg.basis_cycles() == dense.representatives()
+                assert tg.cycles == dense.cycles
+                assert tg.representatives() == dense.representatives()
 
 
 def test_homology_space_rejects_a_boundary_that_is_not_a_cycle():

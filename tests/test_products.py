@@ -6,7 +6,7 @@ import pytest
 from hopfhomology.bialgebroid import unit_iso
 from hopfhomology.ce import CEResolution, ce_resolution
 from hopfhomology.errors import WindowExceededError
-from hopfhomology.homology import TorGroup, ext, tor
+from hopfhomology.homology import ext, tor
 from hopfhomology.instances import (
     bimodule_a,
     bimodule_a_right,
@@ -59,9 +59,9 @@ def test_cup_unit_class_acts_as_identity(ab2):
     g, res, pr = ab2
     triv = LieModule.trivial(g)
     e0 = ext(res, triv, 0)
-    unit = e0.basis_cocycles()[0]
+    unit = e0.representatives()[0]
     e1 = ext(res, triv, 1)
-    for psi in e1.basis_cocycles():
+    for psi in e1.representatives():
         c, tm = pr.cup(0, 1, unit, psi, triv, triv)
         assert e1.class_of(c) == e1.class_of(psi)
 
@@ -71,7 +71,7 @@ def test_cup_exterior_algebra_structure(ab2):
     triv = LieModule.trivial(g)
     e1 = ext(res, triv, 1)
     e2 = ext(res, triv, 2)
-    xi0, xi1 = e1.basis_cocycles()
+    xi0, xi1 = e1.representatives()
     c01, _ = pr.cup(1, 1, xi0, xi1, triv, triv)
     c10, _ = pr.cup(1, 1, xi1, xi0, triv, triv)
     c00, _ = pr.cup(1, 1, xi0, xi0, triv, triv)
@@ -85,7 +85,7 @@ def test_cup_well_defined_under_coboundary_perturbation(ab2):
     triv = LieModule.trivial(g)
     e1 = ext(res, triv, 1)
     e2 = ext(res, triv, 2)
-    xi0, xi1 = e1.basis_cocycles()
+    xi0, xi1 = e1.representatives()
     from hopfhomology.homology import cochain_matrix
 
     delta0 = cochain_matrix(res, triv, 0)
@@ -100,9 +100,9 @@ def test_yoneda_with_identity_is_identity(ab2):
     g, res, pr = ab2
     triv = LieModule.trivial(g)
     e0 = ext(res, triv, 0)
-    unit = e0.basis_cocycles()[0]
+    unit = e0.representatives()[0]
     e1 = ext(res, triv, 1)
-    for phi in e1.basis_cocycles():
+    for phi in e1.representatives():
         # psi o phi with psi the unit class of Ext^0
         y = pr.yoneda(1, 0, phi, unit, triv)
         assert e1.class_of(y) == e1.class_of(phi)
@@ -115,13 +115,13 @@ def test_yoneda_associative(ab2):
     g, res, pr = ab2
     triv = LieModule.trivial(g)
     e1 = ext(res, triv, 1)
-    xi0, xi1 = e1.basis_cocycles()
+    xi0, xi1 = e1.representatives()
     e2 = ext(res, triv, 2)
     # (xi1 o xi0) needs a degree 2 target; compose three degree <= 1 maps
     y01 = pr.yoneda(1, 1, xi0, xi1, triv)
     # associativity against the unit on both sides
     e0 = ext(res, triv, 0)
-    unit = e0.basis_cocycles()[0]
+    unit = e0.representatives()[0]
     lhs = pr.yoneda(2, 0, y01, unit, triv)
     assert e2.class_of(lhs) == e2.class_of(y01)
 
@@ -132,8 +132,8 @@ def test_suarez_sign_rule_ce(ab2):
     groups = {n: ext(res, triv, n) for n in range(3)}
     for m in range(3):
         for n in range(3 - m):
-            for phi in groups[m].basis_cocycles():
-                for psi in groups[n].basis_cocycles():
+            for phi in groups[m].representatives():
+                for psi in groups[n].representatives():
                     y = pr.yoneda(m, n, phi, psi, triv)
                     c1, _ = pr.cup(m, n, phi, psi, triv, triv)
                     c2, _ = pr.cup(n, m, psi, phi, triv, triv)
@@ -149,10 +149,10 @@ def test_bullet_unit_is_identity(ab2):
     triv = LieModule.trivial(g)
     trivr = LieModule.trivial(g, side="right")
     e0 = ext(res, triv, 0)
-    unit = e0.basis_cocycles()[0]
+    unit = e0.representatives()[0]
     for n in range(3):
         tg = tor(res, trivr, n)
-        for z in tg.basis_cycles():
+        for z in tg.representatives():
             b = pr.bullet(0, unit, z, n, trivr)
             assert tg.class_of(b) == tg.class_of(z)
 
@@ -164,7 +164,7 @@ def test_bullet_kills_boundaries(ab2):
     from hopfhomology.homology import chain_matrix
 
     e1 = ext(res, triv, 1)
-    phi = e1.basis_cocycles()[0]
+    phi = e1.representatives()[0]
     d2 = chain_matrix(res, trivr, 2)
     boundary = d2.apply([Q(1)])
     tg = tor(res, trivr, 0)
@@ -177,12 +177,12 @@ def test_cap_unit_case_is_canonical_identification(ab2):
     triv = LieModule.trivial(g)
     trivr = LieModule.trivial(g, side="right")
     e0 = ext(res, triv, 0)
-    unit = e0.basis_cocycles()[0]
+    unit = e0.representatives()[0]
     for n in range(3):
         tg = tor(res, trivr, n)
-        for z in tg.basis_cycles():
+        for z in tg.representatives():
             c, tm = pr.cap(0, unit, z, n, triv, trivr)
-            out = TorGroup(res, tm, n)
+            out = tor(res, tm, n)
             assert out.class_of(c) == tg.class_of(z)
 
 
@@ -196,12 +196,12 @@ def test_cap_bullet_agree_ce_instances():
         for m in range(3):
             for n in range(m, 3):
                 tg = tor(res, trivr, n)
-                for phi in groups[m].basis_cocycles():
-                    for z in tg.basis_cycles():
+                for phi in groups[m].representatives():
+                    for z in tg.representatives():
                         b = pr.bullet(m, phi, z, n, trivr)
                         cp, tm = pr.cap(m, phi, z, n, triv, trivr)
                         tout = tor(res, trivr, n - m)
-                        tout2 = TorGroup(res, tm, n - m)
+                        tout2 = tor(res, tm, n - m)
                         assert tout.class_of(b) == tout2.class_of(cp)
 
 
@@ -211,8 +211,8 @@ def test_cap_degree_bookkeeping(ab2):
     trivr = LieModule.trivial(g, side="right")
     e1 = ext(res, triv, 1)
     t2 = tor(res, trivr, 2)
-    phi = e1.basis_cocycles()[0]
-    z = t2.basis_cycles()[0]
+    phi = e1.representatives()[0]
+    z = t2.representatives()[0]
     c, tm = pr.cap(1, phi, z, 2, triv, trivr)
     assert len(c) == res.rank(1) * tm.dim
 
@@ -224,9 +224,9 @@ def test_cap_functorial_in_coefficients(ab2):
     trivr = LieModule.trivial(g, side="right")
     two = LieModule(g, 2, "right", [Matrix.zeros(2, 2) for _ in range(2)], name="triv2")
     e1 = ext(res, triv, 1)
-    phi = e1.basis_cocycles()[0]
+    phi = e1.representatives()[0]
     t2 = tor(res, trivr, 2)
-    z = t2.basis_cycles()[0]
+    z = t2.representatives()[0]
     # include z into the first summand of the rank two module
     z_inc = []
     for k in range(res.rank(2)):
@@ -248,7 +248,7 @@ def test_lifted_class_satisfies_shifted_chain_identity(env_qeps, env_qeps_bar, e
     from hopfhomology.homology import ext as ext_
 
     for m in (1, 2):
-        phi = ext_(bar, A, m).basis_cocycles()[0]
+        phi = ext_(bar, A, m).representatives()[0]
         maps = env_qeps_products.lift_class(m, phi)
         lifts = [bar.u_linear_matrix(f, j) for j, f in enumerate(maps)]
         for j in range(1, len(lifts)):
@@ -266,8 +266,8 @@ def test_suarez_and_suarez2_on_hochschild_instance(env_qeps, env_qeps_hopf, env_
     groups = {n: ext(bar, A, n) for n in range(4)}
     for m in range(4):
         for n in range(4 - m):
-            for phi in groups[m].basis_cocycles():
-                for psi in groups[n].basis_cocycles():
+            for phi in groups[m].representatives():
+                for psi in groups[n].representatives():
                     y = pr.yoneda(m, n, phi, psi, A)
                     c1, tm1 = pr.cup(m, n, phi, psi, A, A)
                     c2, tm2 = pr.cup(n, m, psi, phi, A, A)
@@ -285,8 +285,8 @@ def test_suarez_and_suarez2_on_hochschild_instance(env_qeps, env_qeps_hopf, env_
     for m in range(3):
         for n in range(m, 3):
             tg = tor(bar, Ar, n)
-            for phi in groups[m].basis_cocycles():
-                for z in tg.basis_cycles():
+            for phi in groups[m].representatives():
+                for z in tg.representatives():
                     b = pr.bullet(m, phi, z, n, Ar)
                     cp, tm = pr.cap(m, phi, z, n, A, Ar)
                     tout = tor(bar, Ar, n - m)
@@ -303,7 +303,7 @@ def test_odd_square_vanishes_rationally(env_qeps, env_qeps_bar, env_qeps_product
     A = bimodule_a(data)
     bar = env_qeps_bar
     groups = {n: ext(bar, A, n) for n in range(3)}
-    gen = groups[1].basis_cocycles()[0]
+    gen = groups[1].representatives()[0]
     sq, tm = env_qeps_products.cup(1, 1, gen, gen, A, A)
     iso = unit_iso(data, A, tm)
     moved = transport_cochain(bar.rank(2), iso, sq, tm.space.dim)
@@ -315,8 +315,8 @@ def test_even_times_odd_product_is_nonzero(env_qeps, env_qeps_bar, env_qeps_prod
     A = bimodule_a(data)
     bar = env_qeps_bar
     groups = {n: ext(bar, A, n) for n in range(4)}
-    odd = groups[1].basis_cocycles()[0]
-    even = groups[2].basis_cocycles()[0]
+    odd = groups[1].representatives()[0]
+    even = groups[2].representatives()[0]
     c, tm = env_qeps_products.cup(1, 2, odd, even, A, A)
     iso = unit_iso(data, A, tm)
     moved = transport_cochain(bar.rank(3), iso, c, tm.space.dim)
@@ -332,7 +332,7 @@ def test_bar_products_window_enforced(env_qeps, env_qeps_hopf, env_qeps_bar, env
     with pytest.raises(WindowExceededError):
         BarProducts(env_qeps_hopf, bar, bar.depth + 1)
     A = bimodule_a(env_qeps.data)
-    phi = ext(bar, A, 2).basis_cocycles()[0]
+    phi = ext(bar, A, 2).representatives()[0]
     assert env_qeps_products.total_degree < 2 + 2
     with pytest.raises(WindowExceededError):
         env_qeps_products.cup(2, 2, phi, phi, A, A)
@@ -355,8 +355,8 @@ def sweedler_sign(sweedler, sweedler_hopf):
     bar = bar_resolution(sweedler.data, 5)
     mods = sweedler.modules
     classes = {
-        1: (ext(bar, mods["sign"], 1).basis_cocycles()[0], mods["sign"]),
-        2: (ext(bar, mods["trivial"], 2).basis_cocycles()[0], mods["trivial"]),
+        1: (ext(bar, mods["sign"], 1).representatives()[0], mods["sign"]),
+        2: (ext(bar, mods["trivial"], 2).representatives()[0], mods["trivial"]),
     }
     return bar, BarProducts(sweedler_hopf, bar, 4), classes
 
@@ -378,7 +378,7 @@ def test_cap_associates_with_cup_on_sweedler(sweedler, sweedler_sign, m, q, n):
     bar, pr, classes = sweedler_sign
     (phi, M), (psi, N) = classes[m], classes[q]
     right = sweedler.right_modules["trivial"]
-    (z,) = tor(bar, right, n).basis_cycles()
+    (z,) = tor(bar, right, n).representatives()
     inner, t_inner = pr.cap(q, psi, z, n, N, right)
     nested, t_nested = pr.cap(m, phi, inner, n - q, M, t_inner.module)
     cup, t_cup = pr.cup(m, q, phi, psi, M, N)
@@ -388,7 +388,7 @@ def test_cap_associates_with_cup_on_sweedler(sweedler, sweedler_sign, m, q, n):
     # has e (x) f = scale times its basis vector
     target = t_nested.module
     assert t_direct.module.action == target.action
-    group = TorGroup(bar, target, n - m - q)
+    group = tor(bar, target, n - m - q)
 
     def pure(vec, *steps):
         scale = prod(tm.space.project_pure({(0, 0): 1})[0] for tm in steps)

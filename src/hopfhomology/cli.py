@@ -29,11 +29,6 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _fail_usage(msg):
-    sys.stderr.write(msg + "\n")
-    return 2
-
-
 class _UsageError(HopfHomologyError):
     """An input error; run() prints its message and exits 2."""
 
@@ -93,10 +88,10 @@ def cmd_instances(args):
     # export: the finite dimensional data in the documented JSON format
     cat = builtin_instances()
     if args.name is None or args.name not in cat:
-        return _fail_usage("instances export needs a catalog name")
+        raise _UsageError("instances export needs a catalog name")
     inst = cat[args.name]
     if inst.kind == "lie":
-        return _fail_usage("universal envelope instances have no finite JSON form")
+        raise _UsageError("universal envelope instances have no finite JSON form")
     _emit(inst.data.to_json())
     return 0
 
@@ -150,14 +145,14 @@ def cmd_ext_tor(args, which):
     if resolution is None:
         resolution = "ce" if inst.kind == "lie" else "bar"
     if inst.kind != "lie" and resolution == "ce":
-        return _fail_usage("the Koszul resolution serves a universal envelope only")
+        raise _UsageError("the Koszul resolution serves a universal envelope only")
     if inst.kind == "lie" and resolution == "bar":
         from .ce import UgBarComplex
 
         if which != "ext":
-            return _fail_usage("the truncated bar model over a universal envelope serves ext only")
+            raise _UsageError("the truncated bar model over a universal envelope serves ext only")
         if inst.name == "lie-sl2":
-            return _fail_usage("lie-sl2 is certified for the Koszul resolution only")
+            raise _UsageError("lie-sl2 is certified for the Koszul resolution only")
         M = _module(inst, _lie_modules(inst), args.module)
         dims = UgBarComplex(inst.data, args.pbw_bound).ext_dims(M, args.max_degree)
         rows = [
@@ -241,7 +236,7 @@ def cmd_cup(args):
 def cmd_cap(args):
     inst = _get_instance(args.instance)
     if inst.kind != "lie":
-        return _fail_usage("cap tables are emitted for universal envelope instances")
+        raise _UsageError("cap tables are emitted for universal envelope instances")
     from .ce import ce_resolution
     from .homology import ext, tor
     from .pbw import LieModule
@@ -330,7 +325,7 @@ def cmd_duality(args):
 
 def cmd_oracle(args):
     if args.kind != "hochschild":
-        return _fail_usage("only the hochschild oracle is exposed")
+        raise _UsageError("only the hochschild oracle is exposed")
     from .instances import dual_numbers, q_times_q, upper_triangular2
     from .oracles import hochschild_cohomology_dims, hochschild_homology_dims
 
@@ -340,7 +335,7 @@ def cmd_oracle(args):
         "upper2": upper_triangular2,
     }
     if args.algebra not in algebras:
-        return _fail_usage(f"unknown algebra {args.algebra!r}; choose from {sorted(algebras)}")
+        raise _UsageError(f"unknown algebra {args.algebra!r}; choose from {sorted(algebras)}")
     A = algebras[args.algebra]()
     up = hochschild_cohomology_dims(A, args.max_degree)
     down = hochschild_homology_dims(A, args.max_degree)

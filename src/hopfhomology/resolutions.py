@@ -12,11 +12,16 @@ unit, f_0 = 1, and words with a unit tail span the acyclic degenerate
 subcomplex (Loday, Cyclic Homology 1.1.14), so they are dropped: tails
 run over 1 .. s-1 and degree n has (s-1)^n free generators.
 
-The boundary is the alternating face sum ending in the counit face
+The boundary is the alternating face sum of faces of one form.  With
+k = min(i, n-1), face i multiplies the entry in slot k by one right
+factor x_i and renormalises the product into slot k, dropping slot k+1:
 
-    (-1)^n u_0 (x) .. (x) u_{n-2} (x) (eps(u_n) |>> u_{n-1}),
+    u_0 (x) .. (x) u_k x_i (x) u_{k+2} (x) .. (x) u_n,
 
-and the contracting homotopy prepends a unit slot, with bottom map
+where x_i = u_{i+1} for i < n, and x_n = eta(1 (x) eps(u_n)) makes the
+last face the counit face eps(u_n) |>> u_{n-1}.  Each push a |>> u of
+the renormalisation is the same product, with the factor eta(1 (x) a).
+The contracting homotopy prepends a unit slot, with bottom map
 a -> eta(1 (x) a) on the augmentation (which is what the degree zero
 homotopy identity forces, using that eps is right A-linear).
 
@@ -59,11 +64,15 @@ class BarResolution:
             raise ValidationError("the unit of U does not start a free tail table over <|")
         self.tails, self.expand = table
         self.s = len(self.tails)
-        self.push = data.bl_l  # a |>> as matrices
+        self.push = data.bl_l  # a |>> as matrices, u -> u eta(1 (x) a)
         # one base element acting as the identity: pushes change nothing
         self.trivial_base = self.push == [Matrix.identity(U.dim)]
-        self._pushed_cache = {}
-        self._mul_cache = {}
+        # the right factors of every face and push: the tails f_t, then
+        # eta(1 (x) eps(f_t)) from s on, then eta(1 (x) a_r) from 2s on
+        na = data.A.dim
+        self._factors = (self.tails + [data.eta_target(data.counit(f)) for f in self.tails]
+                         + [data.eta_target(unit_vec(na, r)) for r in range(na)])
+        self._slot_cache = {}
         self._cascade_cache = {}
         self._diag_cache = {}
         self._gens = {n: list(iproduct(range(1, self.s), repeat=n)) for n in range(depth + 1)}
@@ -106,37 +115,36 @@ class BarResolution:
 
     # -- normal form ----------------------------------------------------
 
-    def _pushed(self, r, word, k):
-        """a_r |>> the entry in slot k of word, as a sparse U-vector.
+    def _slot_product(self, word, k, j):
+        """The entry in slot k of word times the right factor j, a sparse U-vector.
 
         Slot 0 holds a U-basis index, every other slot a tail index.
         """
-        key = (r, k == 0, word[k])
-        out = self._pushed_cache.get(key)
+        key = (k == 0, word[k], j)
+        out = self._slot_cache.get(key)
         if out is None:
-            if k == 0:
-                col = self.push[r].col(word[0])
-            else:
-                col = self.push[r].apply(self.tails[word[k]])
-            out = _sparse(col)
-            self._pushed_cache[key] = out
+            left = unit_vec(self.U.dim, word[0]) if k == 0 else self.tails[word[k]]
+            out = self._slot_cache[key] = _sparse(self.U.multiply(left, self._factors[j]))
         return out
 
-    def _renorm(self, word, k, vec):
+    def _renorm(self, word, k, vec, out=None, sign=1):
         """Replace slot k of word by the raw U-vector vec and normalise.
 
-        Slots right of k are already tail indices; pushing cascades
-        leftward until it lands in the free slot 0.  A word with a unit
-        tail is dropped at once: pushes never rewrite that slot again.
-        The cascade below slot k depends only on word[:k] and the pushed
-        base index, so it is cached on those and the suffix appended.
+        sign times the normal form is added into out, a new dict when
+        none is passed, and out is returned.  Slots right of k are
+        already tail indices; pushing cascades leftward until it lands in
+        the free slot 0.  A word with a unit tail is dropped at once:
+        pushes never rewrite that slot again.  The cascade below slot k
+        depends only on word[:k] and the pushed base index, so it is
+        cached on those and the suffix appended.
         """
-        out = {}
-        if k == 0:
-            for b, c in vec.items():
-                sparse_add(out, (b,) + word[1:], c)
-            return out
+        if out is None:
+            out = {}
         for b, cb in vec.items():
+            cb = sign * cb
+            if k == 0:
+                sparse_add(out, (b,) + word[1:], cb)
+                continue
             for t, r, c in self.expand[b]:
                 if not t:
                     continue
@@ -148,81 +156,30 @@ class BarResolution:
                 key = (word[:k], r)
                 head = self._cascade_cache.get(key)
                 if head is None:
-                    head = self._renorm(word[:k], k - 1, self._pushed(r, word, k - 1))
-                    self._cascade_cache[key] = head
+                    pushed = self._slot_product(word, k - 1, 2 * self.s + r)
+                    head = self._cascade_cache[key] = self._renorm(word[:k], k - 1, pushed)
                 for w3, c3 in head.items():
                     sparse_add(out, w3 + suffix, coef * c3)
-        return out
-
-    def _mul_basis_tail(self, u, t):
-        """e_u times the tail vector f_t, as a sparse U-vector."""
-        key = (u, t)
-        out = self._mul_cache.get(key)
-        if out is None:
-            prod = self.U.left_mult_matrix(unit_vec(self.U.dim, u)).apply(self.tails[t])
-            out = _sparse(prod)
-            self._mul_cache[key] = out
-        return out
-
-    def _tail_product(self, t1, t2):
-        key = ("tt", t1, t2)
-        out = self._mul_cache.get(key)
-        if out is None:
-            prod = self.U.multiply(self.tails[t1], self.tails[t2])
-            out = _sparse(prod)
-            self._mul_cache[key] = out
         return out
 
     # -- boundary, homotopy, augmentation --------------------------------
 
     def boundary_word(self, w):
-        """b' of a normal word; sparse dict of degree n-1 normal words."""
+        """b' of a normal word; sparse dict of degree n-1 normal words.
+
+        Face i, with k = min(i, n-1), multiplies the entry of slot k by
+        f_(t_(k+1)), or for the counit face i = n by eta(1 (x) eps(f_(t_n))),
+        and renormalises the product into slot k of w less slot k+1.
+        """
         n = len(w) - 1
-        if n == 0:
-            return {}
         out = {}
-        # face 0 merges the free slot with the first tail
-        for p, c in self._mul_basis_tail(w[0], w[1]).items():
-            sparse_add(out, (p,) + w[2:], c)
-        # middle faces merge adjacent tails
-        for i in range(1, n):
-            sign = -1 if i % 2 else 1
-            vec = self._tail_product(w[i], w[i + 1])
-            shell = w[: i + 1] + w[i + 2 :]
-            for w2, c in self._renorm(shell, i, vec).items():
-                sparse_add(out, w2, sign * c)
-        # counit face
-        sign = -1 if n % 2 else 1
-        if n == 1:
-            acted = self._counit_face(w[1]).col(w[0])
-            for p, c in enumerate(acted):
-                if c:
-                    sparse_add(out, (p,), sign * c)
-        else:
-            target = self._counit_target(w[n - 1], w[n])
-            shell = w[: n]
-            for w2, c in self._renorm(shell, n - 1, target).items():
-                sparse_add(out, w2, sign * c)
-        return out
-
-    def _counit_face(self, t):
-        """The matrix of u -> eps(f_t) |>> u."""
-        key = ("eps", t)
-        out = self._mul_cache.get(key)
-        if out is None:
-            eps = self.data.counit(self.tails[t])
-            out = self.U.right_mult_matrix(self.data.eta_target(eps))
-            self._mul_cache[key] = out
-        return out
-
-    def _counit_target(self, t1, t2):
-        """eps(f_t2) |>> f_t1, the counit face on the last two tails."""
-        key = ("eps", t1, t2)
-        out = self._mul_cache.get(key)
-        if out is None:
-            acted = self._counit_face(t2).apply(self.tails[t1])
-            out = _sparse(acted)
-            self._mul_cache[key] = out
+        if n == 0:
+            return out
+        for i in range(n + 1):
+            k = min(i, n - 1)
+            factor = w[k + 1] + (self.s if i == n else 0)
+            vec = self._slot_product(w, k, factor)
+            self._renorm(w[: k + 1] + w[k + 2 :], k, vec, out, -1 if i % 2 else 1)
         return out
 
     def boundary_elt(self, elt):

@@ -76,6 +76,11 @@ MUTANTS = [
     ("TotalTensorComplex d d check off", RESOLUTIONS,
      "if n >= 2 and not (self.diff[n - 1] @ out).is_zero():",
      "if False and n >= 2 and not (self.diff[n - 1] @ out).is_zero():"),
+    # the one slot product behind every bar face and push
+    ("counit face multiplies by the tail", RESOLUTIONS,
+     "factor = w[k + 1] + (self.s if i == n else 0)", "factor = w[k + 1]"),
+    ("slot product cache blind to the free slot", RESOLUTIONS,
+     "key = (k == 0, word[k], j)", "key = (word[k], j)"),
     # the certified elimination
     ("_certify always true", LINALG,
      "        if any(acc.values()):\n            return False",

@@ -66,15 +66,6 @@ def _module(inst, mods, name):
     raise _UsageError(f"unknown module {name!r}; choose from {sorted(mods)}")
 
 
-def _lie_modules(inst, side="left"):
-    from .pbw import LieModule
-
-    g = inst.data
-    if side == "right":
-        return {"trivial": LieModule.trivial(g, side="right")}
-    return {"trivial": LieModule.trivial(g), "adjoint": LieModule.adjoint(g)}
-
-
 def cmd_instances(args):
     if args.action == "list":
         from .instances import CATALOG
@@ -146,6 +137,7 @@ def cmd_ext_tor(args, which):
         resolution = "ce" if inst.kind == "lie" else "bar"
     if inst.kind != "lie" and resolution == "ce":
         raise _UsageError("the Koszul resolution serves a universal envelope only")
+    mods = inst.modules if which == "ext" else inst.right_modules
     if inst.kind == "lie" and resolution == "bar":
         from .ce import UgBarComplex
 
@@ -153,7 +145,7 @@ def cmd_ext_tor(args, which):
             raise _UsageError("the truncated bar model over a universal envelope serves ext only")
         if inst.name == "lie-sl2":
             raise _UsageError("lie-sl2 is certified for the Koszul resolution only")
-        M = _module(inst, _lie_modules(inst), args.module)
+        M = _module(inst, mods, args.module)
         dims = UgBarComplex(inst.data, args.pbw_bound).ext_dims(M, args.max_degree)
         rows = [
             {"degree": n, "dim": dim, "resolution": "bar", "window": args.pbw_bound}
@@ -163,16 +155,15 @@ def cmd_ext_tor(args, which):
         return 0
     from .homology import ext_dims, tor_dims
 
+    M = _module(inst, mods, args.module)
     if inst.kind == "lie":
         from .ce import ce_resolution
 
-        M = _module(inst, _lie_modules(inst, "left" if which == "ext" else "right"), args.module)
         res = ce_resolution(inst.data)
         window = None  # a complete resolution certifies every degree
     else:
         from .resolutions import bar_resolution
 
-        M = _module(inst, inst.modules if which == "ext" else inst.right_modules, args.module)
         depth = args.depth if args.depth is not None else args.max_degree + 1
         res = bar_resolution(inst.data, depth)
         window = depth
@@ -191,12 +182,11 @@ def cmd_cup(args):
     inst = _get_instance(args.instance)
     if inst.kind == "lie":
         from .ce import ce_resolution
-        from .pbw import LieModule
         from .products import CEProducts
 
         res = ce_resolution(inst.data)
         pr = CEProducts(res)
-        M = LieModule.trivial(inst.data)
+        M = inst.modules["trivial"]
 
         def moved(c, degree):
             return c
@@ -239,14 +229,11 @@ def cmd_cap(args):
         raise _UsageError("cap tables are emitted for universal envelope instances")
     from .ce import ce_resolution
     from .homology import ext, tor
-    from .pbw import LieModule
     from .products import CEProducts
 
-    g = inst.data
-    res = ce_resolution(g)
+    res = ce_resolution(inst.data)
     pr = CEProducts(res)
-    triv = LieModule.trivial(g)
-    trivr = LieModule.trivial(g, side="right")
+    triv, trivr = inst.modules["trivial"], inst.right_modules["trivial"]
     tables = []
     for m in range(args.max_degree + 1):
         eg = ext(res, triv, m)
@@ -267,11 +254,11 @@ def cmd_cap(args):
 
 def cmd_duality(args):
     inst = _get_instance(args.instance)
+    M = _module(inst, inst.modules, args.module)
     if inst.kind == "lie":
         from .duality import delta_chain_check_ug, detect_duality_ug, duality_isomorphism_ug
         from .products import CEProducts
 
-        M = _module(inst, _lie_modules(inst), args.module)
         dd = detect_duality_ug(inst.data, bound=args.pbw_bound)
         # the table caps through the Koszul diagonal, so check it as ext, tor, cup and cap do
         dd.resolution.check_diagonal_chain_map()
@@ -303,7 +290,6 @@ def cmd_duality(args):
     from .duality import cap_omega_underived, dual_bases
 
     data = inst.data
-    M = _module(inst, inst.modules, args.module)
     trivial_like = inst.modules.get("trivial") or inst.modules.get("A")
     h = galois_map(data)
     db = dual_bases(data, trivial_like)

@@ -422,6 +422,22 @@ def _envelope(make, name):
     )
 
 
+def _lie_left_modules(g):
+    from .pbw import LieModule
+
+    return {"trivial": LieModule.trivial(g), "adjoint": LieModule.adjoint(g)}
+
+
+def _lie_right_modules(g):
+    from .pbw import LieModule
+
+    return {"trivial": LieModule.trivial(g, side="right")}
+
+
+def _lie(make):
+    return _entry(make, _lie_left_modules, _lie_right_modules)
+
+
 _KOSZUL = "universal envelope of {} via its Koszul-type resolution"
 
 # name -> (kind, description, expect_hopf, build); build() returns the
@@ -442,10 +458,10 @@ CATALOG = {
                    _envelope(upper_triangular2, "env-upper2")),
     "monoid01": ("control", "bialgebra of the multiplicative monoid {1,0}; Galois map is singular",
                  False, _entry(monoid01_bialgebra)),
-    "lie-abelian1": ("lie", _KOSZUL.format("lie-abelian1"), True, _entry(lambda: lie_abelian(1))),
-    "lie-abelian2": ("lie", _KOSZUL.format("lie-abelian2"), True, _entry(lambda: lie_abelian(2))),
-    "lie-nonabelian2": ("lie", _KOSZUL.format("lie-nonabelian2"), True, _entry(lie_nonabelian2)),
-    "lie-sl2": ("lie", _KOSZUL.format("lie-sl2"), True, _entry(lie_sl2)),
+    "lie-abelian1": ("lie", _KOSZUL.format("lie-abelian1"), True, _lie(lambda: lie_abelian(1))),
+    "lie-abelian2": ("lie", _KOSZUL.format("lie-abelian2"), True, _lie(lambda: lie_abelian(2))),
+    "lie-nonabelian2": ("lie", _KOSZUL.format("lie-nonabelian2"), True, _lie(lie_nonabelian2)),
+    "lie-sl2": ("lie", _KOSZUL.format("lie-sl2"), True, _lie(lie_sl2)),
 }
 
 

@@ -12,18 +12,19 @@ unit, f_0 = 1, and words with a unit tail span the acyclic degenerate
 subcomplex (Loday, Cyclic Homology 1.1.14), so they are dropped: tails
 run over 1 .. s-1 and degree n has (s-1)^n free generators.
 
-The boundary is the alternating face sum of faces of one form.  With
-k = min(i, n-1), face i multiplies the entry in slot k by one right
-factor x_i and renormalises the product into slot k, dropping slot k+1:
+The contracting homotopy s prepends a unit slot and renormalises, with
+bottom map a -> eta(1 (x) a) on the augmentation (which is what the
+degree zero homotopy identity forces, using that eps is right
+A-linear).  Each push a |>> u of the renormalisation is the product
+u eta(1 (x) a).  The boundary b' is U-linear, d s + s d = 1 (Loday 1.1.12;
+Weibel, An Introduction to Homological Algebra 8.6) and s(f_t [w]) is
+the generator 1[t|w], so each degree of b' follows from the one below:
 
-    u_0 (x) .. (x) u_k x_i (x) u_{k+2} (x) .. (x) u_n,
+    d(1[t])   = f_t - eta(1 (x) eps(f_t)),
+    d(1[t|w]) = f_t [w] - s(f_t . d(1[w])).
 
-where x_i = u_{i+1} for i < n, and x_n = eta(1 (x) eps(u_n)) makes the
-last face the counit face eps(u_n) |>> u_{n-1}.  Each push a |>> u of
-the renormalisation is the same product, with the factor eta(1 (x) a).
-The contracting homotopy prepends a unit slot, with bottom map
-a -> eta(1 (x) a) on the augmentation (which is what the degree zero
-homotopy identity forces, using that eps is right A-linear).
+The alternating face sum of the same b' is kept as an independent
+oracle in tests/bar_oracle.py.
 
 Free generator bookkeeping is the load bearing piece: the differential
 is stored as a matrix of U-coefficients over the generators, which is
@@ -67,19 +68,15 @@ class BarResolution:
         self.push = data.bl_l  # a |>> as matrices, u -> u eta(1 (x) a)
         # one base element acting as the identity: pushes change nothing
         self.trivial_base = self.push == [Matrix.identity(U.dim)]
-        # the right factors of every face and push: the tails f_t, then
-        # eta(1 (x) eps(f_t)) from s on, then eta(1 (x) a_r) from 2s on
-        na = data.A.dim
-        self._factors = (self.tails + [data.eta_target(data.counit(f)) for f in self.tails]
-                         + [data.eta_target(unit_vec(na, r)) for r in range(na)])
+        # the right factor eta(1 (x) a_r) of the push a_r |>>
+        self._pushes = [data.eta_target(unit_vec(data.A.dim, r)) for r in range(data.A.dim)]
         self._slot_cache = {}
         self._cascade_cache = {}
+        self._homotopy_cache = {}
         self._diag_cache = {}
-        self._gens = {n: list(iproduct(range(1, self.s), repeat=n)) for n in range(depth + 1)}
-        self._gen_index = {n: {g: k for k, g in enumerate(self._gens[n])} for n in range(depth + 1)}
+        self._gens = {}
+        self._gen_index = {}
         self._diff_cols = {}
-        self._words = {}
-        self._word_index = {}
         self._action_cache = {}
 
     # -- bookkeeping ----------------------------------------------------
@@ -87,61 +84,54 @@ class BarResolution:
     def rank(self, n):
         if not (0 <= n <= self.depth):
             raise WindowExceededError(f"degree {n} outside bar window 0..{self.depth}")
-        return len(self._gens[n])
+        return len(self.generators(n))
 
     def generators(self, n):
+        """The tail words (t_1 .. t_n) of degree n in lexicographic order, built on demand."""
+        if n not in self._gens:
+            self._gens[n] = list(iproduct(range(1, self.s), repeat=n))
+            self._gen_index[n] = {g: k for k, g in enumerate(self._gens[n])}
         return self._gens[n]
 
     def gen_index(self, n, g):
+        self.generators(n)
         return self._gen_index[n][g]
 
     def words(self, n):
         """Concrete basis words (u, t_1 .. t_n) at degree n, generator major."""
-        if n not in self._words:
-            ws = []
-            for g in self._gens[n]:
-                for u in range(self.U.dim):
-                    ws.append((u,) + g)
-            self._words[n] = ws
-            self._word_index[n] = {w: k for k, w in enumerate(ws)}
-        return self._words[n]
+        return [(u,) + g for g in self.generators(n) for u in range(self.U.dim)]
 
     def word_index(self, n, w):
-        self.words(n)
-        return self._word_index[n][w]
+        return self.gen_index(n, w[1:]) * self.U.dim + w[0]
 
     def concrete_dim(self, n):
         return self.rank(n) * self.U.dim
 
     # -- normal form ----------------------------------------------------
 
-    def _slot_product(self, word, k, j):
-        """The entry in slot k of word times the right factor j, a sparse U-vector.
+    def _slot_product(self, word, k, r):
+        """The entry in slot k of word times the push factor eta(1 (x) a_r), a sparse U-vector.
 
         Slot 0 holds a U-basis index, every other slot a tail index.
         """
-        key = (k == 0, word[k], j)
+        key = (k == 0, word[k], r)
         out = self._slot_cache.get(key)
         if out is None:
             left = unit_vec(self.U.dim, word[0]) if k == 0 else self.tails[word[k]]
-            out = self._slot_cache[key] = _sparse(self.U.multiply(left, self._factors[j]))
+            out = self._slot_cache[key] = _sparse(self.U.multiply(left, self._pushes[r]))
         return out
 
-    def _renorm(self, word, k, vec, out=None, sign=1):
-        """Replace slot k of word by the raw U-vector vec and normalise.
+    def _renorm(self, word, k, vec):
+        """Replace slot k of word by the raw U-vector vec and normalise, as a new dict.
 
-        sign times the normal form is added into out, a new dict when
-        none is passed, and out is returned.  Slots right of k are
-        already tail indices; pushing cascades leftward until it lands in
-        the free slot 0.  A word with a unit tail is dropped at once:
-        pushes never rewrite that slot again.  The cascade below slot k
-        depends only on word[:k] and the pushed base index, so it is
-        cached on those and the suffix appended.
+        Slots right of k are already tail indices; pushing cascades
+        leftward until it lands in the free slot 0.  A word with a unit
+        tail is dropped at once: pushes never rewrite that slot again.
+        The cascade below slot k depends only on word[:k] and the pushed
+        base index, so it is cached on those and the suffix appended.
         """
-        if out is None:
-            out = {}
+        out = {}
         for b, cb in vec.items():
-            cb = sign * cb
             if k == 0:
                 sparse_add(out, (b,) + word[1:], cb)
                 continue
@@ -156,7 +146,7 @@ class BarResolution:
                 key = (word[:k], r)
                 head = self._cascade_cache.get(key)
                 if head is None:
-                    pushed = self._slot_product(word, k - 1, 2 * self.s + r)
+                    pushed = self._slot_product(word, k - 1, r)
                     head = self._cascade_cache[key] = self._renorm(word[:k], k - 1, pushed)
                 for w3, c3 in head.items():
                     sparse_add(out, w3 + suffix, coef * c3)
@@ -165,21 +155,19 @@ class BarResolution:
     # -- boundary, homotopy, augmentation --------------------------------
 
     def boundary_word(self, w):
-        """b' of a normal word; sparse dict of degree n-1 normal words.
+        """b' of a normal word (u, g): e_u times column g of the differential.
 
-        Face i, with k = min(i, n-1), multiplies the entry of slot k by
-        f_(t_(k+1)), or for the counit face i = n by eta(1 (x) eps(f_(t_n))),
-        and renormalises the product into slot k of w less slot k+1.
+        A sparse dict of degree n-1 normal words.  It answers one degree
+        above the window too, where the homotopy identity reads it.
         """
         n = len(w) - 1
-        out = {}
         if n == 0:
-            return out
-        for i in range(n + 1):
-            k = min(i, n - 1)
-            factor = w[k + 1] + (self.s if i == n else 0)
-            vec = self._slot_product(w, k, factor)
-            self._renorm(w[: k + 1] + w[k + 2 :], k, vec, out, -1 if i % 2 else 1)
+            return {}
+        below, out = self.generators(n - 1), {}
+        for K, v in self._differential(n)[self.gen_index(n, w[1:])].items():
+            for r, c in enumerate(self.U.multiply(unit_vec(self.U.dim, w[0]), v)):
+                if c:
+                    out[(r,) + below[K]] = c
         return out
 
     def boundary_elt(self, elt):
@@ -230,17 +218,48 @@ class BarResolution:
     # -- free generator differential -------------------------------------
 
     def diff_cols(self, n):
-        """Column j: dict {row generator index: U-coefficient tuple}."""
-        if n in self._diff_cols:
-            return self._diff_cols[n]
+        """Column j: dict {row generator index: U-coefficient tuple}, b' of generator j."""
         if not (1 <= n <= self.depth):
             raise WindowExceededError(f"differential {n} outside bar window")
-        cols = []
-        for g in self._gens[n]:
-            acc = sparse_extend(lambda p: self.boundary_word((p,) + g), self.U.unit)
-            cols.append({self.gen_index(n - 1, K): v for K, v in self._by_generator(acc).items()})
+        return self._differential(n)
+
+    def _differential(self, n):
+        """The columns of b' in degree n >= 1, built from degree n - 1 and cached.
+
+        d(1[t|w]) = f_t [w] - s(f_t . d(1[w])), where s(f_t e_p [K]) is
+        _tail_homotopy(t, p) with K appended; for w empty the bottom map
+        takes the place of d(1[w]), which gives f_t - eta(1 (x) eps(f_t)).
+        Generator (t,) + w has index (t - 1)(s - 1)^(n-1) + index(w), so
+        the columns run over t and then over the columns of degree n - 1.
+        """
+        if n in self._diff_cols:
+            return self._diff_cols[n]
+        data, nu, cols = self.data, self.U.dim, []
+        below = self._differential(n - 1) if n > 1 else [{}]
+        self.generators(n - 1)
+        rows = list(self._gen_index[n - 1].values())  # gen_index's own ints: every column shares its row keys
+        stride = (self.s - 1) ** max(n - 2, 0)
+        for t in range(1, self.s):
+            f = self.tails[t]
+            for j, col in zip(rows, below):
+                acc = {j: list(f) if n > 1 else [a - b for a, b in zip(f, data.eta_target(data.counit(f)))]}
+                for K, v in col.items():
+                    for p, c in enumerate(v):
+                        if c:
+                            for (u, t2), d in self._tail_homotopy(t, p).items():
+                                acc.setdefault(rows[(t2 - 1) * stride + K], [0] * nu)[u] -= c * d
+                cols.append({r: tuple(v) for r, v in acc.items() if any(v)})
         self._diff_cols[n] = cols
         return cols
+
+    def _tail_homotopy(self, t, p):
+        """s(f_t e_p) = 1 (x) f_t e_p in normal form, {(u, tail): coeff}, cached on (t, p)."""
+        key = (t, p)
+        out = self._homotopy_cache.get(key)
+        if out is None:
+            prod = self.times(self.tails[t], unit_vec(self.U.dim, p))
+            out = self._homotopy_cache[key] = self.homotopy_elt({(b,): c for b, c in prod.items()})
+        return out
 
     def _by_generator(self, elt):
         """A sparse element {word: coeff} as {generator: U-coordinate tuple}."""
@@ -299,47 +318,30 @@ class BarResolution:
     # -- concrete chain model ---------------------------------------------
 
     def chain_matrix(self, n):
-        """The k-linear boundary on concrete words, dense."""
-        src = self.words(n)
-        tgt_index = self._word_index[n - 1] if self.words(n - 1) else {}
-        m = Matrix.zeros(self.concrete_dim(n - 1), self.concrete_dim(n))
-        for j, w in enumerate(src):
-            for w2, c in self.boundary_word(w).items():
-                m.rows[tgt_index[w2]][j] += c
-        return m
+        """The k-linear boundary on concrete words, dense: diff_cols(n) extended U-linearly."""
+        below = self.generators(n - 1)
+        cols = ({below[K]: v for K, v in col.items()} for col in self.diff_cols(n))
+        return self.u_linear_matrix(dict(zip(self.generators(n), cols)), n - 1)
 
     def action_matrices(self, n):
-        """Left multiplication on the free slot, one matrix per U-basis."""
+        """Left multiplication on the free slot, 1 (x) (e_u .) for each U-basis vector e_u."""
         key = ("act", n)
-        if key in self._action_cache:
-            return self._action_cache[key]
-        nu = self.U.dim
-        ws = self.words(n)
-        widx = self._word_index[n]
-        mats = []
-        for i in range(nu):
-            m = Matrix.zeros(len(ws), len(ws))
-            for j, w in enumerate(ws):
-                for p, c in enumerate(self.U.mult[i][w[0]]):
-                    if c:
-                        m.rows[widx[(p,) + w[1:]]][j] += c
-            mats.append(m)
-        self._action_cache[key] = mats
-        return mats
+        if key not in self._action_cache:
+            one, nu = Matrix.identity(self.rank(n)), self.U.dim
+            self._action_cache[key] = [one.kron(Matrix.from_cols(self.U.mult[u], nrows=nu)) for u in range(nu)]
+        return self._action_cache[key]
 
     def module_rep(self, n):
         return ModuleRep(self.U, self.concrete_dim(n), "left", self.action_matrices(n), validate=False)
 
     def augmentation_matrix(self):
-        ws = self.words(0)
-        return Matrix.from_cols([self.augmentation_word(w) for w in ws], nrows=self.data.A.dim)
+        return Matrix.from_cols([self.augmentation_word(w) for w in self.words(0)], nrows=self.data.A.dim)
 
     def generator_vector(self, n, g):
-        """Concrete coordinates of the generator 1 (x) f_{g}."""
+        """Concrete coordinates of the generator 1 (x) f_{g}: the unit in the block of g."""
         v = zero_vec(self.concrete_dim(n))
-        for p, c in enumerate(self.U.unit):
-            if c:
-                v[self.word_index(n, (p,) + g)] += c
+        k = self.word_index(n, (0,) + g)
+        v[k : k + self.U.dim] = self.U.unit
         return v
 
     def __repr__(self):
@@ -348,7 +350,6 @@ class BarResolution:
 
 def bar_resolution(data: BialgebroidData, depth: int) -> BarResolution:
     return BarResolution(data, depth)
-
 
 # ---------------------------------------------------------------------------
 # the total complex of P (x) P
@@ -452,32 +453,20 @@ def lift_into_total(bar: BarResolution, tot: TotalTensorComplex, upto: int):
     """
     data = bar.data
     U = data.U
-    mats = []
-    # the degree zero basis of the bar resolution is the U-basis
+    # the degree zero basis of the bar resolution is the U-basis, and u goes to u . (1 (x) 1)
     base = tot.blocks[0, 0].space.project_pure(pure_tensor(U.unit, U.unit))
-    cols = []
-    for w in bar.words(0):
-        # w = (u,): image is u . (1 (x) 1)
-        cols.append(tot.action[0][w[0]].apply(base))
-    mats.append(Matrix.from_cols(cols, nrows=tot.dims[0]))
+    mats = [Matrix.from_cols([tot.action[0][u].apply(base) for u in range(U.dim)], nrows=tot.dims[0])]
     for n in range(1, upto + 1):
         prev = mats[n - 1]
         d_tot = tot.diff[n]
+        d_bar = bar.chain_matrix(n)
         gen_sol = {}
         for g in bar.generators(n):
-            gv = bar.generator_vector(n, g)
-            dg = zero_vec(bar.concrete_dim(n - 1))
-            for j, c in enumerate(gv):
-                if c:
-                    for w2, d in bar.boundary_word(bar.words(n)[j]).items():
-                        dg[bar.word_index(n - 1, w2)] += c * d
-            rhs = prev.apply(dg)
+            rhs = prev.apply(d_bar.apply(bar.generator_vector(n, g)))
             sol = d_tot.solve(rhs)
             if sol is None:
                 raise LiftFailedError(f"diagonal lift inconsistent at degree {n}")
             gen_sol[g] = sol
-        cols = []
-        for w in bar.words(n):
-            cols.append(tot.action[n][w[0]].apply(gen_sol[w[1:]]))
+        cols = [tot.action[n][w[0]].apply(gen_sol[w[1:]]) for w in bar.words(n)]
         mats.append(Matrix.from_cols(cols, nrows=tot.dims[n]))
     return mats

@@ -11,7 +11,7 @@ Tor, which is what the tests check.
 from itertools import product as iproduct
 
 from hopfhomology.bialgebroid import _expand_table
-from hopfhomology.linalg import unit_vec
+from hopfhomology.linalg import sparse_extend, unit_vec
 from hopfhomology.resolutions import BarResolution
 
 
@@ -83,8 +83,9 @@ class UnnormalizedBar(BarResolution):
 
     The tails are data.tails_l, whose unit need not be a tail at all.
     Faces and the renormalisation that the homotopy and the diagonal use
-    are the uncached references above; the generator differential and
-    the concrete chain model are BarResolution's, on these words.
+    are the uncached references above, and the generator differential is
+    read off those faces, not built by the homotopy recursion; the
+    concrete chain model is BarResolution's, on these words.
     """
 
     def __init__(self, data, depth):
@@ -99,3 +100,13 @@ class UnnormalizedBar(BarResolution):
 
     def boundary_word(self, w):
         return reference_boundary_word(self, w)
+
+    def _differential(self, n):
+        """Column g is b'(1[g]) from the faces, by U-coordinate at each generator; cached."""
+        if n not in self._diff_cols:
+            self._diff_cols[n] = [
+                {self.gen_index(n - 1, K): v for K, v in self._by_generator(
+                    sparse_extend(lambda p: self.boundary_word((p,) + g), self.U.unit)).items()}
+                for g in self.generators(n)
+            ]
+        return self._diff_cols[n]

@@ -76,11 +76,16 @@ MUTANTS = [
     ("TotalTensorComplex d d check off", RESOLUTIONS,
      "if n >= 2 and not (self.diff[n - 1] @ out).is_zero():",
      "if False and n >= 2 and not (self.diff[n - 1] @ out).is_zero():"),
-    # the one slot product behind every bar face and push
-    ("counit face multiplies by the tail", RESOLUTIONS,
-     "factor = w[k + 1] + (self.s if i == n else 0)", "factor = w[k + 1]"),
+    # the bar differential built from the degree below by the contracting homotopy
+    ("recursion drops f_t[w]", RESOLUTIONS,
+     "acc = {j: list(f) if n > 1", "acc = {j: [0] * nu if n > 1"),
+    ("degree-one column without its counit term", RESOLUTIONS,
+     "[a - b for a, b in zip(f, data.eta_target(data.counit(f)))]", "list(f)"),
+    ("tail homotopy cached on t only", RESOLUTIONS,
+     "key = (t, p)", "key = t"),
+    # the slot product behind every push of the renormalisation
     ("slot product cache blind to the free slot", RESOLUTIONS,
-     "key = (k == 0, word[k], j)", "key = (word[k], j)"),
+     "key = (k == 0, word[k], r)", "key = (word[k], r)"),
     # the certified elimination
     ("_certify always true", LINALG,
      "        if any(acc.values()):\n            return False",

@@ -25,7 +25,6 @@ from hopfhomology.instances import (
 )
 from hopfhomology.linalg import Matrix, unit_vec, zero_vec
 from hopfhomology.oracles import hochschild_cohomology_dims, hochschild_homology_dims
-from hopfhomology.pbw import LieModule
 from hopfhomology.resolutions import bar_resolution
 
 
@@ -229,19 +228,13 @@ def test_dims_match_groups_on_every_instance(catalog):
     # groups, so both paths must give the same numbers
     for name, inst in catalog.items():
         if inst.kind == "lie":
-            g = inst.data
-            res = ce_resolution(g, validate=False)
-            top = g.dim
-            lefts = {"trivial": LieModule.trivial(g), "adjoint": LieModule.adjoint(g)}
-            rights = {"trivial": LieModule.trivial(g, side="right")}
+            res, top = ce_resolution(inst.data, validate=False), inst.data.dim
         else:
-            res = bar_resolution(inst.data, 4)
-            top = 3
-            lefts, rights = inst.modules, inst.right_modules
-        for key, M in lefts.items():
+            res, top = bar_resolution(inst.data, 4), 3
+        for key, M in inst.modules.items():
             expect = [ext(res, M, n).dim for n in range(top + 1)]
             assert ext_dims(res, M, top) == expect, (name, key)
-        for key, N in rights.items():
+        for key, N in inst.right_modules.items():
             expect = [tor(res, N, n).dim for n in range(top + 1)]
             assert tor_dims(res, N, top) == expect, (name, key)
 

@@ -3,8 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from builders import permute_instance
 from hopfhomology.algebras import FinDimAlgebra, ModuleRep
 from hopfhomology.instances import dual_numbers
+from hopfhomology.pbw import LieModule
 
 
 def test_catalog_contents(catalog):
@@ -33,11 +35,15 @@ def test_group_inverse_tables(catalog):
 
 
 def test_modules_validate(catalog):
+    # a Lie entry carries the modules that ext, tor, cup, cap and duality offer
     for name, inst in catalog.items():
+        kind = LieModule if inst.kind == "lie" else ModuleRep
         for mod in inst.modules.values():
-            assert isinstance(mod, ModuleRep)
+            assert isinstance(mod, kind) and mod.side == "left", name
         for mod in inst.right_modules.values():
-            assert mod.side == "right"
+            assert isinstance(mod, kind) and mod.side == "right", name
+        if inst.kind == "lie":
+            assert (sorted(inst.modules), sorted(inst.right_modules)) == (["adjoint", "trivial"], ["trivial"])
 
 
 def test_algebra_json_round_trip():
@@ -85,31 +91,6 @@ def test_sweedler_structure(catalog):
     assert xg == [Q(0), Q(0), Q(0), Q(-1)]
 
 
-def _permute_instance(blob, perm):
-    """An exported instance rewritten in a permuted basis of U.
-
-    New basis element k is old element perm[k].  tail_basis is dropped,
-    so the loader picks its tails from the permuted basis and the unit
-    is no longer basis element 0.
-    """
-    U = blob["U"]
-    n = U["dim"]
-    mult = U["mult"]
-    lift = blob["Delta_lift"]
-    return {
-        "U": {
-            "dim": n,
-            "labels": [U["labels"][p] for p in perm],
-            "unit": [U["unit"][p] for p in perm],
-            "mult": [[[mult[pi][pj][pk] for pk in perm] for pj in perm] for pi in perm],
-        },
-        "A": blob["A"],
-        "eta": [blob["eta"][p] for p in perm],
-        "Delta_lift": [[lift[pi * n + pj][pc] for pc in perm] for pi in perm for pj in perm],
-        "epsilon_hat": [blob["epsilon_hat"][p] for p in perm],
-    }
-
-
 @pytest.mark.parametrize("name", ["kz3", "qs3", "sweedler"])
 def test_permuted_basis_instance_matches_catalog(catalog, name, tmp_path):
     from hopfhomology.bialgebroid import BialgebroidData
@@ -122,7 +103,7 @@ def test_permuted_basis_instance_matches_catalog(catalog, name, tmp_path):
     catalog_bar = bar_resolution(inst.data, 3)
     for perm in ([(k + 1) % n for k in range(n)], list(reversed(range(n)))):
         path = tmp_path / f"{name}-permuted.json"
-        path.write_text(json.dumps(_permute_instance(inst.data.to_json(), perm)))
+        path.write_text(json.dumps(permute_instance(inst.data.to_json(), perm)))
         assert run(["verify-hopf", str(path)]) == 0
         data = BialgebroidData.from_json(json.loads(path.read_text()), name=name)
         assert data.U.unit[0] == 0

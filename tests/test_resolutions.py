@@ -1,9 +1,12 @@
 import copy
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from bar_oracle import UnnormalizedBar, reference_boundary_word
+from builders import permute_instance
+from hopfhomology.bialgebroid import BialgebroidData
 from hopfhomology.errors import LiftFailedError, ValidationError, WindowExceededError
 from hopfhomology.homology import ext_dims, tor_dims
 from hopfhomology.instances import cyclic_group_algebra
@@ -53,6 +56,19 @@ def test_bar_contractibility_env(env_qeps_bar):
 def test_bar_window_enforced(env_qeps_bar):
     with pytest.raises(WindowExceededError):
         env_qeps_bar.rank(6)
+
+
+def test_boundary_word_answers_one_degree_past_the_window(catalog):
+    # the homotopy identity at the top degree reads b' one degree up,
+    # while the window of ranks and generator differentials stays put
+    bar = bar_resolution(catalog["sweedler"].data, 2)
+    for w in ((0, 1, 2, 3), (3, 2, 2, 1)):
+        full = reference_boundary_word(bar, w)
+        assert bar.boundary_word(w) == {v: c for v, c in full.items() if all(v[1:])}
+    with pytest.raises(WindowExceededError):
+        bar.rank(3)
+    with pytest.raises(WindowExceededError):
+        bar.diff_cols(3)
 
 
 def test_bar_generator_differential_matches_concrete(env_qeps_bar):
@@ -207,6 +223,46 @@ def test_boundary_word_matches_uncached_faces(catalog, name):
             # the normalized boundary is the full one less its degenerate words
             full = reference_boundary_word(bar, w)
             assert bar.boundary_word(w) == {v: c for v, c in full.items() if all(v[1:])}
+
+
+def _face_cols(bar, n):
+    """The columns of b' in degree n read off the uncached faces, less the degenerate words."""
+    cols = []
+    for g in bar.generators(n):
+        col = {}
+        for p, c in enumerate(bar.U.unit):
+            for w, d in reference_boundary_word(bar, (p,) + g).items() if c else ():
+                if all(w[1:]):
+                    col.setdefault(bar.gen_index(n - 1, w[1:]), [0] * bar.U.dim)[w[0]] += c * d
+        cols.append({k: tuple(v) for k, v in col.items() if any(v)})
+    return cols
+
+
+def _permuted(data, seed):
+    """data in a seeded random basis of U, through the export format; the unit moves off e_0."""
+    perm = list(range(data.U.dim))
+    random.Random(seed).shuffle(perm)
+    moved = BialgebroidData.from_json(permute_instance(data.to_json(), perm), name=data.name)
+    assert moved.U.unit[0] == 0
+    return moved
+
+
+FINITE = ("kz2", "kz3", "qs3", "sweedler", "env-qeps", "env-qxq", "env-upper2", "monoid01")
+DIFF_COLS_CASES = ([pytest.param(name, False, id=name) for name in FINITE]
+                   + [pytest.param(name, True, id=f"{name}-permuted") for name in ("kz3", "qs3", "sweedler")])
+
+
+@pytest.mark.parametrize("name, permuted", DIFF_COLS_CASES)
+def test_diff_cols_match_uncached_faces(catalog, name, permuted):
+    # the homotopy recursion against the alternating face sum, column by
+    # column; env-qxq and env-upper2 have catalog tails that do not start
+    # with the unit, and a permuted copy has its unit off the first basis vector
+    data = _permuted(catalog[name].data, seed=1) if permuted else catalog[name].data
+    top = 4 if name == "qs3" else 5
+    bar = bar_resolution(data, top)
+    for n in range(1, top + 1):
+        for j, (got, want) in enumerate(zip(bar.diff_cols(n), _face_cols(bar, n), strict=True)):
+            assert got == want, (n, bar.generators(n)[j])
 
 
 def test_normalized_ext_tor_match_unnormalized(catalog):

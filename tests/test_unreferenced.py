@@ -36,7 +36,6 @@ TEST_ONLY = {
     "oracles.lie_homology_dims": "ROADMAP keep list (oracles.py)",
     # reference checks: tests compare the engine against these
     "resolutions.check_resolution": "reference check: exactness of the total complex of P (x) P",
-    "resolutions.u_linear_matrix": "reference check: lifted chain maps as concrete matrices",
     "linalg.kernel": "reference check: the rref property tests compare the dense kernel with an oracle",
     "homology.bijective": "reference check: tests assert a comparison of resolutions is invertible on Ext",
     # acceptance criteria

@@ -1,21 +1,56 @@
 """Brute force (co)homology complexes written from first principles.
 
-These are the anti-regression oracles: the Hochschild cochain and chain
-complexes of an algebra built directly from the classical formulas on
-Hom(A^{(x) n}, A) and A^{(x) n+1}, and the classical Lie algebra
-(co)homology complexes on Hom(Lambda^n g, M) and N (x) Lambda^n g.
-Nothing here touches resolutions, bialgebroids or generator
-bookkeeping; agreement with the engine is an acceptance criterion, not
-a definition.
+These are the anti-regression oracles: the Hochschild cochain complex on
+Hom(A^{(x) n}, A) and the classical Lie algebra cochain complex on
+Hom(Lambda^n g, M), each written by one sparse face writer from the
+classical alternating sum.  The chain complexes on A^{(x) n+1} and
+N (x) Lambda^n g are read off the same faces by side, and one rank walk
+checks d d = 0 exactly and ranks each map with sparse_rank.  Nothing
+here touches resolutions, bialgebroids, generator bookkeeping or the
+engine's homology_dims; agreement with the engine is an acceptance
+criterion, not a definition.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product as iproduct
+from math import comb
 
 from .algebras import FinDimAlgebra
 from .errors import ValidationError
-from .linalg import Matrix, zero_vec
+from .linalg import Matrix, sparse_add, sparse_extend, sparse_rank, unit_vec, zero_vec
+
+
+def _entries(m: Matrix):
+    """The nonzero entries (a, b, c) of m, c in row a and column b."""
+    return [(a, b, c) for a, row in enumerate(m.rows) for b, c in enumerate(row) if c]
+
+
+def _write(cols, ti, dim, terms, right):
+    """Add each term (source block k, sign, action entries) of target block ti.
+
+    Entry (a, b, c) adds sign * c at row ti * dim + a of column k * dim + b, or
+    with right at row ti * dim + b of column k * dim + a.
+    """
+    for k, sign, entries in terms:
+        for a, b, c in entries:
+            if right:
+                sparse_add(cols[k * dim + a], ti * dim + b, sign * c)
+            else:
+                sparse_add(cols[k * dim + b], ti * dim + a, sign * c)
+
+
+def _dims(dims, maps):
+    """dim V_i - rank in - rank out for V_0 -> V_1 -> .., the maps past the last zero.
+
+    maps[i] holds the sparse columns of V_i -> V_(i+1); d d = 0 is checked
+    exactly on them, and each map is ranked by sparse_rank.
+    """
+    for i, (inner, outer) in enumerate(zip(maps, maps[1:])):
+        if any(sparse_extend(outer.__getitem__, col) for col in inner):
+            raise ValidationError(f"oracle d d != 0 between degrees {i} and {i + 2}")
+    ranks = [0] + [sparse_rank(cols) for cols in maps]
+    return [c - ranks[i] - ranks[i + 1] for i, c in enumerate(dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -26,100 +61,46 @@ def _tuples(n, dim):
     return list(iproduct(range(dim), repeat=n))
 
 
-def hochschild_cochain_matrix(A: FinDimAlgebra, n) -> Matrix:
-    """delta : Hom(A^n, A) -> Hom(A^{n+1}, A), classical alternating sum.
+def _hochschild_cols(A: FinDimAlgebra, n, right):
+    """Sparse columns of delta^n : Hom(A^n, A) -> Hom(A^{n+1}, A), one per coordinate.
 
     Cochain coordinates: (input tuple, output basis index), tuple major.
+    delta f(a_1..) = a_1 f(a_2..) + sum (-1)^i f(.., a_i a_(i+1), ..)
+    + (-1)^(n+1) f(a_1..a_n) a_(n+1).  With right the module indices swap
+    and the first face multiplies on the right, the last on the left:
+    the columns are the rows of b_(n+1) on coordinates (a_1..a_k, a_0),
+    whose first face is a_0 a_1 and whose cyclic last face is a_(n+1) a_0.
     """
     na = A.dim
-    src_tuples = _tuples(n, na)
-    dst_tuples = _tuples(n + 1, na)
-    src_index = {t: k for k, t in enumerate(src_tuples)}
-    rows = len(dst_tuples) * na
-    cols = len(src_tuples) * na
-    out = Matrix.zeros(rows, cols)
-    for ti, t in enumerate(dst_tuples):
-        # t = (a_1 .. a_{n+1}) as basis indices
-        # term a_1 f(a_2 ..)
-        k = src_index[t[1:]]
-        lm = A.left_mult_matrix([1 if i == t[0] else 0 for i in range(na)])
-        for a in range(na):
-            for b in range(na):
-                if lm.rows[a][b]:
-                    out.rows[ti * na + a][k * na + b] += lm.rows[a][b]
-        # inner terms (-1)^i f(.., a_i a_{i+1}, ..)
+    sides = [[_entries(side(unit_vec(na, x))) for x in range(na)]
+             for side in (A.left_mult_matrix, A.right_mult_matrix)]
+    first, last = sides[::-1] if right else sides
+    ident = _entries(Matrix.identity(na))
+    src = {t: k for k, t in enumerate(_tuples(n, na))}
+    cols = [{} for _ in range(len(src) * na)]
+    for ti, t in enumerate(_tuples(n + 1, na)):
+        terms = [(src[t[1:]], 1, first[t[0]]), (src[t[:-1]], -1 if (n + 1) % 2 else 1, last[t[-1]])]
         for i in range(1, n + 1):
-            sign = -1 if i % 2 else 1
-            prod = A.mult[t[i - 1]][t[i]]
-            for p, c in enumerate(prod):
-                if not c:
-                    continue
-                merged = t[: i - 1] + (p,) + t[i + 1 :]
-                k = src_index[merged]
-                for a in range(na):
-                    out.rows[ti * na + a][k * na + a] += sign * c
-        # last term (-1)^{n+1} f(a_1 .. a_n) a_{n+1}
-        sign = -1 if (n + 1) % 2 else 1
-        k = src_index[t[:-1]]
-        rm = A.right_mult_matrix([1 if i == t[-1] else 0 for i in range(na)])
-        for a in range(na):
-            for b in range(na):
-                if rm.rows[a][b]:
-                    out.rows[ti * na + a][k * na + b] += sign * rm.rows[a][b]
-    return out
+            for p, c in enumerate(A.mult[t[i - 1]][t[i]]):
+                if c:
+                    terms.append((src[t[: i - 1] + (p,) + t[i + 1 :]], -c if i % 2 else c, ident))
+        _write(cols, ti, na, terms, right)
+    return cols
+
+
+def hochschild_cochain_matrix(A: FinDimAlgebra, n) -> Matrix:
+    """delta : Hom(A^n, A) -> Hom(A^{n+1}, A), classical alternating sum, dense."""
+    return Matrix.from_sparse_cols(_hochschild_cols(A, n, False), A.dim ** (n + 2))
 
 
 def hochschild_cohomology_dims(A: FinDimAlgebra, upto) -> list:
-    mats = [hochschild_cochain_matrix(A, n) for n in range(upto + 1)]
-    for n in range(upto):
-        if not (mats[n + 1] @ mats[n]).is_zero():
-            raise ValidationError("Hochschild cochain differential does not square to zero")
-    dims = []
-    for n in range(upto + 1):
-        c = mats[n].ncols
-        r_out = mats[n].rank()
-        r_in = mats[n - 1].rank() if n >= 1 else 0
-        dims.append(c - r_out - r_in)
-    return dims
-
-
-def hochschild_chain_matrix(A: FinDimAlgebra, n) -> Matrix:
-    """b : A^{(x) n+1} -> A^{(x) n} with the cyclic last face."""
-    na = A.dim
-    src_tuples = _tuples(n + 1, na)
-    dst_tuples = _tuples(n, na)
-    dst_index = {t: k for k, t in enumerate(dst_tuples)}
-    out = Matrix.zeros(len(dst_tuples), len(src_tuples))
-    for si, t in enumerate(src_tuples):
-        # t = (a_0, a_1 .. a_n)
-        for i in range(n):
-            sign = -1 if i % 2 else 1
-            prod = A.mult[t[i]][t[i + 1]]
-            for p, c in enumerate(prod):
-                if c:
-                    merged = t[:i] + (p,) + t[i + 2 :]
-                    out.rows[dst_index[merged]][si] += sign * c
-        sign = -1 if n % 2 else 1
-        prod = A.mult[t[-1]][t[0]]
-        for p, c in enumerate(prod):
-            if c:
-                merged = (p,) + t[1:-1]
-                out.rows[dst_index[merged]][si] += sign * c
-    return out
+    maps = [_hochschild_cols(A, n, False) for n in range(upto + 1)]
+    return _dims([A.dim ** (n + 1) for n in range(upto + 1)], maps)
 
 
 def hochschild_homology_dims(A: FinDimAlgebra, upto) -> list:
-    mats = [hochschild_chain_matrix(A, n) for n in range(1, upto + 2)]
-    for n in range(upto):
-        if not (mats[n] @ mats[n + 1]).is_zero():
-            raise ValidationError("Hochschild chain differential does not square to zero")
-    dims = []
-    for n in range(upto + 1):
-        c = A.dim ** (n + 1)
-        r_out = mats[n - 1].rank() if n >= 1 else 0
-        r_in = mats[n].rank()
-        dims.append(c - r_out - r_in)
-    return dims
+    maps = [_hochschild_cols(A, n, True) for n in range(upto + 1)]
+    return _dims([A.dim ** (n + 1) for n in range(upto + 1)], maps)
 
 
 def hochschild_cup(A: FinDimAlgebra, m, n, f, g) -> list:
@@ -148,112 +129,45 @@ def hochschild_cup(A: FinDimAlgebra, m, n, f, g) -> list:
 # Lie algebra (co)homology from the classical formulas
 
 
-def lie_cochain_matrix(g, M, n) -> Matrix:
-    """delta : Hom(Lambda^n g, M) -> Hom(Lambda^{n+1} g, M).
+def _lie_cols(g, M, n):
+    """Sparse columns of delta : Hom(Lambda^n g, M) -> Hom(Lambda^{n+1} g, M), one per coordinate.
 
-    M is a left module given by generator matrices (a LieModule).
-    Coordinates: (subset, module basis index), subset major, subsets in
-    lexicographic order.
+    M is a LieModule.  Coordinates: (subset, module basis index), subset
+    major, subsets in lexicographic order.  For a right module the two
+    module indices swap: the columns are the rows of the boundary
+    M (x) Lambda^{n+1} g -> M (x) Lambda^n g.
     """
-    d = g.dim
     dm = M.dim
-    src = list(combinations(range(d), n))
-    dst = list(combinations(range(d), n + 1))
-    src_index = {s: k for k, s in enumerate(src)}
-    out = Matrix.zeros(len(dst) * dm, len(src) * dm)
-    for ti, t in enumerate(dst):
-        for i, xi in enumerate(t):
-            sign = -1 if i % 2 else 1
-            rest = t[:i] + t[i + 1 :]
-            k = src_index[rest]
-            act = M.gen[xi]
-            for a in range(dm):
-                for b in range(dm):
-                    if act.rows[a][b]:
-                        out.rows[ti * dm + a][k * dm + b] += sign * act.rows[a][b]
-        for i in range(len(t)):
-            for j in range(i + 1, len(t)):
-                sign = -1 if (i + j) % 2 else 1
-                rest = tuple(x for idx, x in enumerate(t) if idx not in (i, j))
-                bracket = g.bracket[t[i]][t[j]]
-                for z, c in enumerate(bracket):
-                    if not c or z in rest:
-                        continue
+    act = [_entries(m) for m in M.gen]
+    ident = _entries(Matrix.identity(dm))
+    src = {s: k for k, s in enumerate(combinations(range(g.dim), n))}
+    cols = [{} for _ in range(len(src) * dm)]
+    for ti, t in enumerate(combinations(range(g.dim), n + 1)):
+        terms = [(src[t[:i] + t[i + 1 :]], -1 if i % 2 else 1, act[x]) for i, x in enumerate(t)]
+        for i, j in combinations(range(len(t)), 2):
+            rest = t[:i] + t[i + 1 : j] + t[j + 1 :]
+            for z, c in enumerate(g.bracket[t[i]][t[j]]):
+                if c and z not in rest:
                     pos = sum(1 for x in rest if x < z)
-                    merged = tuple(sorted(rest + (z,)))
-                    k = src_index[merged]
-                    s2 = sign * c * (-1 if pos % 2 else 1)
-                    for a in range(dm):
-                        out.rows[ti * dm + a][k * dm + a] += s2
-    return out
-
-
-def lie_cohomology_dims(g, M, upto) -> list:
-    mats = [lie_cochain_matrix(g, M, n) for n in range(min(upto, g.dim) + 1)]
-    for n in range(len(mats) - 1):
-        if not (mats[n + 1] @ mats[n]).is_zero():
-            raise ValidationError("Lie cochain differential does not square to zero")
-    dims = []
-    for n in range(upto + 1):
-        if n > g.dim:
-            dims.append(0)
-            continue
-        c = mats[n].ncols
-        r_out = mats[n].rank() if n < g.dim else 0
-        r_in = mats[n - 1].rank() if n >= 1 else 0
-        dims.append(c - r_out - r_in)
-    return dims
+                    sign = -1 if (i + j + pos) % 2 else 1
+                    terms.append((src[tuple(sorted(rest + (z,)))], sign * c, ident))
+        _write(cols, ti, dm, terms, M.side == "right")
+    return cols
 
 
 def lie_chain_matrix(g, N, n) -> Matrix:
-    """boundary : N (x) Lambda^n g -> N (x) Lambda^{n-1} g, right module N."""
-    d = g.dim
-    dn = N.dim
-    src = list(combinations(range(d), n))
-    dst = list(combinations(range(d), n - 1))
-    dst_index = {s: k for k, s in enumerate(dst)}
-    out = Matrix.zeros(len(dst) * dn, len(src) * dn)
-    for si, s in enumerate(src):
-        for i, xi in enumerate(s):
-            sign = -1 if i % 2 else 1
-            rest = s[:i] + s[i + 1 :]
-            k = dst_index[rest]
-            act = N.gen[xi]
-            for a in range(dn):
-                for b in range(dn):
-                    if act.rows[a][b]:
-                        out.rows[k * dn + a][si * dn + b] += sign * act.rows[a][b]
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                sign = -1 if (i + j) % 2 else 1
-                rest = tuple(x for idx, x in enumerate(s) if idx not in (i, j))
-                bracket = g.bracket[s[i]][s[j]]
-                for z, c in enumerate(bracket):
-                    if not c or z in rest:
-                        continue
-                    pos = sum(1 for x in rest if x < z)
-                    merged = tuple(sorted(rest + (z,)))
-                    k = dst_index[merged]
-                    s2 = sign * c * (-1 if pos % 2 else 1)
-                    for a in range(dn):
-                        out.rows[k * dn + a][si * dn + a] += s2
-    return out
+    """boundary : N (x) Lambda^n g -> N (x) Lambda^{n-1} g, right module N, dense."""
+    rows = _lie_cols(g, N, n - 1)
+    return Matrix.from_sparse_cols(rows, comb(g.dim, n) * N.dim).transpose()
+
+
+def lie_cohomology_dims(g, M, upto) -> list:
+    """dim H^n(g, M) for n <= upto, M a left module (dim H_n for a right one)."""
+    top = min(upto, g.dim)
+    maps = [_lie_cols(g, M, n) for n in range(top + 1)]
+    return _dims([comb(g.dim, n) * M.dim for n in range(top + 1)], maps) + [0] * (upto - top)
 
 
 def lie_homology_dims(g, N, upto) -> list:
-    mats = {n: lie_chain_matrix(g, N, n) for n in range(1, min(upto + 1, g.dim) + 1)}
-    for n in sorted(mats):
-        if (n + 1) in mats and not (mats[n] @ mats[n + 1]).is_zero():
-            raise ValidationError("Lie chain differential does not square to zero")
-    from math import comb
-
-    dims = []
-    for n in range(upto + 1):
-        if n > g.dim:
-            dims.append(0)
-            continue
-        c = comb(g.dim, n) * N.dim
-        r_out = mats[n].rank() if n >= 1 else 0
-        r_in = mats[n + 1].rank() if (n + 1) in mats else 0
-        dims.append(c - r_out - r_in)
-    return dims
+    """dim H_n(g, N) for n <= upto, N a right module."""
+    return lie_cohomology_dims(g, N, upto)

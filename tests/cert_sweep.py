@@ -32,6 +32,7 @@ CLI = "src/hopfhomology/cli.py"
 DUALITY = "src/hopfhomology/duality.py"
 COMPLEXES = "src/hopfhomology/complexes.py"
 LINALG = "src/hopfhomology/linalg.py"
+ORACLES = "src/hopfhomology/oracles.py"
 ERRORS = "src/hopfhomology/errors.py"
 PBW = "src/hopfhomology/pbw.py"
 RESOLUTIONS = "src/hopfhomology/resolutions.py"
@@ -72,6 +73,12 @@ MUTANTS = [
     ("HomologySpace image cycle check off", COMPLEXES,
      "if rest:\n                raise ValidationError(\"image vector",
      "if False:\n                raise ValidationError(\"image vector"),
+    # the brute force oracles: their rank walk and the faces the chain complex trades
+    ("oracle d d check off", ORACLES,
+     "if any(sparse_extend(outer.__getitem__, col) for col in inner):",
+     "if False and any(sparse_extend(outer.__getitem__, col) for col in inner):"),
+    ("Hochschild chain faces not traded", ORACLES,
+     "first, last = sides[::-1] if right else sides", "first, last = sides"),
     # the reference total complex of P (x) P
     ("TotalTensorComplex d d check off", RESOLUTIONS,
      "if n >= 2 and not (self.diff[n - 1] @ out).is_zero():",

@@ -1,11 +1,16 @@
 from fractions import Fraction as Q
 
+import pytest
+
+from hopfhomology.algebras import FinDimAlgebra
+from hopfhomology.errors import ValidationError
 from hopfhomology.instances import (
     dual_numbers,
     lie_abelian,
     lie_nonabelian2,
     lie_sl2,
     q_times_q,
+    symmetric3_group_algebra,
     upper_triangular2,
 )
 from hopfhomology.oracles import (
@@ -34,6 +39,29 @@ def test_hochschild_semisimple_vanishes():
 def test_hochschild_hereditary_upper_triangular():
     A = upper_triangular2()
     assert hochschild_cohomology_dims(A, 2) == [1, 0, 0]
+    # the chain complex trades the left and right faces: HH_0 = A/[A, A] has dimension 2
+    assert hochschild_homology_dims(A, 2) == [2, 0, 0]
+
+
+def test_hochschild_group_algebra_of_s3():
+    # Maschke: Q[S3] is separable; HH^0 is its centre and HH_0 = A/[A, A],
+    # both of dimension 3, the number of conjugacy classes
+    A = symmetric3_group_algebra().U
+    assert hochschild_cohomology_dims(A, 2) == [3, 0, 0]
+    assert hochschild_homology_dims(A, 2) == [3, 0, 0]
+
+
+def test_hochschild_rejects_a_non_associative_product():
+    # e1 e1 = e2, e2 e1 = e1, e1 e2 = 0: (e1 e1) e1 = e1 but e1 (e1 e1) = 0,
+    # so neither Hochschild differential squares to zero
+    e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    zero = [0, 0, 0]
+    mult = [e, [e[1], e[2], zero], [e[2], e[1], zero]]
+    A = FinDimAlgebra(3, ["1", "x", "y"], mult, e[0], validate=False)
+    with pytest.raises(ValidationError, match="d d != 0"):
+        hochschild_cohomology_dims(A, 2)
+    with pytest.raises(ValidationError, match="d d != 0"):
+        hochschild_homology_dims(A, 2)
 
 
 def test_hochschild_cup_euler_derivation_squares_to_zero_cochain():

@@ -4,14 +4,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bar_oracle import UnnormalizedBar, reference_boundary_word
+from bar_oracle import UnnormalizedBar, reference_boundary_word, reference_renorm
 from builders import permute_instance
 from hopfhomology.bialgebroid import BialgebroidData
 from hopfhomology.errors import LiftFailedError, ValidationError, WindowExceededError
 from hopfhomology.homology import ext_dims, tor_dims
 from hopfhomology.instances import cyclic_group_algebra
 from hopfhomology.linalg import Matrix, zero_vec
-from hopfhomology.resolutions import TotalTensorComplex, bar_resolution, lift_into_total
+from hopfhomology.resolutions import BarResolution, TotalTensorComplex, bar_resolution, lift_into_total
 
 
 def _homotopy_identity_holds(bar, n):
@@ -71,20 +71,39 @@ def test_boundary_word_answers_one_degree_past_the_window(catalog):
         bar.diff_cols(3)
 
 
-def test_bar_generator_differential_matches_concrete(env_qeps_bar):
-    bar = env_qeps_bar
-    n = 2
-    chain = bar.chain_matrix(n)
-    for gi, g in enumerate(bar.generators(n)):
-        gv = bar.generator_vector(n, g)
-        img = chain.apply(gv)
-        # reassemble from the generator-level columns
-        expect = zero_vec(bar.concrete_dim(n - 1))
-        for j, entry in bar.diff_cols(n)[gi].items():
-            for u, c in enumerate(entry):
-                if c:
-                    expect[bar.word_index(n - 1, (u,) + bar.generators(n - 1)[j])] += c
-        assert img == expect
+def test_bar_generator_differential_matches_concrete(catalog):
+    # every column of the concrete b', one per word (u, g), against the
+    # uncached face sum less its degenerate words; sweedler's base is the ground field
+    for name in ("env-qeps", "sweedler"):
+        bar = bar_resolution(catalog[name].data, 3)
+        for n in range(1, 4):
+            chain = bar.chain_matrix(n)
+            for j, w in enumerate(bar.words(n)):
+                want = zero_vec(bar.concrete_dim(n - 1))
+                for v, c in reference_boundary_word(bar, w).items():
+                    if all(v[1:]):
+                        want[bar.word_index(n - 1, v)] += c
+                assert chain.col(j) == want, (name, n, w)
+
+
+class _ReferenceRenormBar(BarResolution):
+    """The normalized bar with the uncached renormalisation, which keeps every word."""
+
+    def _renorm(self, word, k, vec):
+        return reference_renorm(self, word, k, vec)
+
+
+@pytest.mark.parametrize("name", ["env-qeps", "env-qxq", "env-upper2", "sweedler", "qs3"])
+def test_diagonal_matches_uncached_renormalisation(catalog, name):
+    # the diagonal renormalises slots k >= 2 and so pushes into tail slots,
+    # which b' never does; compare it with pushes rebuilt for every word
+    data = catalog[name].data
+    bar, ref = bar_resolution(data, 3), _ReferenceRenormBar(data, 3)
+    for n in range(4):
+        for g in bar.generators(n):
+            for i in range(n + 1):
+                want = {(w, back): c for (w, back), c in ref.diagonal(g, i).items() if all(w[1:])}
+                assert bar.diagonal(g, i) == want, (n, g, i)
 
 
 def test_tensor_resolution_exact_env(env_qeps_bar):

@@ -32,22 +32,27 @@ def _perm_mul(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def group_algebra_from_table(labels, table, inverse, name):
-    """Group algebra from a multiplication table of element indices."""
+def monoid_algebra(labels, table, name):
+    """Monoid algebra from a multiplication table of element indices, unit first."""
     from .algebras import FinDimAlgebra
     from .bialgebroid import BialgebroidData
 
     n = len(labels)
     mult = [[unit_vec(n, table[i][j]) for j in range(n)] for i in range(n)]
     U = FinDimAlgebra(n, labels, mult, unit_vec(n, 0))
-    # Delta(g) = g (x) g, eps(g) = 1, over A = Q
+    # Delta(m) = m (x) m, eps(m) = 1, over A = Q
     delta = Matrix.zeros(n * n, n)
     for g in range(n):
         delta.rows[g * n + g][g] = 1
     eps_hat = [Matrix([[1]]) for _ in range(n)]
     A = ground_field()
     eta = Matrix.from_cols([U.unit], nrows=n)
-    data = BialgebroidData(U, A, eta, delta, eps_hat, name=name)
+    return BialgebroidData(U, A, eta, delta, eps_hat, name=name)
+
+
+def group_algebra_from_table(labels, table, inverse, name):
+    """Group algebra from a multiplication table of element indices."""
+    data = monoid_algebra(labels, table, name)
     data.group_inverse = inverse
     return data
 
@@ -305,22 +310,7 @@ def bimodule_a_right(data: BialgebroidData):
 
 def monoid01_bialgebra():
     """k[M] for M = ({1, 0}, *): a bialgebra whose Galois map is singular."""
-    from .algebras import FinDimAlgebra
-    from .bialgebroid import BialgebroidData
-
-    n = 2
-    mult = [
-        [unit_vec(n, 0), unit_vec(n, 1)],
-        [unit_vec(n, 1), unit_vec(n, 1)],
-    ]
-    U = FinDimAlgebra(n, ["m1", "m0"], mult, unit_vec(n, 0))
-    delta = Matrix.zeros(n * n, n)
-    for g in range(n):
-        delta.rows[g * n + g][g] = 1
-    eps_hat = [Matrix([[1]]), Matrix([[1]])]
-    A = ground_field()
-    eta = Matrix.from_cols([U.unit], nrows=n)
-    return BialgebroidData(U, A, eta, delta, eps_hat, name="monoid01")
+    return monoid_algebra(["m1", "m0"], [[0, 1], [1, 1]], "monoid01")
 
 
 # ---------------------------------------------------------------------------

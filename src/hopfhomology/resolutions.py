@@ -12,13 +12,15 @@ unit, f_0 = 1, and words with a unit tail span the acyclic degenerate
 subcomplex (Loday, Cyclic Homology 1.1.14), so they are dropped: tails
 run over 1 .. s-1 and degree n has (s-1)^n free generators.
 
-The contracting homotopy s prepends a unit slot and renormalises, with
-bottom map a -> eta(1 (x) a) on the augmentation (which is what the
-degree zero homotopy identity forces, using that eps is right
-A-linear).  Each push a |>> u of the renormalisation is the product
-u eta(1 (x) a).  The boundary b' is U-linear, d s + s d = 1 (Loday 1.1.12;
-Weibel, An Introduction to Homological Algebra 8.6) and s(f_t [w]) is
-the generator 1[t|w], so each degree of b' follows from the one below:
+The contracting homotopy s prepends a unit slot and renormalises slot 1
+only, with bottom map a -> eta(1 (x) a) on the augmentation (which is
+what the degree zero homotopy identity forces, using that eps is right
+A-linear).  Slots 2 and up are already normal, so each push a |>> out
+of slot 1 lands in the free slot as the product u eta(1 (x) a), and
+s(e_u [K]) is s(e_u) with K appended.  The boundary b' is U-linear,
+d s + s d = 1 (Loday 1.1.12; Weibel, An Introduction to Homological
+Algebra 8.6) and s(f_t [w]) is the generator 1[t|w], so each degree of
+b' follows from the one below:
 
     d(1[t])   = f_t - eta(1 (x) eps(f_t)),
     d(1[t|w]) = f_t [w] - s(f_t . d(1[w])).
@@ -30,7 +32,9 @@ Free generator bookkeeping is the load bearing piece: the differential
 is stored as a matrix of U-coefficients over the generators, which is
 what turns Hom_U(P_n, M) and N (x)_U P_n into plain matrix complexes.
 The diagonal P -> P (x)_A P that products use is the Alexander-Whitney
-one, in closed form on those generators through the coproduct.
+one, built on those generators through the coproduct and s: since
+s(u[w]) = 1[u|w], its front leg 1[x_1|..|x_i] is
+s(x_1 . s(x_2 . .. s(x_i . 1))), with . the product on the free slot.
 """
 
 from __future__ import annotations
@@ -65,13 +69,9 @@ class BarResolution:
             raise ValidationError("the unit of U does not start a free tail table over <|")
         self.tails, self.expand = table
         self.s = len(self.tails)
-        self.push = data.bl_l  # a |>> as matrices, u -> u eta(1 (x) a)
-        # one base element acting as the identity: pushes change nothing
-        self.trivial_base = self.push == [Matrix.identity(U.dim)]
         # the right factor eta(1 (x) a_r) of the push a_r |>>
         self._pushes = [data.eta_target(unit_vec(data.A.dim, r)) for r in range(data.A.dim)]
-        self._slot_cache = {}
-        self._cascade_cache = {}
+        self._unit_homotopy = {}
         self._homotopy_cache = {}
         self._diag_cache = {}
         self._gens = {}
@@ -109,47 +109,18 @@ class BarResolution:
 
     # -- normal form ----------------------------------------------------
 
-    def _slot_product(self, word, k, r):
-        """The entry in slot k of word times the push factor eta(1 (x) a_r), a sparse U-vector.
+    def _renorm(self, u, vec):
+        """e_u (x) vec in normal form for a raw U-vector vec in slot 1, {(b, t): coeff}.
 
-        Slot 0 holds a U-basis index, every other slot a tail index.
-        """
-        key = (k == 0, word[k], r)
-        out = self._slot_cache.get(key)
-        if out is None:
-            left = unit_vec(self.U.dim, word[0]) if k == 0 else self.tails[word[k]]
-            out = self._slot_cache[key] = _sparse(self.U.multiply(left, self._pushes[r]))
-        return out
-
-    def _renorm(self, word, k, vec):
-        """Replace slot k of word by the raw U-vector vec and normalise, as a new dict.
-
-        Slots right of k are already tail indices; pushing cascades
-        leftward until it lands in the free slot 0.  A word with a unit
-        tail is dropped at once: pushes never rewrite that slot again.
-        The cascade below slot k depends only on word[:k] and the pushed
-        base index, so it is cached on those and the suffix appended.
+        Each push a_r |>> out of slot 1 lands in the free slot as the
+        product e_u eta(1 (x) a_r); words with a unit tail are dropped.
         """
         out = {}
         for b, cb in vec.items():
-            if k == 0:
-                sparse_add(out, (b,) + word[1:], cb)
-                continue
             for t, r, c in self.expand[b]:
-                if not t:
-                    continue
-                coef = cb * c
-                suffix = (t,) + word[k + 1 :]
-                if self.trivial_base:
-                    sparse_add(out, word[:k] + suffix, coef)
-                    continue
-                key = (word[:k], r)
-                head = self._cascade_cache.get(key)
-                if head is None:
-                    pushed = self._slot_product(word, k - 1, r)
-                    head = self._cascade_cache[key] = self._renorm(word[:k], k - 1, pushed)
-                for w3, c3 in head.items():
-                    sparse_add(out, w3 + suffix, coef * c3)
+                if t:
+                    for p, d in self.times(unit_vec(self.U.dim, u), self._pushes[r]).items():
+                        sparse_add(out, (p, t), cb * c * d)
         return out
 
     # -- boundary, homotopy, augmentation --------------------------------
@@ -174,8 +145,12 @@ class BarResolution:
         return sparse_extend(self.boundary_word, elt)
 
     def homotopy_word(self, w):
-        """s of a normal word: prepend a unit slot, renormalise."""
-        return sparse_extend(lambda p: self._renorm((p, 0) + w[1:], 1, {w[0]: 1}), self.U.unit)
+        """s of a normal word (u, K): s(e_u), cached on u, with K appended."""
+        u = w[0]
+        head = self._unit_homotopy.get(u)
+        if head is None:
+            head = self._unit_homotopy[u] = sparse_extend(lambda p: self._renorm(p, {u: 1}), self.U.unit)
+        return {v + w[1:]: c for v, c in head.items()}
 
     def homotopy_elt(self, elt):
         return sparse_extend(self.homotopy_word, elt)
@@ -195,23 +170,26 @@ class BarResolution:
 
         1[f_1|..|f_n] goes to [f_1(1)|..|f_i(1)] (x) f_1(2)..f_i(2)[f_(i+1)|..|f_n],
         a sparse dict {(front word, back word): coeff}.  The front leg is
-        normalised one appended slot at a time; the back leg is normal.
+        s(f_1(1) . s(f_2(1) . .. s(f_i(1) . 1))): for i = n it is one step of s
+        on the leg of 1[f_2|..|f_n], and for i < n it is the leg of 1[g[:i]].
         """
         key = (g, i)
         out = self._diag_cache.get(key)
         if out is None:
-            one = _sparse(self.U.unit)
-            legs = {((p,), q): c * d for p, c in one.items() for q, d in one.items()}
-            for k in range(1, i + 1):
-                step = {}
-                for (p, q), c in self.data.delta_of_vec(self.tails[g[k - 1]]).items():
-                    for (w, b), d in legs.items():
-                        for w2, e in self._renorm(w + (p,), k, {p: c * d}).items():
-                            for b2, f in enumerate(self.U.mult[b][q]):
-                                if f:
-                                    sparse_add(step, (w2, b2), e * f)
-                legs = step
-            out = {(w, (b,) + g[i:]): c for (w, b), c in legs.items()}
+            if i < len(g):
+                out = {(w, b + g[i:]): c for (w, b), c in self.diagonal(g[:i], i).items()}
+            elif not g:
+                one = _sparse(self.U.unit)
+                out = {((p,), (q,)): c * d for p, c in one.items() for q, d in one.items()}
+            else:
+                out = {}
+                for (p, q), c in self.data.delta_of_vec(self.tails[g[0]]).items():
+                    for (w, (b,)), d in self.diagonal(g[1:], i - 1).items():
+                        back = self.U.product(q, b)
+                        for r, e in self.U.product(p, w[0]).items():
+                            for w2, f in self.homotopy_word((r,) + w[1:]).items():
+                                for b2, h in back.items():
+                                    sparse_add(out, (w2, (b2,)), c * d * e * f * h)
             self._diag_cache[key] = out
         return out
 

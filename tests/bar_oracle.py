@@ -28,7 +28,8 @@ def _add(out, key, c):
 def reference_renorm(bar, word, k, vec):
     """Slot k of word replaced by the raw U-vector vec, normalised, all words kept.
 
-    Pushes always go through bar.push, also over the ground field.
+    Pushes always go through the |>> matrices data.bl_l, also over the
+    ground field, and cascade leftward through every slot below k.
     """
     out = {}
     if k == 0:
@@ -39,12 +40,33 @@ def reference_renorm(bar, word, k, vec):
         for t, r, c in bar.expand[b]:
             w2 = word[:k] + (t,) + word[k + 1 :]
             if k == 1:
-                pushed = _sparse(bar.push[r].col(word[0]))
+                pushed = _sparse(bar.data.bl_l[r].col(word[0]))
             else:
-                pushed = _sparse(bar.push[r].apply(bar.tails[word[k - 1]]))
+                pushed = _sparse(bar.data.bl_l[r].apply(bar.tails[word[k - 1]]))
             for w3, c3 in reference_renorm(bar, w2, k - 1, pushed).items():
                 _add(out, w3, cb * c * c3)
     return out
+
+
+def reference_diagonal(bar, g, i):
+    """The P_i (x) P_(n-i) part of the diagonal on 1[f_g], all words kept.
+
+    The front leg appends f_k(1) as slot k and normalises it there by
+    reference_renorm, for k = 1 .. i; the back factor f_1(2)..f_i(2)
+    grows on the right.  Nothing is cached and the homotopy is not used.
+    """
+    U = bar.U
+    one = _sparse(U.unit)
+    legs = {((p,), q): c * d for p, c in one.items() for q, d in one.items()}
+    for k in range(1, i + 1):
+        step = {}
+        for (p, q), c in bar.data.delta_of_vec(bar.tails[g[k - 1]]).items():
+            for (w, b), d in legs.items():
+                for w2, e in reference_renorm(bar, w + (p,), k, {p: c * d}).items():
+                    for b2, f in _sparse(U.mult[b][q]).items():
+                        _add(step, (w2, b2), e * f)
+        legs = step
+    return {(w, (b,) + g[i:]): c for (w, b), c in legs.items()}
 
 
 def reference_boundary_word(bar, w):
@@ -82,10 +104,12 @@ class UnnormalizedBar(BarResolution):
     """The bar resolution with all s^n generators in degree n.
 
     The tails are data.tails_l, whose unit need not be a tail at all.
-    Faces and the renormalisation that the homotopy and the diagonal use
-    are the uncached references above, and the generator differential is
-    read off those faces, not built by the homotopy recursion; the
-    concrete chain model is BarResolution's, on these words.
+    Faces and the slot 1 renormalisation behind the homotopy are the
+    uncached references above, and the generator differential is read
+    off those faces, not built by the homotopy recursion.  The homotopy
+    and the diagonal are BarResolution's, so s(e_u) and the diagonal
+    are cached as there; the concrete chain model is BarResolution's,
+    on these words.
     """
 
     def __init__(self, data, depth):
@@ -95,8 +119,8 @@ class UnnormalizedBar(BarResolution):
         self._gens = {n: list(iproduct(range(self.s), repeat=n)) for n in range(depth + 1)}
         self._gen_index = {n: {g: k for k, g in enumerate(gs)} for n, gs in self._gens.items()}
 
-    def _renorm(self, word, k, vec):
-        return reference_renorm(self, word, k, vec)
+    def _renorm(self, u, vec):
+        return reference_renorm(self, (u, 0), 1, vec)
 
     def boundary_word(self, w):
         return reference_boundary_word(self, w)

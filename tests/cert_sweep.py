@@ -90,9 +90,12 @@ MUTANTS = [
      "[a - b for a, b in zip(f, data.eta_target(data.counit(f)))]", "list(f)"),
     ("tail homotopy cached on t only", RESOLUTIONS,
      "key = (t, p)", "key = t"),
-    # the slot product behind every push of the renormalisation
-    ("slot product cache blind to the free slot", RESOLUTIONS,
-     "key = (k == 0, word[k], r)", "key = (word[k], r)"),
+    # the Alexander-Whitney diagonal, its front leg built by the homotopy
+    ("diagonal back factor reversed", RESOLUTIONS,
+     "self.U.product(q, b)", "self.U.product(b, q)"),
+    ("front leg built from its first slot", RESOLUTIONS,
+     "self.tails[g[0]]).items():\n                    for (w, (b,)), d in self.diagonal(g[1:], i - 1)",
+     "self.tails[g[-1]]).items():\n                    for (w, (b,)), d in self.diagonal(g[:-1], i - 1)"),
     # the certified elimination
     ("_certify always true", LINALG,
      "        if any(acc.values()):\n            return False",

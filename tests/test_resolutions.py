@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bar_oracle import UnnormalizedBar, reference_boundary_word, reference_renorm
+from bar_oracle import UnnormalizedBar, reference_boundary_word, reference_diagonal, reference_renorm
 from builders import permute_instance
 from hopfhomology.bialgebroid import BialgebroidData
 from hopfhomology.errors import LiftFailedError, ValidationError, WindowExceededError
@@ -87,23 +87,26 @@ def test_bar_generator_differential_matches_concrete(catalog):
 
 
 class _ReferenceRenormBar(BarResolution):
-    """The normalized bar with the uncached renormalisation, which keeps every word."""
+    """The normalized bar with the uncached slot 1 renormalisation, which keeps every word."""
 
-    def _renorm(self, word, k, vec):
-        return reference_renorm(self, word, k, vec)
+    def _renorm(self, u, vec):
+        return reference_renorm(self, (u, 0), 1, vec)
 
 
 @pytest.mark.parametrize("name", ["env-qeps", "env-qxq", "env-upper2", "sweedler", "qs3"])
 def test_diagonal_matches_uncached_renormalisation(catalog, name):
-    # the diagonal renormalises slots k >= 2 and so pushes into tail slots,
-    # which b' never does; compare it with pushes rebuilt for every word
+    # the diagonal builds its front leg by s, which renormalises slot 1
+    # only; the reference appends each slot k and pushes through every
+    # slot left of it, as the product [x_1|..|x_i] is normalised by hand
     data = catalog[name].data
     bar, ref = bar_resolution(data, 3), _ReferenceRenormBar(data, 3)
     for n in range(4):
         for g in bar.generators(n):
             for i in range(n + 1):
-                want = {(w, back): c for (w, back), c in ref.diagonal(g, i).items() if all(w[1:])}
+                want = {(w, back): c for (w, back), c in reference_diagonal(bar, g, i).items() if all(w[1:])}
                 assert bar.diagonal(g, i) == want, (n, g, i)
+                # the same front leg through the uncached slot 1 renormalisation
+                assert {(w, back): c for (w, back), c in ref.diagonal(g, i).items() if all(w[1:])} == want
 
 
 def test_tensor_resolution_exact_env(env_qeps_bar):
@@ -236,7 +239,6 @@ def test_lift_to_bar_chain_property(env_qeps_bar):
 def test_boundary_word_matches_uncached_faces(catalog, name):
     # every finite catalog instance, the monoid control included
     bar = bar_resolution(catalog[name].data, 3)
-    assert bar.trivial_base == (name not in ("env-qeps", "env-qxq", "env-upper2"))
     for n in range(4):
         for w in bar.words(n):
             # the normalized boundary is the full one less its degenerate words

@@ -15,24 +15,23 @@ Koszul homotopy of S(g) (x) Lambda g, corrected by the perturbation
 lemma (Brown 1965; Crainic, arXiv:math/0403266), so chain maps lift
 into the resolution through homology.lift with no linear solve.
 
-The same file holds the degree-truncated bar machinery for U(g): the
-cochain complex of maps on tuples of PBW monomials of bounded total
-degree.  Multiplication never raises PBW degree, so these truncations
-are honest quotient complexes; the certified window of any number
-computed from them carries the bound used.
+The same file holds the degree-truncated bar model of U(g): generators
+are tuples of PBW monomials of bounded total degree, and its
+differential is b' on them.  Multiplication never raises PBW degree, so
+the cochains on these tuples are an honest quotient complex, which the
+Ext builder of homology reads as it reads any resolution; the certified
+window of any number computed from it carries the bound used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import comb
 
-from .complexes import HomologySpace, homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .linalg import (Matrix, _sparse, frac, sparse_add, sparse_axpy, sparse_columns, sparse_extend,
-                     sparse_rank)
+from .homology import cochain_matrix, ext, lift, lifted_boundary, pull_cochain
+from .linalg import Matrix, _sparse, frac, sparse_add, sparse_axpy, sparse_extend, sparse_rank
 from .pbw import (
     LieAlgebraData,
     LieModule,
@@ -151,6 +150,18 @@ class CEResolution:
                         sparse_add(cycle, (mono,) + self._gens[j - 1][k], -c)
                 sparse_axpy(out.setdefault(J, {}), 1, e)
         return {J: e for J, e in out.items() if e}
+
+    def lift(self, src, m, values, top):
+        """Chain maps f_j : src_(m+j) -> P_j for j = 0 .. top, over values.
+
+        values[k] holds the ground-field value of the k-th generator of
+        src_m; f_0 sends that generator to its value times 1, and
+        homology.lift builds the rest through contract.  Each f_j maps a
+        generator of src to {generator of P_j: PBW dict}.
+        """
+        unit = mono_one(self.g.dim)
+        bottom = {G: {(): {unit: a[0]}} for G, a in zip(src.generators(m), values)}
+        return lift(src, self, m, bottom, top)
 
     def _check_square_zero(self):
         g = self.g
@@ -278,49 +289,87 @@ def bounded_free_map(g, cols, src: BoundedBasis, dst: BoundedBasis, entries_act=
 
 
 class UgBarComplex:
-    """Quotient cochain model of the bar resolution of U(g).
+    """Quotient model of the bar resolution of U(g), on the resolution interface.
 
-    Degree n cochains are M-valued functions on tuples of n PBW
-    monomials of total degree <= bound; the differential is dual to the
-    bar boundary.  Multiplication in U(g) never raises total degree, so
-    this is a genuine quotient complex of the full bar cochain complex.
+    The generators in degree n are the tuples of n PBW monomials of total
+    degree <= bound, and diff_cols is the bar boundary on them.
+    Multiplication in U(g) never raises total degree, so the cochains on
+    these tuples are a genuine quotient complex of the full bar cochain
+    complex; the bound, not max_degree, is the window.
     """
 
     def __init__(self, g: LieAlgebraData, bound: int):
         self.g = g
         self.bound = bound
+        self.max_degree = 10 ** 9  # the PBW bound is the window
         self._tuples = {}
+        self._diff_cols = {}
+        self._action_cache = {}
 
     def tuples(self, n):
-        if n in self._tuples:
-            return self._tuples[n]
-        monos = monomials_upto(self.g.dim, self.bound)
-        out = []
-
-        def rec(prefix, rest, budget):
-            if rest == 0:
-                out.append(tuple(prefix))
-                return
-            for m in monos:
-                d = mono_deg(m)
-                if d <= budget:
-                    rec(prefix + [m], rest - 1, budget - d)
-
-        rec([], n, self.bound)
-        out.sort()
-        idx = {t: k for k, t in enumerate(out)}
-        self._tuples[n] = (out, idx)
+        """The sorted tuples of n monomials of total degree <= bound, and their index."""
+        if n not in self._tuples:
+            monos = [(m, mono_deg(m)) for m in monomials_upto(self.g.dim, self.bound)]
+            out = [((), 0)]
+            for _ in range(n):
+                out = [(t + (m,), d + e) for t, d in out for m, e in monos if d + e <= self.bound]
+            out = sorted(t for t, _ in out)
+            self._tuples[n] = (out, {t: k for k, t in enumerate(out)})
         return self._tuples[n]
+
+    def rank(self, n):
+        return len(self.tuples(n)[0])
+
+    def generators(self, n):
+        return self.tuples(n)[0]
 
     def gen_index(self, n, tail):
         """Index of a tuple of n monomials; the window must hold it."""
         k = self.tuples(n)[1].get(tail)
         if k is None:
-            raise WindowExceededError("comparison image leaves the truncation window")
+            raise WindowExceededError("a tuple leaves the truncation window")
         return k
 
+    def diff_cols(self, n):
+        """Column t of b'(1[t]) in degree n: {index of a tuple of n - 1: PBW entry}.
+
+        Face 0 puts t_1 in the free slot, inner face i multiplies t_i
+        t_(i+1) with the sign (-1)^i, and the counit face, with the sign
+        (-1)^n, keeps only a last monomial of degree 0.
+        """
+        if n in self._diff_cols:
+            return self._diff_cols[n]
+        g, unit, cols = self.g, mono_one(self.g.dim), []
+        below = self.tuples(n - 1)[1]
+        for t in self.tuples(n)[0] if n >= 1 else ():
+            col = {below[t[1:]]: {t[0]: 1}}
+            for i in range(1, n):
+                for m, c in mono_mul(g, t[i - 1], t[i]).items():
+                    entry = col.setdefault(below[t[: i - 1] + (m,) + t[i + 1 :]], {})
+                    sparse_add(entry, unit, -c if i % 2 else c)
+            if mono_deg(t[-1]) == 0:
+                sparse_add(col.setdefault(below[t[:-1]], {}), unit, -1 if n % 2 else 1)
+            cols.append({k: e for k, e in col.items() if e})
+        self._diff_cols[n] = cols
+        return cols
+
+    def boundary_word(self, w):
+        """b' of a bar word (m,) + t: e_m times column t of the differential."""
+        n = len(w) - 1
+        if n == 0:
+            return {}
+        below, out = self.generators(n - 1), {}
+        for k, entry in self.diff_cols(n)[self.gen_index(n, w[1:])].items():
+            for p, c in pbw_multiply(self.g, {w[0]: 1}, entry).items():
+                out[(p,) + below[k]] = c
+        return out
+
     def act_left(self, entry, M: LieModule):
-        return M.act(entry)
+        key = (M, tuple(entry.items()))  # M itself, not id(M): a freed module's id is reused
+        out = self._action_cache.get(key)
+        if out is None:
+            out = self._action_cache[key] = M.act(entry)
+        return out
 
     def times(self, u, v):
         return pbw_multiply(self.g, u, v)
@@ -330,44 +379,9 @@ class UgBarComplex:
         unit = mono_one(self.g.dim)
         return {w: {unit: c} for w, c in words.items()}
 
-    def cochain_cols(self, n, M: LieModule):
-        """Sparse columns of delta : C^n(M) -> C^{n+1}(M) from the bar faces."""
-        g = self.g
-        dm = M.dim
-        src, src_idx = self.tuples(n)
-        dst, _ = self.tuples(n + 1)
-        cols = [dict() for _ in range(len(src) * dm)]
-        for ti, t in enumerate(dst):
-            row = ti * dm
-            # u_1 . phi(u_2 ..)
-            act = M.act_mono(t[0])
-            k = src_idx[t[1:]]
-            for a in range(dm):
-                for b, c in enumerate(act.rows[a]):
-                    if c:
-                        sparse_add(cols[k * dm + b], row + a, c)
-            # inner faces
-            for i in range(1, n + 1):
-                sign = -1 if i % 2 else 1
-                for m, c in mono_mul(g, t[i - 1], t[i]).items():
-                    k = src_idx[t[: i - 1] + (m,) + t[i + 1 :]]
-                    for a in range(dm):
-                        sparse_add(cols[k * dm + a], row + a, sign * c)
-            # counit face kills positive degree in the last slot
-            if mono_deg(t[-1]) == 0:
-                sign = -1 if (n + 1) % 2 else 1
-                k = src_idx[t[:-1]]
-                for a in range(dm):
-                    sparse_add(cols[k * dm + a], row + a, sign)
-        return cols
-
     def cochain_matrix(self, n, M: LieModule) -> Matrix:
         """delta : C^n(M) -> C^{n+1}(M) as a dense matrix."""
-        return Matrix.from_sparse_cols(self.cochain_cols(n, M), len(self.tuples(n + 1)[0]) * M.dim)
-
-    def ext_dims(self, M: LieModule, upto) -> list:
-        dims = [len(self.tuples(n)[0]) * M.dim for n in range(upto + 2)]
-        return homology_dims(dims, (self.cochain_cols(n, M) for n in range(upto + 1)))[:-1]
+        return cochain_matrix(self, M, n)
 
 
 # ---------------------------------------------------------------------------
@@ -381,27 +395,8 @@ def ce_to_bar_words(ce: CEResolution, upto: int):
     homology.lift with the bar contraction; its words have total PBW
     degree at most n, so the bar model of bound upto holds them.
     """
-    from .homology import lift
-
     unit = mono_one(ce.g.dim)
     return lift(ce, UgBarComplex(ce.g, upto), 0, {(): {(): {unit: 1}}}, upto)
-
-
-def bar_boundary_word_ug(g, w):
-    """b' on a bar word of monomials over U(g)."""
-    n = len(w) - 1
-    out = {}
-    if n == 0:
-        return out
-    for i in range(n):
-        sign = -1 if i % 2 else 1
-        prod = mono_mul(g, w[i], w[i + 1])
-        for m, c in prod.items():
-            sparse_add(out, w[:i] + (m,) + w[i + 2 :], sign * c)
-    if mono_deg(w[n]) == 0:
-        sign = -1 if n % 2 else 1
-        sparse_add(out, w[:-1], sign)
-    return out
 
 
 def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
@@ -412,25 +407,20 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
     along the contraction-built map CE -> bar and reads it on CE
     generators.
     """
-    from .homology import ext as ext_generic, lifted_boundary, pull_cochain
-
     ce = ce_resolution(g, validate=False)
-    bar = UgBarComplex(g, bound)
     lifts = ce_to_bar_words(ce, upto)
-    # verify the comparison is a chain map degree by degree
+    # verify the comparison is a chain map degree by degree, in the model whose window holds it
+    full = UgBarComplex(g, upto)
     for n in range(1, upto + 1):
         prev = list(lifts[n - 1].values())
         for K, col in zip(ce.generators(n), ce.diff_cols(n)):
             words = {(u,) + w: c for w, e in lifts[n][K].items() for u, c in e.items()}
-            bd = sparse_extend(partial(bar_boundary_word_ug, g), words)
-            if bd != lifted_boundary(bar, col, prev, 1):
+            if sparse_extend(full.boundary_word, words) != lifted_boundary(full, col, prev, 1):
                 raise LiftFailedError(f"comparison map fails at degree {n}")
-    ce_dims, bar_dims, bijective, d_in = [], [], [], []
+    bar = UgBarComplex(g, bound)
+    ce_dims, bar_dims, bijective = [], [], []
     for n in range(upto + 1):
-        eg = ext_generic(ce, M, n)
-        d_out = bar.cochain_cols(n, M)
-        bar_h = HomologySpace(len(d_out), sparse_columns(d_out).values(), d_in)
-        d_in = d_out
+        eg, bar_h = ext(ce, M, n), ext(bar, M, n)
         ce_dims.append(eg.dim)
         bar_dims.append(bar_h.dim)
         if eg.dim != bar_h.dim:

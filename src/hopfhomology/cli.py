@@ -15,6 +15,7 @@ import argparse
 import gc
 import json
 import sys
+from functools import partial
 
 from .errors import HopfHomologyError, NotInvertibleError
 from .instances import builtin_instances
@@ -135,39 +136,30 @@ def cmd_ext_tor(args, which):
     resolution = args.resolution
     if resolution is None:
         resolution = "ce" if inst.kind == "lie" else "bar"
-    if inst.kind != "lie" and resolution == "ce":
-        raise _UsageError("the Koszul resolution serves a universal envelope only")
-    mods = inst.modules if which == "ext" else inst.right_modules
-    if inst.kind == "lie" and resolution == "bar":
+    # each branch picks a builder and its window; the module lookup comes before any build
+    if inst.kind != "lie":
+        from .resolutions import bar_resolution
+
+        if resolution == "ce":
+            raise _UsageError("the Koszul resolution serves a universal envelope only")
+        window = args.depth if args.depth is not None else args.max_degree + 1
+        build = partial(bar_resolution, inst.data, window)
+    elif resolution == "bar":
         from .ce import UgBarComplex
 
         if which != "ext":
             raise _UsageError("the truncated bar model over a universal envelope serves ext only")
         if inst.name == "lie-sl2":
             raise _UsageError("lie-sl2 is certified for the Koszul resolution only")
-        M = _module(inst, mods, args.module)
-        dims = UgBarComplex(inst.data, args.pbw_bound).ext_dims(M, args.max_degree)
-        rows = [
-            {"degree": n, "dim": dim, "resolution": "bar", "window": args.pbw_bound}
-            for n, dim in enumerate(dims)
-        ]
-        _emit({"command": which, "instance": inst.name, "module": args.module, "rows": rows})
-        return 0
-    from .homology import ext_dims, tor_dims
-
-    M = _module(inst, mods, args.module)
-    if inst.kind == "lie":
+        build, window = partial(UgBarComplex, inst.data, args.pbw_bound), args.pbw_bound
+    else:
         from .ce import ce_resolution
 
-        res = ce_resolution(inst.data)
-        window = None  # a complete resolution certifies every degree
-    else:
-        from .resolutions import bar_resolution
+        build, window = partial(ce_resolution, inst.data), None  # complete: no window
+    from .homology import ext_dims, tor_dims
 
-        depth = args.depth if args.depth is not None else args.max_degree + 1
-        res = bar_resolution(inst.data, depth)
-        window = depth
-    dims = (ext_dims if which == "ext" else tor_dims)(res, M, args.max_degree)
+    M = _module(inst, inst.modules if which == "ext" else inst.right_modules, args.module)
+    dims = (ext_dims if which == "ext" else tor_dims)(build(), M, args.max_degree)
     rows = [
         {"degree": n, "dim": dim, "resolution": resolution, "window": window}
         for n, dim in enumerate(dims)

@@ -467,12 +467,11 @@ def duality_isomorphism_ug(products, dd: DualityData, M: LieModule, m: int):
     falsify the implementation, not the inputs).
     """
     from .homology import ext, tor
-    from .pbw import tensor_right_lie
 
     res = dd.resolution
     d = dd.dimension
     eg = ext(res, M, m)
-    tm = tensor_right_lie(res.g, M, dd.astar)
+    tm = products.tensor(M, dd.astar, False)
     tg = tor(res, tm, d - m)
     cols = []
     for phi in eg.representatives():

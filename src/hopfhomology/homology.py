@@ -11,10 +11,12 @@ key,) + generator, and act_basis(key, M), the action matrix of a basis
 key.
 As the target of a lifted chain map it provides times(u, v), a
 coefficient of the source differential times one of its own, as
-{basis key: coeff}, and contract(j, words), a preimage under d_j of a
-cycle given as {word: coeff}, as {generator: coefficient}.  Both the
-bar resolution and the Koszul-type resolution of a universal envelope
-satisfy this; the bar model of U(g) is a lift target too.
+{basis key: coeff}, contract(j, words), a preimage under d_j of a cycle
+given as {word: coeff}, as {generator: coefficient}, and lift(src, m,
+values, top), the chain maps over the base values of a degree m class.
+Three resolutions satisfy this: the bar resolution over a finite
+dimensional U, the Koszul resolution of a universal envelope and,
+without diagonal and lift, the degree-truncated bar model of U(g).
 
 Ext^n(A, M) is the cohomology of M^{rank(0)} -> M^{rank(1)} -> ..,
 Tor_n(N, A) the homology of .. -> N^{rank(1)} -> N^{rank(0)}.  One

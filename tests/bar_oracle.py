@@ -6,12 +6,17 @@ keeps every word, on the catalog's own tail table data.tails_l, and
 rebuilds every face from scratch with nothing cached.  By the
 Eilenberg-Mac Lane normalization theorem both compute the same Ext and
 Tor, which is what the tests check.
+
+reference_ug_cochain_cols writes the cochain differential of the
+degree-truncated bar model of U(g) straight from its faces, without the
+model's generator differential.
 """
 
 from itertools import product as iproduct
 
 from hopfhomology.bialgebroid import _expand_table
 from hopfhomology.linalg import sparse_extend, unit_vec
+from hopfhomology.pbw import mono_deg, mono_mul
 from hopfhomology.resolutions import BarResolution
 
 
@@ -98,6 +103,44 @@ def reference_boundary_word(bar, w):
         for w2, c in reference_renorm(bar, w[:n], n - 1, target).items():
             _add(out, w2, (-1) ** n * c)
     return out
+
+
+def reference_ug_cochain_cols(bar, n, M):
+    """Sparse columns of delta : C^n(M) -> C^{n+1}(M) of a ce.UgBarComplex, from the bar faces.
+
+    Each tuple t of n + 1 monomials writes its rows of every column
+    directly: t_1 acts on phi(t_2 ..), the inner faces multiply
+    neighbours, and the counit face kills positive degree in the last
+    slot.  The model's diff_cols is not read.
+    """
+    g = bar.g
+    dm = M.dim
+    src, src_idx = bar.tuples(n)
+    dst, _ = bar.tuples(n + 1)
+    cols = [dict() for _ in range(len(src) * dm)]
+    for ti, t in enumerate(dst):
+        row = ti * dm
+        # u_1 . phi(u_2 ..)
+        act = M.act_mono(t[0])
+        k = src_idx[t[1:]]
+        for a in range(dm):
+            for b, c in enumerate(act.rows[a]):
+                if c:
+                    _add(cols[k * dm + b], row + a, c)
+        # inner faces
+        for i in range(1, n + 1):
+            sign = -1 if i % 2 else 1
+            for m, c in mono_mul(g, t[i - 1], t[i]).items():
+                k = src_idx[t[: i - 1] + (m,) + t[i + 1 :]]
+                for a in range(dm):
+                    _add(cols[k * dm + a], row + a, sign * c)
+        # counit face kills positive degree in the last slot
+        if mono_deg(t[-1]) == 0:
+            sign = -1 if (n + 1) % 2 else 1
+            k = src_idx[t[:-1]]
+            for a in range(dm):
+                _add(cols[k * dm + a], row + a, sign)
+    return cols
 
 
 class UnnormalizedBar(BarResolution):

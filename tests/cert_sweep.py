@@ -28,6 +28,7 @@ TIMEOUT_S = 300
 
 ALGEBRAS = "src/hopfhomology/algebras.py"
 BIALGEBROID = "src/hopfhomology/bialgebroid.py"
+CE = "src/hopfhomology/ce.py"
 CLI = "src/hopfhomology/cli.py"
 DUALITY = "src/hopfhomology/duality.py"
 COMPLEXES = "src/hopfhomology/complexes.py"
@@ -35,6 +36,7 @@ LINALG = "src/hopfhomology/linalg.py"
 ORACLES = "src/hopfhomology/oracles.py"
 ERRORS = "src/hopfhomology/errors.py"
 PBW = "src/hopfhomology/pbw.py"
+PRODUCTS = "src/hopfhomology/products.py"
 RESOLUTIONS = "src/hopfhomology/resolutions.py"
 UG_HOPF_KEYS = ["translation_1", "translation_2", "counit_laws", "coassociative",
                 "delta_multiplicative", "translation_multiplicative"]
@@ -90,6 +92,12 @@ MUTANTS = [
      "[a - b for a, b in zip(f, data.eta_target(data.counit(f)))]", "list(f)"),
     ("tail homotopy cached on t only", RESOLUTIONS,
      "key = (t, p)", "key = t"),
+    # the U(g) bar model's one face writer, and the lift every class goes through
+    ("bar-model face 0 drops its monomial", CE, "{t[0]: 1}", "{unit: 1}"),
+    ("bar-model counit face on every tuple", CE, "if mono_deg(t[-1]) == 0:", "if True:"),
+    ("CE lift bottom ignores the class", CE, "{unit: a[0]}", "{unit: 1}"),
+    ("class lifts one degree short", PRODUCTS,
+     "values, self.top - m)", "values, self.top - m - 1)"),
     # the Alexander-Whitney diagonal, its front leg built by the homotopy
     ("diagonal back factor reversed", RESOLUTIONS,
      "self.U.product(q, b)", "self.U.product(b, q)"),

@@ -7,7 +7,7 @@ from itertools import chain
 
 import pytest
 
-from hopfhomology import ce, complexes, homology, linalg
+from hopfhomology import complexes, homology, linalg
 from hopfhomology.cli import run
 from hopfhomology.complexes import HomologySpace, homology_dims
 from hopfhomology.errors import ValidationError
@@ -197,7 +197,6 @@ def test_catalog_ranks_match_the_certified_rank(argv, monkeypatch):
         return homology_dims(dims, maps)
 
     monkeypatch.setattr(homology, "homology_dims", recording)
-    monkeypatch.setattr(ce, "homology_dims", recording)
     with redirect_stdout(io.StringIO()):
         assert run(argv) == 0
     assert len(seen) == 1

@@ -307,14 +307,24 @@ class UgBarComplex:
         self._action_cache = {}
 
     def tuples(self, n):
-        """The sorted tuples of n monomials of total degree <= bound, and their index."""
-        if n not in self._tuples:
-            monos = [(m, mono_deg(m)) for m in monomials_upto(self.g.dim, self.bound)]
-            out = [((), 0)]
-            for _ in range(n):
-                out = [(t + (m,), d + e) for t, d in out for m, e in monos if d + e <= self.bound]
-            out = sorted(t for t, _ in out)
-            self._tuples[n] = (out, {t: k for k, t in enumerate(out)})
+        if n in self._tuples:
+            return self._tuples[n]
+        monos = monomials_upto(self.g.dim, self.bound)
+        out = []
+
+        def rec(prefix, rest, budget):
+            if rest == 0:
+                out.append(tuple(prefix))
+                return
+            for m in monos:
+                d = mono_deg(m)
+                if d <= budget:
+                    rec(prefix + [m], rest - 1, budget - d)
+
+        rec([], n, self.bound)
+        out.sort()
+        idx = {t: k for k, t in enumerate(out)}
+        self._tuples[n] = (out, idx)
         return self._tuples[n]
 
     def rank(self, n):
@@ -327,7 +337,7 @@ class UgBarComplex:
         """Index of a tuple of n monomials; the window must hold it."""
         k = self.tuples(n)[1].get(tail)
         if k is None:
-            raise WindowExceededError("a tuple leaves the truncation window")
+            raise WindowExceededError("comparison image leaves the truncation window")
         return k
 
     def diff_cols(self, n):
@@ -340,8 +350,8 @@ class UgBarComplex:
         if n in self._diff_cols:
             return self._diff_cols[n]
         g, unit, cols = self.g, mono_one(self.g.dim), []
-        below = self.tuples(n - 1)[1]
-        for t in self.tuples(n)[0] if n >= 1 else ():
+        below = self.tuples(n - 1)[1] if n else {}
+        for t in self.tuples(n)[0] if n else ():
             col = {below[t[1:]]: {t[0]: 1}}
             for i in range(1, n):
                 for m, c in mono_mul(g, t[i - 1], t[i]).items():
@@ -388,15 +398,15 @@ class UgBarComplex:
 # comparison CE -> bar over U(g) via the bar contraction
 
 
-def ce_to_bar_words(ce: CEResolution, upto: int):
+def ce_to_bar_words(ce: CEResolution, bar: UgBarComplex):
     """The comparison CE -> bar over U(g), as a lift pull_cochain reads.
 
     Degree n sends e_K to {tail: PBW coefficient of slot 0}, built by
-    homology.lift with the bar contraction; its words have total PBW
-    degree at most n, so the bar model of bound upto holds them.
+    homology.lift with the bar contraction for n <= bar.bound; its words
+    have total PBW degree at most n, so the model bar holds them.
     """
     unit = mono_one(ce.g.dim)
-    return lift(ce, UgBarComplex(ce.g, upto), 0, {(): {(): {unit: 1}}}, upto)
+    return lift(ce, bar, 0, {(): {(): {unit: 1}}}, bar.bound)
 
 
 def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
@@ -408,16 +418,16 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
     generators.
     """
     ce = ce_resolution(g, validate=False)
-    lifts = ce_to_bar_words(ce, upto)
-    # verify the comparison is a chain map degree by degree, in the model whose window holds it
-    full = UgBarComplex(g, upto)
+    full = UgBarComplex(g, upto)  # its window holds the lifted words
+    lifts = ce_to_bar_words(ce, full)
+    # verify the comparison is a chain map degree by degree
     for n in range(1, upto + 1):
         prev = list(lifts[n - 1].values())
         for K, col in zip(ce.generators(n), ce.diff_cols(n)):
             words = {(u,) + w: c for w, e in lifts[n][K].items() for u, c in e.items()}
             if sparse_extend(full.boundary_word, words) != lifted_boundary(full, col, prev, 1):
                 raise LiftFailedError(f"comparison map fails at degree {n}")
-    bar = UgBarComplex(g, bound)
+    bar = full if bound == upto else UgBarComplex(g, bound)
     ce_dims, bar_dims, bijective = [], [], []
     for n in range(upto + 1):
         eg, bar_h = ext(ce, M, n), ext(bar, M, n)

@@ -7,16 +7,16 @@ uses), act_left(entry, M) returning the action matrix of an entry on
 a module of either side, and max_degree.  For products it also
 provides diagonal(K, i), the P_i (x) P_(n-i) part of a diagonal on the
 generator K as {(front word, back word): coeff} with each word (basis
-key,) + generator, and act_basis(key, M), the action matrix of a basis
-key.
+key,) + generator, act_basis(key, M), the action matrix of a basis
+key, and lift(src, m, values, top), the chain maps over the base
+values of a degree m class.
 As the target of a lifted chain map it provides times(u, v), a
 coefficient of the source differential times one of its own, as
-{basis key: coeff}, contract(j, words), a preimage under d_j of a cycle
-given as {word: coeff}, as {generator: coefficient}, and lift(src, m,
-values, top), the chain maps over the base values of a degree m class.
-Three resolutions satisfy this: the bar resolution over a finite
-dimensional U, the Koszul resolution of a universal envelope and,
-without diagonal and lift, the degree-truncated bar model of U(g).
+{basis key: coeff}, and contract(j, words), a preimage under d_j of a
+cycle given as {word: coeff}, as {generator: coefficient}.  The bar
+resolution over a finite dimensional U and the Koszul resolution of a
+universal envelope provide all of this; the degree-truncated bar model
+of U(g) all but diagonal, act_basis and lift.
 
 Ext^n(A, M) is the cohomology of M^{rank(0)} -> M^{rank(1)} -> ..,
 Tor_n(N, A) the homology of .. -> N^{rank(1)} -> N^{rank(0)}.  One

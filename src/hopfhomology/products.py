@@ -1,29 +1,22 @@
 """Cup, composition, evaluation and cap products at chain level.
 
 One class, Products, holds the one body of each product and its window
-checks, over any resolution with a diagonal and a lift: the bar
-resolution over a finite dimensional U and the Koszul resolution of a
-universal envelope.  Cup and cap (homology.cup_cochain,
-homology.cap_chain) evaluate a closed-form diagonal on free generators:
-the Alexander-Whitney one built from the coproduct
-(BarResolution.diagonal) and the subset-splitting comultiplication
-(CEResolution.diagonal).  A class phi of degree m lifts, through the
-resolution's lift(src, m, values, top), to chain maps f_j : P_(m+j) ->
-P_j, stored per degree as {source generator: {target generator:
-coefficient}} with each coefficient in its resolution's own form
-(U-coordinates on the bar side, a PBW dict over U(g)); homology.lift
-builds them on both sides through the resolution's contraction,
-homology.pull_cochain composes a cochain with such a map and
-homology.push_chain evaluates a chain along it.
-Each context supplies only what differs: BarProducts the tensor modules
-over A (bialgebroid.module_tensor_left and module_tensor_right, read
-through their quotient presentation) and the dimension of A, in which a
-class takes its values, CEProducts the Lie tensor modules, which are
-M (x) N itself, and the ground field as that base.  Signs flow from two conventions fixed
-elsewhere: the totalization sign (-1)^(horizontal degree) and the shift
-sign (-1)^m on a lifted degree m class; cap_chain reads a degree m
-cochain past the front leg with the Koszul sign and cup_cochain reads
-its cochains with none, so cup and cap associate only up to sign:
+checks, over the bar resolution of a finite dimensional U and the
+Koszul resolution of a universal envelope.  Cup and cap
+(homology.cup_cochain, homology.cap_chain) evaluate the resolution's
+closed-form diagonal on free generators; composition and evaluation
+(homology.pull_cochain, homology.push_chain) read a degree m class
+through the chain maps f_j : P_(m+j) -> P_j that the resolution's
+lift(src, m, values, top) builds through its contraction.  Each context
+supplies only what differs: BarProducts the tensor modules over A
+(bialgebroid.module_tensor_left and module_tensor_right) and A as the
+base of a class's values, CEProducts the Lie tensor modules, which are
+M (x) N itself, and the ground field as that base.
+Signs flow from two conventions fixed elsewhere: the totalization sign
+(-1)^(horizontal degree) and the shift sign (-1)^m on a lifted degree m
+class; cap_chain reads a degree m cochain past the front leg with the
+Koszul sign and cup_cochain reads its cochains with none, so cup and cap
+associate only up to sign:
 (phi cup psi) cap z = (-1)^(mq) phi cap (psi cap z) in degrees m and q
 (tests/test_products.py::test_cap_associates_with_cup_on_sweedler).
 The graded commutation rule between composition and cup, and the
@@ -42,7 +35,6 @@ from .linalg import Matrix
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .ce import CEResolution
-    from .pbw import LieModule
     from .resolutions import BarResolution
 
 
@@ -126,10 +118,9 @@ class Products:
 
     def _tensor_parts(self, M, N, left):
         """_build_tensor(M, N, left), built once per pair."""
-        key = (M, N, left)
-        if key not in self._tensor_cache:
-            self._tensor_cache[key] = self._build_tensor(M, N, left)
-        return self._tensor_cache[key]
+        if (M, N, left) not in self._tensor_cache:
+            self._tensor_cache[M, N, left] = self._build_tensor(M, N, left)
+        return self._tensor_cache[M, N, left]
 
 
 class BarProducts(Products):
@@ -157,7 +148,7 @@ class CEProducts(Products):
     def __init__(self, ce: CEResolution):
         super().__init__(ce, ce.max_degree, ce.g.dim)
 
-    def _build_tensor(self, M: LieModule, N: LieModule, left):
+    def _build_tensor(self, M, N, left):
         from .pbw import tensor_left_lie, tensor_right_lie
 
         # the Lie tensor module is M (x) N itself: list is its projection

@@ -98,8 +98,8 @@ def test_adjoint_coefficients_match_oracle():
 def test_comparison_map_is_chain_map():
     g = lie_nonabelian2()
     res = ce_resolution(g, validate=False)
-    images = ce_to_bar_words(res, 2)
     bar = UgBarComplex(g, 2)
+    images = ce_to_bar_words(res, bar)
     for n in (1, 2):
         for K in res.generators(n):
             # each image as bar words, slot 0 the PBW monomial of its coefficient

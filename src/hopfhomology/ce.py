@@ -164,17 +164,10 @@ class CEResolution:
         return lift(src, self, m, bottom, top)
 
     def _check_square_zero(self):
-        g = self.g
-        for n in range(2, g.dim + 1):
-            outer = self.diff_cols(n - 1)
+        for n in range(2, self.g.dim + 1):
+            outer = [{(i2,): entry for i2, entry in col.items()} for col in self.diff_cols(n - 1)]
             for j, col in enumerate(self.diff_cols(n)):
-                acc = {}
-                for i, entry in col.items():
-                    for i2, entry2 in outer[i].items():
-                        prod = pbw_multiply(g, entry, entry2)
-                        for m, c in prod.items():
-                            sparse_add(acc, (i2, m), c)
-                if acc:
+                if lifted_boundary(self, col, outer, 1):
                     raise ValidationError(f"d d != 0 at degree {n}, generator {j}")
 
     # -- the subset-splitting comultiplication ---------------------------

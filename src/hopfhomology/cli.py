@@ -15,7 +15,7 @@ import argparse
 import gc
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .errors import HopfHomologyError, NotInvertibleError
 from .instances import builtin_instances
@@ -225,18 +225,19 @@ def cmd_cap(args):
 
     res = ce_resolution(inst.data)
     pr = CEProducts(res)
+    tor_of = cache(partial(tor, res))  # one Tor group per (module, degree)
     triv, trivr = inst.modules["trivial"], inst.right_modules["trivial"]
     tables = []
     for m in range(args.max_degree + 1):
         eg = ext(res, triv, m)
         for n in range(m, args.max_degree + 1):
-            tg = tor(res, trivr, n)
+            tg = tor_of(trivr, n)
             table = []
             for phi in eg.representatives():
                 row = []
                 for z in tg.representatives():
                     c, tm = pr.cap(m, phi, z, n, triv, trivr)
-                    out = tor(res, tm, n - m)
+                    out = tor_of(tm, n - m)
                     row.append([frac_str(x) for x in out.class_of(c)])
                 table.append(row)
             tables.append({"op": "cap", "m": m, "n": n, "table": table})

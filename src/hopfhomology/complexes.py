@@ -19,7 +19,7 @@ from itertools import chain
 
 from .errors import ValidationError
 from .linalg import (QuotientSpace, Subspace, _dense_rows, _eliminate, _first_echelon,
-                     _integer_combination, _integer_row, sparse_kernel)
+                     sparse_extend, sparse_kernel)
 
 
 def homology_dims(dims, maps):
@@ -32,8 +32,10 @@ def homology_dims(dims, maps):
     The maps are walked once and may come from a generator: each is
     dropped once walked, and its kept columns once the next map is
     checked unless the fallback needs them.  Each map must kill the kept
-    columns of the map before it, checked in integers; once that map has
-    passed its own check they span its image, so d d = 0 holds in full.
+    columns of the map before it, checked exactly by sparse_extend over
+    its columns (an index past the end of the map reads as zero); once
+    that map has passed its own check they span its image, so d d = 0
+    holds in full.
     Then the columns at the pivots of the echelon mod p of the map
     before are dropped ("clearing": Chen and Kerber, "Persistent
     homology computation with a twist", 2011; Bauer, "Ripser", J. Appl.
@@ -54,12 +56,10 @@ def homology_dims(dims, maps):
     ranks, passes, kept, pivots = [0], {}, [], set()
     for cols in chain(maps, [[]]):
         k = len(ranks)
-        inner = {j: _integer_row(col) for j, col in enumerate(cols) if col}
-        for col in kept:
-            if any(_integer_combination(_integer_row(col)[1], inner)[1].values()):
-                raise ValidationError(f"d d != 0 from position {k - 2} to {k}")
+        if any(sparse_extend(lambda j: cols[j] if j < len(cols) else {}, col) for col in kept):
+            raise ValidationError(f"d d != 0 from position {k - 2} to {k}")
         kept = [col for j, col in enumerate(cols) if col and j not in pivots]
-        del cols, inner  # the next map is built while the loop still names this one
+        del cols  # the next map is built while the loop still names this one
         passes[k] = kept, _first_echelon(kept)
         pivots = {c for c, _ in passes[k][1][1]}
         ranks.append(len(pivots))

@@ -434,26 +434,17 @@ def _repad(row, keys, dst: BoundedBasis):
 def delta_chain_check_ug(dd: DualityData, Mr: LieModule) -> bool:
     """Tor-side and dualized-hom-side differentials agree for Mr.
 
-    Both are block matrices of right actions; one is assembled from the
-    original generator matrix, the other from the transposed dual
-    columns, so equality exercises the dualization plumbing.
+    Both are read as sparse blocks {(p, q): right action of the entry}:
+    the Tor side off the generator columns (entry at row p of column q),
+    the hom side off the dual columns (entry at column q of row p), so
+    equality exercises the dualization plumbing.
     """
-    from .homology import chain_matrix
-
     res = dd.resolution
     for i in range(1, dd.dimension + 1):
-        tor_side = chain_matrix(res, Mr, i)
-        dn = Mr.dim
-        rows = res.rank(i - 1) * dn
-        cols = res.rank(i) * dn
-        hom_side = Matrix.zeros(rows, cols)
-        for p, col in enumerate(dd.dual_cols[i]):
-            for q, entry in col.items():
-                act = Mr.act(entry)
-                for a in range(dn):
-                    for b in range(dn):
-                        if act.rows[a][b]:
-                            hom_side.rows[p * dn + a][q * dn + b] += act.rows[a][b]
+        tor_side = {(p, q): Mr.act(entry)
+                    for q, col in enumerate(res.diff_cols(i)) for p, entry in col.items()}
+        hom_side = {(p, q): Mr.act(entry)
+                    for p, row in enumerate(dd.dual_cols[i]) for q, entry in row.items()}
         if tor_side != hom_side:
             return False
     return True

@@ -452,9 +452,10 @@ def induced_map(image, source: QuotientSpace, target: QuotientSpace) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # sparse vectors: dict {key: int or Fraction} holding no zero values.  Every
-# sparse accumulation in the package goes through sparse_add, and every
-# elimination, dense Matrix.rref included, runs on sparse rows in
-# _eliminate: the coboundary matrices of bar complexes are about 1% full.
+# sparse accumulation in the package goes through sparse_add or sparse_axpy
+# (which inlines it per term), and every elimination, dense Matrix.rref
+# included, runs on sparse rows in _eliminate: the coboundary matrices of
+# bar complexes are about 1% full.
 
 
 def sparse_add(target, key, c):
@@ -471,7 +472,11 @@ def sparse_axpy(target, c, source):
     if not c:
         return target
     for j, a in source.items():
-        sparse_add(target, j, c * a)
+        s = target.get(j, 0) + c * a
+        if s:
+            target[j] = s
+        else:
+            target.pop(j, None)
     return target
 
 
@@ -711,23 +716,6 @@ def _integer_row(row):
     return m, {j: a.numerator * (m // a.denominator) for j, a in row.items()}
 
 
-def _integer_combination(row, scaled):
-    """(m, m times the sum of row[j] * R_j over the j of row in scaled), in integers.
-
-    row holds integers; scaled maps j to (L_j, L_j * R_j) as _integer_row
-    returns them, and m is the lcm of the L_j that the sum uses.
-    """
-    m = lcm(*[scaled[j][0] for j in row if j in scaled])
-    acc = {}
-    for j, c in row.items():
-        s = scaled.get(j)
-        if s is not None:
-            f = c if m == 1 else c * (m // s[0])
-            for k, b in s[1].items():
-                acc[k] = acc.get(k, 0) + f * b
-    return m, acc
-
-
 def _certify(rows, reduced):
     """True iff every row equals the sum over k of row[p_k] * R_k, exactly.
 
@@ -740,10 +728,16 @@ def _certify(rows, reduced):
     scaled = {c: _integer_row(tail) for c, tail in reduced}
     for row in rows:
         a = _integer_row(row)[1]
-        m, acc = _integer_combination(a, scaled)
-        for j, v in a.items():
-            if j not in scaled:
-                acc[j] = acc.get(j, 0) - m * v
+        m = lcm(*[scaled[j][0] for j in a if j in scaled])
+        acc = {}
+        for j, c in a.items():
+            s = scaled.get(j)
+            if s is None:
+                acc[j] = acc.get(j, 0) - m * c
+            else:
+                f = c if m == 1 else c * (m // s[0])
+                for k, b in s[1].items():
+                    acc[k] = acc.get(k, 0) + f * b
         if any(acc.values()):
             return False
     return True

@@ -63,13 +63,17 @@ MUTANTS = [
      "{k: w * c for k, c in unit.items() if w}", "{k: -w * c for k, c in unit.items() if w}"),
     ("double dual against the dualizing twist", DUALITY,
      'top_class("right", [0] * d)', 'top_class("right", weights)'),
+    # the dualized differential against the generator one
+    ("delta chain check reads the dual side twice", DUALITY,
+     "for q, col in enumerate(res.diff_cols(i)) for p, entry in col.items()}",
+     "for p, col in enumerate(dd.dual_cols[i]) for q, entry in col.items()}"),
     # homology_dims: exactness, d d = 0 and clearing
     ("homology_dims exactness at most", COMPLEXES,
      "if ranks[k - 1] + ranks[k] == dims[k - 1]:", "if ranks[k - 1] + ranks[k] <= dims[k - 1]:"),
     ("homology_dims d d check off", COMPLEXES,
-     "if any(_integer_combination(", "if False and any(_integer_combination("),
+     "if any(sparse_extend(", "if False and any(sparse_extend("),
     ("homology_dims d d check on the first kept column", COMPLEXES,
-     "for col in kept:", "for col in kept[:1]:"),
+     "col) for col in kept):", "col) for col in kept[:1]):"),
     ("homology_dims clearing set shifted", COMPLEXES,
      "pivots = {c for c, _ in passes[k][1][1]}", "pivots = {c + 1 for c, _ in passes[k][1][1]}"),
     ("HomologySpace image cycle check off", COMPLEXES,
@@ -96,6 +100,8 @@ MUTANTS = [
     ("bar-model face 0 drops its monomial", CE, "{t[0]: 1}", "{unit: 1}"),
     ("bar-model counit face on every tuple", CE, "if mono_deg(t[-1]) == 0:", "if True:"),
     ("CE lift bottom ignores the class", CE, "{unit: a[0]}", "{unit: 1}"),
+    ("CE d d check off", CE,
+     "if lifted_boundary(self, col, outer, 1):", "if False and lifted_boundary(self, col, outer, 1):"),
     ("class lifts one degree short", PRODUCTS,
      "values, self.top - m)", "values, self.top - m - 1)"),
     # the Alexander-Whitney diagonal, its front leg built by the homotopy

@@ -16,7 +16,8 @@ from hopfhomology.homology import cochain_cols, ext, ext_dims, tor
 from hopfhomology.instances import lie_abelian, lie_nonabelian2, lie_sl2
 from hopfhomology.oracles import lie_chain_matrix, lie_cohomology_dims, lie_homology_dims
 from hopfhomology.homology import chain_matrix
-from hopfhomology.pbw import LieModule, monomials_upto, mono_deg, pbw_multiply
+from hopfhomology.errors import ValidationError
+from hopfhomology.pbw import LieAlgebraData, LieModule, monomials_upto, mono_deg, pbw_multiply
 from hopfhomology.products import CEProducts
 
 
@@ -53,6 +54,16 @@ def test_nonabelian_differential_includes_bracket_term():
 
 def test_square_zero_verified_for_sl2():
     ce_resolution(lie_sl2())  # validation raises on failure
+
+
+def test_square_zero_check_rejects_a_bracket_without_jacobi():
+    # [x0,x1] = x2, [x1,x2] = x0, [x2,x0] = x0: antisymmetric, but Jacobi fails at (0,1,2)
+    br = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 0)):
+        br[i][j][k], br[j][i][k] = 1, -1
+    g = LieAlgebraData(3, br, validate=False)
+    with pytest.raises(ValidationError, match="d d != 0"):
+        CEResolution(g)
 
 
 def test_diagonal_is_chain_map_on_all_instances():

@@ -98,6 +98,22 @@ def test_cap_table_lie(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("name, degree, pairs", [("lie-sl2", 3, 6), ("lie-nonabelian2", 2, 5)])
+def test_cap_table_builds_each_tor_group_once(name, degree, pairs, monkeypatch, capsys):
+    from hopfhomology import homology
+
+    tor, built = homology.tor, []
+
+    def counted(res, N, n):
+        built.append((id(N), n))
+        return tor(res, N, n)
+
+    monkeypatch.setattr(homology, "tor", counted)
+    code, _ = run_capture(["cap", name, "--max-degree", str(degree)], capsys)
+    assert code == 0
+    assert len(built) == len(set(built)) == pairs
+
+
 def test_duality_nonabelian(capsys):
     code, out = run_capture(["duality", "lie-nonabelian2", "--module", "trivial"], capsys)
     assert code == 0

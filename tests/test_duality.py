@@ -26,11 +26,12 @@ from hopfhomology.instances import (
     cyclic_group_algebra,
     lie_abelian,
     lie_nonabelian2,
+    lie_sl2,
     s3_modules,
 )
-from hopfhomology.linalg import Matrix, modular_rank
+from hopfhomology.linalg import Matrix, modular_rank, sparse_axpy
 from hopfhomology.oracles import lie_cohomology_dims, lie_homology_dims
-from hopfhomology.pbw import LieAlgebraData, LieModule, tensor_right_lie
+from hopfhomology.pbw import LieAlgebraData, LieModule, mono_one, tensor_right_lie
 from hopfhomology.products import CEProducts
 
 
@@ -249,6 +250,21 @@ def test_delta_chain_check(qs3):
         dd = detect_duality_ug(g, bound=3)
         assert delta_chain_check_ug(dd, LieModule.trivial(g, side="right"))
         assert delta_chain_check_ug(dd, dd.astar)
+
+
+def test_delta_chain_check_sees_one_corrupted_dual_entry():
+    # both sides must be read: a check that reads either side twice passes here
+    g = lie_sl2()
+    dd = detect_duality_ug(g, bound=3)
+    for Mr in (LieModule.trivial(g, side="right"), dd.astar):
+        assert delta_chain_check_ug(dd, Mr)
+    cols = [dict(col) for col in dd.dual_cols[2]]
+    p, col = next((p, col) for p, col in enumerate(cols) if col)
+    q = next(iter(col))
+    col[q] = sparse_axpy(dict(col[q]), 1, {mono_one(g.dim): 1})  # acts as entry + 1
+    dd.dual_cols = {**dd.dual_cols, 2: cols}
+    for Mr in (LieModule.trivial(g, side="right"), dd.astar):
+        assert not delta_chain_check_ug(dd, Mr)
 
 
 def test_fundamental_class_is_nontrivial_cycle():

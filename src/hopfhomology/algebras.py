@@ -22,6 +22,7 @@ from .linalg import (
     frac_str,
     induced_map,
     lincomb,
+    memoized,
     sparse_add,
     sparse_kernel,
     unit_vec,
@@ -40,9 +41,6 @@ class FinDimAlgebra:
         # mult[i][j] is the coordinate vector of b_i * b_j
         self.mult = [[[frac(x) for x in mult[i][j]] for j in range(dim)] for i in range(dim)]
         self.unit = [frac(x) for x in unit]
-        self._left_mult = None
-        self._right_mult = None
-        self._product = {}
         if validate:
             self._validate()
 
@@ -84,30 +82,25 @@ class FinDimAlgebra:
                         out[k] += c * s
         return out
 
+    @memoized
     def product(self, i, j):
-        """b_i b_j as a sparse dict {k: coeff}, cached; callers must not mutate it."""
-        out = self._product.get((i, j))
-        if out is None:
-            out = self._product[i, j] = _sparse(self.mult[i][j])
-        return out
+        """b_i b_j as a sparse dict {k: coeff}."""
+        return _sparse(self.mult[i][j])
 
     def left_mult_matrix(self, u):
         """Matrix of v -> u v."""
-        if self._left_mult is None:
-            self._left_mult = [
-                Matrix.from_cols([self.mult[i][j] for j in range(self.dim)], nrows=self.dim)
-                for i in range(self.dim)
-            ]
-        return lincomb(zip(u, self._left_mult), self.dim, self.dim)
+        return lincomb(zip(u, self._mult_matrices(True)), self.dim, self.dim)
 
     def right_mult_matrix(self, u):
         """Matrix of v -> v u."""
-        if self._right_mult is None:
-            self._right_mult = [
-                Matrix.from_cols([self.mult[i][j] for i in range(self.dim)], nrows=self.dim)
-                for j in range(self.dim)
-            ]
-        return lincomb(zip(u, self._right_mult), self.dim, self.dim)
+        return lincomb(zip(u, self._mult_matrices(False)), self.dim, self.dim)
+
+    @memoized
+    def _mult_matrices(self, left):
+        """Multiplication by each basis element b_i, from the left or from the right."""
+        n = self.dim
+        return [Matrix.from_cols([self.mult[i][j] if left else self.mult[j][i] for j in range(n)], nrows=n)
+                for i in range(n)]
 
     def enveloping(self):
         """A tensor A^op with basis b_i (x) b_j ordered lexicographically."""

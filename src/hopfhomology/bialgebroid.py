@@ -57,6 +57,7 @@ from .linalg import (
     add_outer,
     coassociators,
     lincomb,
+    memoized,
     pair_compose,
     pair_product,
     sparse_add,
@@ -185,41 +186,35 @@ class BialgebroidData:
 
     # -- spaces -------------------------------------------------------
 
+    @memoized
     def triple_a_space(self):
         """U (x)_A U (x)_A U: the A glue between slots 0 and 1 and between 1 and 2."""
-        if not hasattr(self, "_triple_a"):
-            self._triple_a = balanced_tensor((self.U.dim,) * 3, [(0, 1, self._a_glue), (1, 2, self._a_glue)])
-        return self._triple_a
+        return balanced_tensor((self.U.dim,) * 3, [(0, 1, self._a_glue), (1, 2, self._a_glue)])
 
+    @memoized
     def translation_triple_space(self):
         """Triple with the Aop glue between slots 0 and 2, the A glue between 1 and 2.
 
         a |>> u (x) v (x) w ~ u (x) v (x) w <| a skips the middle slot;
         u (x) v <| a (x) w ~ u (x) v (x) a |> w.
         """
-        if not hasattr(self, "_triple_mixed"):
-            self._triple_mixed = balanced_tensor(
-                (self.U.dim,) * 3, [(0, 2, self._aop_glue), (1, 2, self._a_glue)]
-            )
-        return self._triple_mixed
+        return balanced_tensor((self.U.dim,) * 3, [(0, 2, self._aop_glue), (1, 2, self._a_glue)])
 
     # -- coproduct helpers ---------------------------------------------
 
+    @memoized
     def takeuchi_centralizer(self) -> Subspace:
         """The subspace of U (x)_A U where the outer base actions agree.
 
         Computed once as the kernel of the stacked centrality system;
         membership of a coproduct value is then a subspace solve.
         """
-        if not hasattr(self, "_centralizer_a"):
-            self._centralizer_a = self._centralizer(self.uau, self.bl_l, self.bl_r)
-        return self._centralizer_a
+        return self._centralizer(self.uau, self.bl_l, self.bl_r)
 
+    @memoized
     def aop_centralizer(self) -> Subspace:
         """Same centre condition inside U (x)_Aop U (for the translation map)."""
-        if not hasattr(self, "_centralizer_aop"):
-            self._centralizer_aop = self._centralizer(self.uaopu, self.tri_r, self.bl_l)
-        return self._centralizer_aop
+        return self._centralizer(self.uaopu, self.tri_r, self.bl_l)
 
     def _centralizer(self, space, first_family, second_family):
         """The common kernel on space of f (x) 1 - 1 (x) s over the pairs (f, s) of the families."""
@@ -236,11 +231,10 @@ class BialgebroidData:
     def counit(self, u):
         return self.eps.apply(u)
 
+    @memoized
     def a_module(self):
         """A as a left U-module through eps_hat."""
-        if not hasattr(self, "_a_module"):
-            self._a_module = ModuleRep(self.U, self.A.dim, "left", self.eps_hat)
-        return self._a_module
+        return ModuleRep(self.U, self.A.dim, "left", self.eps_hat)
 
     def to_json(self):
         """Serialise U, A, eta, the coproduct lift, eps_hat and the <| tails.

@@ -19,8 +19,8 @@ The same file holds the degree-truncated bar model of U(g): generators
 are tuples of PBW monomials of bounded total degree, and its
 differential is b' on them.  Multiplication never raises PBW degree, so
 the cochains on these tuples are an honest quotient complex, which the
-Ext builder of homology reads as it reads any resolution; the certified
-window of any number computed from it carries the bound used.
+Ext builder of homology reads as it reads any resolution; it certifies
+Ext in degrees below the bound used.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from math import comb
 
 from .errors import LiftFailedError, ValidationError, WindowExceededError
 from .homology import cochain_matrix, ext, lift, lifted_boundary, pull_cochain
-from .linalg import Matrix, _sparse, frac, sparse_add, sparse_axpy, sparse_extend, sparse_rank
+from .linalg import Matrix, _sparse, frac, memoized, sparse_add, sparse_axpy, sparse_extend, sparse_rank
 from .pbw import (
     LieAlgebraData,
     LieModule,
@@ -68,7 +68,6 @@ class CEResolution:
         self._gen_index = {
             n: {s: k for k, s in enumerate(self._gens[n])} for n in range(g.dim + 1)
         }
-        self._diff_cols = {}
         if validate:
             self._check_square_zero()
 
@@ -83,12 +82,10 @@ class CEResolution:
     def gen_index(self, n, s):
         return self._gen_index[n][s]
 
+    @memoized
     def diff_cols(self, n):
         """Columns of d_n : P_n -> P_{n-1}; entries are PBW dicts."""
-        if n in self._diff_cols:
-            return self._diff_cols[n]
         if not (1 <= n <= self.g.dim):
-            self._diff_cols[n] = []
             return []
         g = self.g
         cols = []
@@ -113,7 +110,6 @@ class CEResolution:
                         entry = col.setdefault(k, {})
                         sparse_add(entry, mono_one(g.dim), base_sign * c * ins)
             cols.append({k: e for k, e in col.items() if e})
-        self._diff_cols[n] = cols
         return cols
 
     def act_left(self, entry, M: LieModule):
@@ -288,20 +284,18 @@ class UgBarComplex:
     degree <= bound, and diff_cols is the bar boundary on them.
     Multiplication in U(g) never raises total degree, so the cochains on
     these tuples are a genuine quotient complex of the full bar cochain
-    complex; the bound, not max_degree, is the window.
+    complex, by a kernel of PBW weight > bound that has no cohomology in
+    degrees <= bound; so the bound, not max_degree, is the window: its
+    Ext is certified in degrees below the bound.
     """
 
     def __init__(self, g: LieAlgebraData, bound: int):
         self.g = g
         self.bound = bound
         self.max_degree = 10 ** 9  # the PBW bound is the window
-        self._tuples = {}
-        self._diff_cols = {}
-        self._action_cache = {}
 
+    @memoized
     def tuples(self, n):
-        if n in self._tuples:
-            return self._tuples[n]
         monos = monomials_upto(self.g.dim, self.bound)
         out = []
 
@@ -316,9 +310,7 @@ class UgBarComplex:
 
         rec([], n, self.bound)
         out.sort()
-        idx = {t: k for k, t in enumerate(out)}
-        self._tuples[n] = (out, idx)
-        return self._tuples[n]
+        return out, {t: k for k, t in enumerate(out)}
 
     def rank(self, n):
         return len(self.tuples(n)[0])
@@ -333,6 +325,7 @@ class UgBarComplex:
             raise WindowExceededError("comparison image leaves the truncation window")
         return k
 
+    @memoized
     def diff_cols(self, n):
         """Column t of b'(1[t]) in degree n: {index of a tuple of n - 1: PBW entry}.
 
@@ -340,8 +333,6 @@ class UgBarComplex:
         t_(i+1) with the sign (-1)^i, and the counit face, with the sign
         (-1)^n, keeps only a last monomial of degree 0.
         """
-        if n in self._diff_cols:
-            return self._diff_cols[n]
         g, unit, cols = self.g, mono_one(self.g.dim), []
         below = self.tuples(n - 1)[1] if n else {}
         for t in self.tuples(n)[0] if n else ():
@@ -353,7 +344,6 @@ class UgBarComplex:
             if mono_deg(t[-1]) == 0:
                 sparse_add(col.setdefault(below[t[:-1]], {}), unit, -1 if n % 2 else 1)
             cols.append({k: e for k, e in col.items() if e})
-        self._diff_cols[n] = cols
         return cols
 
     def boundary_word(self, w):
@@ -368,11 +358,11 @@ class UgBarComplex:
         return out
 
     def act_left(self, entry, M: LieModule):
-        key = (M, tuple(entry.items()))  # M itself, not id(M): a freed module's id is reused
-        out = self._action_cache.get(key)
-        if out is None:
-            out = self._action_cache[key] = M.act(entry)
-        return out
+        return self._act(tuple(entry.items()), M)
+
+    @memoized
+    def _act(self, entry, M: LieModule):
+        return M.act(dict(entry))
 
     def times(self, u, v):
         return pbw_multiply(self.g, u, v)

@@ -17,7 +17,7 @@ import json
 import sys
 from functools import cache, partial
 
-from .errors import HopfHomologyError, NotInvertibleError
+from .errors import HopfHomologyError, NotInvertibleError, WindowExceededError
 from .instances import builtin_instances
 from .linalg import frac_str
 
@@ -159,6 +159,10 @@ def cmd_ext_tor(args, which):
     from .homology import ext_dims, tor_dims
 
     M = _module(inst, inst.modules if which == "ext" else inst.right_modules, args.module)
+    if resolution == "bar" and inst.kind == "lie" and args.max_degree >= window:
+        # the model is the bar cochains modulo a kernel of PBW weight > b, acyclic in degrees <= b
+        raise WindowExceededError(f"Ext degree {args.max_degree} outside the bar model's certified window: "
+                                  f"degrees below --pbw-bound {window}")
     dims = (ext_dims if which == "ext" else tor_dims)(build(), M, args.max_degree)
     rows = [
         {"degree": n, "dim": dim, "resolution": resolution, "window": window}

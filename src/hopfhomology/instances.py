@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .linalg import Matrix, unit_vec, zero_vec
+from .linalg import Matrix, memoized, unit_vec, zero_vec
 
 # The finite builders import algebras and bialgebroid and the Lie
 # builders pbw where they run, so a command loads only the side its
@@ -462,17 +462,11 @@ class _Catalog(Mapping):
     the data (validated on construction) and its modules once.
     """
 
-    def __init__(self):
-        self._built = {}
-
+    @memoized
     def __getitem__(self, name):
-        if name not in self._built:
-            kind, description, expect_hopf, build = CATALOG[name]
-            data, modules, right_modules = build()
-            self._built[name] = Instance(
-                name, kind, data, modules, right_modules, description, expect_hopf
-            )
-        return self._built[name]
+        kind, description, expect_hopf, build = CATALOG[name]
+        data, modules, right_modules = build()
+        return Instance(name, kind, data, modules, right_modules, description, expect_hopf)
 
     def __contains__(self, name):
         return name in CATALOG

@@ -19,13 +19,25 @@ target relations) and the one place that reads off its matrix.
 Matrices act on column vectors; vectors are plain lists of exact
 numbers: an int where the value is integral, a Fraction otherwise, never
 a float.  Python keeps mixed int and Fraction arithmetic exact.
+
+memoized is the package's one memo on objects; functools.cache serves
+only closures made per call or per object.  A method it decorates keeps
+its results in the instance's own table, obj._memo[method name]
+[positional arguments], made by the first memoized call, so every cache
+lives and dies with the object whose data it holds, and an argument
+object (a module, say) is a key by itself, never by an id that a freed
+object could hand on.  A memoized method takes hashable positional
+arguments only (a list or dict argument goes through a memoized helper
+on its tuple), never returns None, and its results are shared between
+callers, who must not mutate them.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from math import isqrt, lcm
 
 from .errors import NotWellDefinedError
@@ -64,6 +76,25 @@ def unit_vec(n, i) -> list:
     v = [0] * n
     v[i] = 1
     return v
+
+
+def memoized(fn):
+    """Cache fn(obj, *args) in obj._memo, by name and then by args (see the module docstring)."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def cached(obj, *args):
+        try:
+            table = obj._memo[name]
+        except AttributeError:  # the first memoized call on obj makes its table
+            obj._memo = defaultdict(dict)
+            table = obj._memo[name]
+        out = table.get(args)
+        if out is None:
+            out = table[args] = fn(obj, *args)
+        return out
+
+    return cached
 
 
 def vec_add(u, v):

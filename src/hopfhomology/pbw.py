@@ -8,8 +8,8 @@ x_i x_j = x_j x_i + [x_i, x_j] and never raises total degree, so degree
 bounds certified by callers are stable under multiplication.
 
 Products, coproducts and translations of monomials are memoized on the
-LieAlgebraData.  The memoized dicts are shared between callers and must
-not be mutated.
+LieAlgebraData, and module actions of monomials on the LieModule, under
+the one memo rule of linalg.memoized.
 
 The Hopf structure of U(g) is generated by the primitives: the
 coproduct of a PBW monomial is the binomial expansion, the counit kills
@@ -22,14 +22,13 @@ linalg that bialgebroid.check_takeuchi and check_schauenburg call.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import partial, wraps
+from functools import partial
 from math import comb
 from operator import eq
 
 from .errors import DegreeOverflowError, ValidationError
-from .linalg import (Matrix, coassociators, frac, lincomb, pair_compose, pair_product, sparse_add,
-                     sparse_extend, zero_vec)
+from .linalg import (Matrix, coassociators, frac, lincomb, memoized, pair_compose, pair_product,
+                     sparse_add, sparse_extend, zero_vec)
 
 
 class LieAlgebraData:
@@ -40,7 +39,6 @@ class LieAlgebraData:
         self.name = name or f"lie{dim}"
         self.labels = labels or [f"x{i}" for i in range(dim)]
         self.bracket = [[[frac(x) for x in brackets[i][j]] for j in range(dim)] for i in range(dim)]
-        self._memo = defaultdict(dict)
         if validate:
             self._validate()
 
@@ -77,20 +75,6 @@ class LieAlgebraData:
         return f"LieAlgebraData({self.name}, dim {self.dim})"
 
 
-def _memoized(fn):
-    """Cache fn(g, *args) in g._memo; callers share the result and must not mutate it."""
-
-    @wraps(fn)
-    def cached(g, *args):
-        table = g._memo[fn.__name__]
-        out = table.get(args)
-        if out is None:
-            out = table[args] = fn(g, *args)
-        return out
-
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # monomials
 
@@ -119,7 +103,7 @@ def monomials_upto(d, bound):
     return out
 
 
-@_memoized
+@memoized
 def _xmul(g: LieAlgebraData, i, m):
     """x_i times the monomial m, straightened; dict of monomials."""
     j = None
@@ -144,7 +128,7 @@ def _xmul(g: LieAlgebraData, i, m):
     return out
 
 
-@_memoized
+@memoized
 def mono_mul(g: LieAlgebraData, m1, m2):
     """Normal form of the product of two PBW monomials."""
     result = {m2: 1}
@@ -178,7 +162,7 @@ def pbw_multiply(g: LieAlgebraData, u, v, bound=None):
 # the Hopf structure on generators, extended to monomials
 
 
-@_memoized
+@memoized
 def delta_mono(g: LieAlgebraData, m):
     """Binomial coproduct of a PBW monomial: dict {(m1, m2): coeff}."""
     d = g.dim
@@ -201,7 +185,7 @@ def delta_elt(g, u):
     return sparse_extend(partial(delta_mono, g), u)
 
 
-@_memoized
+@memoized
 def translation_mono(g: LieAlgebraData, m):
     """u -> u_+ (x) u_-, built one generator factor at a time.
 
@@ -251,7 +235,6 @@ class LieModule:
         self.gen = [m if isinstance(m, Matrix) else Matrix(m, ncols=dim) for m in gen_matrices]
         if len(self.gen) != g.dim:
             raise ValidationError("one matrix per Lie generator required")
-        self._mono_cache = {}
         if validate:
             self._validate()
 
@@ -268,17 +251,14 @@ class LieModule:
                         f"matrices do not represent the bracket at ({i},{j}) [{self.side}]"
                     )
 
+    @memoized
     def act_mono(self, m):
-        cached = self._mono_cache.get(m)
-        if cached is not None:
-            return cached
         out = Matrix.identity(self.dim)
         d = self.g.dim
         order = range(d) if self.side == "left" else reversed(range(d))
         for i in order:
             for _ in range(m[i]):
                 out = out @ self.gen[i]
-        self._mono_cache[m] = out
         return out
 
     def act(self, elt):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .errors import WindowExceededError
 from .homology import cap_chain, cup_cochain, pull_cochain, push_chain
-from .linalg import Matrix
+from .linalg import Matrix, memoized
 
 # BarProducts imports bialgebroid and CEProducts pbw where they run,
 # so a command loads only its own side; these serve the annotations alone.
@@ -60,7 +60,6 @@ class Products:
 
     def __init__(self, res, total_degree: int, top: int):
         self.res, self.total_degree, self.top = res, total_degree, top
-        self._lift_cache, self._tensor_cache = {}, {}
 
     def cup(self, m, n, phi, psi, M, N):
         """(phi cup psi) as a cochain valued in the tensor module of M, N.
@@ -91,12 +90,13 @@ class Products:
         f_j maps each generator to {generator: coefficient}, built by
         res.lift from the values of phi, base_dim of them per generator.
         """
-        key = (m, tuple(phi))
-        if key not in self._lift_cache:
-            res, na = self.res, self.base_dim
-            values = [phi[k * na : (k + 1) * na] for k in range(res.rank(m))]
-            self._lift_cache[key] = res.lift(res, m, values, self.top - m)
-        return self._lift_cache[key]
+        return self._lift(m, tuple(phi))
+
+    @memoized
+    def _lift(self, m, phi):
+        res, na = self.res, self.base_dim
+        values = [phi[k * na : (k + 1) * na] for k in range(res.rank(m))]
+        return res.lift(res, m, values, self.top - m)
 
     def yoneda(self, m, n, phi, psi, M):
         """psi o phi for phi in Ext^m(A, A), psi in Ext^n(A, M); a cochain."""
@@ -116,11 +116,10 @@ class Products:
         """The tensor module of M and N for cup (left) or cap."""
         return self._tensor_parts(M, N, left)[0]
 
+    @memoized
     def _tensor_parts(self, M, N, left):
         """_build_tensor(M, N, left), built once per pair."""
-        if (M, N, left) not in self._tensor_cache:
-            self._tensor_cache[M, N, left] = self._build_tensor(M, N, left)
-        return self._tensor_cache[M, N, left]
+        return self._build_tensor(M, N, left)
 
 
 class BarProducts(Products):

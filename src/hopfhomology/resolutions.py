@@ -46,7 +46,7 @@ from .bialgebroid import BialgebroidData, _expand_table, module_tensor_left
 from .complexes import homology_dims
 from .errors import LiftFailedError, ValidationError, WindowExceededError
 from .homology import lift
-from .linalg import Matrix, _sparse, sparse_add, sparse_extend, unit_vec, zero_vec
+from .linalg import Matrix, _sparse, memoized, sparse_add, sparse_extend, unit_vec, zero_vec
 
 
 class BarResolution:
@@ -71,13 +71,6 @@ class BarResolution:
         self.s = len(self.tails)
         # the right factor eta(1 (x) a_r) of the push a_r |>>
         self._pushes = [data.eta_target(unit_vec(data.A.dim, r)) for r in range(data.A.dim)]
-        self._unit_homotopy = {}
-        self._homotopy_cache = {}
-        self._diag_cache = {}
-        self._gens = {}
-        self._gen_index = {}
-        self._diff_cols = {}
-        self._action_cache = {}
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -86,16 +79,17 @@ class BarResolution:
             raise WindowExceededError(f"degree {n} outside bar window 0..{self.depth}")
         return len(self.generators(n))
 
+    @memoized
     def generators(self, n):
         """The tail words (t_1 .. t_n) of degree n in lexicographic order, built on demand."""
-        if n not in self._gens:
-            self._gens[n] = list(iproduct(range(1, self.s), repeat=n))
-            self._gen_index[n] = {g: k for k, g in enumerate(self._gens[n])}
-        return self._gens[n]
+        return list(iproduct(range(1, self.s), repeat=n))
+
+    @memoized
+    def _gen_indices(self, n):
+        return {g: k for k, g in enumerate(self.generators(n))}
 
     def gen_index(self, n, g):
-        self.generators(n)
-        return self._gen_index[n][g]
+        return self._gen_indices(n)[g]
 
     def words(self, n):
         """Concrete basis words (u, t_1 .. t_n) at degree n, generator major."""
@@ -145,12 +139,13 @@ class BarResolution:
         return sparse_extend(self.boundary_word, elt)
 
     def homotopy_word(self, w):
-        """s of a normal word (u, K): s(e_u), cached on u, with K appended."""
-        u = w[0]
-        head = self._unit_homotopy.get(u)
-        if head is None:
-            head = self._unit_homotopy[u] = sparse_extend(lambda p: self._renorm(p, {u: 1}), self.U.unit)
-        return {v + w[1:]: c for v, c in head.items()}
+        """s of a normal word (u, K): s(e_u) with K appended."""
+        return {v + w[1:]: c for v, c in self._unit_homotopy(w[0]).items()}
+
+    @memoized
+    def _unit_homotopy(self, u):
+        """s(e_u) = 1 (x) e_u in normal form, {(p, tail): coeff}."""
+        return sparse_extend(lambda p: self._renorm(p, {u: 1}), self.U.unit)
 
     def homotopy_elt(self, elt):
         return sparse_extend(self.homotopy_word, elt)
@@ -165,6 +160,7 @@ class BarResolution:
 
     # -- the Alexander-Whitney diagonal ----------------------------------
 
+    @memoized
     def diagonal(self, g, i):
         """The P_i (x) P_(n-i) part of the diagonal on the generator 1 (x) f_g.
 
@@ -173,24 +169,19 @@ class BarResolution:
         s(f_1(1) . s(f_2(1) . .. s(f_i(1) . 1))): for i = n it is one step of s
         on the leg of 1[f_2|..|f_n], and for i < n it is the leg of 1[g[:i]].
         """
-        key = (g, i)
-        out = self._diag_cache.get(key)
-        if out is None:
-            if i < len(g):
-                out = {(w, b + g[i:]): c for (w, b), c in self.diagonal(g[:i], i).items()}
-            elif not g:
-                one = _sparse(self.U.unit)
-                out = {((p,), (q,)): c * d for p, c in one.items() for q, d in one.items()}
-            else:
-                out = {}
-                for (p, q), c in self.data.delta_of_vec(self.tails[g[0]]).items():
-                    for (w, (b,)), d in self.diagonal(g[1:], i - 1).items():
-                        back = self.U.product(q, b)
-                        for r, e in self.U.product(p, w[0]).items():
-                            for w2, f in self.homotopy_word((r,) + w[1:]).items():
-                                for b2, h in back.items():
-                                    sparse_add(out, (w2, (b2,)), c * d * e * f * h)
-            self._diag_cache[key] = out
+        if i < len(g):
+            return {(w, b + g[i:]): c for (w, b), c in self.diagonal(g[:i], i).items()}
+        if not g:
+            one = _sparse(self.U.unit)
+            return {((p,), (q,)): c * d for p, c in one.items() for q, d in one.items()}
+        out = {}
+        for (p, q), c in self.data.delta_of_vec(self.tails[g[0]]).items():
+            for (w, (b,)), d in self.diagonal(g[1:], i - 1).items():
+                back = self.U.product(q, b)
+                for r, e in self.U.product(p, w[0]).items():
+                    for w2, f in self.homotopy_word((r,) + w[1:]).items():
+                        for b2, h in back.items():
+                            sparse_add(out, (w2, (b2,)), c * d * e * f * h)
         return out
 
     # -- free generator differential -------------------------------------
@@ -201,8 +192,9 @@ class BarResolution:
             raise WindowExceededError(f"differential {n} outside bar window")
         return self._differential(n)
 
+    @memoized
     def _differential(self, n):
-        """The columns of b' in degree n >= 1, built from degree n - 1 and cached.
+        """The columns of b' in degree n >= 1, built from degree n - 1.
 
         d(1[t|w]) = f_t [w] - s(f_t . d(1[w])), where s(f_t e_p [K]) is
         _tail_homotopy(t, p) with K appended; for w empty the bottom map
@@ -210,12 +202,9 @@ class BarResolution:
         Generator (t,) + w has index (t - 1)(s - 1)^(n-1) + index(w), so
         the columns run over t and then over the columns of degree n - 1.
         """
-        if n in self._diff_cols:
-            return self._diff_cols[n]
         data, nu, cols = self.data, self.U.dim, []
         below = self._differential(n - 1) if n > 1 else [{}]
-        self.generators(n - 1)
-        rows = list(self._gen_index[n - 1].values())  # gen_index's own ints: every column shares its row keys
+        rows = list(self._gen_indices(n - 1).values())  # gen_index's own ints: every column shares its row keys
         stride = (self.s - 1) ** max(n - 2, 0)
         for t in range(1, self.s):
             f = self.tails[t]
@@ -227,17 +216,13 @@ class BarResolution:
                             for (u, t2), d in self._tail_homotopy(t, p).items():
                                 acc.setdefault(rows[(t2 - 1) * stride + K], [0] * nu)[u] -= c * d
                 cols.append({r: tuple(v) for r, v in acc.items() if any(v)})
-        self._diff_cols[n] = cols
         return cols
 
+    @memoized
     def _tail_homotopy(self, t, p):
-        """s(f_t e_p) = 1 (x) f_t e_p in normal form, {(u, tail): coeff}, cached on (t, p)."""
-        key = (t, p)
-        out = self._homotopy_cache.get(key)
-        if out is None:
-            prod = self.times(self.tails[t], unit_vec(self.U.dim, p))
-            out = self._homotopy_cache[key] = self.homotopy_elt({(b,): c for b, c in prod.items()})
-        return out
+        """s(f_t e_p) = 1 (x) f_t e_p in normal form, {(u, tail): coeff}."""
+        prod = self.times(self.tails[t], unit_vec(self.U.dim, p))
+        return self.homotopy_elt({(b,): c for b, c in prod.items()})
 
     def _by_generator(self, elt):
         """A sparse element {word: coeff} as {generator: U-coordinate tuple}."""
@@ -246,13 +231,9 @@ class BarResolution:
             out.setdefault(w[1:], zero_vec(self.U.dim))[w[0]] += c
         return {g: tuple(v) for g, v in out.items()}
 
+    @memoized
     def act_left(self, uvec, M: ModuleRep):
-        key = (M, uvec)  # M itself, not id(M): a freed module's id is reused
-        out = self._action_cache.get(key)
-        if out is None:
-            out = M.act(list(uvec))
-            self._action_cache[key] = out
-        return out
+        return M.act(list(uvec))
 
     def act_basis(self, p, M: ModuleRep):
         return M.action[p]
@@ -301,13 +282,11 @@ class BarResolution:
         cols = ({below[K]: v for K, v in col.items()} for col in self.diff_cols(n))
         return self.u_linear_matrix(dict(zip(self.generators(n), cols)), n - 1)
 
+    @memoized
     def action_matrices(self, n):
         """Left multiplication on the free slot, 1 (x) (e_u .) for each U-basis vector e_u."""
-        key = ("act", n)
-        if key not in self._action_cache:
-            one, nu = Matrix.identity(self.rank(n)), self.U.dim
-            self._action_cache[key] = [one.kron(Matrix.from_cols(self.U.mult[u], nrows=nu)) for u in range(nu)]
-        return self._action_cache[key]
+        one, nu = Matrix.identity(self.rank(n)), self.U.dim
+        return [one.kron(Matrix.from_cols(self.U.mult[u], nrows=nu)) for u in range(nu)]
 
     def module_rep(self, n):
         return ModuleRep(self.U, self.concrete_dim(n), "left", self.action_matrices(n), validate=False)

@@ -15,7 +15,7 @@ model's generator differential.
 from itertools import product as iproduct
 
 from hopfhomology.bialgebroid import _expand_table
-from hopfhomology.linalg import sparse_extend, unit_vec
+from hopfhomology.linalg import memoized, sparse_extend, unit_vec
 from hopfhomology.pbw import mono_deg, mono_mul
 from hopfhomology.resolutions import BarResolution
 
@@ -159,8 +159,10 @@ class UnnormalizedBar(BarResolution):
         super().__init__(data, depth)
         self.tails, self.expand = _expand_table(data.U, data.tri_r, data.tails_l)
         self.s = len(self.tails)
-        self._gens = {n: list(iproduct(range(self.s), repeat=n)) for n in range(depth + 1)}
-        self._gen_index = {n: {g: k for k, g in enumerate(gs)} for n, gs in self._gens.items()}
+
+    @memoized
+    def generators(self, n):
+        return list(iproduct(range(self.s), repeat=n))
 
     def _renorm(self, u, vec):
         return reference_renorm(self, (u, 0), 1, vec)
@@ -168,12 +170,11 @@ class UnnormalizedBar(BarResolution):
     def boundary_word(self, w):
         return reference_boundary_word(self, w)
 
+    @memoized
     def _differential(self, n):
-        """Column g is b'(1[g]) from the faces, by U-coordinate at each generator; cached."""
-        if n not in self._diff_cols:
-            self._diff_cols[n] = [
-                {self.gen_index(n - 1, K): v for K, v in self._by_generator(
-                    sparse_extend(lambda p: self.boundary_word((p,) + g), self.U.unit)).items()}
-                for g in self.generators(n)
-            ]
-        return self._diff_cols[n]
+        """Column g is b'(1[g]) from the faces, by U-coordinate at each generator."""
+        return [
+            {self.gen_index(n - 1, K): v for K, v in self._by_generator(
+                sparse_extend(lambda p: self.boundary_word((p,) + g), self.U.unit)).items()}
+            for g in self.generators(n)
+        ]

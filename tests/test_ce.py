@@ -159,6 +159,16 @@ def test_truncated_bar_stability_under_bound_growth():
     assert d4 == d5
 
 
+@pytest.mark.parametrize("g", (lie_abelian(1), lie_abelian(2), lie_nonabelian2()), ids=lambda g: g.name)
+def test_bar_model_equals_koszul_below_its_pbw_bound(g):
+    # the model's cochains are the bar cochains modulo a kernel of PBW weight
+    # > b, which has no cohomology in degrees <= b: below b its Ext is Ext
+    ce = ce_resolution(g)
+    for M in (LieModule.trivial(g), LieModule.adjoint(g)):
+        for b in range(1, 5):
+            assert ext_dims(UgBarComplex(g, b), M, b - 1) == ext_dims(ce, M, b - 1), (M.name, b)
+
+
 LIE = (lie_abelian(2), lie_nonabelian2(), lie_sl2())
 
 

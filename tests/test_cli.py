@@ -79,6 +79,18 @@ def test_ext_window_exceeded_exit_three(capsys):
         assert captured.err == f"{group} degree 2 outside certified window 0..1\n"
 
 
+@pytest.mark.parametrize("module, bound, degree", [("trivial", 1, 1), ("adjoint", 0, 0)])
+def test_bar_model_past_its_pbw_window_exits_three(module, bound, degree, capsys):
+    # the bar model certifies Ext below its PBW bound only; these two read
+    # Ext^1 = 2 and Ext^0 = 2 from it, where the Koszul resolution gives 1 and 0
+    argv = ["ext", "lie-nonabelian2", "--module", module, "--resolution", "bar",
+            "--pbw-bound", str(bound), "--max-degree", str(degree)]
+    code, out, err = _run_failure(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == (f"Ext degree {degree} outside the bar model's certified window: "
+                   f"degrees below --pbw-bound {bound}\n")
+
+
 def test_tor_lie(capsys):
     code, out = run_capture(["tor", "lie-abelian2", "--module", "trivial", "--max-degree", "2"], capsys)
     assert code == 0

@@ -20,7 +20,9 @@ are tuples of PBW monomials of bounded total degree, and its
 differential is b' on them.  Multiplication never raises PBW degree, so
 the cochains on these tuples are an honest quotient complex, which the
 Ext builder of homology reads as it reads any resolution; it certifies
-Ext in degrees below the bound used.
+Ext in degrees below the bound used, which is its max_degree, so a read
+at or past the bound raises WindowExceededError.  It lifts classes with
+the Koszul resolution's lift, and ce_vs_bar_ext compares the two.
 """
 
 from __future__ import annotations
@@ -285,14 +287,16 @@ class UgBarComplex:
     Multiplication in U(g) never raises total degree, so the cochains on
     these tuples are a genuine quotient complex of the full bar cochain
     complex, by a kernel of PBW weight > bound that has no cohomology in
-    degrees <= bound; so the bound, not max_degree, is the window: its
-    Ext is certified in degrees below the bound.
+    degrees <= bound; so its Ext is certified in degrees below the
+    bound, which is its max_degree, and bound 0 certifies none.  Its
+    degree-0 generator is () over the PBW unit, as the Koszul
+    resolution's is, so it lifts classes with the same lift.
     """
 
     def __init__(self, g: LieAlgebraData, bound: int):
         self.g = g
         self.bound = bound
-        self.max_degree = 10 ** 9  # the PBW bound is the window
+        self.max_degree = bound
 
     @memoized
     def tuples(self, n):
@@ -364,8 +368,8 @@ class UgBarComplex:
     def _act(self, entry, M: LieModule):
         return M.act(dict(entry))
 
-    def times(self, u, v):
-        return pbw_multiply(self.g, u, v)
+    times = CEResolution.times
+    lift = CEResolution.lift
 
     def contract(self, j, words):
         """The bar contraction: prepend a unit slot to each word."""
@@ -377,40 +381,26 @@ class UgBarComplex:
         return cochain_matrix(self, M, n)
 
 
-# ---------------------------------------------------------------------------
-# comparison CE -> bar over U(g) via the bar contraction
-
-
-def ce_to_bar_words(ce: CEResolution, bar: UgBarComplex):
-    """The comparison CE -> bar over U(g), as a lift pull_cochain reads.
-
-    Degree n sends e_K to {tail: PBW coefficient of slot 0}, built by
-    homology.lift with the bar contraction for n <= bar.bound; its words
-    have total PBW degree at most n, so the model bar holds them.
-    """
-    unit = mono_one(ce.g.dim)
-    return lift(ce, bar, 0, {(): {(): {unit: 1}}}, bar.bound)
-
-
 def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
     """Ext dims over U(g) from the Koszul resolution and the bar model.
 
     Returns (ce_dims, bar_dims, per-degree bijectivity of the induced
-    comparison on classes).  The comparison pulls a bar cochain back
-    along the contraction-built map CE -> bar and reads it on CE
-    generators.
+    comparison on classes).  The comparison CE -> bar is the lift of
+    the unit class through the bar contraction; it pulls a bar cochain
+    back and reads it on CE generators.  The model at the PBW bound
+    certifies degrees below it only, so upto >= bound raises
+    WindowExceededError.
     """
     ce = ce_resolution(g, validate=False)
-    full = UgBarComplex(g, upto)  # its window holds the lifted words
-    lifts = ce_to_bar_words(ce, full)
+    bar = UgBarComplex(g, bound)
+    lifts = bar.lift(ce, 0, [[1]], upto)
     # verify the comparison is a chain map degree by degree
     for n in range(1, upto + 1):
         prev = list(lifts[n - 1].values())
         for K, col in zip(ce.generators(n), ce.diff_cols(n)):
             words = {(u,) + w: c for w, e in lifts[n][K].items() for u, c in e.items()}
-            if sparse_extend(full.boundary_word, words) != lifted_boundary(full, col, prev, 1):
+            if sparse_extend(bar.boundary_word, words) != lifted_boundary(bar, col, prev, 1):
                 raise LiftFailedError(f"comparison map fails at degree {n}")
-    bar = full if bound == upto else UgBarComplex(g, bound)
     ce_dims, bar_dims, bijective = [], [], []
     for n in range(upto + 1):
         eg, bar_h = ext(ce, M, n), ext(bar, M, n)

@@ -17,7 +17,7 @@ import json
 import sys
 from functools import cache, partial
 
-from .errors import HopfHomologyError, NotInvertibleError, WindowExceededError
+from .errors import HopfHomologyError, NotInvertibleError
 from .instances import builtin_instances
 from .linalg import frac_str
 
@@ -69,6 +69,8 @@ def _module(inst, mods, name):
 
 def cmd_instances(args):
     if args.action == "list":
+        if args.name is not None:
+            raise _UsageError(f"instances list takes no name, got {args.name!r}")
         from .instances import CATALOG
 
         rows = [
@@ -149,8 +151,6 @@ def cmd_ext_tor(args, which):
 
         if which != "ext":
             raise _UsageError("the truncated bar model over a universal envelope serves ext only")
-        if inst.name == "lie-sl2":
-            raise _UsageError("lie-sl2 is certified for the Koszul resolution only")
         build, window = partial(UgBarComplex, inst.data, args.pbw_bound), args.pbw_bound
     else:
         from .ce import ce_resolution
@@ -159,10 +159,6 @@ def cmd_ext_tor(args, which):
     from .homology import ext_dims, tor_dims
 
     M = _module(inst, inst.modules if which == "ext" else inst.right_modules, args.module)
-    if resolution == "bar" and inst.kind == "lie" and args.max_degree >= window:
-        # the model is the bar cochains modulo a kernel of PBW weight > b, acyclic in degrees <= b
-        raise WindowExceededError(f"Ext degree {args.max_degree} outside the bar model's certified window: "
-                                  f"degrees below --pbw-bound {window}")
     dims = (ext_dims if which == "ext" else tor_dims)(build(), M, args.max_degree)
     rows = [
         {"degree": n, "dim": dim, "resolution": resolution, "window": window}

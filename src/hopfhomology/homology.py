@@ -16,7 +16,7 @@ coefficient of the source differential times one of its own, as
 cycle given as {word: coeff}, as {generator: coefficient}.  The bar
 resolution over a finite dimensional U and the Koszul resolution of a
 universal envelope provide all of this; the degree-truncated bar model
-of U(g) all but diagonal, act_basis and lift.
+of U(g) all but diagonal and act_basis.
 
 Ext^n(A, M) is the cohomology of M^{rank(0)} -> M^{rank(1)} -> ..,
 Tor_n(N, A) the homology of .. -> N^{rank(1)} -> N^{rank(0)}.  One
@@ -71,10 +71,9 @@ def _check(res, M, n, side):
     group = "Ext" if side == "left" else "Tor"
     if M.side != side:
         raise ValidationError(f"{group} takes a {side} module, not a {M.side} one")
-    if n < 0 or n > res.max_degree - 1:
-        raise WindowExceededError(
-            f"{group} degree {n} outside certified window 0..{res.max_degree - 1}"
-        )
+    if n < 0 or n >= res.max_degree:
+        window = f"0..{res.max_degree - 1}" if res.max_degree else "(empty: no degree is certified)"
+        raise WindowExceededError(f"{group} degree {n} outside certified window {window}")
 
 
 def _space(res, M, n, side) -> HomologySpace:

@@ -11,14 +11,22 @@ once from the root of each checkout, alternating which one goes first,
 and prints each run's end-to-end metrics as it ends.  Then, for every
 end-to-end metric of BENCHMARK.json, it prints the medians and quartiles
 of both sides, the pairs in which the change is better (a tie counts
-for neither side) and whether the claim rule holds: the change is better
+for neither side), whether the claim rule holds (the change is better
 in at least 9 of every 10 pairs, and its median is better than the
-parent's by more than the parent's interquartile range.  The exit code
-is 1 when a run fails.
+parent's by more than the parent's interquartile range) and the
+no-regression verdict against the metric's bound, a fraction of the
+parent's median: "worse" when the change's median is worse than the
+parent's by more than the bound, "unresolved" when the parent's
+quartile spread is wider than the bound and not every change run beats
+every parent run, and "no worse" otherwise.  Beside job_s and cpu_s it
+prints how far setup_s, which runs no engine code, moved in the same
+runs: a move of the same sign and size is host drift, not the change.
+The exit code is 1 when a run fails.
 
 With --command, each pair instead runs `python -m hopfhomology.cli ARGV`
 once in each checkout, fresh, with that checkout's src on PYTHONPATH,
-and reads its wall time and the peak RSS that wait4 reports for it.
+and reads its wall time and the peak RSS that wait4 reports for it,
+judged against the bounds of job_s and peak_rss_mb.
 The two sides' stdout must have one sha256; the exit code is 1 when it
 differs or a run fails.  The script imports little, so the RSS a child
 inherits from it stays small next to that of a frontier command.  The
@@ -81,18 +89,34 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4))
 
 
-def verdict(parent, change, lower_is_better):
-    """The summary line of one metric over paired runs, with the claim rule's verdict."""
+def verdict(parent, change, lower_is_better, bound):
+    """The summary line of one metric over paired runs: the claim rule and the no-regression verdict.
+
+    bound is the metric's bound in BENCHMARK.json, a fraction of the parent's median.
+    """
     sign = 1 if lower_is_better else -1
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     holds = 10 * wins >= 9 * len(parent) and sign * (pm - cm) > p3 - p1
+    allowed = bound * abs(pm)
+    if sign * (cm - pm) > allowed:
+        regression = "worse"
+    elif p3 - p1 > allowed and not all(sign * (c - p) < 0 for c in change for p in parent):
+        regression = "unresolved"
+    else:
+        regression = "no worse"
     return (f"parent median {pm:.4g} (quartiles {p1:.4g}, {p3:.4g}; IQR {p3 - p1:.4g}), "
             f"change median {cm:.4g} (quartiles {c1:.4g}, {c3:.4g}); "
             f"change better in {wins}, worse in {losses} of {len(parent)} pairs; "
-            f"claim {'holds' if holds else 'does not hold'}")
+            f"claim {'holds' if holds else 'does not hold'}; "
+            f"against the {bound:.0%} bound: {regression}")
+
+
+def median_move(parent, change):
+    """The change's median over the parent's, minus one."""
+    return statistics.median(change) / statistics.median(parent) - 1
 
 
 def main(argv=None):
@@ -123,10 +147,16 @@ def main(argv=None):
             runs[side].append(got)
             shown = " ".join(f"{m['name']}={got[m['name']]:.4g}" for m in metrics)
             print(f"{args.workload} seed {seed} {side}: {shown}", flush=True)
+    setup_move = median_move(*([r["setup_s"] for r in runs[side]] for side in ("parent", "change")))
     for m in metrics:
         name = m["name"]
-        line = verdict([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                       m["better"] == "lower")
+        parent, change = [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]
+        line = verdict(parent, change, m["better"] == "lower", m["bound"])
+        if name in ("job_s", "cpu_s"):
+            move = median_move(parent, change)
+            direction = "the same" if move * setup_move > 0 else "not the same"
+            line += (f"; drift control: median {move:+.1%} here, setup_s {setup_move:+.1%}"
+                     f" in the same runs ({direction} direction)")
         print(f"{name} ({m['better']} is better): {line}")
     return 0
 
@@ -146,8 +176,9 @@ def compare_command(parent, change, argv, pairs):
     digests = {digest for side in runs.values() for digest, _, _ in side}
     print(f"stdout sha256 {'equal' if len(digests) == 1 else 'DIFFERS'}: "
           + " ".join(sorted(d[:12] for d in digests)))
-    for i, name in ((1, "wall_s"), (2, "peak_rss_mb")):
-        line = verdict([r[i] for r in runs["parent"]], [r[i] for r in runs["change"]], True)
+    bounds = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    for i, name, bound in ((1, "wall_s", bounds["job_s"]), (2, "peak_rss_mb", bounds["peak_rss_mb"])):
+        line = verdict([r[i] for r in runs["parent"]], [r[i] for r in runs["change"]], True, bound)
         print(f"{name} (lower is better): {line}")
     return 0 if len(digests) == 1 else 1
 

@@ -97,8 +97,9 @@ MUTANTS = [
     ("tail homotopy cached on t only", RESOLUTIONS,
      "self._tail_homotopy(t, p).items()",
      'self._memo["_tail_homotopy"].setdefault((t,), self._tail_homotopy(t, p)).items()'),
-    # the U(g) bar model's one face writer, and the lift every class goes through
+    # the U(g) bar model's one face writer, its window, and the lift every class goes through
     ("bar-model face 0 drops its monomial", CE, "{t[0]: 1}", "{unit: 1}"),
+    ("bar model window unbounded", CE, "self.max_degree = bound", "self.max_degree = 10 ** 9"),
     ("bar-model counit face on every tuple", CE, "if mono_deg(t[-1]) == 0:", "if True:"),
     ("CE lift bottom ignores the class", CE, "{unit: a[0]}", "{unit: 1}"),
     ("CE d d check off", CE,

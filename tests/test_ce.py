@@ -5,18 +5,13 @@ from math import comb
 import pytest
 
 from bar_oracle import reference_ug_cochain_cols
-from hopfhomology.ce import (
-    CEResolution,
-    UgBarComplex,
-    ce_resolution,
-    ce_to_bar_words,
-    ce_vs_bar_ext,
-)
+from hopfhomology import ce as ce_module
+from hopfhomology.ce import CEResolution, UgBarComplex, ce_resolution, ce_vs_bar_ext
 from hopfhomology.homology import cochain_cols, ext, ext_dims, tor
 from hopfhomology.instances import lie_abelian, lie_nonabelian2, lie_sl2
 from hopfhomology.oracles import lie_chain_matrix, lie_cohomology_dims, lie_homology_dims
 from hopfhomology.homology import chain_matrix
-from hopfhomology.errors import ValidationError
+from hopfhomology.errors import ValidationError, WindowExceededError
 from hopfhomology.pbw import LieAlgebraData, LieModule, monomials_upto, mono_deg, pbw_multiply
 from hopfhomology.products import CEProducts
 
@@ -110,7 +105,7 @@ def test_comparison_map_is_chain_map():
     g = lie_nonabelian2()
     res = ce_resolution(g, validate=False)
     bar = UgBarComplex(g, 2)
-    images = ce_to_bar_words(res, bar)
+    images = bar.lift(res, 0, [[1]], bar.bound)
     for n in (1, 2):
         for K in res.generators(n):
             # each image as bar words, slot 0 the PBW monomial of its coefficient
@@ -136,17 +131,42 @@ def test_ce_vs_truncated_bar_abelian2():
     ce_d, bar_d, bij = ce_vs_bar_ext(g, LieModule.trivial(g), 2, 4)
     assert ce_d == bar_d == [1, 2, 1]
     assert all(bij)
-    # PBW bound 1 is too small for Ext^2: the bar model loses the class
-    # there, and the comparison reports that degree as not bijective
-    assert ce_vs_bar_ext(g, LieModule.trivial(g), 2, 1) == (
-        [1, 2, 1], [1, 2, 0], [True, True, False]
+    # PBW bound 1 certifies Ext^0 only: a comparison up to degree 2 raises
+    with pytest.raises(WindowExceededError):
+        ce_vs_bar_ext(g, LieModule.trivial(g), 2, 1)
+
+
+def test_ce_vs_bar_reports_a_wrong_bar_dimension_as_not_bijective(monkeypatch):
+    # fault injection: the bar side's Ext^1 read in degree 0, of dimension 1, not 2
+    g = lie_abelian(2)
+
+    def faulty(res, M, n):
+        return ext(res, M, 0 if isinstance(res, UgBarComplex) and n == 1 else n)
+
+    monkeypatch.setattr(ce_module, "ext", faulty)
+    assert ce_vs_bar_ext(g, LieModule.trivial(g), 2, 4) == (
+        [1, 2, 1], [1, 1, 1], [True, False, True]
+    )
+
+
+def test_ce_vs_bar_reports_a_zero_comparison_as_not_bijective(monkeypatch):
+    # fault injection: a comparison lift that sends every generator to zero is
+    # a chain map, so it passes the check, but it kills every nonzero class
+    g = lie_abelian(2)
+
+    def zero(self, src, m, values, top):
+        return [{G: {} for G in src.generators(m + j)} for j in range(top + 1)]
+
+    monkeypatch.setattr(UgBarComplex, "lift", zero)
+    assert ce_vs_bar_ext(g, LieModule.trivial(g), 2, 4) == (
+        [1, 2, 1], [1, 2, 1], [False, False, False]
     )
 
 
 def test_ce_vs_truncated_bar_with_brackets():
     # the comparison lift and its chain-map check with bracket terms in d
     for g, upto, expect in ((lie_nonabelian2(), 2, [1, 1, 0]), (lie_sl2(), 3, [1, 0, 0, 1])):
-        ce_d, bar_d, bij = ce_vs_bar_ext(g, LieModule.trivial(g), upto, upto)
+        ce_d, bar_d, bij = ce_vs_bar_ext(g, LieModule.trivial(g), upto, upto + 1)
         assert ce_d == bar_d == expect
         assert all(bij)
 
@@ -159,7 +179,8 @@ def test_truncated_bar_stability_under_bound_growth():
     assert d4 == d5
 
 
-@pytest.mark.parametrize("g", (lie_abelian(1), lie_abelian(2), lie_nonabelian2()), ids=lambda g: g.name)
+@pytest.mark.parametrize("g", (lie_abelian(1), lie_abelian(2), lie_nonabelian2(), lie_sl2()),
+                         ids=lambda g: g.name)
 def test_bar_model_equals_koszul_below_its_pbw_bound(g):
     # the model's cochains are the bar cochains modulo a kernel of PBW weight
     # > b, which has no cohomology in degrees <= b: below b its Ext is Ext
@@ -170,6 +191,17 @@ def test_bar_model_equals_koszul_below_its_pbw_bound(g):
 
 
 LIE = (lie_abelian(2), lie_nonabelian2(), lie_sl2())
+
+
+@pytest.mark.parametrize("g", LIE, ids=lambda g: g.name)
+@pytest.mark.parametrize("b", range(4))
+def test_bar_model_refuses_degrees_at_or_past_its_pbw_bound(g, b):
+    # the model certifies degrees below b only; bound 0 certifies none, and
+    # at b = 1 on lie-nonabelian2 ext_dims would read Ext^1 = 2 (Koszul: 1)
+    bar, M = UgBarComplex(g, b), LieModule.trivial(g)
+    for read in (lambda: ext(bar, M, b), lambda: ext_dims(bar, M, b), lambda: ext_dims(bar, M, b + 2)):
+        with pytest.raises(WindowExceededError, match=f"^Ext degree {b} outside certified window"):
+            read()
 
 
 @pytest.mark.parametrize("g", LIE, ids=lambda g: g.name)

@@ -25,6 +25,12 @@ def test_instances_list(capsys):
     assert "sweedler" in names and "monoid01" in names
 
 
+def test_instances_list_takes_no_name(capsys):
+    code, out, err = _run_failure(["instances", "list", "extra"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "instances list takes no name, got 'extra'\n"
+
+
 def test_verify_hopf_sweedler(capsys):
     code, out = run_capture(["verify-hopf", "sweedler"], capsys)
     assert code == 0
@@ -81,14 +87,28 @@ def test_ext_window_exceeded_exit_three(capsys):
 
 @pytest.mark.parametrize("module, bound, degree", [("trivial", 1, 1), ("adjoint", 0, 0)])
 def test_bar_model_past_its_pbw_window_exits_three(module, bound, degree, capsys):
-    # the bar model certifies Ext below its PBW bound only; these two read
-    # Ext^1 = 2 and Ext^0 = 2 from it, where the Koszul resolution gives 1 and 0
+    # the bar model certifies Ext below its PBW bound only; these two would
+    # read Ext^1 = 2 and Ext^0 = 2 from it, where the Koszul resolution gives 1 and 0
     argv = ["ext", "lie-nonabelian2", "--module", module, "--resolution", "bar",
             "--pbw-bound", str(bound), "--max-degree", str(degree)]
     code, out, err = _run_failure(argv, capsys)
     assert (code, out) == (3, "")
-    assert err == (f"Ext degree {degree} outside the bar model's certified window: "
-                   f"degrees below --pbw-bound {bound}\n")
+    window = {1: "0..0", 0: "(empty: no degree is certified)"}[bound]
+    assert err == f"Ext degree {degree} outside certified window {window}\n"
+
+
+@pytest.mark.parametrize("module", ["trivial", "adjoint"])
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_bar_model_of_sl2_prints_the_koszul_dims_inside_its_window(module, bound, capsys):
+    # the window, not the instance, decides what the bar model certifies
+    top = ["--module", module, "--max-degree", str(bound - 1)]
+    code, out = run_capture(["ext", "lie-sl2", *top, "--resolution", "bar", "--pbw-bound", str(bound)],
+                            capsys)
+    assert code == 0
+    bar = [(row["degree"], row["dim"]) for row in json.loads(out)["rows"]]
+    code, out = run_capture(["ext", "lie-sl2", *top], capsys)
+    assert code == 0
+    assert bar == [(row["degree"], row["dim"]) for row in json.loads(out)["rows"]]
 
 
 def test_tor_lie(capsys):
@@ -432,7 +452,7 @@ def test_unknown_module_usage_error_names_the_choices(argv, message, capsys):
     "argv, message",
     [
         (["tor", "lie-nonabelian2", "--resolution", "bar"], "serves ext only"),
-        (["ext", "lie-sl2", "--resolution", "bar"], "Koszul resolution only"),
+        (["tor", "lie-sl2", "--resolution", "bar"], "serves ext only"),
         (["ext", "env-qeps", "--module", "A", "--resolution", "ce"], "universal envelope only"),
         (["tor", "qs3", "--resolution", "ce"], "universal envelope only"),
     ],

@@ -5,8 +5,8 @@ instance and UgBarComplex at PBW bound 3 are checked, in their windows,
 through the interface alone: d d = 0 on every generator through times,
 contract(j, d x) is a preimage of d x under d_j, act_left is
 multiplicative on the entries diff_cols holds, the lift of a degree-0
-class is a chain map where the class has lift, and a read past a window
-raises WindowExceededError.
+class is a chain map, and a read past a window raises
+WindowExceededError.
 """
 
 from types import SimpleNamespace
@@ -52,7 +52,8 @@ def _case(kind, inst):
         return SimpleNamespace(res=ce_resolution(g), top=g.dim, **common)
     res = UgBarComplex(g, BOUND)
     beyond = (BOUND + 1,) + (0,) * (g.dim - 1)
-    return SimpleNamespace(res=res, top=BOUND, past=[lambda: res.gen_index(1, (beyond,))], **common)
+    past = [lambda: res.gen_index(1, (beyond,)), lambda: ext(res, trivial, BOUND)]
+    return SimpleNamespace(res=res, top=BOUND, past=past, **common)
 
 
 def _boundary(res, j, chain):
@@ -114,7 +115,7 @@ def test_act_left_is_multiplicative_on_the_differential_entries(case):
                 assert res.act_left(product, M) == res.act_left(e1, M) @ res.act_left(e2, M)
 
 
-@_cases({"bar", "ce"})  # the bar model of U(g) has no lift
+@_cases({"bar", "ce", "bar-model"})
 def test_lift_of_a_degree_zero_class_is_a_chain_map(case):
     res = case.res
     classes = ext(res, case.base, 0).representatives()

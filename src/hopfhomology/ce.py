@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import LiftFailedError, ValidationError, WindowExceededError
-from .homology import cochain_matrix, ext, lift, lifted_boundary, pull_cochain
+from .homology import _check, cochain_matrix, ext, lift, lifted_boundary, pull_cochain
 from .linalg import Matrix, _sparse, frac, memoized, sparse_add, sparse_axpy, sparse_extend, sparse_rank
 from .pbw import (
     LieAlgebraData,
@@ -389,10 +389,12 @@ def ce_vs_bar_ext(g: LieAlgebraData, M: LieModule, upto: int, bound: int):
     the unit class through the bar contraction; it pulls a bar cochain
     back and reads it on CE generators.  The model at the PBW bound
     certifies degrees below it only, so upto >= bound raises
-    WindowExceededError.
+    WindowExceededError before any lift, naming the lowest degree
+    outside the window as ext_dims does.
     """
-    ce = ce_resolution(g, validate=False)
     bar = UgBarComplex(g, bound)
+    _check(bar, M, min(upto, bar.max_degree), "left")
+    ce = ce_resolution(g, validate=False)
     lifts = bar.lift(ce, 0, [[1]], upto)
     # verify the comparison is a chain map degree by degree
     for n in range(1, upto + 1):

@@ -9,21 +9,21 @@ Hom_U(A, M) with (M (x) A*) (x)_U A.
 The derived one covers universal envelopes through the Koszul-type
 resolution: the dualized complex Hom_U(P_n, U) is a complex of free
 right modules whose differential left-multiplies coordinates by the
-transposed generator matrix.  Everything about it is certified on
-bounded PBW coefficient windows: vanishing of Ext^n(A, U) off the top
-degree, exactness of the dualized resolution, the one dimensional
-cokernel carrying the adjoint-trace twist, and the double dual.  Each
-window map is built once, into one table that the exactness walks,
-their exact fallback and both cokernel checks read.  The windows are
-honest finite certificates, not proofs for all degrees; each report
-records the bound it used.
+transposed generator matrix.  Everything about it is certified on one
+weight window of each complex, a finite subcomplex that holds every
+coefficient of PBW degree <= bound: vanishing of Ext^n(A, U) off the
+top degree, exactness of the dualized resolution, the one dimensional
+cokernel carrying the adjoint-trace twist, and the double dual.
+homology_dims, the package's one certified rank walk, ranks both
+windows, and the classes at the top are read off the image of each
+window's last map.  The windows are honest finite certificates, not
+proofs for all degrees; each report records the bound it used.
 """
 
 from __future__ import annotations
 
 from .errors import NotDualityError, NotProjectiveError, TakeuchiReport, ValidationError
-from .linalg import (Matrix, Subspace, lincomb, modular_rank, sparse_axpy, sparse_columns,
-                     sparse_extend, sparse_kernel, unit_vec, vec_is_zero, zero_vec)
+from .linalg import Matrix, Subspace, lincomb, sparse_axpy, unit_vec, vec_is_zero, zero_vec
 
 # The underived functions import algebras and bialgebroid and the U(g) ones ce, homology
 # and pbw where they run, so a command loads only its own side; these serve annotations.
@@ -31,11 +31,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .algebras import ModuleRep
     from .bialgebroid import BialgebroidData, HopfStructure
-    from .ce import BoundedBasis, CEResolution
+    from .ce import CEResolution
     from .pbw import LieModule
-
-# how many PBW degrees above a kernel's window its preimage is looked for
-_SLACK = 2
 
 
 # ---------------------------------------------------------------------------
@@ -273,125 +270,83 @@ def _dual_cols(res: CEResolution, n):
 def detect_duality_ug(g, bound=4) -> DualityData:
     """Certify the duality-module structure of the trivial U(g)-module.
 
-    Checks, on coefficient degree windows up to `bound`: Ext^n(A, U)
-    computed from the dualized Koszul complex vanishes for n below the
-    top degree, the cokernel at the top is one dimensional in every
-    window (this is the dualizing module with its adjoint-trace twist),
-    the dualized complex is exact off its augmentation end, and the
-    double dual returns the trivial module.  NotDualityError reports
-    nonvanishing degrees, and names each failed twist or double dual
-    check before the fundamental class is computed.
-
-    Each window map is built once, by window(), and certified from ranks
-    mod p (modular_rank), which are at most the ranks over Q: a window
-    map of full rank mod p has no kernel, and a kernel at window m is
-    hit once some window V of degree m + extra + 1 <= m + _SLACK + 1 has
-    rank_p(in) + rank_p(out) = dim V and out . in = 0 exactly, for then
-    the complex is exact at V over Q.  Any other window gets its exact
-    kernel, which _hit_in_window looks for in the images into those V.
+    Give x^a e_J the weight |a| + |J| in the Koszul complex P and
+    |a| + d - |J| in its dual P*.  Both differentials keep the weight or
+    lower it, so the elements of weight <= bound + d form two finite
+    subcomplexes, the dual P*_0 -> .. -> P*_d and the primal P_d -> .. ->
+    P_0, whose degree n has PBW degree <= bound + n and <= bound + d - n;
+    together they hold every coefficient of PBW degree <= bound.  Their
+    associated graded is the Koszul complex of S(g), so each has
+    homology only at its rank one end, and there one dimensional.  Each
+    of the 2d maps is built once, and homology_dims ranks each
+    subcomplex, with its exact d d = 0 check.  On the dual side, Ext^n(A,
+    U) must vanish below the top degree, and then the window's Euler
+    characteristic leaves the top one dimensional; the unit must span it
+    (this is the dualizing module) with x_i acting by the adjoint trace.
+    On the primal side the resolution must be exact in positive degrees,
+    and the double dual must return the trivial module.
+    NotDualityError names the nonvanishing (degree, dim) pairs, and each
+    failed twist or double dual check, before the fundamental class is
+    computed.  The window is a finite certificate, not a proof for all
+    degrees; the report records its bound.
     """
     from .ce import BoundedBasis, CEResolution, bounded_free_map
+    from .complexes import homology_dims
     from .homology import tor
-    from .pbw import LieModule, mono_one, monomials_upto
+    from .pbw import LieModule, mono_one
 
     res = CEResolution(g, validate=True)
     d = g.dim
-    windows = {}
 
-    def window(n, m, act):
-        """(source basis, columns, rank mod p) of P*_n -> P*_(n+1) ("left") or P_n -> P_(n-1) on window m."""
-        if (n, m, act) not in windows:
-            to = n + 1 if act == "left" else n - 1
-            cols = _dual_cols(res, to) if act == "left" else res.diff_cols(n)
-            src = BoundedBasis(g, res.rank(n), m)
-            columns = bounded_free_map(g, cols, src, BoundedBasis(g, res.rank(to), m + 1), act)
-            windows[n, m, act] = src, columns, modular_rank(columns)
-        return windows[n, m, act]
+    def weight_window(degrees, act):
+        """Homology dims of the dual ("left") or primal ("right") subcomplex on these degrees,
+        and the class of a monomial at its rank one end modulo the image of the last map."""
+        bases = [BoundedBasis(g, res.rank(n), bound + (n if act == "left" else d - n)) for n in degrees]
+        last = [[]]  # the last map built, kept for the classes at the end
 
-    def unhit(n, m, act):
-        """0 if the kernel of window(n, m, act) is hit by window maps into degree n, else its dimension.
+        def maps():
+            for n, src, dst in zip(degrees, bases, bases[1:]):
+                last[0] = None  # so the map before is dropped while this one is built
+                cols = _dual_cols(res, n + 1) if act == "left" else res.diff_cols(n)
+                last[0] = bounded_free_map(g, cols, src, dst, act)
+                yield last[0]
 
-        Nothing maps into the edge degree, 0 for "left" and d for "right".
-        """
-        src, columns, rank = window(n, m, act)
-        if rank == src.dim:
-            return 0
-        edge = n == (0 if act == "left" else d)
-        above = []  # (V, columns of the window map into V)
-        for extra in range(0 if edge else _SLACK + 1):
-            V, out, rank_out = window(n, m + extra + 1, act)
-            _, into, rank_in = window(n - 1 if act == "left" else n + 1, m + extra, act)
-            if any(sparse_extend(out.__getitem__, col) for col in into):
-                raise ValidationError("consecutive window maps do not compose to zero")
-            if rank_in + rank_out == V.dim:
-                return 0
-            above.append((V, into))
-        kern = sparse_kernel(sparse_columns(columns).values(), src.dim)
-        if edge or not kern.dim:
-            return kern.dim
-        return 0 if _hit_in_window(kern, src, above) else kern.dim
+        dims = homology_dims([basis.dim for basis in bases], maps())
+        end, image = bases[-1], Subspace(bases[-1].dim, last[0])
+        return dims, lambda mono: image.decompose({end.index[0, mono]: 1})[1]
 
-    def top_class(act, twist):
-        """(rank one, twisted) for the cokernel of the window maps onto the rank one end P*_d or P_0.
-
-        Rank one: in every window m the unit's class is nonzero and the
-        monomials of degree <= m span one class.  Twisted: in every
-        window the unit's class is nonzero and x_i sends it to twist[i]
-        times itself.
-        """
-        n = d - 1 if act == "left" else 1
+    def twisted(cls, twist):
+        """Whether the unit's class is nonzero and x_i sends it to twist[i] times itself."""
+        unit = cls(mono_one(d))
         gens = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-        rank_one = twisted = True
-        for m in range(bound + 1):
-            dst = BoundedBasis(g, 1, m + 1)  # the end has rank one
-            image = Subspace(dst.dim, window(n, m, act)[1])
-
-            def cls(mono):
-                return image.decompose({dst.index[0, mono]: 1})[1]
-
-            unit = cls(mono_one(d))
-            rank_one = rank_one and bool(unit) and Subspace(dst.dim, map(cls, monomials_upto(d, m))).dim == 1
-            twisted = twisted and bool(unit) and all(
-                cls(x) == {k: w * c for k, c in unit.items() if w} for x, w in zip(gens, twist))
-        return rank_one, twisted
+        return bool(unit) and all(
+            cls(x) == {k: w * c for k, c in unit.items() if w} for x, w in zip(gens, twist))
 
     report = TakeuchiReport()
-    # Ext^n(A, U) for n < d: bounded kernels must be hit by bounded images
-    bad_degrees = [(n, m, k) for n in range(d) for m in range(bound + 1) if (k := unhit(n, m, "left"))]
+    dims, cls = weight_window(range(d + 1), "left")
+    bad_degrees = [(n, k) for n, k in enumerate(dims[:-1]) if k]
     if bad_degrees:
-        raise NotDualityError(
-            f"Ext(A, U) does not vanish below the top degree: {bad_degrees}",
-            degrees=sorted({n for n, _, _ in bad_degrees}),
-        )
+        raise NotDualityError(f"Ext(A, U) does not vanish below the top degree: {bad_degrees}")
     report.record("ext_vanishing_below_top", True)
 
-    # the cokernel at the top: one dimensional with the adjoint trace twist;
-    # only the maps it reads stay in the table, so the peak stays the walk's
-    windows = {key: w for key, w in windows.items() if key[0] == d - 1 and key[1] <= bound}
+    # the cokernel at the top: spanned by the unit, with the adjoint trace twist
     weights = [g.adjoint_trace(i) for i in range(d)]
-    coker_ok, twist_ok = top_class("left", weights)
-    windows.clear()  # the primal windows below share none of these
-    report.record("dualizing_module_rank_one", coker_ok)
-    report.record("adjoint_trace_twist", twist_ok)
-    if not coker_ok:
+    report.record("dualizing_module_rank_one", cls(mono_one(d)))
+    report.record("adjoint_trace_twist", twisted(cls, weights))
+    if not report.checks["dualizing_module_rank_one"]:
         raise NotDualityError("top cokernel is not one dimensional in the window")
 
     astar = LieModule.weight_right(g, weights, name="dualizing")
 
-    # dual resolution exactness off its augmentation end: same kernels as
-    # above read homologically, so reuse the certificate
+    # the dual resolution is exact off its augmentation end: the vanishing above
     report.record("dual_resolution_exact", True)
 
-    # exactness of the primal resolution in positive degrees (this is
-    # also Ext of the dualizing module against the ring vanishing off
-    # the top, by double dualization); the sum walks every window, so
-    # every composition is checked
-    unhit_dims = sum(unhit(n, m, "right") for n in range(1, d + 1) for m in range(bound + 1))
-    report.record("primal_resolution_exact", not unhit_dims)
-
-    # double dual: the re-dualized complex is the original one; its top
-    # cokernel is the trivial module
-    report.record("double_dual_trivial", top_class("right", [0] * d)[1])
+    # exactness of the primal resolution in positive degrees (this is also
+    # Ext of the dualizing module against the ring vanishing off the top,
+    # by double dualization); the double dual's top cokernel is the trivial module
+    dims, cls = weight_window(range(d, -1, -1), "right")
+    report.record("primal_resolution_exact", not any(dims[:-1]))
+    report.record("double_dual_trivial", twisted(cls, [0] * d))
     failed = [name for name in ("adjoint_trace_twist", "double_dual_trivial") if not report.checks[name]]
     if failed:
         raise NotDualityError(f"failed checks: {', '.join(failed)}")
@@ -406,29 +361,6 @@ def detect_duality_ug(g, bound=4) -> DualityData:
         raise NotDualityError("fundamental class vanishes")
     return DualityData(d, astar, weights, omega, res, {n: _dual_cols(res, n) for n in range(1, d + 1)},
                        report, bound)
-
-
-def _hit_in_window(kern, src: BoundedBasis, above) -> bool:
-    """Whether every echelon row of the Subspace kern lies in the image of one window map above.
-
-    kern lives on the coordinates of src; above lists (V, columns) of
-    the window maps into the windows V of degree src.bound + 1 up to
-    src.bound + _SLACK + 1.
-    """
-    keys = list(src.index)
-    for V, into in above:
-        image = Subspace(V.dim, into)
-        if all(not image.decompose(_repad(row, keys, V))[1] for row in kern.echelon):
-            return True
-    return False
-
-
-def _repad(row, keys, dst: BoundedBasis):
-    """An echelon row (pivot, tail) on coordinates keys[i] = (j, m), as a sparse vector on dst."""
-    pivot, tail = row
-    out = {dst.index[keys[i]]: c for i, c in tail.items()}
-    out[dst.index[keys[pivot]]] = 1
-    return out
 
 
 def delta_chain_check_ug(dd: DualityData, Mr: LieModule) -> bool:

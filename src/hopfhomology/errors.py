@@ -43,10 +43,6 @@ class NotProjectiveError(HopfHomologyError):
 class NotDualityError(HopfHomologyError):
     """Ext against the ring does not concentrate in a single degree."""
 
-    def __init__(self, message, degrees=None):
-        super().__init__(message)
-        self.degrees = degrees
-
 
 class LiftFailedError(HopfHomologyError):
     """A chain-map lift was inconsistent (target not exact in range)."""
@@ -56,14 +52,6 @@ class WindowExceededError(HopfHomologyError):
     """A homological degree outside the certified window was requested."""
 
     exit_code = 3
-
-
-class DegreeOverflowError(HopfHomologyError):
-    """A normal-form computation exceeded its certified degree bound."""
-
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
 
 
 class TakeuchiReport:

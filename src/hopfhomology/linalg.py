@@ -786,14 +786,6 @@ def sparse_rank(rows):
     return len(_eliminate(_smaller_side(rows)))
 
 
-def modular_rank(rows):
-    """The rank mod p of sparse rows, a lower bound on their rank over Q, not certified.
-
-    One forward pass on the smaller side, p the first prime dividing no denominator.
-    """
-    return len(_first_echelon(_smaller_side(rows))[1])
-
-
 def _first_echelon(rows):
     """(p, _echelon_mod(rows, p)) for the first prime p dividing no denominator."""
     for p in _primes():

@@ -26,7 +26,7 @@ from functools import partial
 from math import comb
 from operator import eq
 
-from .errors import DegreeOverflowError, ValidationError
+from .errors import ValidationError
 from .linalg import (Matrix, coassociators, frac, lincomb, memoized, pair_compose, pair_product,
                      sparse_add, sparse_extend, zero_vec)
 
@@ -144,17 +144,13 @@ def mono_mul(g: LieAlgebraData, m1, m2):
     return result
 
 
-def pbw_multiply(g: LieAlgebraData, u, v, bound=None):
-    """Product of two elements; DegreeOverflowError past the bound."""
+def pbw_multiply(g: LieAlgebraData, u, v):
+    """Product of two elements."""
     out = {}
     for m1, c1 in u.items():
         for m2, c2 in v.items():
             for m, c in mono_mul(g, m1, m2).items():
                 sparse_add(out, m, c1 * c2 * c)
-    if bound is not None:
-        worst = max((mono_deg(m) for m in out), default=0)
-        if worst > bound:
-            raise DegreeOverflowError(f"product has degree {worst} > bound {bound}", bound=bound)
     return out
 
 

@@ -43,26 +43,20 @@ UG_HOPF_KEYS = ["translation_1", "translation_2", "counit_laws", "coassociative"
 
 # (name, file, old text, new text); the old text occurs once in its file
 MUTANTS = [
-    # detect_duality_ug: the walker, its fallback and the rank one end
-    ("walker injectivity off by one", DUALITY,
-     "if rank == src.dim:", "if rank >= src.dim - 1:"),
-    ("walker exactness sum at most", DUALITY,
-     "if rank_in + rank_out == V.dim:", "if rank_in + rank_out <= V.dim:"),
-    ("walker composition check off", DUALITY,
-     "if any(sparse_extend(out.__getitem__, col) for col in into):",
-     "if False and any(sparse_extend(out.__getitem__, col) for col in into):"),
-    ("fallback membership on the first row only", DUALITY,
-     "for row in kern.echelon):", "for row in kern.echelon[:1]):"),
-    ("fallback membership of any row", DUALITY,
-     "if all(not image.decompose(", "if any(not image.decompose("),
-    ("rank one at least one", DUALITY,
-     "monomials_upto(d, m))).dim == 1", "monomials_upto(d, m))).dim >= 1"),
+    # detect_duality_ug: the two weight windows, ranked by homology_dims, and their rank one ends
+    ("vanishing read at the top degree too", DUALITY,
+     "enumerate(dims[:-1]) if k]", "enumerate(dims) if k]"),
+    ("unit class check off", DUALITY,
+     'report.record("dualizing_module_rank_one", cls(mono_one(d)))',
+     'report.record("dualizing_module_rank_one", True)'),
     ("twist comparison off", DUALITY,
      "cls(x) == {k: w * c for k, c in unit.items() if w}", "True"),
     ("twist sign flipped", DUALITY,
      "{k: w * c for k, c in unit.items() if w}", "{k: -w * c for k, c in unit.items() if w}"),
+    ("primal exactness reads one degree", DUALITY,
+     '"primal_resolution_exact", not any(dims[:-1])', '"primal_resolution_exact", not dims[0]'),
     ("double dual against the dualizing twist", DUALITY,
-     'top_class("right", [0] * d)', 'top_class("right", weights)'),
+     "twisted(cls, [0] * d)", "twisted(cls, weights)"),
     # the dualized differential against the generator one
     ("delta chain check reads the dual side twice", DUALITY,
      "for q, col in enumerate(res.diff_cols(i)) for p, entry in col.items()}",

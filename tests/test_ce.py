@@ -136,6 +136,19 @@ def test_ce_vs_truncated_bar_abelian2():
         ce_vs_bar_ext(g, LieModule.trivial(g), 2, 1)
 
 
+@pytest.mark.parametrize("upto, bound, lowest", [(2, 1, 1), (5, 3, 3), (1, 1, 1)])
+def test_ce_vs_bar_names_the_lowest_degree_outside_the_window_before_lifting(
+        upto, bound, lowest, monkeypatch):
+    # the window rule of ext_dims, checked before the comparison lift runs
+    g = lie_abelian(2)
+    lifted = []
+    monkeypatch.setattr(UgBarComplex, "lift", lambda *args: lifted.append(args))
+    window = f"0..{bound - 1}"
+    with pytest.raises(WindowExceededError, match=f"^Ext degree {lowest} outside certified window {window}$"):
+        ce_vs_bar_ext(g, LieModule.trivial(g), upto, bound)
+    assert not lifted
+
+
 def test_ce_vs_bar_reports_a_wrong_bar_dimension_as_not_bijective(monkeypatch):
     # fault injection: the bar side's Ext^1 read in degree 0, of dimension 1, not 2
     g = lie_abelian(2)

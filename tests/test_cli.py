@@ -306,7 +306,6 @@ ERROR_CODES = [
     ("NotProjectiveError", 1),
     ("NotDualityError", 1),
     ("LiftFailedError", 1),
-    ("DegreeOverflowError", 1),
     ("ValidationError", 1),
     ("WindowExceededError", 3),
 ]

@@ -19,7 +19,7 @@ from hopfhomology.duality import (
     dual_bases,
     duality_isomorphism_ug,
 )
-from hopfhomology import ce, duality
+from hopfhomology import ce, complexes
 from hopfhomology.errors import NotDualityError, NotProjectiveError, ValidationError
 from hopfhomology.homology import tor
 from hopfhomology.instances import (
@@ -29,7 +29,7 @@ from hopfhomology.instances import (
     lie_sl2,
     s3_modules,
 )
-from hopfhomology.linalg import Matrix, modular_rank, sparse_axpy
+from hopfhomology.linalg import Matrix, sparse_axpy
 from hopfhomology.oracles import lie_cohomology_dims, lie_homology_dims
 from hopfhomology.pbw import LieAlgebraData, LieModule, mono_one, tensor_right_lie
 from hopfhomology.products import CEProducts
@@ -174,29 +174,39 @@ def test_detect_duality_rejects_truncated_complex(monkeypatch):
         detect_duality_ug(g, bound=3)
 
 
+def _one_short(echelon):
+    """A forward pass mod p that drops its last pivot, so no rank it gives is certified."""
+    def short(rows):
+        p, rows_mod_p = echelon(rows)
+        return p, rows_mod_p[:-1]
+
+    return short
+
+
 @pytest.mark.parametrize("name", ["lie-abelian2", "lie-nonabelian2", "lie-sl2"])
 def test_exact_fallback_gives_the_same_report(name, catalog, monkeypatch):
-    """Ranks mod p one short certify no window, so every window takes the exact fallback."""
+    """Ranks mod p one short certify no position, so every nonzero map takes the exact fallback."""
     g = catalog[name].data
     certified = detect_duality_ug(g, bound=3)
     fallbacks = []
-    hit = duality._hit_in_window
+    eliminate = complexes._eliminate
 
-    def recording(*args):
-        fallbacks.append(args)
-        return hit(*args)
+    def recording(rows, *first):  # homology_dims resumes a forward pass; the rest start afresh
+        if first:
+            fallbacks.append(len(rows))
+        return eliminate(rows, *first)
 
-    monkeypatch.setattr(duality, "modular_rank", lambda rows: modular_rank(rows) - 1)
-    monkeypatch.setattr(duality, "_hit_in_window", recording)
+    monkeypatch.setattr(complexes, "_first_echelon", _one_short(complexes._first_echelon))
+    monkeypatch.setattr(complexes, "_eliminate", recording)
     exact = detect_duality_ug(g, bound=3)
-    assert fallbacks
+    assert sum(1 for kept in fallbacks if kept) == 2 * g.dim
     assert (exact.report.checks, exact.report.failures) == (
         certified.report.checks, certified.report.failures)
     assert exact.weights == certified.weights
 
 
 def test_zero_differential_reports_every_window(monkeypatch):
-    # with d_1 = 0 on k, every window F_m of P*_0 is kernel, of dimension m + 1
+    # with d_1 = 0 on k, the whole window of P*_0, the constants and x and x^2, is kernel
     g = lie_abelian(1)
 
     class Zero(CEResolution):
@@ -205,7 +215,7 @@ def test_zero_differential_reports_every_window(monkeypatch):
 
     res = Zero(g, validate=False)
     monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
-    with pytest.raises(NotDualityError, match=r"\[\(0, 0, 1\), \(0, 1, 2\), \(0, 2, 3\)\]"):
+    with pytest.raises(NotDualityError, match=r"below the top degree: \[\(0, 3\)\]$"):
         detect_duality_ug(g, bound=2)
 
 
@@ -220,29 +230,49 @@ def test_window_maps_that_do_not_compose_to_zero_raise(monkeypatch):
 
     res = Corrupted(g, validate=False)
     monkeypatch.setattr("hopfhomology.ce.CEResolution", lambda gg, validate=True: res)
-    with pytest.raises(ValidationError, match="compose to zero"):
+    with pytest.raises(ValidationError, match=r"^d d != 0 from position"):
         detect_duality_ug(g, bound=3)
 
 
-def test_top_primal_window_with_a_kernel_fails_primal_exactness(monkeypatch):
-    # P_2 -> P_1 of k^2 on the coefficient window of degree 1 loses its last
-    # column, so that window has a one dimensional kernel and no other
+def _primal_exactness_with_a_lost_column(monkeypatch, rank, column):
+    """The report of k^2, bound 3, when the primal map out of the degree of this rank loses a column.
+
+    column is the (generator, monomial) key of a coordinate that the map
+    into that degree does not reach, so d d = 0 still holds; without it
+    the window has homology at its source degree and at the degree below.
+    """
     g = lie_abelian(2)
     free_map = ce.bounded_free_map
     hit = []
 
     def one_column_lost(g, cols, src, dst, entries_act="right"):
         out = free_map(g, cols, src, dst, entries_act)
-        if entries_act == "right" and src.rank == 1 and src.bound == 1:
+        if entries_act == "right" and src.rank == rank:
             hit.append(len(out))
-            out[-1] = {}
+            out[src.index[column]] = {}
         return out
 
     monkeypatch.setattr(ce, "bounded_free_map", one_column_lost)
     dd = detect_duality_ug(g, bound=3)
-    assert hit
-    assert dd.report.checks["primal_resolution_exact"] is False
-    assert dd.report.failures == ["primal_resolution_exact"]
+    assert len(hit) == 1
+    return dd.report
+
+
+def test_top_primal_window_with_a_kernel_fails_primal_exactness(monkeypatch):
+    # P_2 -> P_1 of k^2 loses its last column, x_0^3 e_01: a kernel in P_2,
+    # and P_1 is no longer hit
+    report = _primal_exactness_with_a_lost_column(monkeypatch, 1, (0, (3, 0)))
+    assert report.checks["primal_resolution_exact"] is False
+    assert report.failures == ["primal_resolution_exact"]
+
+
+def test_primal_map_onto_the_end_with_a_kernel_fails_primal_exactness(monkeypatch):
+    # P_1 -> P_0 of k^2 loses the column of x_1^4 e_1, which d_2 does not
+    # reach: homology at P_1, below the top degree P_2, and at the end P_0,
+    # at x_1^5, away from the classes of 1 and x_i
+    report = _primal_exactness_with_a_lost_column(monkeypatch, 2, (1, (0, 4)))
+    assert report.checks["primal_resolution_exact"] is False
+    assert report.failures == ["primal_resolution_exact"]
 
 
 def test_delta_chain_check(qs3):
@@ -406,12 +436,12 @@ def test_semidirect_products_match_oracles_and_adjoint_trace(name):
 
 
 @pytest.mark.parametrize("name, bound, short, want", [
-    ("lie-sl2", 4, False, 34),
-    ("lie-nonabelian2", 6, False, 30),
-    ("lie-abelian2", 3, True, 26),
+    ("lie-sl2", 4, False, 6),
+    ("lie-nonabelian2", 6, False, 4),
+    ("lie-abelian2", 3, True, 4),
 ])
 def test_each_window_map_is_built_once(name, bound, short, want, catalog, monkeypatch):
-    """The walks, the fallback, the top cokernel and the double dual share one window table."""
+    """The rank walk, its fallback and the classes at the top read each of the 2d maps, built once."""
     free_map = ce.bounded_free_map
     built = []
 
@@ -420,20 +450,22 @@ def test_each_window_map_is_built_once(name, bound, short, want, catalog, monkey
         return free_map(g, cols, src, dst, entries_act)
 
     monkeypatch.setattr(ce, "bounded_free_map", counting)
-    if short:  # every window takes the exact fallback
-        monkeypatch.setattr(duality, "modular_rank", lambda rows: modular_rank(rows) - 1)
+    if short:  # every map takes the exact fallback
+        monkeypatch.setattr(complexes, "_first_echelon", _one_short(complexes._first_echelon))
     assert detect_duality_ug(catalog[name].data, bound=bound).report.ok
     assert len(set(built)) == len(built) == want
 
 
-@pytest.mark.parametrize("cols, match", [
-    # d_2 = 0: every window of P*_1 is kernel, and the image of P*_0 hits none of it
-    ({2: [{}]}, r"below the top degree: \[\(1, 0, 2\), \(1, 1, 6\), \(1, 2, 12\)\]"),
-    # d_1 = (1, 0), d_2 = (0, x_0): exact below the top, whose cokernel U / x_0 U is not one dimensional
-    ({1: [{0: {(0, 0): 1}}, {}], 2: [{1: {(1, 0): 1}}]}, "top cokernel is not one dimensional"),
+@pytest.mark.parametrize("cols, match, dim", [
+    # d_2 = 0 on k^2: the window of P*_1, of dimension 2 * 10, is kernel, and
+    # the image of P*_0, of dimension 6, leaves 14 of it
+    ({2: [{}]}, r"below the top degree: \[\(1, 14\)\]$", 2),
+    # d_1 = 1 on k: P*_0 -> P*_1 is injective and its cokernel, the top
+    # monomial, is one dimensional, but the unit is hit
+    ({1: [{0: {(0,): 1}}]}, "top cokernel is not one dimensional", 1),
 ])
-def test_complexes_that_are_not_dualizing_raise(cols, match, monkeypatch):
-    g = lie_abelian(2)
+def test_complexes_that_are_not_dualizing_raise(cols, match, dim, monkeypatch):
+    g = lie_abelian(dim)
 
     class Replaced(CEResolution):
         def diff_cols(self, n):
@@ -467,12 +499,3 @@ def test_a_resolution_of_a_nontrivial_character_names_the_failed_checks(monkeypa
     assert report["failure"] == "NotDualityError"
     assert "adjoint_trace_twist" in report["witnesses"][0]
 
-
-def test_a_kernel_is_hit_only_when_every_row_is():
-    from hopfhomology.linalg import Subspace
-
-    g = lie_abelian(1)
-    src, V = ce.BoundedBasis(g, 1, 1), ce.BoundedBasis(g, 1, 2)  # coefficients 1, x and 1, x, x^2
-    into = [{V.index[0, (0,)]: 1}]  # the map into V hits the constants only
-    assert duality._hit_in_window(Subspace(src.dim, [{src.index[0, (0,)]: 1}]), src, [(V, into)])
-    assert not duality._hit_in_window(Subspace(src.dim, [{0: 1}, {1: 1}]), src, [(V, into)])

@@ -5,7 +5,7 @@ import pytest
 
 from builders import generator
 from hopfhomology.duality import detect_duality_ug
-from hopfhomology.errors import DegreeOverflowError, ValidationError
+from hopfhomology.errors import ValidationError
 from hopfhomology.instances import lie_abelian, lie_nonabelian2, lie_sl2
 from hopfhomology.linalg import Matrix
 from hopfhomology.pbw import (
@@ -77,14 +77,6 @@ def test_confluence_two_association_orders():
                 lhs = pbw_multiply(g, pbw_multiply(g, {a: Q(1)}, {b: Q(1)}), {c: Q(1)})
                 rhs = pbw_multiply(g, {a: Q(1)}, pbw_multiply(g, {b: Q(1)}, {c: Q(1)}))
                 assert lhs == rhs
-
-
-def test_degree_overflow_raised():
-    g = lie_abelian(1)
-    u = {(3,): Q(1)}
-    with pytest.raises(DegreeOverflowError):
-        pbw_multiply(g, u, u, bound=5)
-    assert pbw_multiply(g, u, u, bound=6) == {(6,): Q(1)}
 
 
 def test_coproduct_binomial():
